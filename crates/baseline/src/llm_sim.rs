@@ -9,26 +9,23 @@
 //! [`llm_style_impact`] encodes exactly that, so the demo's comparison
 //! can run offline.
 
-use lineagex_core::{EdgeKind, LineageGraph, SourceColumn};
-use std::collections::{BTreeSet, VecDeque};
+use lineagex_core::{EdgeKind, LineageGraph, QuerySpec, SourceColumn};
+use std::collections::BTreeSet;
 
 /// Impact analysis the way the paper observed an LLM doing it: transitive
-/// closure over *contribution* edges only.
+/// closure over *contribution* edges only — a downstream [`QuerySpec`]
+/// that never crosses a referenced-only edge.
 pub fn llm_style_impact(graph: &LineageGraph, origin: &SourceColumn) -> BTreeSet<SourceColumn> {
-    let mut out = BTreeSet::new();
-    let mut queue = VecDeque::from([origin.clone()]);
-    let mut visited = BTreeSet::from([origin.clone()]);
-    while let Some(current) = queue.pop_front() {
-        for (next, kind) in graph.direct_downstream(&current) {
-            // The LLM sees value flow; referenced-only edges are invisible.
-            if matches!(kind, EdgeKind::Contribute | EdgeKind::Both) && visited.insert(next.clone())
-            {
-                out.insert(next.clone());
-                queue.push_back(next);
-            }
-        }
-    }
-    out
+    QuerySpec::new()
+        .from_column(&origin.table, &origin.column)
+        .downstream()
+        .edge_kind(EdgeKind::Contribute)
+        .edge_kind(EdgeKind::Both)
+        .run_on(graph)
+        .columns
+        .into_iter()
+        .map(|m| m.column)
+        .collect()
 }
 
 #[cfg(test)]

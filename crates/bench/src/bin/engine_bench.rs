@@ -65,9 +65,6 @@ struct ScaleReport {
     views_10k: usize,
     components_10k: usize,
     jobs_10k: usize,
-    sharded_extract_ms_10k: f64,
-    levelled_extract_ms_10k: f64,
-    sharded_speedup_10k: f64,
     refresh_cone_10k: usize,
     refresh_ms_10k: f64,
     full_reextract_ms_10k: f64,
@@ -240,10 +237,8 @@ fn main() {
     let incremental = incremental_start.elapsed() / incremental_reps as u32;
 
     // 6. The large-catalog tier: 10k views as independent diamond-stack
-    // components, extracted with the component-sharded scheduler vs the
-    // flat level scheduler, then churned (dirty-cone refresh vs full
-    // re-extraction) and persisted (binary snapshot cold-start vs
-    // re-extracting from SQL).
+    // components, churned (dirty-cone refresh vs full re-extraction) and
+    // persisted (binary snapshot cold-start vs re-extracting from SQL).
     let scale = run_scale_tier(scale_reps);
 
     let report = Report {
@@ -342,17 +337,7 @@ fn main() {
                 format!("catalog ({} comps, jobs={})", report.scale.components_10k, SCALE_JOBS),
                 format!("{} views", report.scale.views_10k),
             ),
-            (
-                "re-extract all, component-sharded".into(),
-                format!("{:.0} ms", report.scale.sharded_extract_ms_10k),
-            ),
-            (
-                "re-extract all, flat levels".into(),
-                format!(
-                    "{:.0} ms ({:.2}x slower than sharded)",
-                    report.scale.levelled_extract_ms_10k, report.scale.sharded_speedup_10k
-                ),
-            ),
+            ("re-extract all".into(), format!("{:.0} ms", report.scale.full_reextract_ms_10k)),
             (
                 format!("dirty-cone refresh (cone {})", report.scale.refresh_cone_10k),
                 format!(
@@ -394,35 +379,17 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
     let config = ScaleConfig::with_views(31, SCALE_VIEWS);
     let workload = generate_scaled(&config);
     let sql = workload.full_sql();
-    let options = |shard: bool| EngineOptions {
-        jobs: SCALE_JOBS,
-        shard_components: shard,
-        ..EngineOptions::default()
-    };
+    let options = || EngineOptions { jobs: SCALE_JOBS, ..EngineOptions::default() };
 
-    // Component-sharded vs flat-levelled re-extraction of the full
-    // catalog, same jobs, same session contents. Interleaved pairs for
-    // the same reason as the lenient comparison above: each side takes
-    // hundreds of milliseconds, so measuring them in two separate
-    // blocks lets machine-wide drift masquerade as a scheduling effect.
-    let mut sharded = Engine::with_options(options(true));
-    sharded.ingest(&sql).unwrap();
-    sharded.refresh().unwrap();
-    let mut levelled = Engine::with_options(options(false));
-    levelled.ingest(&sql).unwrap();
-    levelled.refresh().unwrap();
-    let (sharded_extract, levelled_extract, _) = paired(
-        reps.max(2),
-        || {
-            sharded.invalidate_all();
-            sharded.refresh().unwrap()
-        },
-        || {
-            levelled.invalidate_all();
-            levelled.refresh().unwrap()
-        },
-    );
-    drop(levelled);
+    // Full re-extraction of the settled catalog: the baseline a
+    // dirty-cone refresh is measured against.
+    let mut engine = Engine::with_options(options());
+    engine.ingest(&sql).unwrap();
+    engine.refresh().unwrap();
+    let full_extract = best_of(reps.max(2), || {
+        engine.invalidate_all();
+        engine.refresh().unwrap()
+    });
 
     // Dirty-cone refresh: redefine the deepest view (every churn step is
     // a real redefinition), so refresh re-extracts exactly its cone.
@@ -430,8 +397,8 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
     let cone = workload.deep_cone.len();
     let churn_start = Instant::now();
     for i in 0..churn_reps {
-        sharded.ingest(&workload.churn_statement(i)).unwrap();
-        let extracted = sharded.refresh().unwrap();
+        engine.ingest(&workload.churn_statement(i)).unwrap();
+        let extracted = engine.refresh().unwrap();
         assert_eq!(extracted, cone, "churn must dirty exactly the deep cone");
     }
     let refresh = churn_start.elapsed() / churn_reps as u32;
@@ -440,16 +407,16 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
     // from the file vs re-ingesting + re-extracting the SQL. Publishing
     // is part of both paths — a server is not up until it can answer.
     let snapshot_path = std::env::temp_dir().join("lineagex_engine_bench_10k.lxsn");
-    let save = best_of(reps, || sharded.save_snapshot(&snapshot_path).unwrap());
+    let save = best_of(reps, || engine.save_snapshot(&snapshot_path).unwrap());
     let snapshot_bytes = std::fs::metadata(&snapshot_path).unwrap().len();
-    sharded.publish().unwrap();
+    engine.publish().unwrap();
     let cold_start = best_of(reps, || {
-        let mut engine = Engine::with_options(options(true));
+        let mut engine = Engine::with_options(options());
         engine.ingest(&sql).unwrap();
         engine.publish().unwrap()
     });
     let load = best_of(reps, || {
-        let mut engine = Engine::load_snapshot(&snapshot_path, options(true)).unwrap();
+        let mut engine = Engine::load_snapshot(&snapshot_path, options()).unwrap();
         engine.publish().unwrap()
     });
     std::fs::remove_file(&snapshot_path).ok();
@@ -460,13 +427,10 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         views_10k: config.views(),
         components_10k: config.components,
         jobs_10k: SCALE_JOBS,
-        sharded_extract_ms_10k: ms(sharded_extract),
-        levelled_extract_ms_10k: ms(levelled_extract),
-        sharded_speedup_10k: levelled_extract.as_secs_f64() / sharded_extract.as_secs_f64(),
         refresh_cone_10k: cone,
         refresh_ms_10k: ms(refresh),
-        full_reextract_ms_10k: ms(sharded_extract),
-        refresh_speedup_10k: sharded_extract.as_secs_f64() / refresh.as_secs_f64(),
+        full_reextract_ms_10k: ms(full_extract),
+        refresh_speedup_10k: full_extract.as_secs_f64() / refresh.as_secs_f64(),
         snapshot_bytes_10k: snapshot_bytes,
         snapshot_save_ms_10k: ms(save),
         snapshot_load_ms_10k: ms(load),

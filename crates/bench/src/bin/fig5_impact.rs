@@ -3,7 +3,7 @@
 //! returns and verifying the impact-analysis answer.
 
 use lineagex_bench::{join, section};
-use lineagex_core::{explore, lineagex, SourceColumn};
+use lineagex_core::{lineagex, LineageGraph, QuerySpec, SourceColumn};
 use lineagex_datasets::example1;
 use lineagex_viz::{to_dot, to_html, to_output_json};
 
@@ -22,18 +22,19 @@ fn main() {
 
     section("FIG 5 — Step 3: navigating column dependency (explore clicks)");
     let hop1 = explore(&result.graph, "web");
-    println!("  explore(web):      downstream {:?}", hop1.downstream);
-    assert_eq!(hop1.downstream, vec!["webact", "webinfo"]);
+    println!("  explore(web):      downstream {hop1:?}");
+    assert_eq!(hop1, vec!["webact", "webinfo"]);
     let hop2 = explore(&result.graph, "webact");
-    println!("  explore(webact):   downstream {:?}", hop2.downstream);
-    assert_eq!(hop2.downstream, vec!["info"]);
+    println!("  explore(webact):   downstream {hop2:?}");
+    assert_eq!(hop2, vec!["info"]);
     let hop3 = explore(&result.graph, "info");
-    println!("  explore(info):     downstream {:?} (no more downstreams)", hop3.downstream);
-    assert!(hop3.downstream.is_empty());
+    println!("  explore(info):     downstream {hop3:?} (no more downstreams)");
+    assert!(hop3.is_empty());
 
     println!("\n  hover web.page -> direct downstream highlights:");
-    for (col, kind) in result.graph.direct_downstream(&SourceColumn::new("web", "page")) {
-        println!("    {col} ({kind:?})");
+    let hover = QuerySpec::new().from("web.page").max_depth(1).run_on(&result.graph);
+    for hit in hover.columns {
+        println!("    {} ({:?})", hit.column, hit.kind);
     }
 
     section("FIG 5 — Step 4: solving the case");
@@ -54,4 +55,10 @@ fn main() {
         "\n✔ impact = webinfo.wpage + all columns of webact and info ({} columns), as in §IV",
         expected.len()
     );
+}
+
+/// One `explore` click: the tables one hop downstream of `table`.
+fn explore(graph: &LineageGraph, table: &str) -> Vec<String> {
+    let answer = QuerySpec::new().from_table(table).table_level().max_depth(1).run_on(graph);
+    answer.relations.into_iter().filter(|r| r.distance == 1).map(|r| r.name).collect()
 }

@@ -3,7 +3,7 @@
 //! closures, depth-limited cones, edge-kind-filtered cones, and
 //! table-level explores, all over the interned `GraphIndex` (the path
 //! every `LineageView` backend serves), plus an indexed-vs-string-walk
-//! comparison against the legacy `run_on_unindexed` reference.
+//! comparison against the `run_on_unindexed` test reference.
 //!
 //! Writes `BENCH_query.json` into the working directory so the query
 //! layer joins the repo's perf trajectory alongside `BENCH_engine.json`.

@@ -5,8 +5,8 @@ use lineagex_baseline::metrics::{graph_contribute_edges, score_edges};
 use lineagex_baseline::SqlLineageLike;
 use lineagex_catalog::{Catalog, SimulatedDatabase};
 use lineagex_core::{
-    path_between, Diagnostic, DialectKind, EdgeKind, ExtractOptions, LineageResult, LineageView,
-    LineageX, QueryReport, SourceColumn,
+    Diagnostic, DialectKind, EdgeKind, ExtractOptions, LineageResult, LineageView, LineageX,
+    QueryReport, SourceColumn,
 };
 use lineagex_engine::{Engine, EngineOptions};
 use lineagex_serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
@@ -210,7 +210,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
             if !result.graph.has_column(&origin) {
                 return Err(format!("column {origin} does not exist in the lineage graph"));
             }
-            let report = lineagex_core::impact_of(&result.graph, &origin);
+            let report = result.impact_of(&origin.table, &origin.column);
             wln(out, &format!("impact of {origin}: {} column(s)", report.impacted().len()))?;
             for (table, cols) in report.by_table() {
                 let rendered: Vec<String> = cols
@@ -222,14 +222,26 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
             Ok(())
         }
         Command::Path { from, to, file, common } => {
-            let (result, _) = run_extraction(file, common)?;
+            let (mut result, _) = run_extraction(file, common)?;
             let from = SourceColumn::new(&from.0, &from.1);
             let to = SourceColumn::new(&to.0, &to.1);
-            match path_between(&result.graph, &from, &to) {
+            for column in [&from, &to] {
+                if !result.graph.has_column(column) {
+                    return Err(format!("column {column} does not exist in the lineage graph"));
+                }
+            }
+            let answer = result
+                .query()
+                .from_column(&from.table, &from.column)
+                .downstream()
+                .to(&to.table, &to.column)
+                .run()
+                .map_err(|e| e.to_string())?;
+            match answer.path {
                 Some(path) => {
                     wln(out, &format!("{from}"))?;
-                    for (col, kind) in path {
-                        wln(out, &format!("  -> {col} ({kind:?})"))?;
+                    for step in path {
+                        wln(out, &format!("  -> {} ({:?})", step.column, step.kind))?;
                     }
                     Ok(())
                 }
@@ -1031,6 +1043,21 @@ mod tests {
         let (result, text) = execute_to_string(&cmd);
         result.unwrap();
         assert!(text.contains("-> v.p"), "{text}");
+    }
+
+    #[test]
+    fn path_unknown_column_errors() {
+        let file = write_temp("path_bad.sql", LOG);
+        let path = |from: &str, to: &str| {
+            let argv = ["path", from, to, file.as_str()].map(String::from);
+            execute_to_string(&Command::parse(&argv).unwrap())
+        };
+        // An unknown column naming itself must not get an empty path.
+        let (result, text) = path("ghost.c", "ghost.c");
+        assert!(result.unwrap_err().contains("ghost.c does not exist"), "{text}");
+        assert!(text.is_empty(), "{text}");
+        assert!(path("web.page", "v.ghost").0.unwrap_err().contains("v.ghost does not exist"));
+        assert!(path("web.ghost", "v.p").0.unwrap_err().contains("web.ghost does not exist"));
     }
 
     #[test]

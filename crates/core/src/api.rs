@@ -2,11 +2,12 @@
 //! (`lineagex(sql=...)` in the paper's Fig. 5, step 1).
 
 use crate::error::LineageError;
-use crate::impact::{impact_of, ImpactReport};
+use crate::impact::ImpactReport;
 use crate::infer::{InferenceEngine, LineageResult};
 use crate::model::{LineageGraph, SourceColumn};
 use crate::options::{AmbiguityPolicy, ExtractOptions};
 use crate::preprocess::QueryDict;
+use crate::query::QuerySpec;
 use crate::report::JsonReport;
 use lineagex_catalog::Catalog;
 
@@ -126,9 +127,11 @@ impl LineageResult {
         JsonReport::from_graph(&self.graph)
     }
 
-    /// Impact analysis from one column (paper §IV, step 4).
+    /// Impact analysis from one column (paper §IV, step 4): a downstream
+    /// [`QuerySpec`] with no depth limit or filters.
     pub fn impact_of(&self, table: &str, column: &str) -> ImpactReport {
-        impact_of(&self.graph, &SourceColumn::new(table, column))
+        let answer = QuerySpec::new().from_column(table, column).downstream().run_on(&self.graph);
+        ImpactReport::from_answer(SourceColumn::new(table, column), answer)
     }
 
     /// Borrow the graph.

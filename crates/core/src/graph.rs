@@ -26,14 +26,14 @@
 //! every public answer keep speaking strings. [`GraphIndex`] translates
 //! at the boundary ([`GraphIndex::source_column`]), which is why
 //! `ReportV2` and `QueryAnswer` documents are byte-identical to the
-//! legacy string-walk implementation (asserted by the workspace's
-//! equivalence property tests).
+//! string-walk reference (`QuerySpec::run_on_unindexed`, asserted by the
+//! workspace's equivalence property tests).
 //!
 //! The index is *derived* state: build it with [`GraphIndex::build`]
 //! after the graph settles, drop it when the graph changes. The CSR edge
 //! lists are sorted by neighbour id, and because ids are assigned in
 //! lexicographic name order, iterating an adjacency row visits
-//! neighbours in exactly the order the legacy string walk did — BFS tie
+//! neighbours in exactly the order the reference string walk does — BFS tie
 //! breaks, and therefore shortest-path answers, are preserved bit for
 //! bit.
 
@@ -168,8 +168,8 @@ struct RelationInfo {
     /// The relation's interned name.
     name: Symbol,
     /// The graph node's kind, or `None` when the relation only appears
-    /// inside lineage records (no node — treated like the legacy walk
-    /// treated a missing `nodes` entry).
+    /// inside lineage records (no node — treated like the reference walk
+    /// treats a missing `nodes` entry).
     kind: Option<NodeKind>,
     /// The node's columns in *declared* order (empty without a node).
     declared: Vec<ColumnId>,
@@ -459,7 +459,7 @@ impl GraphIndex {
     }
 
     /// Downstream column neighbours (merged edge kinds), sorted by id —
-    /// i.e. by `(table, column)`, the legacy walk's visit order.
+    /// i.e. by `(table, column)`, the reference walk's visit order.
     pub fn out_edges(&self, column: ColumnId) -> &[(u32, EdgeKind)] {
         self.fwd.row(column.0)
     }

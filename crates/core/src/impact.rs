@@ -1,15 +1,16 @@
 //! Impact analysis over a lineage graph — the paper's demonstration
 //! scenario (§IV, steps 2–4): starting from a column about to change, find
-//! every downstream column that may be affected, hop by hop or as a full
-//! transitive closure.
+//! every downstream column that may be affected, with the kind of each
+//! impact and its distance in query hops.
 //!
-//! Every function here is a thin shortcut over the composable query layer
-//! ([`crate::query::QuerySpec`]); the convention (see ROADMAP) is that
-//! *new* query capabilities land on [`crate::GraphQuery`], not as new
-//! free functions.
+//! [`ImpactReport`] only packages a downstream
+//! [`crate::query::QueryAnswer`]; the traversal itself is a
+//! [`crate::query::QuerySpec`] run on the interned index, like every
+//! other lineage question. Both backends' `impact_of` methods
+//! (`LineageResult::impact_of`, `Engine::impact_of`) build one.
 
-use crate::model::{EdgeKind, LineageGraph, SourceColumn};
-use crate::query::{QueryAnswer, QuerySpec};
+use crate::model::SourceColumn;
+use crate::query::{ColumnMatch, QueryAnswer};
 use serde::{Content, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -22,34 +23,24 @@ pub struct ImpactReport {
     /// shortest paths into it and its distance (in queries) from the
     /// origin. Private so it can never drift out of sync with the
     /// membership index; read it through [`ImpactReport::impacted`].
-    impacted: Vec<ImpactedColumn>,
+    impacted: Vec<ColumnMatch>,
     /// Structural membership index over `impacted`: deduplication is a
     /// set property, and [`ImpactReport::contains`] on wide cones is
     /// O(log n) instead of a linear scan.
     index: BTreeSet<SourceColumn>,
 }
 
-/// One impacted downstream column.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ImpactedColumn {
-    /// The impacted column.
-    pub column: SourceColumn,
-    /// How the impact propagates into it, merged over every shortest
-    /// path (contribution + reference ⇒ [`EdgeKind::Both`]).
-    pub kind: EdgeKind,
-    /// Number of query hops from the origin (1 = direct downstream).
-    pub distance: usize,
-}
-
 impl ImpactReport {
-    /// Build a report, deriving the membership index.
-    pub fn new(origin: SourceColumn, impacted: Vec<ImpactedColumn>) -> Self {
+    /// Package a *downstream* [`QueryAnswer`] from `origin`, deriving the
+    /// membership index.
+    pub fn from_answer(origin: SourceColumn, answer: QueryAnswer) -> ImpactReport {
+        let impacted = answer.columns;
         let index = impacted.iter().map(|c| c.column.clone()).collect();
         ImpactReport { origin, impacted, index }
     }
 
     /// The impacted columns, sorted by `(distance, column)`.
-    pub fn impacted(&self) -> &[ImpactedColumn] {
+    pub fn impacted(&self) -> &[ColumnMatch] {
         &self.impacted
     }
 
@@ -64,8 +55,8 @@ impl ImpactReport {
     }
 
     /// Impacted columns grouped by table, in name order.
-    pub fn by_table(&self) -> BTreeMap<&str, Vec<&ImpactedColumn>> {
-        let mut out: BTreeMap<&str, Vec<&ImpactedColumn>> = BTreeMap::new();
+    pub fn by_table(&self) -> BTreeMap<&str, Vec<&ColumnMatch>> {
+        let mut out: BTreeMap<&str, Vec<&ColumnMatch>> = BTreeMap::new();
         for col in &self.impacted {
             out.entry(col.column.table.as_str()).or_default().push(col);
         }
@@ -81,18 +72,6 @@ impl ImpactReport {
     pub fn contains(&self, column: &SourceColumn) -> bool {
         self.index.contains(column)
     }
-
-    /// Convert a *downstream* [`QueryAnswer`] into the legacy impact
-    /// report shape — how both backends' `impact_of` shortcuts package
-    /// an indexed traversal.
-    pub fn from_answer(origin: SourceColumn, answer: QueryAnswer) -> ImpactReport {
-        let impacted = answer
-            .columns
-            .into_iter()
-            .map(|m| ImpactedColumn { column: m.column, kind: m.kind, distance: m.distance })
-            .collect();
-        ImpactReport::new(origin, impacted)
-    }
 }
 
 // Manual impl: the wire shape stays `{origin, impacted}` — the index is
@@ -106,218 +85,89 @@ impl Serialize for ImpactReport {
     }
 }
 
-/// Compute the downstream transitive closure of `origin` — the paper's
-/// impact analysis. A column is impacted if the origin (or an impacted
-/// column) contributes to it (`C_con`) or is referenced by its defining
-/// query (`C_ref`). Shortcut for a downstream [`QuerySpec`] with no depth
-/// limit or filters.
-///
-/// The free functions here take a bare graph, so no index cache can
-/// help them; they run the cone-proportional string walk
-/// ([`QuerySpec::run_on_unindexed`]) rather than paying an `O(graph)`
-/// [`crate::graph::GraphIndex`] build per call. Backends answering many
-/// questions go through [`crate::LineageView`], whose cached index
-/// serves the same answers byte-identically.
-pub fn impact_of(graph: &LineageGraph, origin: &SourceColumn) -> ImpactReport {
-    let answer = QuerySpec::new()
-        .from_column(&origin.table, &origin.column)
-        .downstream()
-        .run_on_unindexed(graph);
-    ImpactReport::from_answer(origin.clone(), answer)
-}
-
-/// Compute the upstream transitive closure: every source column that the
-/// given column ultimately depends on (contribution or reference).
-/// Shortcut for an upstream [`QuerySpec`].
-pub fn upstream_of(graph: &LineageGraph, target: &SourceColumn) -> BTreeSet<SourceColumn> {
-    QuerySpec::new()
-        .from_column(&target.table, &target.column)
-        .upstream()
-        .run_on_unindexed(graph)
-        .columns
-        .into_iter()
-        .map(|m| m.column)
-        .collect()
-}
-
-/// Explain *why* a column is impacted: the shortest lineage path from
-/// `origin` to `target`, as a sequence of `(column, kind-of-edge-into-it)`
-/// hops. Returns `None` when `target` is not downstream of `origin`.
-/// Shortcut for a downstream [`QuerySpec`] with a target.
-///
-/// This answers the engineer's follow-up question in the paper's scenario:
-/// "through which views does `web.page` reach `info.wreg`?"
-pub fn path_between(
-    graph: &LineageGraph,
-    origin: &SourceColumn,
-    target: &SourceColumn,
-) -> Option<Vec<(SourceColumn, EdgeKind)>> {
-    QuerySpec::new()
-        .from_column(&origin.table, &origin.column)
-        .downstream()
-        .to(&target.table, &target.column)
-        .run_on_unindexed(graph)
-        .path
-        .map(|steps| steps.into_iter().map(|s| (s.column, s.kind)).collect())
-}
-
-/// One `explore` click in the paper's UI (Fig. 5, step 3): the tables one
-/// hop upstream and downstream of `table`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ExploreStep {
-    /// The explored table.
-    pub table: String,
-    /// Tables it reads from.
-    pub upstream: Vec<String>,
-    /// Tables that read from it.
-    pub downstream: Vec<String>,
-}
-
-/// Explore one hop around `table`. Shortcut for a pair of depth-1
-/// table-granularity [`QuerySpec`]s over the string walk (see
-/// [`impact_of`] for why the one-shot shortcuts skip the index).
-pub fn explore(graph: &LineageGraph, table: &str) -> ExploreStep {
-    // A relation feeding itself (`INSERT INTO t SELECT .. FROM t`) is its
-    // own one-hop neighbour in both directions; a BFS distance map can
-    // only report it at distance 0, so the self-loop is re-added here.
-    let self_loop = graph.queries.get(table).is_some_and(|q| q.tables.contains(table));
-    let one_hop = |direction_spec: QuerySpec| -> Vec<String> {
-        let mut names: Vec<String> = direction_spec
-            .from_table(table)
-            .table_level()
-            .max_depth(1)
-            .run_on_unindexed(graph)
-            .relations
-            .into_iter()
-            .filter(|r| r.distance == 1)
-            .map(|r| r.name)
-            .collect();
-        if self_loop {
-            names.push(table.to_string());
-            names.sort();
-            names.dedup();
-        }
-        names
-    };
-    ExploreStep {
-        table: table.to_string(),
-        upstream: one_hop(QuerySpec::new().upstream()),
-        downstream: one_hop(QuerySpec::new().downstream()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::InferenceEngine;
-    use crate::options::ExtractOptions;
-    use crate::preprocess::QueryDict;
-    use lineagex_catalog::Catalog;
+    use crate::api::lineagex;
+    use crate::infer::LineageResult;
+    use crate::model::EdgeKind;
+    use crate::query::QuerySpec;
 
-    fn chain_graph() -> LineageGraph {
+    fn chain() -> LineageResult {
         // base.a -> mid.b (contribute), base.k referenced by mid;
         // mid.b -> top.c (contribute).
-        let sql = "
-            CREATE TABLE base (a int, k int);
-            CREATE VIEW mid AS SELECT a AS b FROM base WHERE k > 0;
-            CREATE VIEW top AS SELECT b AS c FROM mid;
-        ";
-        let qd = QueryDict::from_sql(sql).unwrap();
-        InferenceEngine::new(qd, Catalog::new(), ExtractOptions::default()).run().unwrap().graph
+        lineagex(
+            "CREATE TABLE base (a int, k int);
+             CREATE VIEW mid AS SELECT a AS b FROM base WHERE k > 0;
+             CREATE VIEW top AS SELECT b AS c FROM mid;",
+        )
+        .unwrap()
     }
 
     #[test]
     fn impact_follows_contribution_chain() {
-        let graph = chain_graph();
-        let report = impact_of(&graph, &SourceColumn::new("base", "a"));
+        let report = chain().impact_of("base", "a");
         assert!(report.contains(&SourceColumn::new("mid", "b")));
         assert!(report.contains(&SourceColumn::new("top", "c")));
-        let mid = report.impacted.iter().find(|c| c.column.table == "mid").unwrap();
+        let mid = report.impacted().iter().find(|c| c.column.table == "mid").unwrap();
         assert_eq!(mid.distance, 1);
-        let top = report.impacted.iter().find(|c| c.column.table == "top").unwrap();
+        let top = report.impacted().iter().find(|c| c.column.table == "top").unwrap();
         assert_eq!(top.distance, 2);
     }
 
     #[test]
     fn impact_follows_references() {
-        let graph = chain_graph();
         // base.k only appears in mid's WHERE — still impacts all of mid's
         // outputs, and transitively top's.
-        let report = impact_of(&graph, &SourceColumn::new("base", "k"));
+        let report = chain().impact_of("base", "k");
         assert!(report.contains(&SourceColumn::new("mid", "b")));
         assert!(report.contains(&SourceColumn::new("top", "c")));
-        let mid = report.impacted.iter().find(|c| c.column.table == "mid").unwrap();
+        let mid = report.impacted().iter().find(|c| c.column.table == "mid").unwrap();
         assert_eq!(mid.kind, EdgeKind::Reference);
     }
 
     #[test]
     fn impact_of_leaf_is_empty() {
-        let graph = chain_graph();
-        let report = impact_of(&graph, &SourceColumn::new("top", "c"));
-        assert!(report.impacted.is_empty());
+        let report = chain().impact_of("top", "c");
+        assert!(report.is_empty());
         assert!(!report.contains(&SourceColumn::new("mid", "b")));
     }
 
     #[test]
     fn upstream_closure() {
-        let graph = chain_graph();
-        let up = upstream_of(&graph, &SourceColumn::new("top", "c"));
-        assert!(up.contains(&SourceColumn::new("mid", "b")));
-        assert!(up.contains(&SourceColumn::new("base", "a")));
-        assert!(up.contains(&SourceColumn::new("base", "k")));
-    }
-
-    #[test]
-    fn explore_reports_both_directions() {
-        let graph = chain_graph();
-        let step = explore(&graph, "mid");
-        assert_eq!(step.upstream, vec!["base"]);
-        assert_eq!(step.downstream, vec!["top"]);
-    }
-
-    #[test]
-    fn explore_reports_self_loops() {
-        // A relation feeding itself is its own one-hop neighbour — the
-        // shortcut must match the graph's direct navigation exactly.
-        let sql = "CREATE TABLE t (a int); INSERT INTO t SELECT a + 1 FROM t;";
-        let qd = QueryDict::from_sql(sql).unwrap();
-        let graph = InferenceEngine::new(qd, Catalog::new(), ExtractOptions::default())
-            .run()
-            .unwrap()
-            .graph;
-        let step = explore(&graph, "t");
-        assert_eq!(step.downstream, graph.downstream_tables("t"));
-        assert_eq!(step.upstream, graph.upstream_tables("t"));
-        assert_eq!(step.downstream, vec!["t"]);
-        assert_eq!(step.upstream, vec!["t"]);
+        let answer = QuerySpec::new().from("top.c").upstream().run_on(&chain().graph);
+        for (table, column) in [("mid", "b"), ("base", "a"), ("base", "k")] {
+            assert!(answer.reaches(&SourceColumn::new(table, column)), "{table}.{column}");
+        }
     }
 
     #[test]
     fn report_grouping() {
-        let graph = chain_graph();
-        let report = impact_of(&graph, &SourceColumn::new("base", "a"));
+        let report = chain().impact_of("base", "a");
         assert_eq!(report.impacted_tables(), vec!["mid", "top"]);
         assert_eq!(report.by_table()["mid"].len(), 1);
     }
 
     #[test]
     fn report_serialises_without_the_index() {
-        let graph = chain_graph();
-        let report = impact_of(&graph, &SourceColumn::new("base", "a"));
+        let report = chain().impact_of("base", "a");
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"origin\""), "{json}");
         assert!(json.contains("\"impacted\""), "{json}");
         assert!(!json.contains("\"index\""), "{json}");
     }
 
+    /// The shortest path from `origin` to `target` as `(column, kind)`
+    /// hops, `None` when `target` is not downstream.
+    fn shortest_path(origin: &str, target: (&str, &str)) -> Option<Vec<(SourceColumn, EdgeKind)>> {
+        let answer = QuerySpec::new().from(origin).to(target.0, target.1).run_on(&chain().graph);
+        answer.path.map(|steps| steps.into_iter().map(|s| (s.column, s.kind)).collect())
+    }
+
     #[test]
     fn path_between_explains_impact() {
-        let graph = chain_graph();
-        let path =
-            path_between(&graph, &SourceColumn::new("base", "a"), &SourceColumn::new("top", "c"))
-                .expect("top.c is downstream of base.a");
         assert_eq!(
-            path,
+            shortest_path("base.a", ("top", "c")).expect("top.c is downstream of base.a"),
             vec![
                 (SourceColumn::new("mid", "b"), EdgeKind::Contribute),
                 (SourceColumn::new("top", "c"), EdgeKind::Contribute),
@@ -327,27 +177,15 @@ mod tests {
 
     #[test]
     fn path_between_mixes_edge_kinds() {
-        let graph = chain_graph();
-        let path =
-            path_between(&graph, &SourceColumn::new("base", "k"), &SourceColumn::new("top", "c"))
-                .unwrap();
+        let path = shortest_path("base.k", ("top", "c")).unwrap();
         // First hop is a reference (k only appears in mid's WHERE).
         assert_eq!(path[0], (SourceColumn::new("mid", "b"), EdgeKind::Reference));
     }
 
     #[test]
     fn path_between_none_when_unreachable() {
-        let graph = chain_graph();
-        assert!(path_between(
-            &graph,
-            &SourceColumn::new("top", "c"),
-            &SourceColumn::new("base", "a"),
-        )
-        .is_none());
+        assert!(shortest_path("top.c", ("base", "a")).is_none());
         // Trivial path to self is empty.
-        let path =
-            path_between(&graph, &SourceColumn::new("base", "a"), &SourceColumn::new("base", "a"))
-                .unwrap();
-        assert!(path.is_empty());
+        assert!(shortest_path("base.a", ("base", "a")).unwrap().is_empty());
     }
 }

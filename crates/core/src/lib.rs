@@ -68,7 +68,7 @@ pub use diagnostics::{Diagnostic, DiagnosticCode, DiagnosticSpan, Severity};
 pub use error::LineageError;
 pub use explain_path::ExplainPathExtractor;
 pub use graph::{ColumnId, GraphIndex, GraphIndexCache, Interner, RelationId, Symbol};
-pub use impact::{explore, impact_of, path_between, upstream_of, ExploreStep, ImpactReport};
+pub use impact::ImpactReport;
 pub use infer::{
     assemble_graph, assemble_nodes, cycle_stub, extract_entry, InferenceEngine, LineageResult,
 };

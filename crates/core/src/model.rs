@@ -274,93 +274,6 @@ impl LineageGraph {
         out.into_iter().collect()
     }
 
-    /// Direct downstream columns of `column`, with edge kinds — what the
-    /// paper's UI highlights on hover (Fig. 5, step 3). One entry per
-    /// distinct downstream column: same-named outputs of one query merge
-    /// (contribution through either occurrence counts), matching
-    /// [`LineageGraph::all_edges`].
-    pub fn direct_downstream(&self, column: &SourceColumn) -> Vec<(SourceColumn, EdgeKind)> {
-        let mut out = Vec::new();
-        for q in self.queries.values() {
-            let referenced = q.cref.contains(column);
-            let mut contributes_by_name: BTreeMap<&str, bool> = BTreeMap::new();
-            for o in &q.outputs {
-                *contributes_by_name.entry(o.name.as_str()).or_insert(false) |=
-                    o.ccon.contains(column);
-            }
-            for (name, contributes) in contributes_by_name {
-                let kind = match (contributes, referenced) {
-                    (true, true) => EdgeKind::Both,
-                    (true, false) => EdgeKind::Contribute,
-                    (false, true) => EdgeKind::Reference,
-                    (false, false) => continue,
-                };
-                out.push((SourceColumn::new(&q.id, name), kind));
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Direct upstream columns of `column` (its `C_con ∪ C_ref`).
-    pub fn direct_upstream(&self, column: &SourceColumn) -> Vec<SourceColumn> {
-        let Some(q) = self.queries.get(&column.table) else { return Vec::new() };
-        q.lineage_of(&column.column).map(|s| s.into_iter().collect()).unwrap_or_default()
-    }
-
-    /// Direct upstream columns of `column` with the kind of the edge each
-    /// one feeds it through — the mirror of [`Self::direct_downstream`],
-    /// used by the query layer to filter upstream traversals by edge
-    /// kind. Same-named outputs merge their `C_con` sets, like
-    /// [`LineageGraph::all_edges`].
-    pub fn direct_upstream_with_kinds(
-        &self,
-        column: &SourceColumn,
-    ) -> Vec<(SourceColumn, EdgeKind)> {
-        let Some(q) = self.queries.get(&column.table) else { return Vec::new() };
-        let mut matched = false;
-        let mut ccon: BTreeSet<&SourceColumn> = BTreeSet::new();
-        for out in q.outputs.iter().filter(|o| o.name == column.column) {
-            matched = true;
-            ccon.extend(out.ccon.iter());
-        }
-        if !matched {
-            return Vec::new();
-        }
-        let mut result = Vec::new();
-        for src in ccon.iter().copied().chain(q.cref.iter()).collect::<BTreeSet<_>>() {
-            let kind = match (ccon.contains(src), q.cref.contains(src)) {
-                (true, true) => EdgeKind::Both,
-                (true, false) => EdgeKind::Contribute,
-                _ => EdgeKind::Reference,
-            };
-            result.push((src.clone(), kind));
-        }
-        result
-    }
-
-    /// Relations directly downstream of `table` (one `explore` click in the
-    /// paper's UI).
-    pub fn downstream_tables(&self, table: &str) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .queries
-            .values()
-            .filter(|q| q.tables.contains(table))
-            .map(|q| q.id.as_str())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// Relations directly upstream of `table`.
-    pub fn upstream_tables(&self, table: &str) -> Vec<&str> {
-        match self.queries.get(table) {
-            Some(q) => q.tables.iter().map(|s| s.as_str()).collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Whether `column` exists as a node column in the graph.
     pub fn has_column(&self, column: &SourceColumn) -> bool {
         self.nodes
@@ -548,18 +461,6 @@ mod tests {
         let edges = g.all_edges();
         let page_edge = edges.iter().find(|e| e.from == SourceColumn::new("web", "page")).unwrap();
         assert_eq!(page_edge.kind, EdgeKind::Both);
-    }
-
-    #[test]
-    fn downstream_and_upstream_navigation() {
-        let g = sample_graph();
-        let down = g.direct_downstream(&SourceColumn::new("web", "page"));
-        assert_eq!(down, vec![(SourceColumn::new("v", "out"), EdgeKind::Contribute)]);
-        let up = g.direct_upstream(&SourceColumn::new("v", "out"));
-        assert_eq!(up.len(), 2);
-        assert_eq!(g.downstream_tables("web"), vec!["v"]);
-        assert_eq!(g.upstream_tables("v"), vec!["web"]);
-        assert!(g.upstream_tables("web").is_empty());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The composable graph-query layer — the workspace's one front door for
 //! lineage questions.
 //!
-//! Historically every question had its own free function (`impact_of`,
-//! `upstream_of`, `path_between`, `explore`), each hard-wiring one
-//! traversal. [`QuerySpec`] factors them into a single description —
-//! origins, direction, depth, edge-kind and node-kind filters, column or
-//! table granularity, an optional target — executed by one engine
-//! ([`QuerySpec::run_on`]). The legacy functions are now thin shortcuts
-//! over it, and the [`crate::LineageView`] trait exposes the fluent
+//! Every question — impact analysis, upstream closure, shortest path, a
+//! one-hop table `explore` — is one [`QuerySpec`]: origins, direction,
+//! depth, edge-kind and node-kind filters, column or table granularity,
+//! an optional target. It executes over the interned [`GraphIndex`]
+//! ([`QuerySpec::run_with`]; [`QuerySpec::run_on`] builds a throw-away
+//! index first), and the [`crate::LineageView`] trait exposes the fluent
 //! [`GraphQuery`] builder over *any* backend (batch result, incremental
-//! session engine):
+//! session engine), which reuses the backend's cached index:
 //!
 //! ```
 //! use lineagex_core::{lineagex, EdgeKind, LineageView};
@@ -33,6 +32,11 @@
 //! Every answer carries a renderable [`Subgraph`] slice (the traversal
 //! cone) so `lineagex-viz` can draw exactly the part of the graph a
 //! question touched instead of the whole thing.
+//!
+//! [`QuerySpec::run_on_unindexed`] is a second, string-keyed execution of
+//! the same algorithms. It is the test reference only: the equivalence
+//! property tests and `query_bench` compare the indexed answers against
+//! it byte for byte.
 
 use crate::graph::{ColumnId, GraphIndex, RelationId};
 use crate::model::{Edge, EdgeKind, LineageGraph, Node, NodeKind, SourceColumn};
@@ -240,10 +244,12 @@ impl QuerySpec {
         }
     }
 
-    /// Execute with the legacy string-keyed walk, without building an
-    /// index. Kept as the *reference implementation*: the equivalence
-    /// property tests and the bench-regression gate assert that
-    /// [`QuerySpec::run_with`] answers match it byte for byte.
+    /// Execute with the string-keyed reference walk, without building an
+    /// index. Test reference only: the equivalence property tests and
+    /// `query_bench`'s machine-independent ≥ 5× assert compare
+    /// [`QuerySpec::run_with`] against it byte for byte. Every downstream
+    /// hop scans every query, so a cone costs cone × queries; answer real
+    /// questions with [`QuerySpec::run_with`] or [`QuerySpec::run_on`].
     pub fn run_on_unindexed(&self, graph: &LineageGraph) -> QueryAnswer {
         match self.granularity {
             Granularity::Column => run_columns(graph, self),
@@ -391,8 +397,8 @@ fn run_columns(graph: &LineageGraph, spec: &QuerySpec) -> QueryAnswer {
     let origins = resolve_column_origins(graph, spec);
     let neighbors = |col: &SourceColumn| -> Vec<(SourceColumn, EdgeKind)> {
         match spec.direction {
-            Direction::Downstream => graph.direct_downstream(col),
-            Direction::Upstream => graph.direct_upstream_with_kinds(col),
+            Direction::Downstream => direct_downstream(graph, col),
+            Direction::Upstream => direct_upstream(graph, col),
         }
     };
 
@@ -495,6 +501,51 @@ fn run_columns(graph: &LineageGraph, spec: &QuerySpec) -> QueryAnswer {
     QueryAnswer { direction: spec.direction, origins, columns, relations, path, subgraph }
 }
 
+/// The reference walk's downstream neighbours of `column`: one entry per
+/// distinct downstream column, with its merged edge kind (same-named
+/// outputs of one query merge, like [`LineageGraph::all_edges`]). Scans
+/// every query on every call.
+fn direct_downstream(graph: &LineageGraph, column: &SourceColumn) -> Vec<(SourceColumn, EdgeKind)> {
+    let mut out = Vec::new();
+    for q in graph.queries.values() {
+        let referenced = q.cref.contains(column);
+        let mut contributes_by_name: BTreeMap<&str, bool> = BTreeMap::new();
+        for o in &q.outputs {
+            *contributes_by_name.entry(o.name.as_str()).or_insert(false) |= o.ccon.contains(column);
+        }
+        for (name, contributes) in contributes_by_name {
+            if let Some(kind) = pair_kind(contributes, referenced) {
+                out.push((SourceColumn::new(&q.id, name), kind));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The reference walk's upstream neighbours of `column` (its
+/// `C_con ∪ C_ref`), each with the kind of the edge it feeds `column`
+/// through. Same-named outputs merge their `C_con` sets.
+fn direct_upstream(graph: &LineageGraph, column: &SourceColumn) -> Vec<(SourceColumn, EdgeKind)> {
+    let Some(q) = graph.queries.get(&column.table) else { return Vec::new() };
+    let mut matched = false;
+    let mut ccon: BTreeSet<&SourceColumn> = BTreeSet::new();
+    for out in q.outputs.iter().filter(|o| o.name == column.column) {
+        matched = true;
+        ccon.extend(out.ccon.iter());
+    }
+    if !matched {
+        return Vec::new();
+    }
+    let sources: BTreeSet<&SourceColumn> = ccon.iter().copied().chain(q.cref.iter()).collect();
+    sources
+        .into_iter()
+        .filter_map(|src| {
+            pair_kind(ccon.contains(src), q.cref.contains(src)).map(|kind| (src.clone(), kind))
+        })
+        .collect()
+}
+
 /// The merged kind of a (contributes, references) pair, if any edge
 /// exists at all.
 fn pair_kind(contributes: bool, references: bool) -> Option<EdgeKind> {
@@ -520,7 +571,7 @@ fn edge_kind_between(
 }
 
 /// BFS shortest path from any origin to `target` over the allowed edges
-/// (the legacy `path_between` algorithm, origin-set generalised).
+/// (the reference walk's path search, from a set of origins).
 fn shortest_path(
     graph: &LineageGraph,
     spec: &QuerySpec,
@@ -721,11 +772,11 @@ fn slice_subgraph<'a>(
 // the string walk exactly.
 // ---------------------------------------------------------------------
 
-/// The spec's origins resolved against an index: the legacy origin list
-/// (order-preserving, deduplicated), each with its column id when the
-/// column is actually indexed. Unknown origins still appear in answers
-/// (distance 0, no edges), exactly like the string walk kept them in its
-/// distance map.
+/// The spec's origins resolved against an index: the reference walk's
+/// origin list (order-preserving, deduplicated), each with its column id
+/// when the column is actually indexed. Unknown origins still appear in
+/// answers (distance 0, no edges), exactly like the string walk keeps
+/// them in its distance map.
 fn resolve_origins_indexed(
     index: &GraphIndex,
     spec: &QuerySpec,

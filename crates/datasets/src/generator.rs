@@ -656,15 +656,14 @@ mod tests {
         // Dependency order: no deferrals needed.
         assert!(result.deferrals.is_empty());
         // The recorded deep cone matches the graph's actual reachability.
-        let mut reachable = std::collections::BTreeSet::from([workload.deep_view.clone()]);
-        let mut frontier = vec![workload.deep_view.clone()];
-        while let Some(next) = frontier.pop() {
-            for down in result.graph.downstream_tables(&next) {
-                if reachable.insert(down.to_string()) {
-                    frontier.push(down.to_string());
-                }
-            }
-        }
+        let reachable: std::collections::BTreeSet<String> = lineagex_core::QuerySpec::new()
+            .from_table(&workload.deep_view)
+            .table_level()
+            .run_on(&result.graph)
+            .relations
+            .into_iter()
+            .map(|r| r.name)
+            .collect();
         let cone: std::collections::BTreeSet<String> = workload.deep_cone.iter().cloned().collect();
         assert_eq!(cone, reachable);
         // Churn statements really change the definition every step.

@@ -2,7 +2,7 @@
 
 use crate::cache::AstCache;
 use crate::deps::referenced_relations;
-use crate::schedule::{components, run_level, run_tasks, topo_levels};
+use crate::schedule::{components, run_tasks, topo_levels};
 use crate::stats::{EngineStats, IngestAction, StmtId};
 use lineagex_catalog::Catalog;
 use lineagex_core::{
@@ -74,22 +74,15 @@ impl Default for EngineMetrics {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Worker threads for batch extraction. `0`/`1` extract on the calling
-    /// thread; higher values parallelise each dependency level.
+    /// Worker threads for [`Engine::refresh`]. `0`/`1` extract on the
+    /// calling thread. Higher values extract unrelated components of the
+    /// dirty cone in parallel, or, when the cone is one component, the
+    /// independent views inside each of its dependency levels.
     pub jobs: usize,
     /// Per-query extraction options (ambiguity policy, tracing, ...).
     pub extract: ExtractOptions,
     /// Maximum scripts held by the AST cache (0 disables it).
     pub ast_cache_capacity: usize,
-    /// Partition each refresh's dirty cone into connected components of
-    /// the dependency DAG and extract unrelated components in parallel
-    /// (the default). `false` keeps every component behind one global
-    /// level barrier — the pre-sharding scheduler, retained for
-    /// benchmarking and as an equivalence oracle. Both modes produce
-    /// identical settled graphs for fully-defined logs; they can
-    /// attribute usage-inferred external schemas to different inferring
-    /// queries when disconnected components share an undefined relation.
-    pub shard_components: bool,
 }
 
 impl Default for EngineOptions {
@@ -98,7 +91,6 @@ impl Default for EngineOptions {
             jobs: 1,
             extract: ExtractOptions::default(),
             ast_cache_capacity: crate::cache::DEFAULT_CAPACITY,
-            shard_components: true,
         }
     }
 }
@@ -600,8 +592,7 @@ impl Engine {
             self.hydrate(id)?;
         }
 
-        // 3. Partition the cone into connected components (or keep one
-        //    global component in the legacy scheduler) and level each
+        // 3. Partition the cone into connected components and level each
         //    one topologically; clean upstreams are already settled in
         //    the graph and don't constrain the schedule. In lenient mode
         //    a dependency cycle is broken like the batch deferral stack
@@ -609,11 +600,7 @@ impl Engine {
         //    second-to-last element of the `[a, .., x, a]` path) gets an
         //    empty partial stub carrying the cycle path, and the rest of
         //    the cone extracts against the stub.
-        let comps = if self.options.shard_components {
-            components(&dirty, |id| self.entries[id].deps.clone())
-        } else {
-            vec![dirty.clone()]
-        };
+        let comps = components(&dirty, |id| self.entries[id].deps.clone());
         let mut plans: Vec<ComponentPlan> = Vec::with_capacity(comps.len());
         for mut members in comps {
             let levels = loop {
@@ -656,13 +643,12 @@ impl Engine {
             }
         }
 
-        // 5. Extract component by component. A single component keeps the
-        //    pre-sharding behaviour — `jobs` workers inside each level —
-        //    while multiple components put the workers *across*
-        //    components (one thread per component), which avoids the
-        //    global level barrier entirely. The mode depends only on the
-        //    component count, never on `jobs`, so results stay
-        //    `jobs`-independent.
+        // 5. Extract component by component. Multiple components put the
+        //    workers *across* components (one task per component), so no
+        //    level barrier spans the catalog; a single component puts them
+        //    *inside* each of its levels instead, the only parallelism a
+        //    one-cone write has. The mode depends only on the component
+        //    count, never on `jobs`, so results stay `jobs`-independent.
         let base_inferred = self.merged_inferred();
         let jobs = self.options.jobs.max(1);
         let outer_jobs = jobs.min(plans.len().max(1));
@@ -1403,10 +1389,10 @@ fn extract_component(
         let results = {
             let processed = &processed;
             let snapshot = &snapshot;
-            run_level(level, inner_jobs, move |id| {
+            run_tasks(level.len(), inner_jobs, move |i| {
                 let mut inferred = snapshot.clone();
                 extract_entry(
-                    entries[id].parsed(),
+                    entries[&level[i]].parsed(),
                     qd_ids,
                     processed,
                     catalog,
@@ -1416,7 +1402,7 @@ fn extract_component(
                 .map(|(lineage, trace)| (lineage, trace, inferred_delta(snapshot, inferred)))
             })
         };
-        for (id, result) in results {
+        for (id, result) in level.iter().cloned().zip(results) {
             if let Ok((lineage, _, delta)) = &result {
                 processed.insert(id.clone(), lineage.clone());
                 for (table, columns) in delta {

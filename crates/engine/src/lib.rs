@@ -14,9 +14,11 @@
 //!   [`deps::referenced_relations`]) with dirty tracking, so redefining
 //!   or dropping one view invalidates only its downstream cone;
 //! * [`Engine::refresh`] — the **parallel extraction scheduler**:
-//!   [`schedule::topo_levels`] levels the dirty cone and
-//!   [`schedule::run_level`] extracts each level's independent views
-//!   concurrently on a `std::thread::scope` worker pool (`jobs` option);
+//!   [`schedule::components`] splits the dirty cone into independent
+//!   components, [`schedule::topo_levels`] levels each one, and
+//!   [`schedule::run_tasks`] extracts them on a `std::thread::scope`
+//!   work-queue pool (`jobs` option) — across components when there are
+//!   several, across each level's independent views when there is one;
 //! * [`Engine::graph`] / [`Engine::lineage_of`] / [`Engine::impact_of`] —
 //!   lineage queries between ingests, over a lazily-settled graph.
 //!
@@ -435,9 +437,8 @@ mod tests {
         let mut engine = Engine::new();
         engine.ingest(PIPELINE).unwrap();
         let report = engine.impact_of("web", "page").unwrap();
-        let batch = lineagex(PIPELINE).unwrap();
-        let legacy = lineagex_core::impact_of(&batch.graph, &SourceColumn::new("web", "page"));
-        assert_eq!(report.impacted(), legacy.impacted());
+        let batch = lineagex(PIPELINE).unwrap().impact_of("web", "page");
+        assert_eq!(report.impacted(), batch.impacted());
         assert!(report.contains(&SourceColumn::new("info", "wpage")));
     }
 }

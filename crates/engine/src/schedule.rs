@@ -1,13 +1,17 @@
-//! The parallel extraction scheduler: topological leveling plus a scoped
-//! worker pool.
+//! The parallel extraction scheduler: connected components, topological
+//! leveling, and one scoped work-queue pool.
 //!
 //! Extraction of one view needs the finished lineage of everything it
-//! scans, and nothing else — so a batch of pending views parallelises by
+//! scans, and nothing else. [`components`] splits a refresh's dirty cone
+//! into connected components of the dependency DAG, which share nothing
+//! and extract independently; [`topo_levels`] orders each component into
 //! *levels*: level 0 holds views whose dependencies are already settled,
 //! level *n* holds views depending only on earlier levels. Within a level
 //! every extraction is independent; between levels the engine merges
 //! results, which keeps the shared state free of locks (workers only ever
-//! hold shared references to a frozen snapshot).
+//! hold shared references to a frozen snapshot). [`run_tasks`] runs
+//! either kind of work — whole components, or the views of one level —
+//! on up to `jobs` threads.
 //!
 //! Both execution modes run the exact same algorithm — `jobs <= 1` just
 //! skips the thread spawns — so parallel output is byte-identical to
@@ -125,10 +129,10 @@ pub fn components(
 
 /// Run `work(0..count)` over a shared work queue on up to `jobs` scoped
 /// worker threads, returning results in index order regardless of
-/// completion order. Unlike [`run_level`]'s static chunking, tasks here
-/// are claimed one at a time — the right shape when tasks have very
-/// uneven sizes (whole dependency components vs single extractions).
-/// `jobs <= 1` (or a single task) runs inline on the calling thread.
+/// completion order. Tasks are claimed one at a time — the right shape
+/// when tasks have very uneven sizes (whole dependency components vs
+/// single extractions). `jobs <= 1` (or a single task) runs inline on the
+/// calling thread; both paths produce identical output.
 pub fn run_tasks<T, F>(count: usize, jobs: usize, work: F) -> Vec<T>
 where
     T: Send,
@@ -190,38 +194,6 @@ fn find_cycle(
         }
         path.push(next);
     }
-}
-
-/// Run `work` over every id of one level, on up to `jobs` scoped worker
-/// threads, returning `(id, result)` pairs in input order regardless of
-/// completion order. `jobs <= 1` (or a single-item level) runs inline on
-/// the calling thread; both paths produce identical output.
-pub fn run_level<T, F>(ids: &[String], jobs: usize, work: F) -> Vec<(String, T)>
-where
-    T: Send,
-    F: Fn(&str) -> T + Sync,
-{
-    if jobs <= 1 || ids.len() <= 1 {
-        return ids.iter().map(|id| (id.clone(), work(id))).collect();
-    }
-    let workers = jobs.min(ids.len());
-    let chunk_size = ids.len().div_ceil(workers);
-    let work = &work;
-    let mut out = Vec::with_capacity(ids.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ids
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk.iter().map(|id| (id.clone(), work(id))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("extraction worker panicked"));
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -315,15 +287,5 @@ mod tests {
         assert_eq!(sequential, parallel);
         assert_eq!(parallel[7], 49);
         assert!(run_tasks(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn run_level_orders_results_deterministically() {
-        let ids: Vec<String> = (0..17).map(|i| format!("id_{i:02}")).collect();
-        let sequential = run_level(&ids, 1, |id| id.len());
-        let parallel = run_level(&ids, 4, |id| id.len());
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential.len(), 17);
-        assert_eq!(sequential[0].0, "id_00");
     }
 }

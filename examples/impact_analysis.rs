@@ -5,13 +5,18 @@
 //! cargo run --example impact_analysis
 //! ```
 
-use lineagex::core::explore;
 use lineagex::datasets::example1;
 use lineagex::prelude::*;
 
+/// One explore click: the tables one hop downstream of `table`.
+fn explore(result: &mut LineageResult, table: &str) -> Result<Vec<String>, LineageError> {
+    let answer = result.query().from_table(table).table_level().max_depth(1).run()?;
+    Ok(answer.relations.into_iter().filter(|r| r.distance == 1).map(|r| r.name).collect())
+}
+
 fn main() -> Result<(), LineageError> {
     // Step 1 — get started: feed the query log to LineageX.
-    let result = lineagex(&example1::full_log())?;
+    let mut result = lineagex(&example1::full_log())?;
     println!("Step 1: extracted lineage for {} queries", result.graph.queries.len());
 
     // Step 2 — locating the table: the owner wants to edit web.page.
@@ -19,11 +24,11 @@ fn main() -> Result<(), LineageError> {
     println!("\nStep 2: table `web` has columns {:?}", web.columns);
 
     // Step 3 — navigating column dependencies, one explore click at a time.
-    let first_hop = explore(&result.graph, "web");
-    println!("\nStep 3: explore(web) -> downstream {:?}", first_hop.downstream);
-    for table in &first_hop.downstream {
-        let next = explore(&result.graph, table);
-        println!("        explore({table}) -> downstream {:?}", next.downstream);
+    let first_hop = explore(&mut result, "web")?;
+    println!("\nStep 3: explore(web) -> downstream {first_hop:?}");
+    for table in &first_hop {
+        let next = explore(&mut result, table)?;
+        println!("        explore({table}) -> downstream {next:?}");
     }
 
     // Step 4 — solving the case: the full impact set.

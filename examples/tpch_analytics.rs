@@ -7,13 +7,12 @@
 //! cargo run --example tpch_analytics
 //! ```
 
-use lineagex::core::path_between;
 use lineagex::datasets::tpch;
 use lineagex::prelude::*;
 
 fn main() -> Result<(), LineageError> {
     let (sql, ground_truth) = tpch::workload();
-    let result = lineagex(&sql)?;
+    let mut result = lineagex(&sql)?;
 
     let stats = result.graph.stats();
     println!("TPC-H-like pipeline:");
@@ -38,16 +37,17 @@ fn main() -> Result<(), LineageError> {
 
     // And the explanation: how does the discount reach the top-customer
     // report?
-    let path = path_between(
-        &result.graph,
-        &SourceColumn::new("lineitem", "l_discount"),
-        &SourceColumn::new("top_customers", "total_revenue"),
-    )
-    .expect("discount flows into total_revenue");
+    let path = result
+        .query()
+        .from("lineitem.l_discount")
+        .to("top_customers", "total_revenue")
+        .run()?
+        .path
+        .expect("discount flows into total_revenue");
     println!("\nwhy does it reach top_customers.total_revenue?");
     println!("  lineitem.l_discount");
-    for (col, kind) in path {
-        println!("    -> {col} ({kind:?})");
+    for step in path {
+        println!("    -> {} ({:?})", step.column, step.kind);
     }
 
     Ok(())

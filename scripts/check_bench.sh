@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Bench-regression gate: re-runs engine_bench, query_bench, and
-# serve_bench in quick mode (BENCH_QUICK=1 — same 200-view workload,
-# fewer repetitions) in a
-# scratch directory, then fails if the fresh numbers violate the
-# workspace's perf contracts:
+# serve_bench in quick mode (BENCH_QUICK=1 — same workloads, fewer
+# repetitions) in a scratch directory, then fails if the fresh numbers
+# violate the workspace's perf contracts:
 #
 #   * lenient_overhead_pct  < 5     (lenient mode may not tax clean logs)
 #   * dialect_overhead_pct  < 3     (the dialect front end may not tax
@@ -20,14 +19,6 @@
 # 10k-view scale tier (engine_bench "scale" block; the *_10k key names
 # are unique on purpose so json_num's first-match grep stays correct):
 #
-#   * sharded_speedup_10k    >= 1.2 * floor  (component-sharded
-#                                    re-extraction vs flat level barriers;
-#                                    on a single-core host the win is
-#                                    overhead elimination only — one
-#                                    thread-pool spawn per refresh instead
-#                                    of one per topological level — so the
-#                                    measured ratio is ~1.1-1.2x there and
-#                                    grows with real cores)
 #   * refresh_speedup_10k    >= 10 * floor   (dirty-cone refresh vs full
 #                                    re-extraction — the sub-linear claim)
 #   * cold_start_speedup_10k >= 6 * floor    (snapshot load + publish vs
@@ -117,7 +108,6 @@ committed_serve="$root/BENCH_serve.json"
 lenient=$(json_num "$fresh_engine" lenient_overhead_pct)
 dialect=$(json_num "$fresh_engine" dialect_overhead_pct)
 incremental=$(json_num "$fresh_engine" speedup)
-sharded_10k=$(json_num "$fresh_engine" sharded_speedup_10k)
 refresh_10k=$(json_num "$fresh_engine" refresh_speedup_10k)
 cold_10k=$(json_num "$fresh_engine" cold_start_speedup_10k)
 down=$(json_num "$fresh_query" downstream_cone_qps)
@@ -132,7 +122,6 @@ down_floor=$(awk -v v="$down_committed" -v f="$floor" 'BEGIN { printf "%.4f", f 
 up_floor=$(awk -v v="$up_committed" -v f="$floor" 'BEGIN { printf "%.4f", f * v }')
 mixed_floor=$(awk -v v="$mixed_committed" -v f="$floor" 'BEGIN { printf "%.4f", f * v }')
 
-sharded_floor=$(awk -v f="$floor" 'BEGIN { printf "%.4f", f * 1.2 }')
 refresh_floor=$(awk -v f="$floor" 'BEGIN { printf "%.4f", f * 10 }')
 cold_floor=$(awk -v f="$floor" 'BEGIN { printf "%.4f", f * 6 }')
 
@@ -140,7 +129,6 @@ echo "bench-regression gate (floor = committed * $floor):"
 check "lenient_overhead_pct" "$lenient" "<" 5
 check "dialect_overhead_pct" "$dialect" "<" 3
 check "incremental.speedup" "$incremental" ">=" 2
-check "sharded_speedup_10k" "$sharded_10k" ">=" "$sharded_floor"
 check "refresh_speedup_10k" "$refresh_10k" ">=" "$refresh_floor"
 check "cold_start_speedup_10k" "$cold_10k" ">=" "$cold_floor"
 check "downstream_cone_qps vs committed floor" "$down" ">=" "$down_floor"

@@ -59,17 +59,18 @@ pub use lineagex_viz as viz;
 /// [`Engine`](lineagex_engine::Engine) — through the
 /// [`LineageView`](lineagex_core::LineageView) trait, composes questions
 /// with [`GraphQuery`](lineagex_core::GraphQuery), and serialises through
-/// the versioned [`ReportV2`](lineagex_core::ReportV2) document. The
-/// legacy free functions (`impact_of`, `upstream_of`, `path_between`,
-/// `explore`) are thin shortcuts over the same engine.
+/// the versioned [`ReportV2`](lineagex_core::ReportV2) document. Impact,
+/// upstream, path, and explore questions are all
+/// [`QuerySpec`](lineagex_core::QuerySpec) shapes run on the backend's
+/// cached [`GraphIndex`](lineagex_core::GraphIndex).
 pub mod prelude {
     pub use lineagex_catalog::{Catalog, SimulatedDatabase};
     pub use lineagex_core::{
-        explore, impact_of, lineagex, lineagex_lenient, path_between, upstream_of, AmbiguityPolicy,
-        ColumnMatch, Diagnostic, DiagnosticCode, DialectKind, Direction, EdgeKind, GraphIndex,
-        GraphIndexCache, GraphQuery, GraphStats, Interner, LineageError, LineageGraph,
-        LineageResult, LineageView, LineageX, QueryAnswer, QueryLineage, QueryReport, QuerySpec,
-        RelationMatch, ReportV2, Severity, SourceColumn, Subgraph, Symbol, SCHEMA_VERSION,
+        lineagex, lineagex_lenient, AmbiguityPolicy, ColumnMatch, Diagnostic, DiagnosticCode,
+        DialectKind, Direction, EdgeKind, GraphIndex, GraphIndexCache, GraphQuery, GraphStats,
+        Interner, LineageError, LineageGraph, LineageResult, LineageView, LineageX, QueryAnswer,
+        QueryLineage, QueryReport, QuerySpec, RelationMatch, ReportV2, Severity, SourceColumn,
+        Subgraph, Symbol, SCHEMA_VERSION,
     };
     pub use lineagex_engine::{
         Engine, EngineOptions, EngineSnapshot, EngineStats, IngestAction, StmtId,

@@ -9,14 +9,9 @@
 //!    `jobs = 1`, including the serialized graph;
 //! 3. **cone-sized invalidation** — redefining one view on a 200-view log
 //!    re-extracts exactly its downstream cone (extraction counters);
-//! 4. **query layer ≡ legacy closures** — `GraphQuery`
-//!    downstream/upstream answers are exactly the legacy
-//!    `impact_of`/`upstream_of` results, and byte-identical across the
-//!    `LineageView` backends (batch `LineageResult` and session
-//!    `Engine`);
-//! 5. **indexed ≡ string walk** — traversals over the interned
+//! 4. **indexed ≡ string walk** — traversals over the interned
 //!    `GraphIndex` (`QuerySpec::run_with`, the path every backend
-//!    serves) answer byte-identically to the legacy string-keyed
+//!    serves) answer byte-identically to the string-keyed test
 //!    reference (`QuerySpec::run_on_unindexed`), for every direction,
 //!    granularity, and filter shape, on both backends and
 //!    `jobs ∈ {1, 4}` — and the `ReportV2` wire bytes stay identical
@@ -102,79 +97,7 @@ proptest! {
         );
     }
 
-    /// The query layer answers exactly like the legacy closures, on both
-    /// `LineageView` backends: for any workload and origin column,
-    /// `GraphQuery` downstream equals `impact_of` (columns, kinds,
-    /// distances), `GraphQuery` upstream equals `upstream_of`, and the
-    /// batch and session answers are byte-identical.
-    #[test]
-    fn query_layer_matches_legacy_on_both_backends(
-        seed in 0u64..10_000,
-        star in 0.0f64..0.9,
-        pick in proptest::prelude::any::<usize>(),
-    ) {
-        let workload = generator::generate(&GeneratorConfig {
-            views: 8,
-            star_probability: star,
-            ..GeneratorConfig::seeded(seed)
-        });
-        let sql = workload.full_sql();
-        let mut batch = lineagex(&sql).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let mut engine = Engine::new();
-        engine.ingest(&sql).map_err(|e| TestCaseError::fail(e.to_string()))?;
-
-        // Sample one origin column from the settled graph.
-        let graph = batch.graph.clone();
-        let columns: Vec<SourceColumn> = graph
-            .nodes
-            .values()
-            .flat_map(|n| n.columns.iter().map(|c| SourceColumn::new(&n.name, c)))
-            .collect();
-        prop_assert!(!columns.is_empty(), "an 8-view workload always has columns");
-        let origin = columns[pick % columns.len()].clone();
-
-        // Downstream: GraphQuery ≡ impact_of.
-        let legacy = impact_of(&graph, &origin);
-        let down = batch
-            .query()
-            .from_column(&origin.table, &origin.column)
-            .downstream()
-            .run()
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(down.columns.len(), legacy.impacted().len());
-        for (m, i) in down.columns.iter().zip(legacy.impacted()) {
-            prop_assert_eq!(&m.column, &i.column);
-            prop_assert_eq!(m.kind, i.kind);
-            prop_assert_eq!(m.distance, i.distance);
-            prop_assert!(legacy.contains(&m.column));
-        }
-
-        // Upstream: GraphQuery ≡ upstream_of.
-        let legacy_up = upstream_of(&graph, &origin);
-        let up = batch
-            .query()
-            .from_column(&origin.table, &origin.column)
-            .upstream()
-            .run()
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let up_set: std::collections::BTreeSet<SourceColumn> =
-            up.columns.iter().map(|m| m.column.clone()).collect();
-        prop_assert_eq!(&up_set, &legacy_up);
-
-        // Both backends: identical typed answers, identical bytes.
-        for (direction_down, batch_answer) in [(true, &down), (false, &up)] {
-            let mut q = engine.query().from_column(&origin.table, &origin.column);
-            q = if direction_down { q.downstream() } else { q.upstream() };
-            let engine_answer = q.run().map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(&engine_answer, batch_answer);
-            prop_assert_eq!(
-                serde_json::to_string(&engine_answer).unwrap(),
-                serde_json::to_string(batch_answer).unwrap()
-            );
-        }
-    }
-
-    /// The interned-index traversals are byte-identical to the legacy
+    /// The interned-index traversals are byte-identical to the reference
     /// string walk, on generated logs, over both backends and
     /// `jobs ∈ {1, 4}`: same `QueryAnswer` (value and serialized bytes)
     /// for every spec shape, and the same `ReportV2` bytes from every

@@ -80,15 +80,19 @@ fn impact_analysis_matches_section4() {
 
 #[test]
 fn explore_walks_the_ui_steps() {
-    let result = lineagex(&example1::full_log()).unwrap();
-    let hop1 = explore(&result.graph, "web");
-    assert_eq!(hop1.downstream, vec!["webact", "webinfo"]);
-    assert!(hop1.upstream.is_empty());
-    let hop2 = explore(&result.graph, "webact");
-    assert_eq!(hop2.downstream, vec!["info"]);
-    assert_eq!(hop2.upstream, vec!["web", "webinfo"]);
-    let hop3 = explore(&result.graph, "info");
-    assert!(hop3.downstream.is_empty());
+    let mut result = lineagex(&example1::full_log()).unwrap();
+    // One explore click: the tables one hop away from `table`.
+    let mut hop = |table: &str, upstream: bool| -> Vec<String> {
+        let query = result.query().from_table(table).table_level().max_depth(1);
+        let query = if upstream { query.upstream() } else { query.downstream() };
+        let answer = query.run().unwrap();
+        answer.relations.into_iter().filter(|r| r.distance == 1).map(|r| r.name).collect()
+    };
+    assert_eq!(hop("web", false), vec!["webact", "webinfo"]);
+    assert!(hop("web", true).is_empty());
+    assert_eq!(hop("webact", false), vec!["info"]);
+    assert_eq!(hop("webact", true), vec!["web", "webinfo"]);
+    assert!(hop("info", false).is_empty());
 }
 
 #[test]

@@ -67,21 +67,17 @@ fn messy_log_extracts_with_the_right_warnings() {
 
 #[test]
 fn pii_impact_travels_through_dml() {
-    let result = lineagex(MESSY_LOG).unwrap();
+    let mut result = lineagex(MESSY_LOG).unwrap();
     // GDPR question: where does users.email end up?
     let impact = result.impact_of("users", "email");
     assert!(impact.contains(&SourceColumn::new("enriched", "email")));
     assert!(impact.contains(&SourceColumn::new("audit_log", "email")));
 
     // Explain the flow into the audit log.
-    let path = lineagex::core::path_between(
-        &result.graph,
-        &SourceColumn::new("users", "email"),
-        &SourceColumn::new("audit_log", "email"),
-    )
-    .unwrap();
+    let path =
+        result.query().from("users.email").to("audit_log", "email").run().unwrap().path.unwrap();
     assert_eq!(path.len(), 2);
-    assert_eq!(path[0].0, SourceColumn::new("enriched", "email"));
+    assert_eq!(path[0].column, SourceColumn::new("enriched", "email"));
 }
 
 #[test]

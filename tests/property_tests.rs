@@ -83,11 +83,11 @@ proptest! {
 
         // Impact distances are positive, and every impacted column at
         // distance d > 1 has an upstream impacted column at distance d-1.
+        let index = GraphIndex::build(graph);
         for node in graph.nodes.values().take(3) {
             for col in node.columns.iter().take(2) {
-                let origin = SourceColumn::new(&node.name, col);
-                let report = impact_of(graph, &origin);
-                for hit in report.impacted() {
+                let answer = QuerySpec::new().from_column(&node.name, col).run_with(&index);
+                for hit in &answer.columns {
                     prop_assert!(hit.distance >= 1);
                 }
             }

@@ -9,9 +9,10 @@
 //!    a snapshot-loaded engine (whose statement dictionary is entirely
 //!    `Cold`) settles to the same graph as a fresh engine fed the edited
 //!    log, and only the dirty cone is re-extracted;
-//! 3. **sharded ≡ levelled** — on a fully-defined multi-component
-//!    workload, component-sharded scheduling and flat level barriers
-//!    settle to byte-identical reports;
+//! 3. **parallel shards ≡ sequential** — on a fully-defined
+//!    multi-component workload, extracting components in parallel
+//!    (`jobs = 4`) and one after another (`jobs = 1`) settles to
+//!    byte-identical reports;
 //! 4. **corruption is typed** — truncation, bit flips, foreign magic,
 //!    and future versions all surface as `LineageError::Snapshot`,
 //!    never a panic or a half-loaded engine.
@@ -140,22 +141,18 @@ fn loaded_engine_hydrates_cold_entries_and_converges_on_redefinition() {
 }
 
 #[test]
-fn sharded_and_levelled_scheduling_settle_identically() {
+fn sharded_scheduling_settles_identically_across_jobs() {
     // Fully-defined multi-component workload: 4 diamond components.
     let workload = generate_scaled(&ScaleConfig::new(7, 4, 6, 5));
     let sql = workload.full_sql();
     let mut reports = Vec::new();
-    for shard_components in [true, false] {
-        let mut engine = Engine::with_options(EngineOptions {
-            jobs: 4,
-            shard_components,
-            ..EngineOptions::default()
-        });
+    for jobs in [1, 4] {
+        let mut engine = Engine::with_options(EngineOptions { jobs, ..EngineOptions::default() });
         engine.ingest(&sql).unwrap();
         engine.refresh().unwrap();
         reports.push(engine.report_v2().unwrap().to_json());
     }
-    assert_eq!(reports[0], reports[1], "component shards vs flat levels");
+    assert_eq!(reports[0], reports[1], "parallel vs sequential component shards");
 }
 
 #[test]
