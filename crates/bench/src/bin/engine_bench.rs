@@ -5,10 +5,11 @@
 //! Writes `BENCH_engine.json` into the working directory so the numbers
 //! land in the repo's perf trajectory. `scripts/check_bench.sh` re-runs
 //! this binary (with `BENCH_QUICK=1` for fewer repetitions) to gate the
-//! lenient overhead and the incremental speedup in CI.
+//! lenient overhead, the incremental speedup, and the one-shot scaling
+//! ratio in CI.
 
 use lineagex_bench::{section, table2};
-use lineagex_core::{DialectKind, LineageX};
+use lineagex_core::{DialectKind, LineageX, ReportV2};
 use lineagex_datasets::{generate_scaled, generator, GeneratorConfig, ScaleConfig};
 use lineagex_engine::{Engine, EngineOptions};
 use lineagex_sqlparse::ast::{Expr, Literal, Statement};
@@ -57,7 +58,7 @@ struct IncrementalReport {
     speedup: f64,
 }
 
-/// The large-catalog tier. Key names carry a `_10k` suffix so
+/// The large-catalog tier. Key names carry a `_10k`/`_20k` suffix so
 /// `scripts/check_bench.sh`'s flat first-match JSON scraping can never
 /// confuse them with the 200-view tier above.
 #[derive(Serialize)]
@@ -75,6 +76,9 @@ struct ScaleReport {
     cold_start_ms_10k: f64,
     cold_start_speedup_10k: f64,
     peak_graph_bytes_10k: i64,
+    one_shot_ms_10k: f64,
+    one_shot_ms_20k: f64,
+    one_shot_scaling_20k: f64,
 }
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -366,6 +370,15 @@ fn main() {
                 ),
             ),
             ("peak graph + index bytes".into(), format!("{}", report.scale.peak_graph_bytes_10k)),
+            (
+                "one-shot extract + report: 10k / 20k".into(),
+                format!(
+                    "{:.0} ms / {:.0} ms ({:.2}x per doubling)",
+                    report.scale.one_shot_ms_10k,
+                    report.scale.one_shot_ms_20k,
+                    report.scale.one_shot_scaling_20k
+                ),
+            ),
         ],
     );
 
@@ -380,6 +393,19 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
     let workload = generate_scaled(&config);
     let sql = workload.full_sql();
     let options = || EngineOptions { jobs: SCALE_JOBS, ..EngineOptions::default() };
+
+    // One-shot scaling: `lineagex extract`'s library work (extraction +
+    // report build) at 10k and twice that, as interleaved pairs. The
+    // time ratio is machine-independent: 2 for a linear pipeline, 4 for
+    // a quadratic one.
+    let sql_20k = generate_scaled(&ScaleConfig::with_views(31, 2 * SCALE_VIEWS)).full_sql();
+    let one_shot = |sql: &str| {
+        let result = LineageX::new().run(sql).unwrap();
+        ReportV2::from_graph(&result.graph, &result.diagnostics)
+    };
+    let (one_shot_10k, one_shot_20k, _) =
+        paired(reps.max(2), || one_shot(&sql), || one_shot(&sql_20k));
+    drop(sql_20k);
 
     // Full re-extraction of the settled catalog: the baseline a
     // dirty-cone refresh is measured against.
@@ -437,5 +463,8 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         cold_start_ms_10k: ms(cold_start),
         cold_start_speedup_10k: cold_start.as_secs_f64() / load.as_secs_f64(),
         peak_graph_bytes_10k: peak_graph_bytes,
+        one_shot_ms_10k: ms(one_shot_10k),
+        one_shot_ms_20k: ms(one_shot_20k),
+        one_shot_scaling_20k: one_shot_20k.as_secs_f64() / one_shot_10k.as_secs_f64(),
     }
 }

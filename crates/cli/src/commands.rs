@@ -673,7 +673,7 @@ fn session_meta(engine: &mut Engine, command: &str, out: &mut dyn Write) -> Resu
                 wln(out, &format!("  relations : {}", graph.nodes.len()))?;
                 wln(out, &format!("  queries   : {}", graph.queries.len()))?;
                 wln(out, &format!("  columns   : {}", graph.column_count()))?;
-                wln(out, &format!("  edges     : {}", graph.all_edges().len()))?;
+                wln(out, &format!("  edges     : {}", graph.stats().edge_count()))?;
             }
             Err(error) => wln(out, &format!("error: {error}"))?,
         },
@@ -740,7 +740,7 @@ fn summarize(result: &LineageResult, file: &str, sql: &str, out: &mut dyn Write)
     }
     wln(out, &format!("relations in graph: {}", result.graph.nodes.len()))?;
     wln(out, &format!("column nodes      : {}", result.graph.column_count()))?;
-    wln(out, &format!("column edges      : {}", result.graph.all_edges().len()))?;
+    wln(out, &format!("column edges      : {}", result.graph.stats().edge_count()))?;
     let partial: Vec<&str> = result
         .graph
         .order
@@ -823,6 +823,23 @@ mod tests {
         result.unwrap();
         assert!(text.contains("queries processed : 1"), "{text}");
         assert!(text.contains("column edges"), "{text}");
+    }
+
+    #[test]
+    fn extract_summary_counts_every_column_edge() {
+        use lineagex_datasets::{example1, generator, GeneratorConfig};
+        let generated =
+            generator::generate(&GeneratorConfig { views: 40, ..GeneratorConfig::seeded(11) });
+        for (name, sql) in [
+            ("edges_example1.sql", example1::full_log()),
+            ("edges_generated.sql", generated.full_sql()),
+        ] {
+            let expected = lineagex_core::lineagex(&sql).unwrap().graph.all_edges().len();
+            let cmd = Command::parse(&["extract".to_string(), write_temp(name, &sql)]).unwrap();
+            let (result, text) = execute_to_string(&cmd);
+            result.unwrap();
+            assert!(text.contains(&format!("column edges      : {expected}\n")), "{name}: {text}");
+        }
     }
 
     #[test]
@@ -1154,6 +1171,8 @@ mod tests {
         assert!(text.contains("impact of web.page: 1 column(s)"), "{text}");
         assert!(text.contains("statements ingested : 2"), "{text}");
         assert!(text.contains("queries   : 1"), "{text}");
+        // web.page contributes to v.p and web.reg is referenced.
+        assert!(text.contains("edges     : 2\n"), "{text}");
     }
 
     #[test]

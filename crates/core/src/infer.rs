@@ -119,6 +119,10 @@ impl<'a> InferenceEngine<'a> {
     /// (deferred) while the dependency is pushed on top; once extracted,
     /// the deferred query is popped back and resumed. Iterative, so even
     /// pathologically deep view chains cannot overflow the call stack.
+    ///
+    /// Each attempt borrows its dictionary entry: `qd` is only read while
+    /// the fields extraction writes (`processed`, `inferred`, `traces`)
+    /// are disjoint from it.
     fn process(&mut self, root: &str) -> Result<(), LineageError> {
         let mut stack: Vec<String> = vec![root.to_string()];
         while let Some(id) = stack.last().cloned() {
@@ -126,9 +130,20 @@ impl<'a> InferenceEngine<'a> {
                 stack.pop();
                 continue;
             }
-            let entry = self.qd.get(&id).expect("id comes from the dictionary").clone();
-            match self.try_extract(&entry) {
-                Ok(lineage) => {
+            let entry = self.qd.get(&id).expect("id comes from the dictionary");
+            let extracted = extract_entry(
+                entry,
+                &self.qd_ids,
+                &self.processed,
+                self.catalog.as_ref(),
+                &self.options,
+                &mut self.inferred,
+            );
+            match extracted {
+                Ok((lineage, trace)) => {
+                    if let Some(trace) = trace {
+                        self.traces.insert(id.clone(), trace);
+                    }
                     self.processed.insert(id.clone(), lineage);
                     self.order.push(id.clone());
                     stack.pop();
@@ -143,7 +158,7 @@ impl<'a> InferenceEngine<'a> {
                         // Lenient: break the cycle by stubbing the entry
                         // that closed it; the rest of the cycle then
                         // resolves against the stub (empty outputs).
-                        let stub = cycle_stub(&entry, &path);
+                        let stub = cycle_stub(entry, &path);
                         self.processed.insert(id.clone(), stub);
                         self.order.push(id.clone());
                         stack.pop();
@@ -156,21 +171,6 @@ impl<'a> InferenceEngine<'a> {
             }
         }
         Ok(())
-    }
-
-    fn try_extract(&mut self, entry: &QueryEntry) -> Result<QueryLineage, LineageError> {
-        let (lineage, trace) = extract_entry(
-            entry,
-            &self.qd_ids,
-            &self.processed,
-            self.catalog.as_ref(),
-            &self.options,
-            &mut self.inferred,
-        )?;
-        if let Some(trace) = trace {
-            self.traces.insert(entry.id.clone(), trace);
-        }
-        Ok(lineage)
     }
 
     fn assemble(self) -> LineageResult {

@@ -14,7 +14,7 @@
 use crate::diagnostics::Diagnostic;
 pub use lineagex_catalog::SourceColumn;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How an input column participates in an output column's lineage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -118,6 +118,33 @@ impl QueryLineage {
     pub fn output_names(&self) -> Vec<&str> {
         self.outputs.iter().map(|o| o.name.as_str()).collect()
     }
+
+    /// `[contribute, reference, both]` counts of the edges this query
+    /// adds to [`LineageGraph::all_edges`]. Same-named outputs are one
+    /// graph column, so their `C_con` sets merge first; then for each
+    /// output `o`, Both = |C_con(o) ∩ C_ref|, Contribute = |C_con(o)| −
+    /// Both, and Reference = |C_ref| − Both.
+    fn edge_counts(&self) -> [usize; 3] {
+        let mut outputs: Vec<&OutputColumn> = self.outputs.iter().collect();
+        outputs.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut counts = [0usize; 3];
+        for same_name in outputs.chunk_by(|a, b| a.name == b.name) {
+            let (ccon, both) = match same_name {
+                [out] => {
+                    (out.ccon.len(), out.ccon.iter().filter(|c| self.cref.contains(c)).count())
+                }
+                _ => {
+                    let merged: BTreeSet<&SourceColumn> =
+                        same_name.iter().flat_map(|o| &o.ccon).collect();
+                    (merged.len(), merged.into_iter().filter(|c| self.cref.contains(c)).count())
+                }
+            };
+            counts[0] += ccon - both;
+            counts[1] += self.cref.len() - both;
+            counts[2] += both;
+        }
+        counts
+    }
 }
 
 /// What a graph node represents.
@@ -193,7 +220,10 @@ impl LineageGraph {
         let kind = NodeKind::for_query(&lineage.kind);
         let columns = lineage.outputs.iter().map(|o| o.name.clone()).collect();
         self.nodes.insert(lineage.id.clone(), Node { name: lineage.id.clone(), kind, columns });
-        if !self.order.iter().any(|id| id == &lineage.id) {
+        // A query has an `order` slot exactly when it has a lineage
+        // record (merge, retract and assembly keep the two in step), so
+        // the map answers "is it new?" without scanning the order.
+        if !self.queries.contains_key(&lineage.id) {
             self.order.push(lineage.id.clone());
         }
         self.queries.insert(lineage.id.clone(), lineage);
@@ -323,31 +353,33 @@ impl LineageGraph {
         total
     }
 
-    /// Summary statistics of the graph (for reports and the CLI).
+    /// Summary statistics of the graph (for reports and the CLI). Linear
+    /// in the graph's size: no edge list is built.
     pub fn stats(&self) -> GraphStats {
         let mut by_kind = BTreeMap::new();
         for node in self.nodes.values() {
             *by_kind.entry(format!("{:?}", node.kind)).or_insert(0usize) += 1;
         }
-        let mut contribute = 0usize;
-        let mut reference = 0usize;
-        let mut both = 0usize;
-        for edge in self.all_edges() {
-            match edge.kind {
-                EdgeKind::Contribute => contribute += 1,
-                EdgeKind::Reference => reference += 1,
-                EdgeKind::Both => both += 1,
-            }
+        // Every edge of a query ends at one of that query's own output
+        // columns, so per-query counts sum to the `all_edges` totals.
+        let [mut contribute, mut reference, mut both] = [0usize; 3];
+        for q in self.queries.values() {
+            let [c, r, b] = q.edge_counts();
+            contribute += c;
+            reference += r;
+            both += b;
         }
-        // Pipeline depth: longest chain of table-level edges.
-        let table_edges = self.table_edges();
-        let mut depth: BTreeMap<&str, usize> = BTreeMap::new();
-        // Iterate in processing order so upstream depths exist first.
+        // Pipeline depth: longest chain of table-level edges. A query's
+        // `tables` are exactly the table edges into it; iterating in
+        // processing order means upstream depths exist first.
+        let mut depth: HashMap<&str, usize> = HashMap::with_capacity(self.order.len());
         for id in &self.order {
-            let d = table_edges
-                .iter()
-                .filter(|(_, to)| to == id)
-                .map(|(from, _)| depth.get(from.as_str()).copied().unwrap_or(0) + 1)
+            let d = self
+                .queries
+                .get(id)
+                .into_iter()
+                .flat_map(|q| &q.tables)
+                .map(|from| depth.get(from.as_str()).copied().unwrap_or(0) + 1)
                 .max()
                 .unwrap_or(1);
             depth.insert(id, d);
@@ -386,9 +418,100 @@ pub struct GraphStats {
     pub max_pipeline_depth: usize,
 }
 
+impl GraphStats {
+    /// Total column-level edges: `LineageGraph::all_edges().len()`
+    /// without building the edge list.
+    pub fn edge_count(&self) -> usize {
+        self.contribute_edges + self.reference_edges + self.both_edges
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lineagex_datasets::{generator, GeneratorConfig};
+    use proptest::prelude::*;
+
+    /// The two-pass `stats()` the one-pass version replaced, kept as its
+    /// oracle: edge counts from a full [`LineageGraph::all_edges`] build,
+    /// and depth from scanning every table edge once per query.
+    fn reference_stats(g: &LineageGraph) -> GraphStats {
+        let mut by_kind = BTreeMap::new();
+        for node in g.nodes.values() {
+            *by_kind.entry(format!("{:?}", node.kind)).or_insert(0usize) += 1;
+        }
+        let [mut contribute, mut reference, mut both] = [0usize; 3];
+        for edge in g.all_edges() {
+            match edge.kind {
+                EdgeKind::Contribute => contribute += 1,
+                EdgeKind::Reference => reference += 1,
+                EdgeKind::Both => both += 1,
+            }
+        }
+        let table_edges = g.table_edges();
+        let mut depth: BTreeMap<&str, usize> = BTreeMap::new();
+        for id in &g.order {
+            let d = table_edges
+                .iter()
+                .filter(|(_, to)| to == id)
+                .map(|(from, _)| depth.get(from.as_str()).copied().unwrap_or(0) + 1)
+                .max()
+                .unwrap_or(1);
+            depth.insert(id, d);
+        }
+        GraphStats {
+            relations: g.nodes.len(),
+            nodes_by_kind: by_kind,
+            columns: g.column_count(),
+            queries: g.queries.len(),
+            contribute_edges: contribute,
+            reference_edges: reference,
+            both_edges: both,
+            max_pipeline_depth: depth.values().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// Assert `stats()` against the reference and the edge list, then
+    /// return it for pinning.
+    fn checked_stats(g: &LineageGraph) -> GraphStats {
+        let stats = g.stats();
+        assert_eq!(stats, reference_stats(g));
+        assert_eq!(stats.edge_count(), g.all_edges().len());
+        stats
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On generated logs, emitted in dependency order or reversed
+        /// (so the deferral stack fires), the one-pass stats equal the
+        /// reference — also when the processing order is reversed, which
+        /// the depth walk must treat exactly like the reference does.
+        #[test]
+        fn stats_match_the_reference_on_generated_logs(
+            seed in 0u64..10_000,
+            shuffled in any::<bool>(),
+            star in 0.0f64..0.9,
+            setop in 0.0f64..0.9,
+            cte in 0.0f64..0.9,
+        ) {
+            let workload = generator::generate(&GeneratorConfig {
+                views: 30,
+                star_probability: star,
+                setop_probability: setop,
+                cte_probability: cte,
+                shuffle_statements: shuffled,
+                ..GeneratorConfig::seeded(seed)
+            });
+            let mut graph = crate::lineagex(&workload.full_sql())
+                .map_err(|e| TestCaseError::fail(e.to_string()))?
+                .graph;
+            prop_assert_eq!(graph.stats(), reference_stats(&graph));
+            prop_assert_eq!(graph.stats().edge_count(), graph.all_edges().len());
+            graph.order.reverse();
+            prop_assert_eq!(graph.stats(), reference_stats(&graph));
+        }
+    }
 
     fn sample_graph() -> LineageGraph {
         // web(page, cid) -> v(out) with page contributing and cid referenced.
@@ -536,6 +659,83 @@ mod tests {
         assert_eq!(NodeKind::for_query(&QueryKind::Insert), NodeKind::Table);
         assert_eq!(NodeKind::for_query(&QueryKind::Update), NodeKind::Table);
         assert_eq!(NodeKind::for_query(&QueryKind::Select), NodeKind::QueryResult);
+    }
+
+    #[test]
+    fn stats_merge_duplicate_output_names_like_all_edges() {
+        // `SELECT a AS x, b AS x, a AS y FROM t WHERE a > c`: the two `x`
+        // outputs are one graph column with C_con {a, b}.
+        let mut g = LineageGraph::default();
+        let col = |c: &str| SourceColumn::new("t", c);
+        g.queries.insert(
+            "q".into(),
+            QueryLineage {
+                id: "q".into(),
+                kind: QueryKind::Select,
+                outputs: vec![
+                    OutputColumn::new("x", BTreeSet::from([col("a")])),
+                    OutputColumn::new("x", BTreeSet::from([col("b")])),
+                    OutputColumn::new("y", BTreeSet::from([col("a")])),
+                ],
+                cref: BTreeSet::from([col("a"), col("c")]),
+                tables: BTreeSet::from(["t".into()]),
+                diagnostics: vec![],
+                partial: false,
+            },
+        );
+        g.order.push("q".into());
+        let stats = checked_stats(&g);
+        // x: t.a both, t.b contribute, t.c reference; y: t.a both, t.c
+        // reference.
+        assert_eq!((stats.contribute_edges, stats.reference_edges, stats.both_edges), (1, 2, 2));
+        assert_eq!(stats.max_pipeline_depth, 1);
+    }
+
+    #[test]
+    fn stats_of_a_self_join() {
+        let result = crate::lineagex(
+            "CREATE TABLE web (cid int, page text);
+             CREATE VIEW s AS SELECT a.page AS p1, b.page AS p2
+             FROM web a JOIN web b ON a.cid = b.cid;",
+        )
+        .unwrap();
+        let stats = checked_stats(&result.graph);
+        // web.page feeds both outputs; the join key is referenced by both.
+        assert_eq!((stats.contribute_edges, stats.reference_edges, stats.both_edges), (2, 2, 0));
+        assert_eq!(stats.max_pipeline_depth, 1);
+    }
+
+    #[test]
+    fn stats_of_repeat_writers_and_their_reader() {
+        let result = crate::lineagex(
+            "CREATE TABLE src (a int, b int);
+             CREATE TABLE t (x int);
+             INSERT INTO t SELECT a FROM src;
+             INSERT INTO t SELECT b FROM src WHERE a > 0;
+             CREATE VIEW v AS SELECT x FROM t;",
+        )
+        .unwrap();
+        assert_eq!(result.graph.order, vec!["t", "t#2", "v"]);
+        let stats = checked_stats(&result.graph);
+        // src.a -> t.x, src.b -> t#2.x (+ src.a referenced), t.x -> v.x.
+        assert_eq!((stats.contribute_edges, stats.reference_edges, stats.both_edges), (3, 1, 0));
+        // v reads `t`, the first writer: src -> t -> v.
+        assert_eq!(stats.max_pipeline_depth, 2);
+    }
+
+    #[test]
+    fn stats_of_a_lenient_cycle_stub() {
+        let result = crate::lineagex_lenient(
+            "CREATE VIEW a(x) AS SELECT y FROM b;
+             CREATE VIEW b(y) AS SELECT x FROM a;",
+        )
+        .unwrap();
+        // b closed the cycle, so b is the stub a then resolves against.
+        assert_eq!(result.graph.order, vec!["b", "a"]);
+        assert!(result.graph.queries["b"].partial);
+        let stats = checked_stats(&result.graph);
+        assert_eq!((stats.contribute_edges, stats.reference_edges, stats.both_edges), (1, 0, 0));
+        assert_eq!(stats.max_pipeline_depth, 2);
     }
 
     #[test]

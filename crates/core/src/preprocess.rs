@@ -30,6 +30,7 @@ use lineagex_sqlparse::ast::{Query, SpannedStatement, Statement};
 use lineagex_sqlparse::{
     parse_sql_spanned_with, parse_statements_recovering_with, DialectKind, Span,
 };
+use std::collections::HashMap;
 
 /// One entry of the Query Dictionary.
 #[derive(Debug, Clone)]
@@ -42,18 +43,23 @@ pub struct QueryEntry {
     pub statement: Statement,
     /// The source span the statement occupies in its script.
     pub span: Span,
-    /// The defining query: the `SELECT` body, or the synthesised
-    /// equivalent for `UPDATE` (see [`Statement::update_as_query`]).
-    pub query: Query,
     /// Explicit output column names (`CREATE VIEW v(a, b)` / INSERT column
     /// list), empty when none were written.
     pub declared_columns: Vec<String>,
+    /// The `SELECT` synthesised for an `UPDATE` (see
+    /// [`Statement::update_as_query`]); `None` for every other kind, whose
+    /// defining query lives inside `statement` and is never copied.
+    update_query: Option<Box<Query>>,
 }
 
 impl QueryEntry {
-    /// The defining query (the `SELECT` body).
+    /// The defining query: the statement's `SELECT` body, or the
+    /// synthesised equivalent for `UPDATE`.
     pub fn query(&self) -> &Query {
-        &self.query
+        match &self.update_query {
+            Some(query) => query,
+            None => self.statement.defining_query().expect("entries hold query-bearing statements"),
+        }
     }
 }
 
@@ -97,27 +103,25 @@ pub fn preprocess_statement(
         Statement::CreateView { ref name, ref columns, materialized, .. } => {
             let id = name.base_name().to_string();
             let declared = columns.iter().map(|c| c.value.clone()).collect();
-            let query = stmt.defining_query().expect("view has a query").clone();
             PreprocessedStatement::Entry(Box::new(QueryEntry {
                 id,
                 kind: QueryKind::View { materialized },
                 statement: stmt,
                 span,
-                query,
                 declared_columns: declared,
+                update_query: None,
             }))
         }
         Statement::CreateTable { ref name, ref columns, query: Some(_), .. } => {
             let id = name.base_name().to_string();
             let declared = columns.iter().map(|c| c.name.value.clone()).collect();
-            let query = stmt.defining_query().expect("CTAS has a query").clone();
             PreprocessedStatement::Entry(Box::new(QueryEntry {
                 id,
                 kind: QueryKind::TableAs,
                 statement: stmt,
                 span,
-                query,
                 declared_columns: declared,
+                update_query: None,
             }))
         }
         Statement::CreateTable { ref name, ref columns, query: None, .. } => {
@@ -132,14 +136,13 @@ pub fn preprocess_statement(
         Statement::Insert { ref table, ref columns, .. } => {
             let id = unique_target_id(table.base_name(), taken);
             let declared = columns.iter().map(|c| c.value.clone()).collect();
-            let query = stmt.defining_query().expect("insert has a source").clone();
             PreprocessedStatement::Entry(Box::new(QueryEntry {
                 id,
                 kind: QueryKind::Insert,
                 statement: stmt,
                 span,
-                query,
                 declared_columns: declared,
+                update_query: None,
             }))
         }
         Statement::Update { ref table, .. } => {
@@ -150,8 +153,8 @@ pub fn preprocess_statement(
                 kind: QueryKind::Update,
                 statement: stmt,
                 span,
-                query,
                 declared_columns: Vec::new(),
+                update_query: Some(Box::new(query)),
             }))
         }
         Statement::Query(_) => {
@@ -162,14 +165,13 @@ pub fn preprocess_statement(
                     format!("query_{anon_counter}")
                 }
             };
-            let query = stmt.defining_query().expect("bare query").clone();
             PreprocessedStatement::Entry(Box::new(QueryEntry {
                 id,
                 kind: QueryKind::Select,
                 statement: stmt,
                 span,
-                query,
                 declared_columns: Vec::new(),
+                update_query: None,
             }))
         }
         Statement::Drop { ref names, .. } => PreprocessedStatement::Drop(
@@ -232,6 +234,9 @@ fn unique_target_id(base: &str, taken: &mut dyn FnMut(&str) -> bool) -> String {
 #[derive(Debug, Clone, Default)]
 pub struct QueryDict {
     entries: Vec<QueryEntry>,
+    /// Each entry's id → its index in `entries`, so lookups and the
+    /// duplicate check stay O(1) however long the log is.
+    slots: HashMap<String, usize>,
     /// Base-table schemas found in the log (plain `CREATE TABLE`).
     pub ddl_catalog: Catalog,
     /// Diagnostics produced during preprocessing: skipped statements,
@@ -352,9 +357,9 @@ impl QueryDict {
         let mut anon_counter = 0usize;
         for (source_name, stmt) in statements {
             let preprocessed = {
-                let entries = &dict.entries;
+                let slots = &dict.slots;
                 preprocess_statement(stmt, source_name.as_deref(), &mut anon_counter, &mut |id| {
-                    entries.iter().any(|e| e.id == id)
+                    slots.contains_key(id)
                 })
             };
             match preprocessed {
@@ -374,7 +379,8 @@ impl QueryDict {
     }
 
     fn push(&mut self, entry: QueryEntry, lenient: bool) -> Result<(), LineageError> {
-        let Some(existing) = self.entries.iter().position(|e| e.id == entry.id) else {
+        let Some(&existing) = self.slots.get(&entry.id) else {
+            self.slots.insert(entry.id.clone(), self.entries.len());
             self.entries.push(entry);
             return Ok(());
         };
@@ -399,12 +405,12 @@ impl QueryDict {
 
     /// Whether `id` names a dictionary entry.
     pub fn contains(&self, id: &str) -> bool {
-        self.entries.iter().any(|e| e.id == id)
+        self.slots.contains_key(id)
     }
 
     /// Look an entry up by id.
     pub fn get(&self, id: &str) -> Option<&QueryEntry> {
-        self.entries.iter().find(|e| e.id == id)
+        self.slots.get(id).map(|&slot| &self.entries[slot])
     }
 
     /// Entries in log order.
@@ -505,6 +511,56 @@ mod tests {
             .expect("duplicate diagnostic");
         assert_eq!(dup.statement.as_deref(), Some("v"));
         assert_eq!(dup.span.unwrap().line, 2);
+    }
+
+    #[test]
+    fn lenient_replacement_keeps_its_slot_in_the_index() {
+        let qd = QueryDict::from_sql_lenient(
+            "CREATE VIEW v AS SELECT 1 AS a;\nCREATE VIEW w AS SELECT 2 AS c;\n\
+             CREATE VIEW v AS SELECT 3 AS b;",
+        );
+        assert_eq!(qd.ids().collect::<Vec<_>>(), vec!["v", "w"]);
+        assert!(qd.contains("v") && qd.contains("w") && !qd.contains("b"));
+        let v = qd.get("v").unwrap();
+        assert!(std::ptr::eq(v, &qd.entries()[0]), "the replacement keeps slot 0");
+        assert!(v.statement.to_string().contains("AS b"), "{}", v.statement);
+        assert_eq!(v.span.location.line, 3);
+        assert!(std::ptr::eq(qd.get("w").unwrap(), &qd.entries()[1]));
+    }
+
+    #[test]
+    fn thousands_of_writers_of_one_table_number_in_log_order() {
+        let sql: String = (1..=2000).map(|i| format!("INSERT INTO t SELECT {i};\n")).collect();
+        let qd = QueryDict::from_sql(&sql).unwrap();
+        let expected: Vec<String> =
+            std::iter::once("t".to_string()).chain((2..=2000).map(|n| format!("t#{n}"))).collect();
+        assert_eq!(qd.ids().collect::<Vec<_>>(), expected);
+        for (line, id) in [(1, "t"), (2, "t#2"), (2000, "t#2000")] {
+            assert_eq!(qd.get(id).unwrap().span.location.line, line, "{id}");
+        }
+    }
+
+    #[test]
+    fn query_borrows_the_statement_body_except_for_update() {
+        let qd = QueryDict::from_sql(
+            "CREATE TABLE t (a int, b int);
+             CREATE VIEW v AS SELECT a FROM t;
+             CREATE TABLE c AS SELECT b FROM t;
+             INSERT INTO t SELECT a, b FROM t;
+             SELECT a FROM v;
+             UPDATE t SET a = b WHERE b > 0;",
+        )
+        .unwrap();
+        assert_eq!(qd.ids().collect::<Vec<_>>(), vec!["v", "c", "t", "query_1", "t#2"]);
+        for entry in qd.entries() {
+            if matches!(entry.kind, QueryKind::Update) {
+                assert!(entry.statement.defining_query().is_none());
+                assert_eq!(*entry.query(), entry.statement.update_as_query().unwrap());
+            } else {
+                let body = entry.statement.defining_query().unwrap();
+                assert!(std::ptr::eq(entry.query(), body), "{} copies its body", entry.id);
+            }
+        }
     }
 
     #[test]

@@ -16,13 +16,17 @@
 #   * serve obs_overhead_pct  < 3   (metrics recording must stay
 #                                    invisible at request granularity)
 #
-# 10k-view scale tier (engine_bench "scale" block; the *_10k key names
+# 10k-view scale tier (engine_bench "scale" block; the *_10k/*_20k key names
 # are unique on purpose so json_num's first-match grep stays correct):
 #
 #   * refresh_speedup_10k    >= 10 * floor   (dirty-cone refresh vs full
 #                                    re-extraction — the sub-linear claim)
 #   * cold_start_speedup_10k >= 6 * floor    (snapshot load + publish vs
 #                                    re-parsing the SQL log)
+#   * one_shot_scaling_20k   <= 2.6  (one-shot extraction + report build
+#                                    at 20k views over 10k: 2 is linear,
+#                                    4 quadratic; a time ratio, so the
+#                                    floor does not scale it)
 #
 # The cold-start bound is deliberately below the headline "50x" ambition:
 # on the single-core reference machine the binary decode is string-alloc
@@ -110,6 +114,7 @@ dialect=$(json_num "$fresh_engine" dialect_overhead_pct)
 incremental=$(json_num "$fresh_engine" speedup)
 refresh_10k=$(json_num "$fresh_engine" refresh_speedup_10k)
 cold_10k=$(json_num "$fresh_engine" cold_start_speedup_10k)
+one_shot_scaling=$(json_num "$fresh_engine" one_shot_scaling_20k)
 down=$(json_num "$fresh_query" downstream_cone_qps)
 up=$(json_num "$fresh_query" upstream_closure_qps)
 mixed=$(json_num "$fresh_serve" mixed_qps)
@@ -131,6 +136,7 @@ check "dialect_overhead_pct" "$dialect" "<" 3
 check "incremental.speedup" "$incremental" ">=" 2
 check "refresh_speedup_10k" "$refresh_10k" ">=" "$refresh_floor"
 check "cold_start_speedup_10k" "$cold_10k" ">=" "$cold_floor"
+check "one_shot_scaling_20k" "$one_shot_scaling" "<=" 2.6
 check "downstream_cone_qps vs committed floor" "$down" ">=" "$down_floor"
 check "upstream_closure_qps vs committed floor" "$up" ">=" "$up_floor"
 check "serve mixed_qps vs committed floor" "$mixed" ">=" "$mixed_floor"
