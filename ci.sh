@@ -61,6 +61,12 @@ fi
 step "cargo test -q --workspace (tier-1, part 2 + all member crates)"
 cargo test -q --workspace
 
+# perfbench/ is a workspace of its own, so the run above never builds it.
+# It drives the wire protocol (Request/Response lines, serde_json::Value)
+# and pins the reply's field order, so test it against every change.
+step "cargo test -q --offline --manifest-path perfbench/Cargo.toml (benchmark crate)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # The resilience corpus is part of the workspace run above, but gate it
 # explicitly: lenient extraction over tests/corpus/messy_log.sql must
 # keep extracting every well-formed statement and keep the golden

@@ -14,7 +14,7 @@
 //! query's lineage is marked *partial* instead of poisoning the batch.
 
 use lineagex_sqlparse::Span;
-use serde::{Content, Serialize};
+use serde::{Serialize, Serializer};
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -40,8 +40,8 @@ impl Severity {
 }
 
 impl Serialize for Severity {
-    fn to_content(&self) -> Content {
-        Content::Str(self.as_str().to_string())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.str(self.as_str());
     }
 }
 
@@ -147,8 +147,8 @@ impl DiagnosticCode {
 }
 
 impl Serialize for DiagnosticCode {
-    fn to_content(&self) -> Content {
-        Content::Str(self.as_str().to_string())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.str(self.as_str());
     }
 }
 

@@ -11,7 +11,7 @@
 
 use crate::model::SourceColumn;
 use crate::query::{ColumnMatch, QueryAnswer};
-use serde::{Content, Serialize};
+use serde::{Serialize, Serializer};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The result of an impact analysis from one starting column.
@@ -77,11 +77,11 @@ impl ImpactReport {
 // Manual impl: the wire shape stays `{origin, impacted}` — the index is
 // an internal acceleration structure, not part of the document.
 impl Serialize for ImpactReport {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("origin".to_string(), self.origin.to_content()),
-            ("impacted".to_string(), self.impacted.to_content()),
-        ])
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.begin_map();
+        s.field("origin", &self.origin);
+        s.field("impacted", &self.impacted);
+        s.end_map();
     }
 }
 

@@ -96,8 +96,8 @@ impl Direction {
 }
 
 impl Serialize for Direction {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Str(self.as_str().to_string())
+    fn serialize(&self, s: &mut serde::Serializer<'_>) {
+        s.str(self.as_str());
     }
 }
 

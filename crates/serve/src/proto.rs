@@ -22,7 +22,8 @@ use lineagex_core::{
     Diagnostic, DiagnosticCode, EdgeKind, GraphStats, QueryReport, QuerySpec, ReportV2,
 };
 use lineagex_engine::{EngineStats, IngestAction, StmtId};
-use serde::{Content, Serialize};
+use lineagex_obs::MetricsSnapshot;
+use serde::{Serialize, Serializer};
 use serde_json::Value;
 
 /// The protocol envelope version this crate speaks.
@@ -161,41 +162,39 @@ impl Request {
     /// Serialize as one request line (no trailing newline) — what a
     /// client writes. Only set fields are emitted, in a fixed order.
     pub fn to_line(&self, id: Option<u64>) -> String {
-        let mut fields =
-            vec![("schema_version".to_string(), Content::U64(u64::from(PROTOCOL_VERSION)))];
+        let mut line = String::new();
+        let s = &mut Serializer::compact(&mut line);
+        s.begin_map();
+        s.field("schema_version", &PROTOCOL_VERSION);
         if let Some(id) = id {
-            fields.push(("id".to_string(), Content::U64(id)));
+            s.field("id", &id);
         }
-        fields.push(("op".to_string(), Content::Str(self.op().to_string())));
+        s.field("op", self.op());
         match self {
             Request::Query(params) => {
-                fields.push(("origins".to_string(), params.origins.to_content()));
+                s.field("origins", &params.origins);
                 if params.upstream {
-                    fields.push(("direction".to_string(), Content::Str("upstream".into())));
+                    s.field("direction", "upstream");
                 }
                 if let Some(depth) = params.depth {
-                    fields.push(("depth".to_string(), Content::U64(depth as u64)));
+                    s.field("depth", &depth);
                 }
                 if let Some(kind) = params.edge_kind {
-                    fields
-                        .push(("edge_kind".to_string(), Content::Str(edge_kind_str(kind).into())));
+                    s.field("edge_kind", edge_kind_str(kind));
                 }
                 if params.table_level {
-                    fields.push(("table_level".to_string(), Content::Bool(true)));
+                    s.field("table_level", &true);
                 }
                 if let Some(to) = &params.to {
-                    fields.push(("to".to_string(), Content::Str(to.clone())));
+                    s.field("to", to);
                 }
             }
-            Request::Ingest { sql } => {
-                fields.push(("sql".to_string(), Content::Str(sql.clone())));
-            }
-            Request::Drop { names } => {
-                fields.push(("names".to_string(), names.to_content()));
-            }
+            Request::Ingest { sql } => s.field("sql", sql),
+            Request::Drop { names } => s.field("names", names),
             _ => {}
         }
-        content_to_line(&Content::Map(fields))
+        s.end_map();
+        line
     }
 
     /// Parse one request line. Framing problems (bad JSON, a non-object,
@@ -416,34 +415,34 @@ pub struct StatsBody {
 }
 
 impl Serialize for StatsBody {
-    fn to_content(&self) -> Content {
+    fn serialize(&self, s: &mut Serializer<'_>) {
         // EngineStats lives in a serde-free crate; map it by hand.
         let e = &self.engine;
-        let engine = Content::Map(vec![
-            ("dialect".into(), Content::Str(e.dialect.clone())),
-            ("statements".into(), Content::U64(e.statements)),
-            ("defined".into(), Content::U64(e.defined)),
-            ("redefinitions".into(), Content::U64(e.redefinitions)),
-            ("unchanged".into(), Content::U64(e.unchanged)),
-            ("drops".into(), Content::U64(e.drops)),
-            ("parse_failures".into(), Content::U64(e.parse_failures)),
-            ("diagnostics".into(), Content::U64(e.diagnostics)),
-            ("extractions".into(), Content::U64(e.extractions)),
-            ("last_refresh_extractions".into(), Content::U64(e.last_refresh_extractions)),
-            ("refreshes".into(), Content::U64(e.refreshes)),
-            ("parse_cache_hits".into(), Content::U64(e.parse_cache_hits)),
-            ("parse_cache_misses".into(), Content::U64(e.parse_cache_misses)),
-        ]);
-        let server = Content::Map(vec![
-            ("connections".into(), Content::U64(self.connections)),
-            ("requests".into(), Content::U64(self.requests)),
-        ]);
-        Content::Map(vec![
-            ("graph".into(), self.graph.to_content()),
-            ("engine".into(), engine),
-            ("entries".into(), Content::U64(self.entries as u64)),
-            ("server".into(), server),
-        ])
+        s.begin_map();
+        s.field("graph", &self.graph);
+        s.key("engine");
+        s.begin_map();
+        s.field("dialect", &e.dialect);
+        s.field("statements", &e.statements);
+        s.field("defined", &e.defined);
+        s.field("redefinitions", &e.redefinitions);
+        s.field("unchanged", &e.unchanged);
+        s.field("drops", &e.drops);
+        s.field("parse_failures", &e.parse_failures);
+        s.field("diagnostics", &e.diagnostics);
+        s.field("extractions", &e.extractions);
+        s.field("last_refresh_extractions", &e.last_refresh_extractions);
+        s.field("refreshes", &e.refreshes);
+        s.field("parse_cache_hits", &e.parse_cache_hits);
+        s.field("parse_cache_misses", &e.parse_cache_misses);
+        s.end_map();
+        s.field("entries", &self.entries);
+        s.key("server");
+        s.begin_map();
+        s.field("connections", &self.connections);
+        s.field("requests", &self.requests);
+        s.end_map();
+        s.end_map();
     }
 }
 
@@ -460,28 +459,37 @@ pub enum Payload {
     Diagnostics(Vec<Diagnostic>),
     /// A settled write.
     Write(WriteReceipt),
-    /// An observability-registry snapshot, pre-rendered to [`Content`]
-    /// by the server (the snapshot type lives in `lineagex-obs`).
-    Metrics(Content),
+    /// A snapshot of the process-wide observability registry.
+    Metrics(MetricsSnapshot),
     /// A `ping` acknowledgement.
     Pong,
     /// A `shutdown` acknowledgement: the server is draining.
     Stopping,
 }
 
-impl Payload {
-    fn result_content(&self) -> Content {
+impl Serialize for Payload {
+    fn serialize(&self, s: &mut Serializer<'_>) {
         match self {
-            Payload::Query(report) => report.to_content(),
-            Payload::Report(report) => report.to_content(),
-            Payload::Stats(stats) => stats.to_content(),
+            Payload::Query(report) => report.serialize(s),
+            Payload::Report(report) => report.serialize(s),
+            Payload::Stats(stats) => stats.serialize(s),
             Payload::Diagnostics(diagnostics) => {
-                Content::Map(vec![("diagnostics".into(), diagnostics.to_content())])
+                s.begin_map();
+                s.field("diagnostics", diagnostics);
+                s.end_map();
             }
-            Payload::Write(receipt) => receipt.to_content(),
-            Payload::Metrics(snapshot) => snapshot.clone(),
-            Payload::Pong => Content::Map(vec![("pong".into(), Content::Bool(true))]),
-            Payload::Stopping => Content::Map(vec![("stopping".into(), Content::Bool(true))]),
+            Payload::Write(receipt) => receipt.serialize(s),
+            Payload::Metrics(snapshot) => snapshot.serialize(s),
+            Payload::Pong => {
+                s.begin_map();
+                s.field("pong", &true);
+                s.end_map();
+            }
+            Payload::Stopping => {
+                s.begin_map();
+                s.field("stopping", &true);
+                s.end_map();
+            }
         }
     }
 }
@@ -511,35 +519,23 @@ impl Response {
 
     /// Serialize as one compact line (no trailing newline).
     pub fn to_line(&self) -> String {
-        content_to_line(&self.to_content())
+        serde_json::to_string(self).expect("responses always serialize")
     }
 }
 
 impl Serialize for Response {
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("schema_version".to_string(), Content::U64(u64::from(PROTOCOL_VERSION))),
-            ("id".to_string(), self.id.to_content()),
-            ("ok".to_string(), Content::Bool(self.body.is_ok())),
-            ("revision".to_string(), Content::U64(self.revision)),
-        ];
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.begin_map();
+        s.field("schema_version", &PROTOCOL_VERSION);
+        s.field("id", &self.id);
+        s.field("ok", &self.body.is_ok());
+        s.field("revision", &self.revision);
         match &self.body {
-            Ok(payload) => fields.push(("result".to_string(), payload.result_content())),
-            Err(error) => fields.push(("error".to_string(), error.to_content())),
+            Ok(payload) => s.field("result", payload),
+            Err(error) => s.field("error", error),
         }
-        Content::Map(fields)
+        s.end_map();
     }
-}
-
-/// Render a [`Content`] tree as one compact JSON line.
-fn content_to_line(content: &Content) -> String {
-    struct Raw<'a>(&'a Content);
-    impl Serialize for Raw<'_> {
-        fn to_content(&self) -> Content {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&Raw(content)).expect("Content serialization is infallible")
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ use lineagex_catalog::Catalog;
 use lineagex_core::{DiagnosticCode, LineageError, QueryReport, ReportV2};
 use lineagex_engine::{Engine, EngineOptions, EngineSnapshot};
 use lineagex_obs::{Counter, Gauge, Histogram};
-use serde::Serialize;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -551,7 +550,7 @@ fn handle(
         Request::Metrics => {
             let revision = shared.snapshot.read().expect("snapshot lock poisoned").revision;
             let snapshot = lineagex_obs::registry().snapshot();
-            (Response::ok(id, revision, Payload::Metrics(snapshot.to_content())), false)
+            (Response::ok(id, revision, Payload::Metrics(snapshot)), false)
         }
         Request::Ingest { sql } => (run_write(id, WriteCmd::Ingest(sql), shared, write_tx), false),
         Request::Refresh => (run_write(id, WriteCmd::Refresh, shared, write_tx), false),

@@ -16,18 +16,30 @@
 
 use crate::json::graph_json;
 use lineagex_core::LineageGraph;
+use serde::Serialize;
 
 /// Render the interactive HTML page for a lineage graph.
 pub fn to_html(graph: &LineageGraph) -> String {
-    let data = serde_json::to_string(&graph_json(graph)).expect("graph serialises");
+    let data = script_json(&graph_json(graph));
     // Table-level edges drive the layered layout and the explore feature.
     let table_edges: Vec<[String; 2]> =
         graph.table_edges().into_iter().map(|(from, to)| [from, to]).collect();
-    let table_edges = serde_json::to_string(&table_edges).expect("edges serialise");
+    let table_edges = script_json(&table_edges);
+    // One substitution into the template only: the inserted data, which
+    // holds SQL names, is never searched for placeholders.
+    HTML_TEMPLATE.replacen(
+        "/*__VIEWER_DATA__*/",
+        &format!("const GRAPH = {data};\nconst TABLE_EDGES = {table_edges};"),
+        1,
+    )
+}
 
-    HTML_TEMPLATE
-        .replace("/*__GRAPH_DATA__*/", &format!("const GRAPH = {data};"))
-        .replace("/*__TABLE_EDGES__*/", &format!("const TABLE_EDGES = {table_edges};"))
+/// `value` as JSON that cannot end the `<script>` element it is embedded
+/// in. A browser ends the element at the first `</script>`, even inside a
+/// JavaScript string, so every `<` (which JSON has only inside strings)
+/// is written as `\u003c`, which JavaScript decodes back to `<`.
+fn script_json(value: &impl Serialize) -> String {
+    serde_json::to_string(value).expect("viewer data serialises").replace('<', "\\u003c")
 }
 
 const HTML_TEMPLATE: &str = r#"<!DOCTYPE html>
@@ -67,8 +79,7 @@ const HTML_TEMPLATE: &str = r#"<!DOCTYPE html>
 </div>
 <div id="canvas"><svg id="edges"></svg></div>
 <script>
-/*__GRAPH_DATA__*/
-/*__TABLE_EDGES__*/
+/*__VIEWER_DATA__*/
 
 const upstream = {}, downstream = {};
 for (const [from, to] of TABLE_EDGES) {
@@ -95,6 +106,12 @@ const svg = document.getElementById('edges');
 const status = document.getElementById('status');
 
 function colId(ref) { return 'col_' + ref.replace(/[^a-zA-Z0-9_]/g, '_'); }
+// Relation and column names are SQL identifiers, which may hold any
+// character: escape them before they reach markup or an attribute.
+function esc(text) {
+  return String(text).replace(/[&<>"']/g, ch =>
+    ({ '&': '&amp;', '<': '&lt;', '>': '&gt;', '"': '&quot;', "'": '&#39;' })[ch]);
+}
 
 function render() {
   canvas.querySelectorAll('.table-card').forEach(e => e.remove());
@@ -113,11 +130,11 @@ function render() {
       card.id = 'tbl_' + n.id;
       const canExplore = (upstream[n.id] || []).concat(downstream[n.id] || [])
         .some(t => !visible.has(t));
-      card.innerHTML = '<h3>' + n.id +
-        (canExplore ? ' <span class="explore" data-t="' + n.id + '">explore ⊕</span>' : '') +
+      card.innerHTML = '<h3>' + esc(n.id) +
+        (canExplore ? ' <span class="explore" data-t="' + esc(n.id) + '">explore ⊕</span>' : '') +
         '</h3>' +
         n.columns.map(c => '<div class="col" id="' + colId(n.id + '.' + c) +
-          '" data-ref="' + n.id + '.' + c + '">' + c + '</div>').join('');
+          '" data-ref="' + esc(n.id + '.' + c) + '">' + esc(c) + '</div>').join('');
       canvas.appendChild(card);
       y += 34 + n.columns.length * 22 + gapY;
       maxY = Math.max(maxY, y);
@@ -234,9 +251,46 @@ mod tests {
         assert!(html.contains("const GRAPH = {"), "graph data not embedded");
         assert!(html.contains("const TABLE_EDGES = [["), "table edges not embedded");
         assert!(html.contains("web.page"), "column refs missing");
-        // Template placeholders fully replaced.
-        assert!(!html.contains("__GRAPH_DATA__"));
-        assert!(!html.contains("__TABLE_EDGES__"));
+        // Template placeholder fully replaced.
+        assert!(!html.contains("__VIEWER_DATA__"));
+    }
+
+    #[test]
+    fn sql_names_cannot_end_the_script_or_reach_markup_raw() {
+        let name = "x</script><script>alert(1)</script>";
+        let graph = lineagex(&format!(
+            "CREATE TABLE t (a int); CREATE VIEW \"{name}\" AS SELECT a FROM t;"
+        ))
+        .unwrap()
+        .graph;
+        assert!(graph.nodes.contains_key(name));
+        let html = to_html(&graph);
+        assert_eq!(html.matches("</script>").count(), 1, "only the template's own </script>");
+        assert!(html.contains(r"x\u003c/script>\u003cscript>alert(1)\u003c/script>"));
+
+        // Names reach markup only through esc() (or colId(), which keeps
+        // only [a-zA-Z0-9_]).
+        let start = HTML_TEMPLATE.find("card.innerHTML =").unwrap();
+        let end = start + HTML_TEMPLATE[start..].find(".join('')").unwrap();
+        let markup = HTML_TEMPLATE[start..end]
+            .replace("esc(n.id + '.' + c)", "")
+            .replace("colId(n.id + '.' + c)", "")
+            .replace("esc(n.id)", "")
+            .replace("esc(c)", "");
+        assert!(!markup.contains("n.id"), "raw relation name in markup: {markup}");
+        assert!(!markup.contains(" c "), "raw column name in markup: {markup}");
+    }
+
+    #[test]
+    fn a_name_holding_a_placeholder_stays_data() {
+        let graph = lineagex(
+            "CREATE TABLE t (a int); CREATE VIEW \"/*__VIEWER_DATA__*/\" AS SELECT a FROM t;",
+        )
+        .unwrap()
+        .graph;
+        let html = to_html(&graph);
+        assert_eq!(html.matches("const GRAPH =").count(), 1);
+        assert!(html.contains(r#"{"id":"/*__VIEWER_DATA__*/","kind":"View""#));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use lineagex::datasets::{generator, GeneratorConfig};
 use lineagex::prelude::*;
 use proptest::prelude::*;
+use serde_json::{Number, Value};
 use std::collections::BTreeSet;
 
 proptest! {
@@ -107,5 +108,63 @@ proptest! {
         prop_assert!(closes_properly);
         let html = to_html(&result.graph);
         prop_assert!(html.contains("const GRAPH ="));
+    }
+
+    /// The JSON renderer and parser agree: any document of depth <= 6
+    /// reads back equal from its compact and its pretty rendering.
+    #[test]
+    fn json_round_trips(seed in any::<u64>()) {
+        let value = random_value(&mut TestRng::seeded(seed), 6);
+        let compact = serde_json::to_string(&value).unwrap();
+        prop_assert_eq!(serde_json::from_str::<Value>(&compact), Ok(value.clone()), "{}", compact);
+        let pretty = serde_json::to_string_pretty(&value).unwrap();
+        prop_assert_eq!(serde_json::from_str::<Value>(&pretty), Ok(value), "{}", pretty);
+    }
+}
+
+/// String pieces covering every escape the renderer writes, plus text
+/// that must pass through untouched.
+const STRING_PIECES: &[&str] = &[
+    "",
+    "plain",
+    "\"",
+    "\\",
+    "\n\r\t\u{8}\u{c}",
+    "\u{0}\u{1}\u{1f}\u{7f}",
+    "é ß",
+    "😀 \u{10ffff}",
+    "</script>",
+    "{\"k\": [1]}",
+];
+
+fn random_string(rng: &mut TestRng) -> String {
+    (0..rng.below(4))
+        .map(|_| STRING_PIECES[rng.below(STRING_PIECES.len() as u64) as usize])
+        .collect()
+}
+
+/// A random JSON document nested at most `depth` levels. Numbers take the
+/// forms the parser produces: non-negative integers as `U64`, negative
+/// ones as `I64`, and finite floats.
+fn random_value(rng: &mut TestRng, depth: usize) -> Value {
+    let kinds = if depth == 0 { 6 } else { 8 };
+    match rng.below(kinds) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.below(2) == 1),
+        2 => Value::Number(Number::U64(rng.next_u64() >> rng.below(64))),
+        3 => Value::Number(Number::I64(-1 - (rng.next_u64() >> (1 + rng.below(63))) as i64)),
+        4 => {
+            let float = match rng.below(3) {
+                0 => rng.below(1_000) as f64 - 500.0,
+                1 => rng.next_f64() - 0.5,
+                _ => f64::from_bits(rng.next_u64()),
+            };
+            Value::Number(Number::F64(if float.is_finite() { float } else { 0.5 }))
+        }
+        5 => Value::String(random_string(rng)),
+        6 => Value::Array((0..rng.below(4)).map(|_| random_value(rng, depth - 1)).collect()),
+        _ => Value::Object(
+            (0..rng.below(4)).map(|_| (random_string(rng), random_value(rng, depth - 1))).collect(),
+        ),
     }
 }

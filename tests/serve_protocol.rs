@@ -14,7 +14,9 @@
 //!   (server-side parallelism is invisible on the wire);
 //! * a served `report` result must be byte-identical to what
 //!   [`LineageView::report_v2`] serialises for the same statements —
-//!   the *incremental ≡ batch* invariant extended to the wire.
+//!   the *incremental ≡ batch* invariant extended to the wire;
+//! * a request line nested too deeply to parse is an `invalid-request`
+//!   reply, and the connection keeps serving.
 
 use lineagex::datasets::example1;
 use lineagex::prelude::*;
@@ -247,4 +249,20 @@ fn served_report_is_byte_identical_to_batch() {
         assert_eq!(served, expected, "served ReportV2 drifted from the batch serialisation");
         server.shutdown();
     }
+}
+
+#[test]
+fn deeply_nested_request_is_rejected_and_the_connection_keeps_serving() {
+    let server = start(1);
+    let mut client = Client::connect(server.local_addr()).expect("client connects");
+    let reply = client.send_line(&"[".repeat(100_000)).expect("server replies");
+    assert_eq!(reply.error_code().as_deref(), Some("invalid-request"), "{}", reply.line);
+    assert!(
+        reply.line.contains("\"id\":null"),
+        "framing failure must not echo an id: {}",
+        reply.line
+    );
+    let pong = client.request(&Request::Ping).expect("the same connection still serves");
+    assert!(pong.ok(), "ping failed: {}", pong.line);
+    server.shutdown();
 }
