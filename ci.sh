@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the LineageX workspace. Mirrors what a hosted pipeline
 # would run — and is mirrored step-for-step by
-# .github/workflows/ci.yml; keep all three in sync with
+# .github/workflows/ci.yml (the first step, scripts/check_ci_mirror.sh,
+# fails when the two step lists differ); keep all three in sync with
 # docs/ARCHITECTURE.md's conventions.
 #
 #   ./ci.sh          # run everything (incl. the bench-regression gate)
@@ -44,6 +45,11 @@ if [ "$mode" = "regen" ]; then
     git --no-pager status --short tests/golden/ || true
     exit 0
 fi
+
+# The hosted pipeline must run these same steps, in order and under the
+# same names: compare the two step lists before building anything.
+step "scripts/check_ci_mirror.sh (ci.yml mirrors ci.sh)"
+scripts/check_ci_mirror.sh
 
 step "cargo fmt --check"
 cargo fmt --check

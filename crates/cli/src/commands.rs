@@ -518,7 +518,7 @@ fn engine_options(common: &CommonOptions) -> EngineOptions {
     if common.lenient {
         extract = extract.with_lenient();
     }
-    EngineOptions { jobs: common.jobs.max(1), extract, ..EngineOptions::default() }
+    EngineOptions { jobs: common.jobs.max(1), extract }
 }
 
 fn load_catalog(common: &CommonOptions) -> Result<Option<Catalog>, String> {
@@ -658,13 +658,6 @@ fn session_meta(engine: &mut Engine, command: &str, out: &mut dyn Write) -> Resu
                 &format!(
                     "  extractions         : {} total, {} in last refresh",
                     stats.extractions, stats.last_refresh_extractions
-                ),
-            )?;
-            wln(
-                out,
-                &format!(
-                    "  ast cache           : {} hits, {} misses",
-                    stats.parse_cache_hits, stats.parse_cache_misses
                 ),
             )?;
         }

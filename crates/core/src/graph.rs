@@ -584,6 +584,64 @@ pub(crate) struct RawGraphIndex {
     pub tbl_rev: RawCsr,
 }
 
+impl RawGraphIndex {
+    /// Check every id the [`GraphIndex`] accessors index by, in one
+    /// linear pass, so arrays decoded from a file that passed its
+    /// checksum but carries wrong ids fail closed here instead of
+    /// panicking in the first query. Returns what is wrong.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let (names, relations, columns) =
+            (self.names.len(), self.relations.len(), self.columns.len());
+        if relations > names {
+            return Err(format!("{relations} relations but only {names} names"));
+        }
+        for (i, &(rel, sym)) in self.columns.iter().enumerate() {
+            if rel as usize >= relations || sym as usize >= names {
+                return Err(format!(
+                    "column {i} names relation {rel} and symbol {sym}, out of range"
+                ));
+            }
+        }
+        for (i, r) in self.relations.iter().enumerate() {
+            if r.col_start > r.col_end || r.col_end as usize > columns {
+                return Err(format!(
+                    "relation {i} has column range {}..{} over {columns} columns",
+                    r.col_start, r.col_end
+                ));
+            }
+            if let Some(c) = r.declared.iter().find(|&&c| c as usize >= columns) {
+                return Err(format!("relation {i} declares column {c} of {columns}"));
+            }
+        }
+        for (name, (offsets, edges), nodes) in [
+            ("column forward", &self.fwd, columns),
+            ("column reverse", &self.rev, columns),
+            ("relation forward", &self.tbl_fwd, relations),
+            ("relation reverse", &self.tbl_rev, relations),
+        ] {
+            if offsets.len() != nodes + 1 {
+                return Err(format!(
+                    "{name} adjacency has {} offsets for {nodes} nodes",
+                    offsets.len()
+                ));
+            }
+            if offsets[0] != 0
+                || offsets.windows(2).any(|pair| pair[0] > pair[1])
+                || offsets[nodes] as usize != edges.len()
+            {
+                return Err(format!(
+                    "{name} adjacency offsets do not rise from 0 to its {} edges",
+                    edges.len()
+                ));
+            }
+            if let Some((to, _)) = edges.iter().find(|(to, _)| *to as usize >= nodes) {
+                return Err(format!("{name} adjacency has an edge to node {to} of {nodes}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A cheap structural fingerprint of a graph, used by
 /// [`GraphIndexCache`] to decide whether a cached index still matches.
 ///
@@ -864,7 +922,7 @@ mod tests {
         let second = cache.get_or_build(&g);
         assert!(Arc::ptr_eq(&first, &second), "unchanged graph must reuse the index");
         // A structural change (retract one query) rebuilds.
-        g.retract_query("top").unwrap();
+        assert_eq!(g.retract_queries(&BTreeSet::from(["top".to_string()])).len(), 1);
         let third = cache.get_or_build(&g);
         assert!(!Arc::ptr_eq(&first, &third), "changed graph must rebuild");
         assert_eq!(third.lookup_relation("top"), None);
@@ -889,7 +947,7 @@ mod tests {
         // And the revision key really is trusted: an in-place edit with
         // an unchanged revision keeps serving the cached index (why
         // revision-bumping callers must cover every mutation).
-        g.retract_query("top").unwrap();
+        assert_eq!(g.retract_queries(&BTreeSet::from(["top".to_string()])).len(), 1);
         let stale = cache.get_or_build_at(8, &g);
         assert!(Arc::ptr_eq(&third, &stale));
         // Mixing validation modes never false-hits: a fingerprint query

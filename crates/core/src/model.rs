@@ -229,14 +229,26 @@ impl LineageGraph {
         self.queries.insert(lineage.id.clone(), lineage);
     }
 
-    /// Retract one query from the graph: remove its lineage record, its
-    /// relation node, and its slot in the processing order. Returns the
-    /// removed lineage, or `None` when `id` was not a query.
-    pub fn retract_query(&mut self, id: &str) -> Option<QueryLineage> {
-        let removed = self.queries.remove(id)?;
-        self.nodes.remove(id);
-        self.order.retain(|o| o != id);
-        Some(removed)
+    /// Retract every query in `ids` from the graph: remove its lineage
+    /// record, its relation node, and its slot in the processing order,
+    /// with one pass over the order for the whole set. Returns the
+    /// removed lineages in id order; ids that were not queries are
+    /// skipped.
+    pub fn retract_queries(&mut self, ids: &BTreeSet<String>) -> Vec<QueryLineage> {
+        let removed: Vec<QueryLineage> = ids
+            .iter()
+            .filter_map(|id| {
+                let lineage = self.queries.remove(id)?;
+                self.nodes.remove(id);
+                Some(lineage)
+            })
+            .collect();
+        if !removed.is_empty() {
+            // Only queries hold an order slot, so matching against the
+            // whole set drops exactly the removed ones.
+            self.order.retain(|o| !ids.contains(o));
+        }
+        removed
     }
 
     /// Contribute-only edges (`C_con`), one per (source, output) pair.
@@ -639,17 +651,52 @@ mod tests {
     #[test]
     fn merge_and_retract_round_trip() {
         let mut g = sample_graph();
-        let retracted = g.retract_query("v").unwrap();
+        let v = BTreeSet::from(["v".to_string()]);
+        let retracted = g.retract_queries(&v).pop().unwrap();
         assert!(g.queries.is_empty());
         assert!(!g.nodes.contains_key("v"));
         assert!(g.order.is_empty());
-        assert!(g.retract_query("v").is_none());
+        assert!(g.retract_queries(&v).is_empty());
         g.merge_query(retracted);
         assert_eq!(g, sample_graph());
         // Re-merging an existing query must not duplicate its order slot.
         let again = g.queries["v"].clone();
         g.merge_query(again);
         assert_eq!(g.order, vec!["v"]);
+    }
+
+    #[test]
+    fn retracting_a_set_matches_retracting_one_at_a_time() {
+        let workload = generator::generate(&GeneratorConfig {
+            views: 60,
+            shuffle_statements: true,
+            ..GeneratorConfig::seeded(7)
+        });
+        let graph = crate::lineagex(&workload.full_sql()).unwrap().graph;
+        // Every third query, plus an id that is not a query at all.
+        let mut ids: BTreeSet<String> = graph.order.iter().step_by(3).cloned().collect();
+        ids.insert("no_such_query".into());
+        let mut one_by_one = graph.clone();
+        let singles: Vec<QueryLineage> = ids
+            .iter()
+            .flat_map(|id| one_by_one.retract_queries(&BTreeSet::from([id.clone()])))
+            .collect();
+        let mut at_once = graph.clone();
+        let removed = at_once.retract_queries(&ids);
+        assert_eq!(removed, singles);
+        assert_eq!(removed.len(), ids.len() - 1);
+        assert_eq!(at_once.order, one_by_one.order);
+        assert_eq!(at_once.queries, one_by_one.queries);
+        assert_eq!(at_once.nodes, one_by_one.nodes);
+        // And both equal the graph with exactly those queries taken out.
+        let kept: Vec<String> =
+            graph.order.iter().filter(|id| !ids.contains(*id)).cloned().collect();
+        assert_eq!(at_once.order, kept);
+        assert!(kept.iter().all(|id| at_once.queries[id] == graph.queries[id]));
+        assert_eq!(at_once.queries.len(), kept.len());
+        assert_eq!(at_once.nodes.len(), graph.nodes.len() - removed.len());
+        assert!(removed.iter().all(|q| !at_once.nodes.contains_key(&q.id)));
+        assert!(at_once.retract_queries(&ids).is_empty(), "a second pass finds nothing");
     }
 
     #[test]

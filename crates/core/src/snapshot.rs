@@ -37,10 +37,12 @@
 //! A snapshot is a *settled* state: writers must refresh before saving.
 //! Readers validate magic, version, and checksum before decoding, and
 //! every decode error is a typed [`SnapshotError`] carrying
-//! [`DiagnosticCode::SnapshotCorrupt`] — never a panic. A version bump
-//! invalidates all older files (there is no migration path; re-extract
-//! from the SQL log instead), which is why the version byte sits ahead
-//! of everything except the magic.
+//! [`DiagnosticCode::SnapshotCorrupt`] — never a panic. The checksum
+//! catches random damage, not a file written with wrong ids, so the
+//! index section's ids and offsets are also bounds-checked on load. A
+//! version bump invalidates all older files (there is no migration path;
+//! re-extract from the SQL log instead), which is why the version byte
+//! sits ahead of everything except the magic.
 
 use crate::diagnostics::{Diagnostic, DiagnosticCode, DiagnosticSpan, Severity};
 use crate::error::LineageError;
@@ -611,15 +613,9 @@ fn read_index(r: &mut Reader) -> Result<GraphIndex, SnapshotError> {
     let tbl_fwd = csrs.pop().expect("four CSRs were read");
     let rev = csrs.pop().expect("four CSRs were read");
     let fwd = csrs.pop().expect("four CSRs were read");
-    Ok(GraphIndex::from_raw(RawGraphIndex {
-        names,
-        relations,
-        columns,
-        fwd,
-        rev,
-        tbl_fwd,
-        tbl_rev,
-    }))
+    let raw = RawGraphIndex { names, relations, columns, fwd, rev, tbl_fwd, tbl_rev };
+    raw.validate().map_err(|e| SnapshotError::corrupt(format!("bad index: {e}")))?;
+    Ok(GraphIndex::from_raw(raw))
 }
 
 // --- enum tags ----------------------------------------------------------
@@ -837,6 +833,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::api::lineagex;
+    use crate::graph::RawGraphIndex;
 
     fn sample() -> GraphSnapshot {
         let result = lineagex(
@@ -915,6 +912,83 @@ mod tests {
             let err = read_snapshot(&corrupt).expect_err("corrupt file must not decode");
             assert_eq!(err.code, DiagnosticCode::SnapshotCorrupt, "flip at {pos}");
         }
+    }
+
+    /// Write `sample()` with its index arrays bent by `bend`: the file
+    /// carries a valid checksum, so only the index validation can refuse
+    /// it. Asserts the typed error and returns its message.
+    fn rejected_index(bend: impl FnOnce(&mut RawGraphIndex)) -> String {
+        let mut snapshot = sample();
+        let mut raw = snapshot.index.to_raw();
+        bend(&mut raw);
+        snapshot.index = GraphIndex::from_raw(raw);
+        let err = read_snapshot(&write_snapshot(&snapshot)).expect_err("bad index must not load");
+        assert_eq!(err.code, DiagnosticCode::SnapshotCorrupt);
+        assert!(matches!(LineageError::from(err.clone()), LineageError::Snapshot(_)));
+        err.message
+    }
+
+    #[test]
+    fn more_relations_than_names_are_rejected() {
+        let message = rejected_index(|raw| raw.names.truncate(raw.relations.len() - 1));
+        assert!(message.contains("relations but only"), "{message}");
+    }
+
+    #[test]
+    fn column_ids_out_of_range_are_rejected() {
+        let message = rejected_index(|raw| raw.columns[0].0 = raw.relations.len() as u32);
+        assert!(message.contains("column 0 names relation"), "{message}");
+        let message = rejected_index(|raw| raw.columns[1].1 = raw.names.len() as u32);
+        assert!(message.contains("column 1 names relation"), "{message}");
+    }
+
+    #[test]
+    fn bad_column_ranges_are_rejected() {
+        let message =
+            rejected_index(|raw| raw.relations[0].col_start = raw.relations[0].col_end + 1);
+        assert!(message.contains("column range"), "{message}");
+        let message = rejected_index(|raw| raw.relations[0].col_end = raw.columns.len() as u32 + 1);
+        assert!(message.contains("column range"), "{message}");
+    }
+
+    #[test]
+    fn declared_columns_out_of_range_are_rejected() {
+        let message =
+            rejected_index(|raw| raw.relations[0].declared.push(raw.columns.len() as u32));
+        assert!(message.contains("declares column"), "{message}");
+    }
+
+    #[test]
+    fn bad_adjacency_offsets_are_rejected() {
+        // Column and relation CSRs each need one offset per node plus one.
+        let message = rejected_index(|raw| {
+            raw.fwd.0.pop();
+        });
+        assert!(message.contains("column forward adjacency has"), "{message}");
+        let message = rejected_index(|raw| raw.tbl_rev.0.push(0));
+        assert!(message.contains("relation reverse adjacency has"), "{message}");
+        // Offsets start at 0, never decrease, and end at the edge count.
+        let message = rejected_index(|raw| raw.rev.0[0] = 1);
+        assert!(message.contains("column reverse adjacency offsets"), "{message}");
+        let message = rejected_index(|raw| {
+            let last = raw.tbl_fwd.0.len() - 1;
+            raw.tbl_fwd.0[last - 1] = raw.tbl_fwd.0[last] + 1;
+        });
+        assert!(message.contains("relation forward adjacency offsets"), "{message}");
+        let message = rejected_index(|raw| {
+            raw.fwd.1.pop();
+        });
+        assert!(message.contains("column forward adjacency offsets"), "{message}");
+    }
+
+    #[test]
+    fn edge_targets_out_of_range_are_rejected() {
+        // Every forward edge retargeted far past the last column: the
+        // shape that, unchecked, loads and then panics in the first query.
+        let message = rejected_index(|raw| raw.fwd.1.iter_mut().for_each(|e| e.0 = 999_999));
+        assert!(message.contains("column forward adjacency has an edge to node 999999"));
+        let message = rejected_index(|raw| raw.tbl_rev.1[0].0 = raw.relations.len() as u32);
+        assert!(message.contains("relation reverse adjacency has an edge"), "{message}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The long-lived session [`Engine`].
 
-use crate::cache::AstCache;
 use crate::deps::referenced_relations;
 use crate::schedule::{components, run_tasks, topo_levels};
 use crate::stats::{EngineStats, IngestAction, StmtId};
@@ -13,6 +12,7 @@ use lineagex_core::{
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
 use lineagex_sqlparse::ast::{SpannedStatement, Statement};
+use lineagex_sqlparse::parse_statements_recovering_with;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -32,10 +32,6 @@ struct EngineMetrics {
     publish_us: Histogram,
     /// Entries re-extracted per refresh (the closed dirty cone).
     dirty_cone_size: Histogram,
-    /// Cumulative AST-cache hits across all engines.
-    ast_cache_hits: Counter,
-    /// Cumulative AST-cache misses across all engines.
-    ast_cache_misses: Counter,
     /// Traversal-index cache invalidations (refreshes + retractions).
     index_invalidations: Counter,
     /// High-water mark of the published graph + index heap estimate.
@@ -60,8 +56,6 @@ impl Default for EngineMetrics {
             refresh_level_us: registry.histogram("engine.refresh_level_us"),
             publish_us: registry.histogram("engine.publish_us"),
             dirty_cone_size: registry.histogram("engine.dirty_cone_size"),
-            ast_cache_hits: registry.counter("engine.ast_cache.hits"),
-            ast_cache_misses: registry.counter("engine.ast_cache.misses"),
             index_invalidations: registry.counter("engine.index_invalidations"),
             peak_graph_bytes: registry.gauge("engine.peak_graph_bytes"),
             snapshot_load_us: registry.gauge("engine.snapshot_load_us"),
@@ -81,17 +75,11 @@ pub struct EngineOptions {
     pub jobs: usize,
     /// Per-query extraction options (ambiguity policy, tracing, ...).
     pub extract: ExtractOptions,
-    /// Maximum scripts held by the AST cache (0 disables it).
-    pub ast_cache_capacity: usize,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            jobs: 1,
-            extract: ExtractOptions::default(),
-            ast_cache_capacity: crate::cache::DEFAULT_CAPACITY,
-        }
+        EngineOptions { jobs: 1, extract: ExtractOptions::default() }
     }
 }
 
@@ -182,10 +170,10 @@ pub struct EngineSnapshot {
 /// *stream* of statements over time and maintains the lineage graph
 /// continuously:
 ///
-/// * [`Engine::ingest`] parses (through a content-hash AST cache),
-///   classifies, and registers statements, maintaining the catalog and a
-///   view dependency DAG with dirty tracking: redefining or dropping one
-///   view marks only its downstream cone for re-extraction;
+/// * [`Engine::ingest`] parses, classifies, and registers statements,
+///   maintaining the catalog and a view dependency DAG with dirty
+///   tracking: redefining or dropping one view marks only its downstream
+///   cone for re-extraction;
 /// * [`Engine::refresh`] settles the dirty set, topologically levelling
 ///   it and extracting independent views concurrently on up to
 ///   `jobs` scoped worker threads;
@@ -248,7 +236,6 @@ pub struct Engine {
     /// Ids (re-)extracted or stubbed by the most recent refresh, in
     /// completion order — what a UI should report as fresh.
     last_refresh_ids: Vec<String>,
-    cache: AstCache,
     /// Build-once cache for the interned traversal index over the
     /// settled graph, invalidated alongside the dirty-cone state: any
     /// refresh that extracts (or a `DROP` that retracts) drops it, so
@@ -259,10 +246,10 @@ pub struct Engine {
     /// mutation; keys the index cache so a cache hit is one integer
     /// compare instead of a graph walk.
     graph_revision: u64,
-    /// The most recently published graph snapshot, keyed by revision so
-    /// repeat [`Engine::publish`] calls with no intervening mutation
-    /// reuse one `Arc` instead of re-cloning the graph.
-    published: Option<(u64, Arc<LineageGraph>)>,
+    /// The revision whose `engine.peak_graph_bytes` probe already ran,
+    /// so repeat [`Engine::publish`] calls on one revision skip it.
+    /// Revision 0 is a fresh engine's empty graph, which needs no probe.
+    probed_revision: u64,
     stats: EngineStats,
     /// Shared handles into the process-wide metrics registry; recording
     /// never touches engine state, so instrumentation is invisible to
@@ -292,12 +279,11 @@ impl Engine {
 
     /// A fresh engine with the given options. The extraction options'
     /// [`DialectKind`](lineagex_sqlparse::DialectKind) is pinned here for
-    /// the session's lifetime: the AST cache, the stats surface, and the
+    /// the session's lifetime: the parser, the stats surface, and the
     /// `engine.dialect` gauge all reflect it from the first statement.
     pub fn with_options(options: EngineOptions) -> Self {
         let dialect = options.extract.dialect;
-        let cache = AstCache::with_capacity_dialect(options.ast_cache_capacity, dialect);
-        let mut engine = Engine { options, cache, ..Engine::default() };
+        let mut engine = Engine { options, ..Engine::default() };
         engine.stats.dialect = dialect.name().to_string();
         engine.metrics.dialect.set(dialect.id() as i64);
         engine
@@ -322,12 +308,13 @@ impl Engine {
         }
     }
 
-    /// Ingest a `;`-separated script: parse (served from the AST cache on
-    /// re-ingest of identical text), classify each statement, update the
-    /// catalog and dependency DAG, and mark whatever the statements
-    /// invalidated as dirty. Extraction itself is deferred to the next
-    /// [`Engine::refresh`] (or lineage query), so a burst of ingests pays
-    /// for its re-extractions once.
+    /// Ingest a `;`-separated script: parse it under the session's
+    /// dialect, classify each statement, update the catalog and
+    /// dependency DAG, and mark whatever the statements invalidated as
+    /// dirty. Re-ingesting an unchanged definition is a no-op
+    /// ([`IngestAction::Unchanged`]). Extraction itself is deferred to
+    /// the next [`Engine::refresh`] (or lineage query), so a burst of
+    /// ingests pays for its re-extractions once.
     ///
     /// Returns one receipt per statement saying what the engine did.
     /// In lenient mode ([`ExtractOptions::lenient`]) unparsable regions
@@ -336,28 +323,24 @@ impl Engine {
     /// and every healthy statement is still ingested.
     pub fn ingest(&mut self, sql: &str) -> Result<Vec<StmtId>, LineageError> {
         let _timer = self.metrics.ingest_us.time();
-        let (hits_before, misses_before) = (self.cache.hits, self.cache.misses);
-        let script = self.cache.parse_recovering(sql);
-        self.metrics.ast_cache_hits.add(self.cache.hits - hits_before);
-        self.metrics.ast_cache_misses.add(self.cache.misses - misses_before);
-        self.stats.parse_cache_hits = self.cache.hits;
-        self.stats.parse_cache_misses = self.cache.misses;
+        let sql = sql.trim();
+        let script = parse_statements_recovering_with(sql, self.options.extract.dialect);
         if !self.options.extract.lenient {
             if let Some(error) = script.errors.first() {
                 return Err(LineageError::Parse(error.to_string()));
             }
         }
-        Ok(self.apply_script(script, sql.trim()))
+        Ok(self.apply_script(script, sql))
     }
 
     /// Ingest statements that were parsed elsewhere, skipping the
-    /// engine's own parser and AST cache. `source` is the text the
-    /// statements' spans index into, used to attach excerpts to
-    /// diagnostics — so spans (and therefore receipts) stay relative to
-    /// the caller's original script rather than to per-statement
-    /// re-renders. This is how the CLI's `extract --jobs N` shim keeps
-    /// file-accurate diagnostics while feeding a one-shot log through
-    /// the session engine.
+    /// engine's own parser. `source` is the text the statements' spans
+    /// index into, used to attach excerpts to diagnostics — so spans (and
+    /// therefore receipts) stay relative to the caller's original script
+    /// rather than to per-statement re-renders. This is how the CLI's
+    /// `extract --jobs N` shim keeps control over each statement and
+    /// file-accurate diagnostics while feeding a one-shot log through the
+    /// session engine.
     pub fn ingest_parsed(
         &mut self,
         statements: Vec<SpannedStatement>,
@@ -498,12 +481,12 @@ impl Engine {
             }
             PreprocessedStatement::Drop(names, span) => {
                 let mut touched = catalog_changes.len() as u64;
+                let mut dropped = BTreeSet::new();
                 for name in &names {
                     if let Some(old) = self.entries.remove(name) {
                         touched += 1;
                         self.unlink_entry(name, &old);
-                        self.retract_lineage(name);
-                        // The retraction mutated the settled graph
+                        // The retraction below mutates the settled graph
                         // directly (no refresh will run unless something
                         // is dirty), so the traversal index is stale now.
                         self.graph_revision += 1;
@@ -514,7 +497,11 @@ impl Engine {
                         self.inferred_by_query.remove(name);
                         self.dirty_entries.remove(name);
                         self.dirty_relations.insert(normalize(name));
+                        dropped.insert(name.clone());
                     }
+                }
+                if !dropped.is_empty() {
+                    self.retract_lineage(&dropped);
                 }
                 self.stats.drops += touched;
                 let target = names.join(", ");
@@ -611,7 +598,7 @@ impl Engine {
                             return Err(LineageError::DependencyCycle(cycle));
                         }
                         let id = cycle[cycle.len() - 2].clone();
-                        self.retract_lineage(&id);
+                        self.retract_lineage(&BTreeSet::from([id.clone()]));
                         self.traces.remove(&id);
                         self.inferred_by_query.remove(&id);
                         let stub = cycle_stub(self.entries[&id].parsed(), &cycle);
@@ -632,11 +619,12 @@ impl Engine {
         self.metrics.dirty_cone_size.record(dirty.len() as u64);
 
         // 4. Retract everything about to be re-extracted so stale lineage
-        //    can never leak into a dependent's extraction. Inferred-schema
+        //    can never leak into a dependent's extraction (one pass over
+        //    the processing order for the whole cone). Inferred-schema
         //    keys the retractions touched feed the node resettle below.
+        self.retract_lineage(&dirty);
         let mut inferred_touched: BTreeSet<String> = BTreeSet::new();
         for id in &dirty {
-            self.retract_lineage(id);
             self.traces.remove(id);
             if let Some(delta) = self.inferred_by_query.remove(id) {
                 inferred_touched.extend(delta.into_keys());
@@ -895,26 +883,19 @@ impl Engine {
         let _timer = self.metrics.publish_us.time();
         self.refresh()?;
         let index = self.index_cache.get_or_build_at(self.graph_revision, &self.graph);
-        let graph = match &self.published {
-            Some((revision, graph)) if *revision == self.graph_revision => Arc::clone(graph),
-            _ => {
-                // Copy-on-write: the engine's next graph mutation pays
-                // the clone (`Arc::make_mut`), not this publish.
-                let graph = Arc::clone(&self.graph);
-                self.published = Some((self.graph_revision, Arc::clone(&graph)));
-                // A fresh revision is the natural high-water-mark probe:
-                // the estimate covers exactly what a server now retains
-                // (settled graph + interned index).
-                let bytes = (graph.approx_bytes() + index.approx_bytes()) as i64;
-                if bytes > self.metrics.peak_graph_bytes.get() {
-                    self.metrics.peak_graph_bytes.set(bytes);
-                }
-                graph
-            }
-        };
+        if self.probed_revision != self.graph_revision {
+            // A fresh revision is the natural high-water-mark probe: the
+            // estimate covers exactly what a server now retains (settled
+            // graph + interned index).
+            self.probed_revision = self.graph_revision;
+            self.record_peak_bytes(&index);
+        }
         Ok(EngineSnapshot {
             revision: self.graph_revision,
-            graph,
+            // Copy-on-write: every graph mutation also bumps the
+            // revision, and the next one pays the clone (`Arc::make_mut`),
+            // not this publish.
+            graph: Arc::clone(&self.graph),
             index,
             diagnostics: Arc::new(self.session_diagnostics.clone()),
             stats: self.stats.clone(),
@@ -1016,9 +997,6 @@ impl Engine {
         let mut engine = Engine::with_options(options);
         engine.catalog = snapshot.catalog;
         engine.graph = Arc::new(snapshot.graph);
-        // Prime the publish slot: a server's first publish after loading
-        // is then an `Arc` bump, not a 10k-query graph clone.
-        engine.published = Some((snapshot.revision, Arc::clone(&engine.graph)));
         engine.session_diagnostics = snapshot.diagnostics;
         engine.inferred_by_query = snapshot.inferred;
         // Bulk-build the dictionary and its reverse-dependency index:
@@ -1047,11 +1025,9 @@ impl Engine {
         }
         engine.rdeps = rdeps;
         engine.graph_revision = snapshot.revision;
+        engine.probed_revision = snapshot.revision;
         let index = Arc::new(snapshot.index);
-        let bytes = (engine.graph.approx_bytes() + index.approx_bytes()) as i64;
-        if bytes > engine.metrics.peak_graph_bytes.get() {
-            engine.metrics.peak_graph_bytes.set(bytes);
-        }
+        engine.record_peak_bytes(&index);
         engine.index_cache.prime_at(snapshot.revision, index);
         for (name, value) in snapshot.counters {
             engine.restore_counter(&name, value);
@@ -1061,6 +1037,15 @@ impl Engine {
         engine.settle_diagnostic_count();
         engine.metrics.snapshot_load_us.set(start.elapsed().as_micros() as i64);
         Ok(engine)
+    }
+
+    /// Raise `engine.peak_graph_bytes` to the settled graph plus `index`,
+    /// if that is a new high-water mark.
+    fn record_peak_bytes(&self, index: &GraphIndex) {
+        let bytes = (self.graph.approx_bytes() + index.approx_bytes()) as i64;
+        if bytes > self.metrics.peak_graph_bytes.get() {
+            self.metrics.peak_graph_bytes.set(bytes);
+        }
     }
 
     /// The session counters as stable-named pairs for the snapshot codec.
@@ -1076,16 +1061,15 @@ impl Engine {
             ("stats.extractions".into(), self.stats.extractions),
             ("stats.last_refresh_extractions".into(), self.stats.last_refresh_extractions),
             ("stats.refreshes".into(), self.stats.refreshes),
-            ("stats.parse_cache_hits".into(), self.stats.parse_cache_hits),
-            ("stats.parse_cache_misses".into(), self.stats.parse_cache_misses),
             ("engine.anon_counter".into(), self.anon_counter as u64),
             ("engine.seq".into(), self.seq),
         ]
     }
 
-    /// Restore one snapshot counter by name; unknown names are ignored so
+    /// Restore one snapshot counter by name. Unknown names are ignored, so
     /// old engines load snapshots from newer writers of the same format
-    /// version.
+    /// version, and snapshots carrying counters this engine retired still
+    /// load.
     fn restore_counter(&mut self, name: &str, value: u64) {
         match name {
             "stats.statements" => self.stats.statements = value,
@@ -1098,8 +1082,6 @@ impl Engine {
             "stats.extractions" => self.stats.extractions = value,
             "stats.last_refresh_extractions" => self.stats.last_refresh_extractions = value,
             "stats.refreshes" => self.stats.refreshes = value,
-            "stats.parse_cache_hits" => self.stats.parse_cache_hits = value,
-            "stats.parse_cache_misses" => self.stats.parse_cache_misses = value,
             "engine.anon_counter" => self.anon_counter = value as usize,
             "engine.seq" => self.seq = value,
             _ => {}
@@ -1221,10 +1203,10 @@ impl Engine {
         Arc::make_mut(&mut self.graph).merge_query(lineage);
     }
 
-    /// Retract per-query lineage from the settled graph, keeping the
-    /// running diagnostic total current.
-    fn retract_lineage(&mut self, id: &str) {
-        if let Some(old) = Arc::make_mut(&mut self.graph).retract_query(id) {
+    /// Retract the lineage of every query in `ids` from the settled
+    /// graph, keeping the running diagnostic total current.
+    fn retract_lineage(&mut self, ids: &BTreeSet<String>) {
+        for old in Arc::make_mut(&mut self.graph).retract_queries(ids) {
             self.graph_diag_count -= old.diagnostics.len() as u64;
         }
     }

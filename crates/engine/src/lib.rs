@@ -9,10 +9,11 @@
 //! questions continuously. This crate adds exactly that:
 //!
 //! * [`Engine::ingest`] — streaming preprocessing: statements parse
-//!   through a content-hash [`cache::AstCache`], update the catalog
+//!   under the session's pinned dialect, update the catalog
 //!   incrementally, and maintain a **view dependency DAG** (edges from
 //!   [`deps::referenced_relations`]) with dirty tracking, so redefining
-//!   or dropping one view invalidates only its downstream cone;
+//!   or dropping one view invalidates only its downstream cone, and an
+//!   unchanged re-ingest is a no-op;
 //! * [`Engine::refresh`] — the **parallel extraction scheduler**:
 //!   [`schedule::components`] splits the dirty cone into independent
 //!   components, [`schedule::topo_levels`] levels each one, and
@@ -34,13 +35,11 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod cache;
 pub mod deps;
 mod engine;
 pub mod schedule;
 mod stats;
 
-pub use cache::AstCache;
 pub use deps::referenced_relations;
 pub use engine::{Engine, EngineOptions, EngineSnapshot};
 pub use stats::{EngineStats, IngestAction, StmtId};
@@ -119,8 +118,6 @@ mod tests {
         let receipts = engine.ingest(view).unwrap();
         assert_eq!(receipts[0].action, IngestAction::Unchanged);
         assert_eq!(engine.refresh().unwrap(), 0);
-        // And the identical text was served from the AST cache.
-        assert_eq!(engine.stats().parse_cache_hits, 1);
     }
 
     #[test]
@@ -430,6 +427,24 @@ mod tests {
         assert!(!std::sync::Arc::ptr_eq(&before, &after), "drop must rebuild the index");
         assert!(before.lookup_relation("info").is_some());
         assert!(after.lookup_relation("info").is_none());
+    }
+
+    #[test]
+    fn publish_shares_the_settled_graph_until_a_mutation() {
+        let mut engine = Engine::new();
+        engine.ingest(PIPELINE).unwrap();
+        let first = engine.publish().unwrap();
+        let again = engine.publish().unwrap();
+        assert!(std::sync::Arc::ptr_eq(&first.graph, &again.graph), "no mutation, same graph");
+        assert!(std::sync::Arc::ptr_eq(&first.index, &again.index));
+        assert_eq!(first.revision, again.revision);
+        engine.ingest("CREATE VIEW info AS SELECT wcid FROM webinfo").unwrap();
+        let redefined = engine.publish().unwrap();
+        assert!(!std::sync::Arc::ptr_eq(&first.graph, &redefined.graph));
+        assert!(redefined.revision > first.revision);
+        // The earlier snapshot still shows its own revision's lineage.
+        assert_eq!(first.graph.queries["info"].output_names(), vec!["wpage"]);
+        assert_eq!(redefined.graph.queries["info"].output_names(), vec!["wcid"]);
     }
 
     #[test]

@@ -93,10 +93,6 @@ pub struct EngineStats {
     pub last_refresh_extractions: u64,
     /// Refreshes that did any work.
     pub refreshes: u64,
-    /// Parser invocations skipped thanks to the AST cache.
-    pub parse_cache_hits: u64,
-    /// Parser invocations that missed the AST cache.
-    pub parse_cache_misses: u64,
 }
 
 impl Default for EngineStats {
@@ -113,8 +109,6 @@ impl Default for EngineStats {
             extractions: 0,
             last_refresh_extractions: 0,
             refreshes: 0,
-            parse_cache_hits: 0,
-            parse_cache_misses: 0,
         }
     }
 }

@@ -469,7 +469,7 @@ mod tests {
         let run = || {
             let r = Registry::new();
             r.counter("serve.requests").add(3);
-            r.counter("engine.ast_cache.hits").inc();
+            r.counter("engine.index_invalidations").inc();
             r.gauge("serve.connections_live").set(2);
             let h = r.histogram("engine.ingest_us");
             for v in [40, 7, 7, 2500, 0] {
@@ -482,7 +482,9 @@ mod tests {
         assert_eq!(a, b, "snapshot rendering must be byte-deterministic");
         // The shape is pinned: sorted keys, integer values, struct field
         // order inside summaries.
-        assert!(a.starts_with("{\"counters\":{\"engine.ast_cache.hits\":1,\"serve.requests\":3}"));
+        assert!(
+            a.starts_with("{\"counters\":{\"engine.index_invalidations\":1,\"serve.requests\":3}")
+        );
         assert!(a.contains("\"histograms\":{\"engine.ingest_us\":{\"count\":5,"));
         assert!(a.contains("\"slow_ops\":[{\"op\":\"ingest\",\"duration_us\":2500,"));
     }

@@ -33,8 +33,10 @@ use serde_json::Value;
 /// registry); `3` — the `stats` reply's `engine` block leads with the
 /// session's pinned SQL `dialect` (and the engine's metrics registry
 /// grew `engine.dialect` / `sqlparse.dialect_fallbacks`, visible through
-/// the `metrics` op).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// the `metrics` op); `4` — the engine stopped caching parsed scripts,
+/// so the `stats` reply's `engine` block drops its two cache hit/miss
+/// fields and the `metrics` op its two matching counters.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// A typed service error: a [`DiagnosticCode`] plus a human message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -433,8 +435,6 @@ impl Serialize for StatsBody {
         s.field("extractions", &e.extractions);
         s.field("last_refresh_extractions", &e.last_refresh_extractions);
         s.field("refreshes", &e.refreshes);
-        s.field("parse_cache_hits", &e.parse_cache_hits);
-        s.field("parse_cache_misses", &e.parse_cache_misses);
         s.end_map();
         s.field("entries", &self.entries);
         s.key("server");
@@ -606,13 +606,17 @@ mod tests {
         let response = Response::ok(Some(2), 5, Payload::Pong);
         assert_eq!(
             response.to_line(),
-            r#"{"schema_version":3,"id":2,"ok":true,"revision":5,"result":{"pong":true}}"#
+            format!(
+                r#"{{"schema_version":{PROTOCOL_VERSION},"id":2,"ok":true,"revision":5,"result":{{"pong":true}}}}"#
+            )
         );
         let response =
             Response::error(None, 0, WireError::new(DiagnosticCode::InvalidRequest, "nope"));
         assert_eq!(
             response.to_line(),
-            r#"{"schema_version":3,"id":null,"ok":false,"revision":0,"error":{"code":"invalid-request","message":"nope"}}"#
+            format!(
+                r#"{{"schema_version":{PROTOCOL_VERSION},"id":null,"ok":false,"revision":0,"error":{{"code":"invalid-request","message":"nope"}}}}"#
+            )
         );
     }
 }

@@ -47,8 +47,7 @@ pub const DEFAULT_SLOW_MS: u64 = 100;
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Engine options (worker threads per refresh, extraction options,
-    /// AST cache size).
+    /// Engine options (worker threads per refresh, extraction options).
     pub engine: EngineOptions,
     /// Base-table schemas to preload.
     pub catalog: Option<Catalog>,

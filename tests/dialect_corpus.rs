@@ -119,7 +119,6 @@ fn parallel_extraction_is_byte_identical_under_a_dialect() {
         let mut engine = Engine::with_options(EngineOptions {
             jobs,
             extract: ExtractOptions::new().with_lenient().with_dialect(DialectKind::Snowflake),
-            ..EngineOptions::default()
         });
         engine.ingest(&sql).unwrap();
         engine.refresh().unwrap();

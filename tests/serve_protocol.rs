@@ -20,7 +20,7 @@
 
 use lineagex::datasets::example1;
 use lineagex::prelude::*;
-use lineagex::serve::proto::{QueryParams, Request};
+use lineagex::serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
 use lineagex::serve::{Client, ServeOptions, Server};
 
 const GOLDEN: &str = "tests/golden/serve_proto.txt";
@@ -195,8 +195,14 @@ fn wire_transcript_is_independent_of_jobs() {
 #[test]
 fn golden_transcript_sanity() {
     // Spot-check the golden content so a bad regeneration cannot lock in
-    // wrong protocol behaviour.
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden file exists");
+    // wrong protocol behaviour. Under UPDATE_GOLDEN=1 the file is being
+    // rewritten by `wire_transcript_is_golden` on another thread, so check
+    // the rendering it writes instead of a half-replaced file.
+    let golden = if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        transcript(1)
+    } else {
+        std::fs::read_to_string(GOLDEN).expect("golden file exists")
+    };
     let replies: Vec<&str> = golden.lines().filter_map(|l| l.strip_prefix("<< ")).collect();
     assert_eq!(replies.len(), script().len());
     // Framing failures reply with id null; body failures echo the id.
@@ -206,7 +212,8 @@ fn golden_transcript_sanity() {
     assert!(golden.contains("\"code\":\"parse-error\""));
     // Every reply carries the envelope, in pinned field order.
     for reply in &replies {
-        assert!(reply.starts_with("{\"schema_version\":3,\"id\":"), "bad envelope: {reply}");
+        let envelope = format!("{{\"schema_version\":{PROTOCOL_VERSION},\"id\":");
+        assert!(reply.starts_with(&envelope), "bad envelope: {reply}");
         assert!(reply.contains("\"revision\":"), "unstamped reply: {reply}");
     }
     // The stats reply leads its engine block with the session's dialect.

@@ -15,7 +15,9 @@
 //!    byte-identical reports;
 //! 4. **corruption is typed** — truncation, bit flips, foreign magic,
 //!    and future versions all surface as `LineageError::Snapshot`,
-//!    never a panic or a half-loaded engine.
+//!    never a panic or a half-loaded engine;
+//! 5. **retired counters still load** — a file written by an engine that
+//!    kept counters this one no longer has loads and answers unchanged.
 
 use lineagex::datasets::{generate_scaled, generator, GeneratorConfig, ScaleConfig};
 use lineagex::engine::{Engine, EngineOptions};
@@ -189,4 +191,33 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     expect_snapshot_error(&version, "future version");
 
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn snapshots_carrying_retired_counters_still_load() {
+    // Engines that cached parsed scripts wrote two more counters into
+    // every `.lxsn`; such files must keep loading under the same format
+    // version, with the unknown names ignored.
+    let path = temp_path("retired_counters");
+    let mut writer = settled_engine(1);
+    writer.save_snapshot(&path).unwrap();
+    let mut snapshot = lineagex::core::read_snapshot_file(&path).unwrap();
+    snapshot.counters.push(("stats.parse_cache_hits".into(), 3));
+    snapshot.counters.push(("stats.parse_cache_misses".into(), 125));
+    lineagex::core::write_snapshot_file(&path, &snapshot).unwrap();
+    let mut loaded = Engine::load_snapshot(&path, EngineOptions::default()).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    let (loaded_index, writer_index) =
+        (loaded.graph_index().unwrap(), writer.graph_index().unwrap());
+    let mut answered = 0;
+    for (table, column) in all_columns(&mut writer) {
+        let spec = QuerySpec::new().from_column(table.as_str(), column.as_str()).downstream();
+        let want = QueryReport::from_answer(&spec.run_with(&writer_index)).to_json();
+        assert_eq!(QueryReport::from_answer(&spec.run_with(&loaded_index)).to_json(), want);
+        answered += usize::from(want.contains("\"column\":"));
+    }
+    assert!(answered > 0, "the sweep must include non-empty answers");
+    assert_eq!(loaded.report_v2().unwrap().to_json(), writer.report_v2().unwrap().to_json());
+    assert_eq!(loaded.stats(), writer.stats());
 }
