@@ -25,6 +25,7 @@ use lineagex_sqlparse::ast::{
 };
 use lineagex_sqlparse::parse_sql;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The SQLLineage-like baseline extractor.
 #[derive(Debug, Clone, Default)]
@@ -91,14 +92,14 @@ impl SqlLineageLike {
             };
             graph.nodes.insert(
                 id.clone(),
-                Node {
+                Arc::new(Node {
                     name: id.clone(),
                     kind: NodeKind::View,
                     columns: lineage.outputs.iter().map(|o| o.name.clone()).collect(),
-                },
+                }),
             );
             graph.order.push(id.clone());
-            graph.queries.insert(id, lineage);
+            graph.queries.insert(id, Arc::new(lineage));
         }
         Ok(graph)
     }

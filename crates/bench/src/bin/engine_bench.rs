@@ -5,8 +5,8 @@
 //! Writes `BENCH_engine.json` into the working directory so the numbers
 //! land in the repo's perf trajectory. `scripts/check_bench.sh` re-runs
 //! this binary (with `BENCH_QUICK=1` for fewer repetitions) to gate the
-//! lenient overhead, the incremental speedup, and the one-shot scaling
-//! ratio in CI.
+//! lenient overhead, the incremental speedup, the one-shot scaling
+//! ratio, and the server-shaped write cost in CI.
 
 use lineagex_bench::{section, table2};
 use lineagex_core::{DialectKind, LineageX, ReportV2};
@@ -19,6 +19,16 @@ use std::time::{Duration, Instant};
 const VIEWS: usize = 200;
 const SCALE_VIEWS: usize = 10_000;
 const SCALE_JOBS: usize = 4;
+
+/// Back-to-back runs timed as one sample by the lenient and dialect
+/// overhead estimators: one 200-view run takes a few milliseconds, so a
+/// single-run sample is at the mercy of one scheduler hiccup.
+const RUNS_PER_SAMPLE: usize = 8;
+
+/// The fewest sample pairs those estimators take, quick mode included:
+/// each side's best sample must be a clean one for the difference of
+/// the bests to read the true overhead.
+const OVERHEAD_PAIRS: usize = 40;
 
 /// Repetition counts: best-of-5 batch runs, 30 incremental re-ingests,
 /// and best-of-3 scale-tier runs normally; 2, 10, and 1 under
@@ -79,6 +89,8 @@ struct ScaleReport {
     one_shot_ms_10k: f64,
     one_shot_ms_20k: f64,
     one_shot_scaling_20k: f64,
+    write_ms_10k: f64,
+    write_over_refresh_10k: f64,
 }
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -91,24 +103,32 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
     best
 }
 
-fn time_once<R>(f: &mut impl FnMut() -> R) -> Duration {
+/// Time `runs` back-to-back calls of `f` as one sample; returns the
+/// time per call.
+fn time_batch<R>(runs: usize, f: &mut impl FnMut() -> R) -> Duration {
     let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed()
+    for _ in 0..runs {
+        std::hint::black_box(f());
+    }
+    start.elapsed() / runs as u32
 }
 
-/// Measure two workloads as interleaved back-to-back pairs, alternating
-/// the in-pair order every repetition so neither side systematically
-/// inherits a warm cache or a thermal penalty. Returns the best time of
-/// each side plus the difference of the bests (b − a, seconds) as the
-/// estimator of b's true overhead over a: scheduler and allocator noise
-/// on a shared host is strictly additive, so each side's minimum is its
-/// cleanest observation, and interleaving keeps slow machine-wide drift
-/// from favouring whichever side ran later (the old two-block scheme
-/// showed that drift as a spurious negative overhead; a small-sample
-/// median of in-pair differences proved noisier still).
+/// Measure two workloads as interleaved back-to-back pairs of samples,
+/// each sample a batch of `runs` back-to-back calls, alternating the
+/// in-pair order every repetition so neither side systematically
+/// inherits a warm cache or a thermal penalty. Returns the best
+/// per-call time of each side plus the difference of the bests (b − a,
+/// seconds) as the estimator of b's true overhead over a: scheduler and
+/// allocator noise on a shared host is strictly additive, so each
+/// side's minimum is its cleanest observation, and interleaving keeps
+/// slow machine-wide drift from favouring whichever side ran later (the
+/// old two-block scheme showed that drift as a spurious negative
+/// overhead; a small-sample median of in-pair differences proved
+/// noisier still). Batching keeps one preempted millisecond from
+/// deciding a sample.
 fn paired<A, B>(
     pairs: usize,
+    runs: usize,
     mut a: impl FnMut() -> A,
     mut b: impl FnMut() -> B,
 ) -> (Duration, Duration, f64) {
@@ -116,12 +136,12 @@ fn paired<A, B>(
     let mut best_b = Duration::MAX;
     for i in 0..pairs {
         let (ta, tb) = if i % 2 == 0 {
-            let ta = time_once(&mut a);
-            let tb = time_once(&mut b);
+            let ta = time_batch(runs, &mut a);
+            let tb = time_batch(runs, &mut b);
             (ta, tb)
         } else {
-            let tb = time_once(&mut b);
-            let ta = time_once(&mut a);
+            let tb = time_batch(runs, &mut b);
+            let ta = time_batch(runs, &mut a);
             (ta, tb)
         };
         best_a = best_a.min(ta);
@@ -165,14 +185,16 @@ fn main() {
     // 1. One-shot batch: the paper's pipeline over the whole log — and
     // the same run in lenient mode, which must stay within 5% on a clean
     // log (resilience may not tax the happy path). Strict and lenient
-    // run as interleaved pairs and the overhead is the median in-pair
-    // difference, clamped at 0: lenient cannot meaningfully be *faster*
-    // than strict, so a negative median is measurement noise. The pair
-    // count is floored at 16 even in quick mode — a single run is a few
-    // milliseconds, and a small-sample median is noisy enough on a busy
-    // single-core host to trip the 5% assertion below spuriously.
+    // run as interleaved pairs of batched samples and the overhead is
+    // the difference of the best samples, clamped at 0: lenient cannot
+    // meaningfully be *faster* than strict, so a negative difference is
+    // measurement noise. The pair count is floored at OVERHEAD_PAIRS
+    // even in quick mode, and each sample batches RUNS_PER_SAMPLE runs:
+    // a single run is a few milliseconds, noisy enough on a busy host to
+    // trip the 5% assertion below spuriously.
     let (one_shot, one_shot_lenient, lenient_diff) = paired(
-        (2 * batch_reps).max(16),
+        (8 * batch_reps).max(OVERHEAD_PAIRS),
+        RUNS_PER_SAMPLE,
         || LineageX::new().run(&sql).unwrap(),
         || LineageX::new().lenient().run(&sql).unwrap(),
     );
@@ -185,7 +207,8 @@ fn main() {
     // front end (extra comment style + QUALIFY), so it bounds the rest.
     // Same paired estimator as lenient, gated < 3%.
     let (dialect_base, _dialect_run, dialect_diff) = paired(
-        (2 * batch_reps).max(16),
+        (8 * batch_reps).max(OVERHEAD_PAIRS),
+        RUNS_PER_SAMPLE,
         || LineageX::new().run(&sql).unwrap(),
         || LineageX::new().dialect(std::hint::black_box(DialectKind::Snowflake)).run(&sql).unwrap(),
     );
@@ -379,6 +402,13 @@ fn main() {
                     report.scale.one_shot_scaling_20k
                 ),
             ),
+            (
+                "server-shaped write (ingest + publish + free)".into(),
+                format!(
+                    "{:.2} ms ({:.2}x the dirty-cone refresh)",
+                    report.scale.write_ms_10k, report.scale.write_over_refresh_10k
+                ),
+            ),
         ],
     );
 
@@ -404,7 +434,7 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         ReportV2::from_graph(&result.graph, &result.diagnostics)
     };
     let (one_shot_10k, one_shot_20k, _) =
-        paired(reps.max(2), || one_shot(&sql), || one_shot(&sql_20k));
+        paired(reps.max(2), 1, || one_shot(&sql), || one_shot(&sql_20k));
     drop(sql_20k);
 
     // Full re-extraction of the settled catalog: the baseline a
@@ -428,6 +458,29 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         assert_eq!(extracted, cone, "churn must dirty exactly the deep cone");
     }
     let refresh = churn_start.elapsed() / churn_reps as u32;
+
+    // Server-shaped writes: ingest, then publish while the previous
+    // snapshot is still held (as a server's readers hold it), then free
+    // the previous snapshot. Every other step redefines the deep view
+    // with a fresh extra output column, so the index gains a column near
+    // the front of its id order (and the next step retracts it): the
+    // id-remap path is timed, not only same-shape redefinitions.
+    let mut published = engine.publish().unwrap();
+    let write_start = Instant::now();
+    for i in 0..churn_reps {
+        let statement = workload.churn_statement(i);
+        let statement = if i % 2 == 1 { widened(&statement, i) } else { statement };
+        engine.ingest(&statement).unwrap();
+        let next = engine.publish().unwrap();
+        assert_eq!(
+            engine.stats().last_refresh_extractions,
+            cone as u64,
+            "each write must dirty exactly the deep cone"
+        );
+        drop(std::mem::replace(&mut published, next));
+    }
+    let write = write_start.elapsed() / churn_reps as u32;
+    drop(published);
 
     // Snapshot persistence: save the settled session, then cold-start
     // from the file vs re-ingesting + re-extracting the SQL. Publishing
@@ -466,5 +519,15 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         one_shot_ms_10k: ms(one_shot_10k),
         one_shot_ms_20k: ms(one_shot_20k),
         one_shot_scaling_20k: one_shot_20k.as_secs_f64() / one_shot_10k.as_secs_f64(),
+        write_ms_10k: ms(write),
+        write_over_refresh_10k: write.as_secs_f64() / refresh.as_secs_f64(),
     }
+}
+
+/// A churn statement with one more output column, named for step `i`:
+/// `SELECT v0, v1, v2 FROM ..` becomes `SELECT v0, v1, v2, v0 AS
+/// fresh_<i> FROM ..`. Downstream views select their columns by name,
+/// so the dirty cone is unchanged.
+fn widened(statement: &str, i: usize) -> String {
+    statement.replacen(" FROM ", &format!(", v0 AS fresh_{i} FROM "), 1)
 }

@@ -18,12 +18,13 @@ use crate::preprocess::{QueryDict, QueryEntry};
 use lineagex_catalog::{DbError, PlanNode, SimulatedDatabase, SourceColumn};
 use lineagex_sqlparse::ast::{Ident, Statement};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Extract lineage through a simulated database connection.
 pub struct ExplainPathExtractor {
     db: SimulatedDatabase,
     qd: QueryDict,
-    processed: BTreeMap<String, QueryLineage>,
+    processed: BTreeMap<String, Arc<QueryLineage>>,
     order: Vec<String>,
     deferrals: Vec<(String, String)>,
 }
@@ -60,11 +61,11 @@ impl ExplainPathExtractor {
             let kind = if schema.is_view() { NodeKind::View } else { NodeKind::BaseTable };
             graph.nodes.insert(
                 schema.name.clone(),
-                Node {
+                Arc::new(Node {
                     name: schema.name.clone(),
                     kind,
                     columns: schema.column_names().map(String::from).collect(),
-                },
+                }),
             );
         }
         for (id, lineage) in &self.processed {
@@ -75,11 +76,11 @@ impl ExplainPathExtractor {
             };
             graph.nodes.insert(
                 id.clone(),
-                Node {
+                Arc::new(Node {
                     name: id.clone(),
                     kind,
                     columns: lineage.outputs.iter().map(|o| o.name.clone()).collect(),
-                },
+                }),
             );
         }
         graph.queries = self.processed;
@@ -110,7 +111,7 @@ impl ExplainPathExtractor {
                     // Create the view so downstream EXPLAINs can see it —
                     // the paper's create-first step.
                     self.create_if_needed(&entry)?;
-                    self.processed.insert(id.clone(), lineage);
+                    self.processed.insert(id.clone(), Arc::new(lineage));
                     self.order.push(id.clone());
                     stack.pop();
                 }

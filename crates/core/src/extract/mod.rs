@@ -30,6 +30,7 @@ use crate::trace::{Rule, TraceLog};
 use lineagex_catalog::Catalog;
 use lineagex_sqlparse::ast::{Expr, Ident, Literal, Query, SetExpr};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 pub(crate) use scope::{Relation, Scope};
 
@@ -47,7 +48,7 @@ pub(crate) struct Extractor<'e> {
     /// All Query-Dictionary identifiers (to detect missing dependencies).
     pub qd_ids: &'e BTreeSet<String>,
     /// Lineage of already-processed QD entries.
-    pub processed: &'e BTreeMap<String, QueryLineage>,
+    pub processed: &'e BTreeMap<String, Arc<QueryLineage>>,
     /// The effective catalog (user catalog merged with log DDL).
     pub catalog: &'e Catalog,
     /// Extraction options.
@@ -73,7 +74,7 @@ impl<'e> Extractor<'e> {
     pub fn new(
         query_id: impl Into<String>,
         qd_ids: &'e BTreeSet<String>,
-        processed: &'e BTreeMap<String, QueryLineage>,
+        processed: &'e BTreeMap<String, Arc<QueryLineage>>,
         catalog: &'e Catalog,
         options: &'e ExtractOptions,
         inferred: &'e mut BTreeMap<String, BTreeSet<String>>,

@@ -17,10 +17,9 @@
 //!   relations as dense [`RelationId`]s sorted by name, and CSR-style
 //!   (compressed sparse row) forward *and* reverse adjacency for both
 //!   the merged column-level edge set and the relation-level edge set;
-//! * [`GraphIndexCache`] — the build-once/reuse wrapper both backends
-//!   hang on to ([`crate::infer::LineageResult`] behind a cheap
-//!   fingerprint, the session engine invalidating explicitly alongside
-//!   its dirty-cone state).
+//! * [`GraphIndexCache`] — the build-once/reuse wrapper the batch
+//!   [`crate::infer::LineageResult`] hangs on to behind a cheap
+//!   fingerprint.
 //!
 //! Identity is a [`Symbol`] *inside* the index; the wire formats and
 //! every public answer keep speaking strings. [`GraphIndex`] translates
@@ -29,21 +28,29 @@
 //! string-walk reference (`QuerySpec::run_on_unindexed`, asserted by the
 //! workspace's equivalence property tests).
 //!
-//! The index is *derived* state: build it with [`GraphIndex::build`]
-//! after the graph settles, drop it when the graph changes. The CSR edge
+//! The index is *derived* state with one construction path:
+//! [`GraphIndex::updated`] derives the index of a new graph revision from
+//! the index of the previous one, touching strings only for the entries
+//! the two graphs disagree on, and [`GraphIndex::build`] is that update
+//! applied to the empty index. The layout is canonical — it depends only
+//! on the graph, never on the write history that produced it — so a
+//! maintained index equals a fresh build array for array. The CSR edge
 //! lists are sorted by neighbour id, and because ids are assigned in
 //! lexicographic name order, iterating an adjacency row visits
 //! neighbours in exactly the order the reference string walk does — BFS tie
 //! breaks, and therefore shortest-path answers, are preserved bit for
 //! bit.
 
-use crate::model::{EdgeKind, LineageGraph, NodeKind, SourceColumn};
+use crate::model::{
+    for_each_changed, EdgeKind, LineageGraph, Node, NodeKind, QueryLineage, SourceColumn,
+};
 use lineagex_obs::Histogram;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::iter;
 use std::sync::{Arc, OnceLock};
 
 /// Wall time per [`GraphIndex::build`], in µs (its `count` is the number
-/// of index builds this process has run).
+/// of full index builds this process has run).
 fn index_build_us() -> &'static Histogram {
     static METRIC: OnceLock<Histogram> = OnceLock::new();
     METRIC.get_or_init(|| lineagex_obs::registry().histogram("query.index_build_us"))
@@ -54,6 +61,10 @@ fn index_build_us() -> &'static Histogram {
 pub(crate) fn register_metrics() {
     let _ = index_build_us();
 }
+
+/// An id with no counterpart on the other side of an update (a retracted
+/// relation or column), or a slot not assigned yet.
+const UNMAPPED: u32 = u32::MAX;
 
 /// A dense interned-string id. Two names are equal iff their symbols are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,11 +115,13 @@ impl RelationId {
 }
 
 /// A string interner: each distinct name is stored once and addressed by
-/// a dense [`Symbol`].
+/// a dense [`Symbol`]. The tables are shared copy-on-write, so an index
+/// revision whose names did not change shares its predecessor's
+/// interner outright.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    names: Vec<String>,
-    lookup: HashMap<String, u32>,
+    names: Arc<Vec<Arc<str>>>,
+    lookup: Arc<HashMap<Arc<str>, u32>>,
 }
 
 impl Interner {
@@ -123,8 +136,9 @@ impl Interner {
             return Symbol(id);
         }
         let id = u32::try_from(self.names.len()).expect("interner holds < 2^32 names");
-        self.names.push(name.to_string());
-        self.lookup.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        Arc::make_mut(&mut self.names).push(Arc::clone(&name));
+        Arc::make_mut(&mut self.lookup).insert(name, id);
         Symbol(id)
     }
 
@@ -148,64 +162,104 @@ impl Interner {
         self.names.is_empty()
     }
 
-    /// Rebuild an interner from its dense name table (symbol `i` is
-    /// `names[i]`): the decode half of the snapshot codec.
-    pub(crate) fn from_names(names: Vec<String>) -> Interner {
-        let lookup = names.iter().enumerate().map(|(i, name)| (name.clone(), i as u32)).collect();
-        Interner { names, lookup }
+    /// An interner over a dense name table (symbol `i` is `names[i]`).
+    fn from_names(names: Vec<Arc<str>>) -> Interner {
+        let lookup =
+            names.iter().enumerate().map(|(i, name)| (Arc::clone(name), i as u32)).collect();
+        Interner { names: Arc::new(names), lookup: Arc::new(lookup) }
     }
 
-    /// The dense name table (symbol `i` is `names[i]`): the encode half
-    /// of the snapshot codec.
-    pub(crate) fn names(&self) -> &[String] {
+    /// The dense name table (symbol `i` is `names[i]`).
+    pub(crate) fn names(&self) -> &[Arc<str>] {
         &self.names
     }
 }
 
-/// Per-relation index record.
-#[derive(Debug, Clone)]
+/// Per-relation index record. The relation's name is the symbol with
+/// the relation's own id: relation names are interned first, in id
+/// order.
+#[derive(Debug, Clone, Copy)]
 struct RelationInfo {
-    /// The relation's interned name.
-    name: Symbol,
     /// The graph node's kind, or `None` when the relation only appears
     /// inside lineage records (no node — treated like the reference walk
     /// treats a missing `nodes` entry).
     kind: Option<NodeKind>,
-    /// The node's columns in *declared* order (empty without a node).
-    declared: Vec<ColumnId>,
     /// The relation's contiguous column range `[start, end)` in the
     /// sorted column table.
     col_start: u32,
     col_end: u32,
 }
 
-/// One CSR adjacency: `offsets[i]..offsets[i + 1]` indexes the edge rows
-/// of node `i`, each row carrying the neighbour id and the merged edge
-/// kind. Rows are sorted by neighbour id.
-#[derive(Debug, Clone, Default)]
-struct Csr {
+/// Variable-length rows packed into one array: `offsets[i]..offsets[i + 1]`
+/// indexes the items of row `i`.
+#[derive(Debug, Clone)]
+struct Rows<T> {
     offsets: Vec<u32>,
-    edges: Vec<(u32, EdgeKind)>,
+    items: Vec<T>,
 }
 
-impl Csr {
-    /// Build from `(node, neighbour, kind)` triples sorted by
-    /// `(node, neighbour)`.
-    fn from_sorted(nodes: usize, triples: &[(u32, u32, EdgeKind)]) -> Csr {
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
+        Rows { offsets: vec![0], items: Vec::new() }
+    }
+}
+
+impl<T> Rows<T> {
+    fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Rows { offsets, items: Vec::with_capacity(items) }
+    }
+
+    fn row(&self, row: u32) -> &[T] {
+        &self.items[self.offsets[row as usize] as usize..self.offsets[row as usize + 1] as usize]
+    }
+
+    /// Close the row being filled: it holds every item pushed since the
+    /// previous call.
+    fn end_row(&mut self) {
+        self.offsets.push(u32::try_from(self.items.len()).expect("index holds < 2^32 items"));
+    }
+}
+
+/// One CSR adjacency: row `i` holds the edges of node `i`, each item
+/// carrying the neighbour id and the merged edge kind, sorted by
+/// neighbour id.
+type Csr = Rows<(u32, EdgeKind)>;
+
+impl Rows<(u32, EdgeKind)> {
+    /// The same edges keyed by their other endpoint, over `nodes` nodes:
+    /// row `j` of the result lists `(i, kind)` for every `(j, kind)` in
+    /// row `i` of `self`. One counting-sort pass; visiting the source
+    /// rows in order leaves every result row sorted by neighbour id.
+    fn transposed(&self, nodes: usize) -> Csr {
         let mut offsets = vec![0u32; nodes + 1];
-        for &(node, _, _) in triples {
-            offsets[node as usize + 1] += 1;
+        for &(to, _) in &self.items {
+            offsets[to as usize + 1] += 1;
         }
         for i in 0..nodes {
             offsets[i + 1] += offsets[i];
         }
-        let edges = triples.iter().map(|&(_, neighbour, kind)| (neighbour, kind)).collect();
-        Csr { offsets, edges }
+        let mut next = offsets.clone();
+        let mut items = vec![(0, EdgeKind::Contribute); self.items.len()];
+        for from in 0..self.offsets.len() - 1 {
+            for &(to, kind) in self.row(from as u32) {
+                let slot = &mut next[to as usize];
+                items[*slot as usize] = (from as u32, kind);
+                *slot += 1;
+            }
+        }
+        Rows { offsets, items }
     }
+}
 
-    fn row(&self, node: u32) -> &[(u32, EdgeKind)] {
-        &self.edges[self.offsets[node as usize] as usize..self.offsets[node as usize + 1] as usize]
-    }
+/// How many graph entries mention each relation and column, counted
+/// with multiplicity over [`query_mentions`] and [`node_mentions`]: what
+/// tells an update whether a name it retracts is still in use.
+#[derive(Debug, Clone)]
+struct Mentions {
+    relations: Vec<u32>,
+    columns: Vec<u32>,
 }
 
 /// The interned, CSR-backed index over one settled [`LineageGraph`].
@@ -214,10 +268,15 @@ impl Csr {
 /// needs (names, node kinds, declared column orders, both edge sets), so
 /// [`crate::QuerySpec::run_with`] runs without touching the source graph
 /// at all.
-#[derive(Debug, Clone)]
+///
+/// The default value is the index of the empty graph.
+#[derive(Debug, Clone, Default)]
 pub struct GraphIndex {
     interner: Interner,
     relations: Vec<RelationInfo>,
+    /// Row `r`: the node columns of relation `r` in *declared* order
+    /// (empty without a node).
+    declared: Rows<ColumnId>,
     columns: Vec<(RelationId, Symbol)>,
     /// Merged column-level edges (`C_con`/`C_ref` with `Both` upgrades,
     /// exactly [`LineageGraph::all_edges`] semantics), forward = source
@@ -228,125 +287,457 @@ pub struct GraphIndex {
     /// scanned relation → derived relation.
     tbl_fwd: Csr,
     tbl_rev: Csr,
+    /// Name mention counts, kept so the next update can retract names.
+    /// `None` for an index decoded from a snapshot: its first update
+    /// counts them from the graph it describes.
+    mentions: Option<Mentions>,
+}
+
+/// Every `(relation, column)` name a query mentions, with multiplicity:
+/// its own relation and output columns, every `C_con` and `C_ref`
+/// source, and every scanned relation (`None` marks a relation-only
+/// mention).
+fn query_mentions(query: &QueryLineage) -> impl Iterator<Item = (&str, Option<&str>)> {
+    fn source(s: &SourceColumn) -> (&str, Option<&str>) {
+        (s.table.as_str(), Some(s.column.as_str()))
+    }
+    iter::once((query.id.as_str(), None))
+        .chain(query.outputs.iter().map(|o| (query.id.as_str(), Some(o.name.as_str()))))
+        .chain(query.outputs.iter().flat_map(|o| &o.ccon).map(source))
+        .chain(query.cref.iter().map(source))
+        .chain(query.tables.iter().map(|t| (t.as_str(), None)))
+}
+
+/// Every `(relation, column)` name a node mentions: its relation and its
+/// declared columns.
+fn node_mentions(node: &Node) -> impl Iterator<Item = (&str, Option<&str>)> {
+    iter::once((node.name.as_str(), None))
+        .chain(node.columns.iter().map(|c| (node.name.as_str(), Some(c.as_str()))))
+}
+
+/// Whether two lineage records index identically (same relation,
+/// output columns and sources, scanned relations); kinds, diagnostics
+/// and the partial flag never reach the index.
+fn same_topology(a: &QueryLineage, b: &QueryLineage) -> bool {
+    a.id == b.id && a.outputs == b.outputs && a.cref == b.cref && a.tables == b.tables
+}
+
+/// The entries two graphs disagree on: the old versions of changed and
+/// removed entries, and the new versions of changed and added ones.
+/// Pointer-equal entries are skipped without a look
+/// ([`for_each_changed`]); the rest are compared by value.
+#[derive(Default)]
+struct Delta<'g> {
+    removed_queries: Vec<&'g QueryLineage>,
+    added_queries: Vec<&'g QueryLineage>,
+    removed_nodes: Vec<&'g Node>,
+    added_nodes: Vec<&'g Node>,
+}
+
+impl<'g> Delta<'g> {
+    fn between(old: &'g LineageGraph, new: &'g LineageGraph) -> Delta<'g> {
+        let mut delta = Delta::default();
+        let (queries, nodes) = (&mut delta.removed_queries, &mut delta.removed_nodes);
+        differing(&old.queries, &new.queries, same_topology, queries, &mut delta.added_queries);
+        differing(&old.nodes, &new.nodes, |a, b| a == b, nodes, &mut delta.added_nodes);
+        delta
+    }
+}
+
+/// Collect the entries of two maps that `same` does not match.
+fn differing<'g, V>(
+    old: &'g BTreeMap<String, Arc<V>>,
+    new: &'g BTreeMap<String, Arc<V>>,
+    same: fn(&V, &V) -> bool,
+    removed: &mut Vec<&'g V>,
+    added: &mut Vec<&'g V>,
+) {
+    for_each_changed(old, new, |old, new| {
+        if let (Some((_, a)), Some((_, b))) = (old, new) {
+            if same(a, b) {
+                return;
+            }
+        }
+        removed.extend(old.map(|(_, v)| v));
+        added.extend(new.map(|(_, v)| v));
+    });
+}
+
+/// A name in the next index: an old symbol (its string is shared, not
+/// copied) or a string the old index never interned.
+#[derive(Clone, Copy)]
+enum Name<'g> {
+    Old(u32),
+    Fresh(&'g str),
+}
+
+/// What an update adds under one relation name: the relation itself
+/// when the old index lacks it, and the columns the old index lacks.
+struct Fresh<'g> {
+    /// The relation's old id, or [`UNMAPPED`] when it is new.
+    old: u32,
+    /// A new relation's mention count and next id.
+    mentions: u32,
+    next: u32,
+    columns: BTreeMap<&'g str, u32>,
+}
+
+impl Fresh<'_> {
+    fn under(old: u32) -> Self {
+        Fresh { old, mentions: 0, next: UNMAPPED, columns: BTreeMap::new() }
+    }
+}
+
+/// One relation of the next index.
+struct NextRelation<'g> {
+    name: Name<'g>,
+    /// The relation's old id, or [`UNMAPPED`] for a new relation.
+    old: u32,
+    mentions: u32,
+}
+
+/// The next index's name table under construction, in the canonical
+/// order a fresh build interns: relation names first (in id order),
+/// then column names in order of first appearance over the column table.
+/// Assignment is integer work; strings are touched only in
+/// [`NextNames::finish`], and only when the table changed.
+struct NextNames<'a, 'g> {
+    old: &'a Interner,
+    /// Next symbol → where its string comes from.
+    sources: Vec<Name<'g>>,
+    /// Old symbol → next symbol ([`UNMAPPED`] until first use).
+    of_old: Vec<u32>,
+    fresh: HashMap<&'g str, u32>,
+}
+
+impl<'g> NextNames<'_, 'g> {
+    fn symbol(&mut self, name: Name<'g>) -> Symbol {
+        let sources = &mut self.sources;
+        match name {
+            Name::Old(old) => {
+                let slot = &mut self.of_old[old as usize];
+                if *slot == UNMAPPED {
+                    *slot = sources.len() as u32;
+                    sources.push(name);
+                }
+                Symbol(*slot)
+            }
+            Name::Fresh(fresh) => Symbol(*self.fresh.entry(fresh).or_insert_with(|| {
+                sources.push(name);
+                sources.len() as u32 - 1
+            })),
+        }
+    }
+
+    /// The finished interner: the old one, shared, when every old name
+    /// kept its symbol and none was added; otherwise a new name table
+    /// and the old lookup table patched where symbols moved.
+    fn finish(self) -> Interner {
+        let unchanged = self.sources.len() == self.old.len()
+            && self.of_old.iter().enumerate().all(|(old, &next)| next as usize == old);
+        if unchanged {
+            return self.old.clone();
+        }
+        let names: Vec<Arc<str>> = self
+            .sources
+            .iter()
+            .map(|source| match *source {
+                Name::Old(old) => Arc::clone(&self.old.names[old as usize]),
+                Name::Fresh(name) => Arc::from(name),
+            })
+            .collect();
+        let mut lookup = (*self.old.lookup).clone();
+        for (old, &next) in self.of_old.iter().enumerate() {
+            if next as usize != old {
+                let name = &self.old.names[old];
+                if next == UNMAPPED {
+                    lookup.remove(&**name);
+                } else {
+                    lookup.insert(Arc::clone(name), next);
+                }
+            }
+        }
+        for &next in self.fresh.values() {
+            lookup.insert(Arc::clone(&names[next as usize]), next);
+        }
+        Interner { names: Arc::new(names), lookup: Arc::new(lookup) }
+    }
+}
+
+/// `map[id]`, or `None` when `id` has no counterpart.
+fn remap(map: &[u32], id: u32) -> Option<u32> {
+    map.get(id as usize).copied().filter(|&next| next != UNMAPPED)
 }
 
 impl GraphIndex {
-    /// Build the index from a settled graph. Cost is `O(V + E)` with the
-    /// sorting's log factor; run it once per settled revision and reuse
-    /// (see [`GraphIndexCache`]).
+    /// Build the index of a settled graph: [`GraphIndex::updated`] from
+    /// the empty index, so a fresh build and a maintained index share
+    /// every line of construction code. Cost is `O(V + E)` with the
+    /// sorting's log factor; build once per graph and reuse (see
+    /// [`GraphIndexCache`]), or keep it current with
+    /// [`GraphIndex::updated`].
     pub fn build(graph: &LineageGraph) -> GraphIndex {
         let _timer = index_build_us().time();
-        // 1. Collect every relation and its column-name set, borrowed
-        //    from the graph: node schemas, query outputs, every C_con /
-        //    C_ref endpoint, and scanned relations (for the table level).
-        let mut columns_by_rel: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for node in graph.nodes.values() {
-            let set = columns_by_rel.entry(node.name.as_str()).or_default();
-            set.extend(node.columns.iter().map(String::as_str));
+        GraphIndex::default().updated(&LineageGraph::default(), graph)
+    }
+
+    /// The index of `new`, derived from `self`, the index of `old`.
+    ///
+    /// Entries `old` and `new` share (pointer-equal, or equal in
+    /// everything the index records) cost nothing beyond the diff. For
+    /// the rest, per-name mention counts decide which relations and
+    /// columns appear or disappear; new names merge into the sorted
+    /// relation and column tables, one integer pass per table remaps the
+    /// surviving ids (ids follow name order, so remapping keeps every
+    /// row sorted), and only the edge rows of changed queries are
+    /// rebuilt from strings. The result equals `GraphIndex::build(new)`
+    /// exactly, whatever history produced `self`. Should `self` not
+    /// describe `old`, the index is derived from scratch instead.
+    pub fn updated(&self, old: &LineageGraph, new: &LineageGraph) -> GraphIndex {
+        self.apply(old, &Delta::between(old, new)).unwrap_or_else(|| {
+            let empty = LineageGraph::default();
+            GraphIndex::default()
+                .apply(&empty, &Delta::between(&empty, new))
+                .expect("the empty index describes the empty graph")
+        })
+    }
+
+    /// The update itself; `None` when `self` contradicts `old` (a name
+    /// it lacks, or a count that would drop below zero).
+    fn apply(&self, old: &LineageGraph, delta: &Delta<'_>) -> Option<GraphIndex> {
+        // 1. Mention counts: retract what the old versions mentioned,
+        //    add what the new ones mention. Names the old index lacks
+        //    collect, sorted, as fresh relations and columns.
+        let mut mentions = match &self.mentions {
+            Some(mentions) => mentions.clone(),
+            None => self.count_mentions(old)?,
+        };
+        let retracted = delta.removed_queries.iter().flat_map(|q| query_mentions(q));
+        for (relation, column) in
+            retracted.chain(delta.removed_nodes.iter().flat_map(|n| node_mentions(n)))
+        {
+            let rel = self.lookup_relation(relation)?;
+            let count = &mut mentions.relations[rel.index()];
+            *count = count.checked_sub(1)?;
+            if let Some(column) = column {
+                let count = &mut mentions.columns[self.column_in(rel, column)?.index()];
+                *count = count.checked_sub(1)?;
+            }
         }
-        for query in graph.queries.values() {
-            {
-                let set = columns_by_rel.entry(query.id.as_str()).or_default();
-                set.extend(query.outputs.iter().map(|o| o.name.as_str()));
-            }
-            for source in query.outputs.iter().flat_map(|o| o.ccon.iter()).chain(&query.cref) {
-                columns_by_rel
-                    .entry(source.table.as_str())
-                    .or_default()
-                    .insert(source.column.as_str());
-            }
-            for table in &query.tables {
-                columns_by_rel.entry(table.as_str()).or_default();
+        let mut fresh: HashMap<&str, Fresh<'_>> = HashMap::new();
+        let added = delta.added_queries.iter().flat_map(|q| query_mentions(q));
+        for (relation, column) in
+            added.chain(delta.added_nodes.iter().flat_map(|n| node_mentions(n)))
+        {
+            let entry = match self.lookup_relation(relation) {
+                Some(rel) => {
+                    mentions.relations[rel.index()] += 1;
+                    let Some(column) = column else { continue };
+                    if let Some(col) = self.column_in(rel, column) {
+                        mentions.columns[col.index()] += 1;
+                        continue;
+                    }
+                    fresh.entry(relation).or_insert_with(|| Fresh::under(rel.0))
+                }
+                None => {
+                    let entry = fresh.entry(relation).or_insert_with(|| Fresh::under(UNMAPPED));
+                    entry.mentions += 1;
+                    entry
+                }
+            };
+            if let Some(column) = column {
+                *entry.columns.entry(column).or_default() += 1;
             }
         }
 
-        // 2. Intern relation names first, in sorted order: a relation's
-        //    `RelationId` equals its name's `Symbol`, and both follow
-        //    name order.
-        let mut interner = Interner::new();
-        let mut relations: Vec<RelationInfo> = Vec::with_capacity(columns_by_rel.len());
-        let mut columns: Vec<(RelationId, Symbol)> = Vec::new();
-        for name in columns_by_rel.keys() {
-            let symbol = interner.intern(name);
-            debug_assert_eq!(symbol.index(), relations.len());
-            relations.push(RelationInfo {
-                name: symbol,
-                kind: None,
-                declared: Vec::new(),
-                col_start: 0,
-                col_end: 0,
-            });
+        let mut fresh: Vec<(&str, Fresh<'_>)> = fresh.into_iter().collect();
+        fresh.sort_unstable_by_key(|(name, _)| *name);
+
+        // 2. The relation table: surviving relations and new names,
+        //    merged in name order. Each new name's slot among the old
+        //    relations is a binary search.
+        let mut rel_map = vec![UNMAPPED; self.relations.len()];
+        let mut next_rels: Vec<NextRelation<'_>> = Vec::with_capacity(self.relations.len());
+        let mut inserts = fresh
+            .iter_mut()
+            .filter(|(_, fresh)| fresh.old == UNMAPPED)
+            .map(|(name, fresh)| {
+                let name = *name;
+                // Relation names are the first symbols, in name order.
+                let slot = self.interner.names[..self.relations.len()]
+                    .partition_point(|old| &**old < name);
+                (slot, name, fresh)
+            })
+            .peekable();
+        let mut insert_new = |slot: usize, next_rels: &mut Vec<_>| {
+            while let Some((_, name, fresh)) = inserts.next_if(|(at, _, _)| *at == slot) {
+                fresh.next = next_rels.len() as u32;
+                let (name, mentions) = (self.name_of(name), fresh.mentions);
+                next_rels.push(NextRelation { name, old: UNMAPPED, mentions });
+            }
+        };
+        for (old_rel, &count) in mentions.relations.iter().enumerate() {
+            insert_new(old_rel, &mut next_rels);
+            if count > 0 {
+                rel_map[old_rel] = next_rels.len() as u32;
+                let name = Name::Old(old_rel as u32);
+                next_rels.push(NextRelation { name, old: old_rel as u32, mentions: count });
+            }
+        }
+        insert_new(self.relations.len(), &mut next_rels);
+        let mut names = NextNames {
+            old: &self.interner,
+            sources: Vec::with_capacity(self.interner.len() + next_rels.len()),
+            of_old: vec![UNMAPPED; self.interner.len()],
+            fresh: HashMap::new(),
+        };
+        for rel in &next_rels {
+            names.symbol(rel.name);
         }
 
-        // 3. Lay out columns contiguously per relation, sorted by name
-        //    within each: global `ColumnId` order is `(table, column)`
-        //    lexicographic order — `SourceColumn` order.
-        for (rel_index, (_, names)) in columns_by_rel.iter().enumerate() {
-            let start = u32::try_from(columns.len()).expect("graph holds < 2^32 columns");
-            for name in names {
-                let symbol = interner.intern(name);
-                columns.push((RelationId(rel_index as u32), symbol));
+        // 3. The column table, relation by relation: surviving columns
+        //    merged by name with the relation's new columns, column-name
+        //    symbols assigned on first appearance. New columns arrive
+        //    sorted by (relation, column), which is next-id order.
+        let fresh_count: usize = fresh.iter().map(|(_, fresh)| fresh.columns.len()).sum();
+        let mut fresh_cols = fresh
+            .iter()
+            .flat_map(|(_, fresh)| {
+                let rel = match fresh.old {
+                    UNMAPPED => fresh.next,
+                    old => rel_map[old as usize],
+                };
+                fresh.columns.iter().map(move |(&column, &count)| (rel, column, count))
+            })
+            .peekable();
+        let column_capacity = self.columns.len() + fresh_count;
+        let mut col_map = vec![UNMAPPED; self.columns.len()];
+        let mut col_old: Vec<u32> = Vec::with_capacity(column_capacity);
+        let mut columns: Vec<(RelationId, Symbol)> = Vec::with_capacity(column_capacity);
+        let mut col_mentions: Vec<u32> = Vec::with_capacity(column_capacity);
+        let mut relations: Vec<RelationInfo> = Vec::with_capacity(next_rels.len());
+        for (rel, next) in next_rels.iter().enumerate() {
+            let rel = rel as u32;
+            let col_start = columns.len() as u32;
+            let old_range = match next.old {
+                UNMAPPED => 0..0,
+                old => self.relations[old as usize].col_start..self.relations[old as usize].col_end,
+            };
+            for old_col in old_range {
+                let count = mentions.columns[old_col as usize];
+                if count == 0 {
+                    continue;
+                }
+                let name = self.column_name(ColumnId(old_col));
+                while let Some((_, column, count)) =
+                    fresh_cols.next_if(|&(r, column, _)| r == rel && column < name)
+                {
+                    columns.push((RelationId(rel), names.symbol(self.name_of(column))));
+                    col_old.push(UNMAPPED);
+                    col_mentions.push(count);
+                }
+                col_map[old_col as usize] = columns.len() as u32;
+                let symbol = names.symbol(Name::Old(self.columns[old_col as usize].1 .0));
+                columns.push((RelationId(rel), symbol));
+                col_old.push(old_col);
+                col_mentions.push(count);
             }
-            relations[rel_index].col_start = start;
-            relations[rel_index].col_end = columns.len() as u32;
+            while let Some((_, column, count)) = fresh_cols.next_if(|&(r, _, _)| r == rel) {
+                columns.push((RelationId(rel), names.symbol(self.name_of(column))));
+                col_old.push(UNMAPPED);
+                col_mentions.push(count);
+            }
+            let kind = match next.old {
+                UNMAPPED => None,
+                old => self.relations[old as usize].kind,
+            };
+            relations.push(RelationInfo { kind, col_start, col_end: columns.len() as u32 });
         }
 
         let mut index = GraphIndex {
-            interner,
+            interner: names.finish(),
             relations,
+            declared: Rows::default(),
             columns,
             fwd: Csr::default(),
             rev: Csr::default(),
             tbl_fwd: Csr::default(),
             tbl_rev: Csr::default(),
+            mentions: Some(Mentions {
+                relations: next_rels.iter().map(|r| r.mentions).collect(),
+                columns: col_mentions,
+            }),
         };
 
-        // 4. Node metadata: kind + declared column order.
-        for node in graph.nodes.values() {
-            let rel = index.lookup_relation(&node.name).expect("node relation was collected");
-            let declared = node
-                .columns
-                .iter()
-                .map(|c| index.lookup_column(&node.name, c).expect("node column was collected"))
-                .collect();
-            let info = &mut index.relations[rel.index()];
-            info.kind = Some(node.kind);
-            info.declared = declared;
+        // 4. Node metadata: changed nodes re-resolve their declared
+        //    columns, the rest keep their rows with remapped ids.
+        let mut node_changes: BTreeMap<u32, Option<&Node>> = BTreeMap::new();
+        for node in &delta.removed_nodes {
+            if let Some(rel) = index.lookup_relation(&node.name) {
+                node_changes.insert(rel.0, None);
+            }
         }
+        for node in &delta.added_nodes {
+            node_changes.insert(index.lookup_relation(&node.name)?.0, Some(node));
+        }
+        let mut node_changes = node_changes.into_iter().peekable();
+        let mut declared = Rows::with_capacity(next_rels.len(), self.declared.items.len());
+        for (rel, next) in next_rels.iter().enumerate() {
+            match node_changes.next_if(|&(changed, _)| changed as usize == rel) {
+                Some((_, Some(node))) => {
+                    index.relations[rel].kind = Some(node.kind);
+                    for column in &node.columns {
+                        declared.items.push(index.column_in(RelationId(rel as u32), column)?);
+                    }
+                }
+                Some((_, None)) => index.relations[rel].kind = None,
+                None if next.old != UNMAPPED => {
+                    for column in self.declared.row(next.old) {
+                        declared.items.push(ColumnId(remap(&col_map, column.0)?));
+                    }
+                }
+                None => {}
+            }
+            declared.end_row();
+        }
+        index.declared = declared;
 
-        // 5. Column-level edges, merged per query exactly like
+        // 5. Edges. Every column-level edge into relation `r` comes from
+        //    the query whose id is `r` (and every relation-level edge into
+        //    `r` too), so the rows of a changed query's relation are
+        //    rebuilt from its new version — merged per query exactly like
         //    `LineageGraph::all_edges`: contribute entries first, then
         //    every referenced source fans out to every output, upgrading
-        //    shared pairs to `Both`. Derived-column ids are unique per
-        //    query, so per-query merges compose into the global edge set
-        //    without cross-query collisions.
-        let mut triples: Vec<(u32, u32, EdgeKind)> = Vec::new();
-        for query in graph.queries.values() {
+        //    shared pairs to `Both` — and every other row is the old one
+        //    with remapped ids. The forward adjacencies are transposes.
+        let mut touched = vec![false; index.relations.len()];
+        for query in &delta.removed_queries {
+            if let Some(rel) = index.lookup_relation(&query.id) {
+                touched[rel.index()] = true;
+            }
+        }
+        let mut spliced: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        let mut tbl_spliced: Vec<(u32, u32)> = Vec::new();
+        for query in &delta.added_queries {
+            let rel = index.lookup_relation(&query.id)?;
+            touched[rel.index()] = true;
             let mut merged: BTreeMap<(u32, u32), EdgeKind> = BTreeMap::new();
             let to_ids: Vec<u32> = query
                 .outputs
                 .iter()
-                .map(|out| {
-                    index.lookup_column(&query.id, &out.name).expect("output was collected").0
-                })
-                .collect();
+                .map(|out| index.column_in(rel, &out.name).map(|c| c.0))
+                .collect::<Option<_>>()?;
             for (out, &to) in query.outputs.iter().zip(&to_ids) {
                 for source in &out.ccon {
-                    let from = index
-                        .lookup_column(&source.table, &source.column)
-                        .expect("contribute source was collected")
-                        .0;
-                    merged.insert((from, to), EdgeKind::Contribute);
+                    let from = index.lookup_column(&source.table, &source.column)?.0;
+                    merged.insert((to, from), EdgeKind::Contribute);
                 }
             }
             for source in &query.cref {
-                let from = index
-                    .lookup_column(&source.table, &source.column)
-                    .expect("reference source was collected")
-                    .0;
+                let from = index.lookup_column(&source.table, &source.column)?.0;
                 for &to in &to_ids {
                     merged
-                        .entry((from, to))
+                        .entry((to, from))
                         .and_modify(|kind| {
                             if *kind == EdgeKind::Contribute {
                                 *kind = EdgeKind::Both;
@@ -355,33 +746,76 @@ impl GraphIndex {
                         .or_insert(EdgeKind::Reference);
                 }
             }
-            triples.extend(merged.into_iter().map(|((from, to), kind)| (from, to, kind)));
-        }
-        triples.sort_unstable_by_key(|&(from, to, _)| (from, to));
-        index.fwd = Csr::from_sorted(index.columns.len(), &triples);
-        triples.sort_unstable_by_key(|&(from, to, _)| (to, from));
-        let reversed: Vec<(u32, u32, EdgeKind)> =
-            triples.iter().map(|&(from, to, kind)| (to, from, kind)).collect();
-        index.rev = Csr::from_sorted(index.columns.len(), &reversed);
-
-        // 6. Relation-level edges (deduplicated `table_edges`).
-        let mut tbl: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for query in graph.queries.values() {
-            let to = index.lookup_relation(&query.id).expect("query relation was collected").0;
+            spliced.extend(merged.into_iter().map(|((to, from), kind)| (to, from, kind)));
             for table in &query.tables {
-                let from = index.lookup_relation(table).expect("scanned relation was collected").0;
-                tbl.insert((from, to));
+                tbl_spliced.push((rel.0, index.lookup_relation(table)?.0));
             }
         }
-        let tbl_triples: Vec<(u32, u32, EdgeKind)> =
-            tbl.iter().map(|&(from, to)| (from, to, EdgeKind::Contribute)).collect();
-        index.tbl_fwd = Csr::from_sorted(index.relations.len(), &tbl_triples);
-        let mut tbl_reversed: Vec<(u32, u32, EdgeKind)> =
-            tbl.iter().map(|&(from, to)| (to, from, EdgeKind::Contribute)).collect();
-        tbl_reversed.sort_unstable_by_key(|&(from, to, _)| (from, to));
-        index.tbl_rev = Csr::from_sorted(index.relations.len(), &tbl_reversed);
+        spliced.sort_unstable_by_key(|&(to, from, _)| (to, from));
+        tbl_spliced.sort_unstable();
+        tbl_spliced.dedup();
 
-        index
+        let mut spliced = spliced.into_iter().peekable();
+        let mut rev = Csr::with_capacity(index.columns.len(), self.rev.items.len());
+        for (col, &(rel, _)) in index.columns.iter().enumerate() {
+            if touched[rel.index()] {
+                while let Some((_, from, kind)) = spliced.next_if(|&(to, _, _)| to as usize == col)
+                {
+                    rev.items.push((from, kind));
+                }
+            } else if col_old[col] != UNMAPPED {
+                for &(from, kind) in self.rev.row(col_old[col]) {
+                    rev.items.push((remap(&col_map, from)?, kind));
+                }
+            }
+            rev.end_row();
+        }
+        let mut tbl_spliced = tbl_spliced.into_iter().peekable();
+        let mut tbl_rev = Csr::with_capacity(index.relations.len(), self.tbl_rev.items.len());
+        for (rel, next) in next_rels.iter().enumerate() {
+            if touched[rel] {
+                while let Some((_, from)) = tbl_spliced.next_if(|&(to, _)| to as usize == rel) {
+                    tbl_rev.items.push((from, EdgeKind::Contribute));
+                }
+            } else if next.old != UNMAPPED {
+                for &(from, kind) in self.tbl_rev.row(next.old) {
+                    tbl_rev.items.push((remap(&rel_map, from)?, kind));
+                }
+            }
+            tbl_rev.end_row();
+        }
+        index.fwd = rev.transposed(index.columns.len());
+        index.rev = rev;
+        index.tbl_fwd = tbl_rev.transposed(index.relations.len());
+        index.tbl_rev = tbl_rev;
+        Some(index)
+    }
+
+    /// Count every name `graph` mentions against this index's ids; `None`
+    /// when the graph mentions a name the index lacks.
+    fn count_mentions(&self, graph: &LineageGraph) -> Option<Mentions> {
+        let mut mentions = Mentions {
+            relations: vec![0; self.relations.len()],
+            columns: vec![0; self.columns.len()],
+        };
+        let queries = graph.queries.values().flat_map(|q| query_mentions(q));
+        for (relation, column) in queries.chain(graph.nodes.values().flat_map(|n| node_mentions(n)))
+        {
+            let rel = self.lookup_relation(relation)?;
+            mentions.relations[rel.index()] += 1;
+            if let Some(column) = column {
+                mentions.columns[self.column_in(rel, column)?.index()] += 1;
+            }
+        }
+        Some(mentions)
+    }
+
+    /// How `name` enters the next revision's name table.
+    fn name_of<'g>(&self, name: &'g str) -> Name<'g> {
+        match self.interner.get(name) {
+            Some(symbol) => Name::Old(symbol.0),
+            None => Name::Fresh(name),
+        }
     }
 
     /// Number of indexed columns.
@@ -396,7 +830,7 @@ impl GraphIndex {
 
     /// Number of merged column-level edges.
     pub fn edge_count(&self) -> usize {
-        self.fwd.edges.len()
+        self.fwd.items.len()
     }
 
     /// The interner backing the index.
@@ -414,7 +848,11 @@ impl GraphIndex {
     /// The column id of `table.column`, if indexed. A binary search over
     /// the relation's sorted column range — no string allocation.
     pub fn lookup_column(&self, table: &str, column: &str) -> Option<ColumnId> {
-        let rel = self.lookup_relation(table)?;
+        self.column_in(self.lookup_relation(table)?, column)
+    }
+
+    /// The column id of `column` within relation `rel`, if indexed.
+    fn column_in(&self, rel: RelationId, column: &str) -> Option<ColumnId> {
         let info = &self.relations[rel.index()];
         let range = &self.columns[info.col_start as usize..info.col_end as usize];
         let offset = range
@@ -435,7 +873,7 @@ impl GraphIndex {
 
     /// A relation's name.
     pub fn relation_name(&self, relation: RelationId) -> &str {
-        self.interner.resolve(self.relations[relation.index()].name)
+        self.interner.resolve(Symbol(relation.0))
     }
 
     /// A relation's node kind, or `None` when the graph has no node for
@@ -447,7 +885,7 @@ impl GraphIndex {
     /// A relation's columns in the node's *declared* order (empty when
     /// the relation has no node).
     pub fn declared_columns(&self, relation: RelationId) -> &[ColumnId] {
-        &self.relations[relation.index()].declared
+        self.declared.row(relation.0)
     }
 
     /// Translate a column id back to the string world.
@@ -485,9 +923,10 @@ impl GraphIndex {
     pub fn approx_bytes(&self) -> usize {
         let strings: usize = self.interner.names().iter().map(|n| n.len() + 24).sum();
         let relations = self.relations.len() * std::mem::size_of::<RelationInfo>()
-            + self.relations.iter().map(|r| r.declared.len() * 4).sum::<usize>();
+            + self.declared.offsets.len() * 4
+            + self.declared.items.len() * 4;
         let columns = self.columns.len() * 8;
-        let csr = |c: &Csr| c.offsets.len() * 4 + c.edges.len() * 8;
+        let csr = |c: &Csr| c.offsets.len() * 4 + c.items.len() * 8;
         strings
             + relations
             + columns
@@ -498,49 +937,53 @@ impl GraphIndex {
     }
 
     /// Decompose into the dense arrays the binary snapshot serialises.
-    /// [`GraphIndex::from_raw`] is the exact inverse; round-tripping
-    /// preserves every id assignment and adjacency row bit for bit.
-    pub(crate) fn to_raw(&self) -> RawGraphIndex {
+    /// Two indexes with equal raw forms answer every query identically,
+    /// and the snapshot decoder's `GraphIndex::from_raw` is the exact
+    /// inverse: round-tripping preserves every id assignment and
+    /// adjacency row bit for bit.
+    pub fn to_raw(&self) -> RawGraphIndex {
+        let csr = |c: &Csr| (c.offsets.clone(), c.items.clone());
         RawGraphIndex {
-            names: self.interner.names().to_vec(),
+            names: self.interner.names().iter().map(|name| name.to_string()).collect(),
             relations: self
                 .relations
                 .iter()
-                .map(|r| RawRelation {
+                .enumerate()
+                .map(|(i, r)| RawRelation {
                     kind: r.kind,
-                    declared: r.declared.iter().map(|c| c.0).collect(),
+                    declared: self.declared.row(i as u32).iter().map(|c| c.0).collect(),
                     col_start: r.col_start,
                     col_end: r.col_end,
                 })
                 .collect(),
             columns: self.columns.iter().map(|&(rel, sym)| (rel.0, sym.0)).collect(),
-            fwd: (self.fwd.offsets.clone(), self.fwd.edges.clone()),
-            rev: (self.rev.offsets.clone(), self.rev.edges.clone()),
-            tbl_fwd: (self.tbl_fwd.offsets.clone(), self.tbl_fwd.edges.clone()),
-            tbl_rev: (self.tbl_rev.offsets.clone(), self.tbl_rev.edges.clone()),
+            fwd: csr(&self.fwd),
+            rev: csr(&self.rev),
+            tbl_fwd: csr(&self.tbl_fwd),
+            tbl_rev: csr(&self.tbl_rev),
         }
     }
 
     /// Reassemble an index from snapshot arrays without re-running
     /// [`GraphIndex::build`] — deserialisation is array moves plus one
     /// interner lookup-table rebuild, which is what makes snapshot
-    /// cold-start sub-linear in extraction cost.
+    /// cold-start sub-linear in extraction cost. The mention counts an
+    /// update needs are not persisted; the first update counts them.
     pub(crate) fn from_raw(raw: RawGraphIndex) -> GraphIndex {
-        let csr = |(offsets, edges): RawCsr| Csr { offsets, edges };
+        let csr = |(offsets, items): RawCsr| Rows { offsets, items };
+        let mut declared = Rows::with_capacity(raw.relations.len(), 0);
+        for relation in &raw.relations {
+            declared.items.extend(relation.declared.iter().map(|&c| ColumnId(c)));
+            declared.end_row();
+        }
         GraphIndex {
-            interner: Interner::from_names(raw.names),
+            interner: Interner::from_names(raw.names.into_iter().map(Arc::from).collect()),
             relations: raw
                 .relations
                 .into_iter()
-                .enumerate()
-                .map(|(i, r)| RelationInfo {
-                    name: Symbol(i as u32),
-                    kind: r.kind,
-                    declared: r.declared.into_iter().map(ColumnId).collect(),
-                    col_start: r.col_start,
-                    col_end: r.col_end,
-                })
+                .map(|r| RelationInfo { kind: r.kind, col_start: r.col_start, col_end: r.col_end })
                 .collect(),
+            declared,
             columns: raw
                 .columns
                 .into_iter()
@@ -550,37 +993,47 @@ impl GraphIndex {
             rev: csr(raw.rev),
             tbl_fwd: csr(raw.tbl_fwd),
             tbl_rev: csr(raw.tbl_rev),
+            mentions: None,
         }
     }
 }
 
 /// One CSR as plain arrays: `(offsets, edges)`.
-pub(crate) type RawCsr = (Vec<u32>, Vec<(u32, EdgeKind)>);
+pub type RawCsr = (Vec<u32>, Vec<(u32, EdgeKind)>);
 
 /// One relation record of a [`RawGraphIndex`]; the relation's name
 /// symbol is its position in the list.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RawRelation {
+pub struct RawRelation {
+    /// The node kind, `None` without a node.
     pub kind: Option<NodeKind>,
+    /// The node's columns in declared order, as column ids.
     pub declared: Vec<u32>,
+    /// Start of the relation's column range.
     pub col_start: u32,
+    /// End (exclusive) of the relation's column range.
     pub col_end: u32,
 }
 
-/// The dense arrays behind a [`GraphIndex`], exposed to the binary
-/// snapshot codec (`crate::snapshot`) so a persisted index can be
+/// The dense arrays behind a [`GraphIndex`], as the binary snapshot
+/// (`crate::snapshot`) persists them, so a persisted index can be
 /// reloaded without paying a full rebuild.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RawGraphIndex {
+pub struct RawGraphIndex {
     /// The interner's name table (symbol `i` is `names[i]`; the first
     /// `relations.len()` entries are the relation names, in id order).
     pub names: Vec<String>,
+    /// Per relation, in id order.
     pub relations: Vec<RawRelation>,
     /// Per column: `(relation id, name symbol)`.
     pub columns: Vec<(u32, u32)>,
+    /// Column-level forward adjacency.
     pub fwd: RawCsr,
+    /// Column-level reverse adjacency.
     pub rev: RawCsr,
+    /// Relation-level forward adjacency.
     pub tbl_fwd: RawCsr,
+    /// Relation-level reverse adjacency.
     pub tbl_rev: RawCsr,
 }
 
@@ -649,11 +1102,10 @@ impl RawGraphIndex {
 /// reading string contents), so it costs `O(entries)`, not `O(bytes)`.
 /// It changes whenever lineage is added, retracted, or reshaped, and
 /// whenever an in-place edit swaps in a name of a different length; a
-/// swap between *equal-length* names can still slip past it. Backends
-/// that mutate their graph in place must therefore call
-/// [`GraphIndexCache::invalidate`] explicitly (the session engine does,
-/// alongside its dirty-cone bookkeeping); the fingerprint is the safety
-/// net for the immutable-after-construction batch result.
+/// swap between *equal-length* names can still slip past it. Callers
+/// that mutate a graph in place must therefore call
+/// [`GraphIndexCache::invalidate`] explicitly; the fingerprint is the
+/// safety net for the immutable-after-construction batch result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GraphFingerprint {
     relations: usize,
@@ -709,25 +1161,12 @@ impl GraphFingerprint {
     }
 }
 
-/// How a cached index is validated against the current graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheKey {
-    /// Content-derived (counts + name-byte sums): the batch backend's
-    /// safety net, `O(entries)` to recheck.
-    Fingerprint(GraphFingerprint),
-    /// Caller-managed revision: `O(1)` hits for backends that bump the
-    /// revision on every graph mutation (the session engine does,
-    /// alongside its dirty-cone bookkeeping).
-    Revision(u64),
-}
-
 /// Build-once storage for a [`GraphIndex`]: the first
-/// [`GraphIndexCache::get_or_build`] (or
-/// [`GraphIndexCache::get_or_build_at`]) after a (re)settle pays the
-/// build, every further query is a clone of the shared [`Arc`].
+/// [`GraphIndexCache::get_or_build`] after a (re)settle pays the build,
+/// every further query is a clone of the shared [`Arc`].
 #[derive(Debug, Clone, Default)]
 pub struct GraphIndexCache {
-    slot: Option<(CacheKey, Arc<GraphIndex>)>,
+    slot: Option<(GraphFingerprint, Arc<GraphIndex>)>,
 }
 
 impl GraphIndexCache {
@@ -738,22 +1177,9 @@ impl GraphIndexCache {
 
     /// The cached index for `graph`, building (and storing) it when the
     /// cache is empty or the graph's fingerprint changed. Rechecking the
-    /// fingerprint walks the graph's entry counts on every call; a
-    /// backend that tracks its own mutations should prefer
-    /// [`GraphIndexCache::get_or_build_at`].
+    /// fingerprint walks the graph's entry counts on every call.
     pub fn get_or_build(&mut self, graph: &LineageGraph) -> Arc<GraphIndex> {
-        self.lookup(CacheKey::Fingerprint(GraphFingerprint::of(graph)), graph)
-    }
-
-    /// The cached index for `graph` at a caller-managed `revision`: a
-    /// hit is one integer compare, no graph walk. The caller owns
-    /// correctness — it must bump `revision` (or
-    /// [`GraphIndexCache::invalidate`]) whenever the graph mutates.
-    pub fn get_or_build_at(&mut self, revision: u64, graph: &LineageGraph) -> Arc<GraphIndex> {
-        self.lookup(CacheKey::Revision(revision), graph)
-    }
-
-    fn lookup(&mut self, key: CacheKey, graph: &LineageGraph) -> Arc<GraphIndex> {
+        let key = GraphFingerprint::of(graph);
         if let Some((cached, index)) = &self.slot {
             if *cached == key {
                 return Arc::clone(index);
@@ -769,14 +1195,6 @@ impl GraphIndexCache {
         self.slot = None;
     }
 
-    /// Seed the cache with a pre-built index at a caller-managed
-    /// revision, e.g. one deserialised from a snapshot: the next
-    /// [`GraphIndexCache::get_or_build_at`] at that revision is a hit
-    /// instead of a rebuild.
-    pub fn prime_at(&mut self, revision: u64, index: Arc<GraphIndex>) {
-        self.slot = Some((CacheKey::Revision(revision), index));
-    }
-
     /// Whether an index is currently cached.
     pub fn is_cached(&self) -> bool {
         self.slot.is_some()
@@ -787,7 +1205,8 @@ impl GraphIndexCache {
 mod tests {
     use super::*;
     use crate::api::lineagex;
-    use crate::model::Edge;
+    use crate::model::{Edge, OutputColumn};
+    use std::collections::BTreeSet;
 
     fn graph() -> LineageGraph {
         lineagex(
@@ -934,30 +1353,6 @@ mod tests {
     }
 
     #[test]
-    fn revision_keyed_cache_hits_without_walking_the_graph() {
-        let mut g = graph();
-        let mut cache = GraphIndexCache::new();
-        let first = cache.get_or_build_at(7, &g);
-        let second = cache.get_or_build_at(7, &g);
-        assert!(Arc::ptr_eq(&first, &second), "same revision must reuse");
-        // A bumped revision rebuilds even though the graph is unchanged:
-        // the caller's revision is authoritative, not the content.
-        let third = cache.get_or_build_at(8, &g);
-        assert!(!Arc::ptr_eq(&first, &third));
-        // And the revision key really is trusted: an in-place edit with
-        // an unchanged revision keeps serving the cached index (why
-        // revision-bumping callers must cover every mutation).
-        assert_eq!(g.retract_queries(&BTreeSet::from(["top".to_string()])).len(), 1);
-        let stale = cache.get_or_build_at(8, &g);
-        assert!(Arc::ptr_eq(&third, &stale));
-        // Mixing validation modes never false-hits: a fingerprint query
-        // against a revision-keyed slot rebuilds.
-        let fresh = cache.get_or_build(&g);
-        assert!(!Arc::ptr_eq(&third, &fresh));
-        assert!(fresh.lookup_relation("top").is_none());
-    }
-
-    #[test]
     fn cache_detects_in_place_source_swaps() {
         // Counts alone would miss this edit: one contribute source is
         // swapped for another (same cardinality everywhere). The
@@ -967,7 +1362,7 @@ mod tests {
         let mut g = graph();
         let mut cache = GraphIndexCache::new();
         let first = cache.get_or_build(&g);
-        let out = &mut g.queries.get_mut("mid").unwrap().outputs[0];
+        let out = &mut Arc::make_mut(g.queries.get_mut("mid").unwrap()).outputs[0];
         out.ccon.clear();
         out.ccon.insert(SourceColumn::new("base", "a_renamed"));
         let second = cache.get_or_build(&g);
@@ -1004,24 +1399,240 @@ mod tests {
     }
 
     #[test]
-    fn primed_cache_serves_the_seeded_index() {
-        let g = graph();
-        let index = Arc::new(GraphIndex::build(&g));
-        let mut cache = GraphIndexCache::new();
-        cache.prime_at(42, Arc::clone(&index));
-        assert!(cache.is_cached());
-        let served = cache.get_or_build_at(42, &g);
-        assert!(Arc::ptr_eq(&served, &index), "a primed revision must hit");
-        let rebuilt = cache.get_or_build_at(43, &g);
-        assert!(!Arc::ptr_eq(&rebuilt, &index), "a later revision rebuilds");
-    }
-
-    #[test]
     fn empty_graph_indexes_cleanly() {
         let index = GraphIndex::build(&LineageGraph::default());
         assert_eq!(index.column_count(), 0);
         assert_eq!(index.relation_count(), 0);
         assert_eq!(index.edge_count(), 0);
         assert!(index.lookup_relation("anything").is_none());
+    }
+
+    /// The from-scratch builder the maintained index replaced, kept as
+    /// the oracle of the canonical layout (and so of `.lxsn` bytes):
+    /// relation names interned first in sorted order, then column names
+    /// on first appearance over the `(table, column)`-sorted column table.
+    fn reference_raw(graph: &LineageGraph) -> RawGraphIndex {
+        let mut columns_by_rel: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for node in graph.nodes.values() {
+            columns_by_rel
+                .entry(&node.name)
+                .or_default()
+                .extend(node.columns.iter().map(String::as_str));
+        }
+        for query in graph.queries.values() {
+            let set = columns_by_rel.entry(&query.id).or_default();
+            set.extend(query.outputs.iter().map(|o| o.name.as_str()));
+            for source in query.outputs.iter().flat_map(|o| &o.ccon).chain(&query.cref) {
+                columns_by_rel.entry(&source.table).or_default().insert(&source.column);
+            }
+            for table in &query.tables {
+                columns_by_rel.entry(table).or_default();
+            }
+        }
+        let mut interner = Interner::new();
+        for name in columns_by_rel.keys() {
+            interner.intern(name);
+        }
+        let mut relations = Vec::new();
+        let mut columns: Vec<(u32, u32)> = Vec::new();
+        let mut ids: BTreeMap<(&str, &str), u32> = BTreeMap::new();
+        for (rel, (name, names)) in columns_by_rel.iter().enumerate() {
+            let col_start = columns.len() as u32;
+            for column in names {
+                ids.insert((name, column), columns.len() as u32);
+                columns.push((rel as u32, interner.intern(column).0));
+            }
+            relations.push(RawRelation {
+                kind: None,
+                declared: Vec::new(),
+                col_start,
+                col_end: columns.len() as u32,
+            });
+        }
+        let rel_id = |name: &str| interner.get(name).unwrap().0 as usize;
+        for node in graph.nodes.values() {
+            let rel = &mut relations[rel_id(&node.name)];
+            rel.kind = Some(node.kind);
+            rel.declared =
+                node.columns.iter().map(|c| ids[&(node.name.as_str(), c.as_str())]).collect();
+        }
+        let mut triples: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        let mut tbl: BTreeSet<(u32, u32)> = BTreeSet::new();
+        for query in graph.queries.values() {
+            let mut merged: BTreeMap<(u32, u32), EdgeKind> = BTreeMap::new();
+            let id = |s: &SourceColumn| ids[&(s.table.as_str(), s.column.as_str())];
+            for out in &query.outputs {
+                let to = ids[&(query.id.as_str(), out.name.as_str())];
+                for source in &out.ccon {
+                    merged.insert((id(source), to), EdgeKind::Contribute);
+                }
+            }
+            for source in &query.cref {
+                for out in &query.outputs {
+                    let to = ids[&(query.id.as_str(), out.name.as_str())];
+                    let kind = merged.entry((id(source), to)).or_insert(EdgeKind::Reference);
+                    if *kind == EdgeKind::Contribute {
+                        *kind = EdgeKind::Both;
+                    }
+                }
+            }
+            triples.extend(merged.into_iter().map(|((from, to), kind)| (from, to, kind)));
+            for table in &query.tables {
+                tbl.insert((rel_id(table) as u32, rel_id(&query.id) as u32));
+            }
+        }
+        let csr = |nodes: usize, mut pairs: Vec<(u32, u32, EdgeKind)>| -> RawCsr {
+            pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
+            let mut offsets = vec![0u32; nodes + 1];
+            for &(a, _, _) in &pairs {
+                offsets[a as usize + 1] += 1;
+            }
+            for i in 0..nodes {
+                offsets[i + 1] += offsets[i];
+            }
+            (offsets, pairs.into_iter().map(|(_, b, kind)| (b, kind)).collect())
+        };
+        let flip = |t: &[(u32, u32, EdgeKind)]| t.iter().map(|&(a, b, k)| (b, a, k)).collect();
+        let tbl: Vec<(u32, u32, EdgeKind)> =
+            tbl.into_iter().map(|(a, b)| (a, b, EdgeKind::Contribute)).collect();
+        RawGraphIndex {
+            names: interner.names().iter().map(|n| n.to_string()).collect(),
+            fwd: csr(columns.len(), triples.clone()),
+            rev: csr(columns.len(), flip(&triples)),
+            tbl_fwd: csr(relations.len(), tbl.clone()),
+            tbl_rev: csr(relations.len(), flip(&tbl)),
+            relations,
+            columns,
+        }
+    }
+
+    /// A generated log's graph; `star`, `setop` and `cte` vary its shape.
+    fn generated(seed: u64, views: usize) -> LineageGraph {
+        use lineagex_datasets::{generator, GeneratorConfig};
+        let workload = generator::generate(&GeneratorConfig {
+            views,
+            star_probability: 0.3,
+            setop_probability: 0.3,
+            cte_probability: 0.3,
+            ..GeneratorConfig::seeded(seed)
+        });
+        crate::api::lineagex(&workload.full_sql()).unwrap().graph
+    }
+
+    /// `graph` with each query kept, dropped or reshaped, and each node
+    /// kept or dropped, by `picks` (shared entries stay pointer-equal).
+    fn variant(graph: &LineageGraph, picks: &[u8]) -> LineageGraph {
+        let mut pick = picks.iter().cycle().copied();
+        let mut out = LineageGraph::default();
+        for (id, query) in &graph.queries {
+            match pick.next().unwrap_or(0) % 5 {
+                0 => {}
+                1 => {
+                    // A fresh output column plus a source named like an
+                    // existing relation: names appear and switch roles.
+                    let mut query = (**query).clone();
+                    let source = SourceColumn::new(&query.id, "fresh");
+                    query.outputs.push(OutputColumn::new("mid", BTreeSet::from([source])));
+                    query.tables.insert("zz_new_relation".into());
+                    out.queries.insert(id.clone(), Arc::new(query));
+                }
+                2 => {
+                    let mut query = (**query).clone();
+                    query.outputs.reverse();
+                    query.outputs.truncate(1);
+                    out.queries.insert(id.clone(), Arc::new(query));
+                }
+                _ => {
+                    out.queries.insert(id.clone(), Arc::clone(query));
+                }
+            }
+        }
+        for (name, node) in &graph.nodes {
+            if pick.next().unwrap_or(0) % 4 != 0 {
+                out.nodes.insert(name.clone(), Arc::clone(node));
+            }
+        }
+        out.order = out.queries.keys().cloned().collect();
+        out
+    }
+
+    /// [`GraphIndex::updated`] without its from-scratch fallback, so a
+    /// test cannot pass by rebuilding.
+    fn maintained(index: &GraphIndex, old: &LineageGraph, new: &LineageGraph) -> GraphIndex {
+        index.apply(old, &Delta::between(old, new)).expect("the index describes the old graph")
+    }
+
+    #[test]
+    fn build_keeps_the_reference_layout() {
+        for seed in 0..6 {
+            let g = generated(seed, 40);
+            assert_eq!(GraphIndex::build(&g).to_raw(), reference_raw(&g), "seed {seed}");
+        }
+        assert_eq!(GraphIndex::build(&graph()).to_raw(), reference_raw(&graph()));
+    }
+
+    #[test]
+    fn names_switching_between_relation_and_column_keep_the_layout() {
+        // `mid` is a relation; a query whose output column is named `mid`
+        // shares its symbol. Retracting the relation turns the name into
+        // a column-only symbol; adding a relation named like a column
+        // does the reverse.
+        let base = graph();
+        let mut renamed = base.clone();
+        renamed.queries.remove("mid");
+        renamed.nodes.remove("mid");
+        let mut top = (*renamed.queries["top"]).clone();
+        top.outputs[0].name = "mid".into();
+        top.outputs[0].ccon = BTreeSet::from([SourceColumn::new("base", "a")]);
+        top.tables = BTreeSet::from(["base".to_string(), "c".to_string()]);
+        renamed.queries.insert("top".into(), Arc::new(top));
+        let steps = [base.clone(), renamed, LineageGraph::default(), base];
+        let mut index = GraphIndex::build(&steps[0]);
+        for pair in steps.windows(2) {
+            index = maintained(&index, &pair[0], &pair[1]);
+            assert_eq!(index.to_raw(), reference_raw(&pair[1]));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Chains of arbitrary graph edits — queries and nodes dropped,
+        /// re-added, reshaped, names appearing and disappearing — always
+        /// leave the maintained index equal to a fresh build.
+        #[test]
+        fn maintained_index_equals_a_fresh_build(
+            seed in 0u64..1_000,
+            steps in proptest::collection::vec(proptest::collection::vec(0u8..20, 1..12), 1..5),
+        ) {
+            let full = generated(seed, 25);
+            let mut graph = full.clone();
+            let mut index = GraphIndex::build(&graph);
+            for picks in &steps {
+                let next = variant(&full, picks);
+                index = maintained(&index, &graph, &next);
+                proptest::prop_assert_eq!(index.to_raw(), GraphIndex::build(&next).to_raw());
+                graph = next;
+            }
+            proptest::prop_assert_eq!(index.to_raw(), reference_raw(&graph));
+        }
+    }
+
+    #[test]
+    fn a_snapshot_decoded_index_counts_mentions_on_first_update() {
+        let full = generated(3, 30);
+        let decoded = GraphIndex::from_raw(GraphIndex::build(&full).to_raw());
+        let next = variant(&full, &[1, 3, 0, 2, 3, 3]);
+        assert_eq!(maintained(&decoded, &full, &next).to_raw(), GraphIndex::build(&next).to_raw());
+    }
+
+    #[test]
+    fn an_index_paired_with_the_wrong_graph_is_derived_from_scratch() {
+        let unrelated = generated(11, 20);
+        let next = generated(12, 20);
+        let stale = GraphIndex::build(&graph());
+        assert!(stale.apply(&unrelated, &Delta::between(&unrelated, &next)).is_none());
+        let index = stale.updated(&unrelated, &next);
+        assert_eq!(index.to_raw(), GraphIndex::build(&next).to_raw());
     }
 }

@@ -23,6 +23,7 @@ use lineagex_catalog::Catalog;
 use lineagex_sqlparse::ast::Ident;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The outcome of a full extraction run.
 #[derive(Debug, Clone, Default)]
@@ -60,7 +61,7 @@ pub struct InferenceEngine<'a> {
     qd_ids: BTreeSet<String>,
     catalog: Cow<'a, Catalog>,
     options: ExtractOptions,
-    processed: BTreeMap<String, QueryLineage>,
+    processed: BTreeMap<String, Arc<QueryLineage>>,
     order: Vec<String>,
     inferred: BTreeMap<String, BTreeSet<String>>,
     deferrals: Vec<(String, String)>,
@@ -144,7 +145,7 @@ impl<'a> InferenceEngine<'a> {
                     if let Some(trace) = trace {
                         self.traces.insert(id.clone(), trace);
                     }
-                    self.processed.insert(id.clone(), lineage);
+                    self.processed.insert(id.clone(), Arc::new(lineage));
                     self.order.push(id.clone());
                     stack.pop();
                 }
@@ -159,7 +160,7 @@ impl<'a> InferenceEngine<'a> {
                         // that closed it; the rest of the cycle then
                         // resolves against the stub (empty outputs).
                         let stub = cycle_stub(entry, &path);
-                        self.processed.insert(id.clone(), stub);
+                        self.processed.insert(id.clone(), Arc::new(stub));
                         self.order.push(id.clone());
                         stack.pop();
                         continue;
@@ -236,7 +237,7 @@ pub fn cycle_stub(entry: &QueryEntry, path: &[String]) -> QueryLineage {
 pub fn extract_entry(
     entry: &QueryEntry,
     qd_ids: &BTreeSet<String>,
-    processed: &BTreeMap<String, QueryLineage>,
+    processed: &BTreeMap<String, Arc<QueryLineage>>,
     catalog: &Catalog,
     options: &ExtractOptions,
     inferred: &mut BTreeMap<String, BTreeSet<String>>,
@@ -264,7 +265,7 @@ pub fn extract_entry(
 fn try_extract_entry(
     entry: &QueryEntry,
     qd_ids: &BTreeSet<String>,
-    processed: &BTreeMap<String, QueryLineage>,
+    processed: &BTreeMap<String, Arc<QueryLineage>>,
     catalog: &Catalog,
     options: &ExtractOptions,
     inferred: &mut BTreeMap<String, BTreeSet<String>>,
@@ -322,21 +323,21 @@ fn apply_output_names(
 /// usage-inferred externals (which never shadow anything).
 pub fn assemble_nodes(
     catalog: &Catalog,
-    processed: &BTreeMap<String, QueryLineage>,
+    processed: &BTreeMap<String, Arc<QueryLineage>>,
     inferred: &BTreeMap<String, BTreeSet<String>>,
-) -> BTreeMap<String, Node> {
-    let mut nodes = BTreeMap::new();
+) -> BTreeMap<String, Arc<Node>> {
+    let mut nodes: BTreeMap<String, Arc<Node>> = BTreeMap::new();
 
     // Catalog relations become base-table / view nodes.
     for schema in catalog.relations() {
         let kind = if schema.is_view() { NodeKind::View } else { NodeKind::BaseTable };
         nodes.insert(
             schema.name.clone(),
-            Node {
+            Arc::new(Node {
                 name: schema.name.clone(),
                 kind,
                 columns: schema.column_names().map(String::from).collect(),
-            },
+            }),
         );
     }
     // Query results become view/table/query nodes.
@@ -356,14 +357,16 @@ pub fn assemble_nodes(
             }
         }
         let kind = NodeKind::for_query(&lineage.kind);
-        nodes.insert(id.clone(), Node { name: id.clone(), kind, columns });
+        nodes.insert(id.clone(), Arc::new(Node { name: id.clone(), kind, columns }));
     }
     // Usage-inferred externals.
     for (name, columns) in inferred {
-        nodes.entry(name.clone()).or_insert_with(|| Node {
-            name: name.clone(),
-            kind: NodeKind::External,
-            columns: columns.iter().cloned().collect(),
+        nodes.entry(name.clone()).or_insert_with(|| {
+            Arc::new(Node {
+                name: name.clone(),
+                kind: NodeKind::External,
+                columns: columns.iter().cloned().collect(),
+            })
         });
     }
     nodes
@@ -376,7 +379,7 @@ pub fn assemble_nodes(
 /// incremental engine guarantee that by construction.
 pub fn assemble_graph(
     catalog: &Catalog,
-    processed: BTreeMap<String, QueryLineage>,
+    processed: BTreeMap<String, Arc<QueryLineage>>,
     inferred: &BTreeMap<String, BTreeSet<String>>,
     order: Vec<String>,
 ) -> LineageGraph {

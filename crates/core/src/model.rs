@@ -15,6 +15,7 @@ use crate::diagnostics::Diagnostic;
 pub use lineagex_catalog::SourceColumn;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// How an input column participates in an output column's lineage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -197,12 +198,18 @@ pub struct Edge {
 
 /// The combined table- and column-level lineage graph over a set of
 /// queries, as visualised by the paper's UI (Fig. 2/5).
+///
+/// Entries are shared (`Arc`), so cloning a graph copies one pointer per
+/// entry, never the lineage itself: a session that publishes a revision
+/// and then mutates its own copy pays for the map structure, and each
+/// re-extracted query replaces its own entry. Mutate an entry in place
+/// with [`Arc::make_mut`].
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct LineageGraph {
     /// Every relation node (base tables, views, query results, externals).
-    pub nodes: BTreeMap<String, Node>,
+    pub nodes: BTreeMap<String, Arc<Node>>,
     /// Per-query lineage keyed by query id.
-    pub queries: BTreeMap<String, QueryLineage>,
+    pub queries: BTreeMap<String, Arc<QueryLineage>>,
     /// The order queries were successfully processed in (the output of the
     /// table/view auto-inference stack).
     pub order: Vec<String>,
@@ -216,10 +223,12 @@ impl LineageGraph {
     /// INSERT/UPDATE full-schema merge and catalog/external shadowing
     /// rules live in [`crate::infer::assemble_nodes`], which incremental
     /// callers run once per batch of merges to settle the node map.
-    pub fn merge_query(&mut self, lineage: QueryLineage) {
+    pub fn merge_query(&mut self, lineage: impl Into<Arc<QueryLineage>>) {
+        let lineage = lineage.into();
         let kind = NodeKind::for_query(&lineage.kind);
         let columns = lineage.outputs.iter().map(|o| o.name.clone()).collect();
-        self.nodes.insert(lineage.id.clone(), Node { name: lineage.id.clone(), kind, columns });
+        self.nodes
+            .insert(lineage.id.clone(), Arc::new(Node { name: lineage.id.clone(), kind, columns }));
         // A query has an `order` slot exactly when it has a lineage
         // record (merge, retract and assembly keep the two in step), so
         // the map answers "is it new?" without scanning the order.
@@ -234,8 +243,8 @@ impl LineageGraph {
     /// with one pass over the order for the whole set. Returns the
     /// removed lineages in id order; ids that were not queries are
     /// skipped.
-    pub fn retract_queries(&mut self, ids: &BTreeSet<String>) -> Vec<QueryLineage> {
-        let removed: Vec<QueryLineage> = ids
+    pub fn retract_queries(&mut self, ids: &BTreeSet<String>) -> Vec<Arc<QueryLineage>> {
+        let removed: Vec<Arc<QueryLineage>> = ids
             .iter()
             .filter_map(|id| {
                 let lineage = self.queries.remove(id)?;
@@ -331,37 +340,29 @@ impl LineageGraph {
 
     /// A cheap O(nodes + lineage entries) estimate of this graph's heap
     /// footprint in bytes — string payloads plus per-allocation overhead,
-    /// ignoring the `BTreeMap` internals. Feeds the
-    /// `engine.peak_graph_bytes` gauge; it is a capacity-planning signal,
-    /// not an allocator-accurate measurement.
+    /// ignoring the `BTreeMap` internals; each query is charged one
+    /// processing-order slot. Feeds the `engine.peak_graph_bytes` gauge;
+    /// it is a capacity-planning signal, not an allocator-accurate
+    /// measurement.
     pub fn approx_bytes(&self) -> usize {
-        fn str_bytes(s: &str) -> usize {
-            s.len() + 24
-        }
-        fn source_bytes(sc: &SourceColumn) -> usize {
-            str_bytes(&sc.table) + str_bytes(&sc.column)
-        }
-        let mut total = 0usize;
-        for (key, node) in &self.nodes {
-            total += str_bytes(key) + str_bytes(&node.name);
-            total += node.columns.iter().map(|c| str_bytes(c)).sum::<usize>();
-        }
-        for (key, q) in &self.queries {
-            total += str_bytes(key) + str_bytes(&q.id);
-            for out in &q.outputs {
-                total += str_bytes(&out.name);
-                total += out.ccon.iter().map(source_bytes).sum::<usize>();
-            }
-            total += q.cref.iter().map(source_bytes).sum::<usize>();
-            total += q.tables.iter().map(|t| str_bytes(t)).sum::<usize>();
-            for d in &q.diagnostics {
-                total += str_bytes(&d.message)
-                    + d.statement.as_deref().map_or(0, str_bytes)
-                    + d.excerpt.as_deref().map_or(0, str_bytes)
-                    + std::mem::size_of::<Diagnostic>();
-            }
-        }
-        total += self.order.iter().map(|id| str_bytes(id)).sum::<usize>();
+        self.approx_bytes_from(&LineageGraph::default(), 0)
+    }
+
+    /// [`LineageGraph::approx_bytes`] of `self`, given the estimate
+    /// `old_bytes` of `old`: only the entries the two graphs do not
+    /// share are measured, so re-estimating a copy-on-write revision
+    /// costs its changed entries plus pointer compares.
+    pub fn approx_bytes_from(&self, old: &LineageGraph, old_bytes: usize) -> usize {
+        let mut total = old_bytes;
+        let mut charge = |removed: Option<usize>, added: Option<usize>| {
+            total = (total + added.unwrap_or(0)).saturating_sub(removed.unwrap_or(0));
+        };
+        for_each_changed(&old.queries, &self.queries, |removed, added| {
+            charge(removed.map(query_entry_bytes), added.map(query_entry_bytes))
+        });
+        for_each_changed(&old.nodes, &self.nodes, |removed, added| {
+            charge(removed.map(node_entry_bytes), added.map(node_entry_bytes))
+        });
         total
     }
 
@@ -407,6 +408,79 @@ impl LineageGraph {
             max_pipeline_depth: depth.values().copied().max().unwrap_or(0),
         }
     }
+}
+
+/// Walk two key-sorted entry maps in one merge-join and call `changed`
+/// with every entry pair that is not shared: `(Some(old), Some(new))`
+/// for a key both maps hold with different entries, `(Some(old), None)`
+/// for a key only `old` holds, `(None, Some(new))` for one only `new`
+/// holds. A pointer-equal pair is one entry on both sides and is skipped
+/// without even comparing keys, so walking a copy-on-write copy costs
+/// pointer compares plus one key compare per replaced entry. Callers
+/// that depend on the entries alone (not the keys) see exactly the
+/// difference, as every entry is consumed once.
+pub(crate) fn for_each_changed<'g, V>(
+    old: &'g BTreeMap<String, Arc<V>>,
+    new: &'g BTreeMap<String, Arc<V>>,
+    mut changed: impl FnMut(Option<(&'g str, &'g V)>, Option<(&'g str, &'g V)>),
+) {
+    let mut olds = old.iter().peekable();
+    let mut news = new.iter().peekable();
+    loop {
+        let order = match (olds.peek(), news.peek()) {
+            (None, None) => return,
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (Some((_, old_value)), Some((_, new_value))) if Arc::ptr_eq(old_value, new_value) => {
+                olds.next();
+                news.next();
+                continue;
+            }
+            (Some((old_key, _)), Some((new_key, _))) => old_key.cmp(new_key),
+        };
+        let entry = |(key, value): (&'g String, &'g Arc<V>)| (key.as_str(), &**value);
+        match order {
+            std::cmp::Ordering::Less => changed(olds.next().map(entry), None),
+            std::cmp::Ordering::Greater => changed(None, news.next().map(entry)),
+            std::cmp::Ordering::Equal => changed(olds.next().map(entry), news.next().map(entry)),
+        }
+    }
+}
+
+/// An owned string's estimated heap cost: payload plus allocation
+/// overhead.
+fn str_bytes(s: &str) -> usize {
+    s.len() + 24
+}
+
+fn source_bytes(sc: &SourceColumn) -> usize {
+    str_bytes(&sc.table) + str_bytes(&sc.column)
+}
+
+/// One query entry's share of [`LineageGraph::approx_bytes`]: its key,
+/// its lineage record, and its processing-order slot.
+fn query_entry_bytes((key, q): (&str, &QueryLineage)) -> usize {
+    let mut total = str_bytes(key) + 2 * str_bytes(&q.id);
+    for out in &q.outputs {
+        total += str_bytes(&out.name);
+        total += out.ccon.iter().map(source_bytes).sum::<usize>();
+    }
+    total += q.cref.iter().map(source_bytes).sum::<usize>();
+    total += q.tables.iter().map(|t| str_bytes(t)).sum::<usize>();
+    for d in &q.diagnostics {
+        total += str_bytes(&d.message)
+            + d.statement.as_deref().map_or(0, str_bytes)
+            + d.excerpt.as_deref().map_or(0, str_bytes)
+            + std::mem::size_of::<Diagnostic>();
+    }
+    total
+}
+
+/// One node entry's share of [`LineageGraph::approx_bytes`].
+fn node_entry_bytes((key, node): (&str, &Node)) -> usize {
+    str_bytes(key)
+        + str_bytes(&node.name)
+        + node.columns.iter().map(|c| str_bytes(c)).sum::<usize>()
 }
 
 /// Summary statistics of a lineage graph.
@@ -530,19 +604,19 @@ mod tests {
         let mut graph = LineageGraph::default();
         graph.nodes.insert(
             "web".into(),
-            Node {
+            Arc::new(Node {
                 name: "web".into(),
                 kind: NodeKind::BaseTable,
                 columns: vec!["page".into(), "cid".into()],
-            },
+            }),
         );
         graph.nodes.insert(
             "v".into(),
-            Node { name: "v".into(), kind: NodeKind::View, columns: vec!["out".into()] },
+            Arc::new(Node { name: "v".into(), kind: NodeKind::View, columns: vec!["out".into()] }),
         );
         graph.queries.insert(
             "v".into(),
-            QueryLineage {
+            Arc::new(QueryLineage {
                 id: "v".into(),
                 kind: QueryKind::View { materialized: false },
                 outputs: vec![OutputColumn::new(
@@ -553,7 +627,7 @@ mod tests {
                 tables: BTreeSet::from(["web".into()]),
                 diagnostics: vec![],
                 partial: false,
-            },
+            }),
         );
         graph.order.push("v".into());
         graph
@@ -573,7 +647,9 @@ mod tests {
     fn cboth_intersects() {
         let mut g = sample_graph();
         // Make page both contributed and referenced.
-        g.queries.get_mut("v").unwrap().cref.insert(SourceColumn::new("web", "page"));
+        Arc::make_mut(g.queries.get_mut("v").unwrap())
+            .cref
+            .insert(SourceColumn::new("web", "page"));
         let q = &g.queries["v"];
         assert_eq!(q.cboth(), BTreeSet::from([SourceColumn::new("web", "page")]));
     }
@@ -592,7 +668,9 @@ mod tests {
     #[test]
     fn both_kind_when_contributed_and_referenced() {
         let mut g = sample_graph();
-        g.queries.get_mut("v").unwrap().cref.insert(SourceColumn::new("web", "page"));
+        Arc::make_mut(g.queries.get_mut("v").unwrap())
+            .cref
+            .insert(SourceColumn::new("web", "page"));
         let edges = g.all_edges();
         let page_edge = edges.iter().find(|e| e.from == SourceColumn::new("web", "page")).unwrap();
         assert_eq!(page_edge.kind, EdgeKind::Both);
@@ -616,7 +694,7 @@ mod tests {
         let mut g = sample_graph();
         g.queries.insert(
             "w2".into(),
-            QueryLineage {
+            Arc::new(QueryLineage {
                 id: "w2".into(),
                 kind: QueryKind::View { materialized: false },
                 outputs: vec![
@@ -633,7 +711,7 @@ mod tests {
                 tables: BTreeSet::from(["web".into()]),
                 diagnostics: vec![],
                 partial: false,
-            },
+            }),
         );
         g.order.push("w2".into());
         let edges = g.table_edges();
@@ -677,7 +755,7 @@ mod tests {
         let mut ids: BTreeSet<String> = graph.order.iter().step_by(3).cloned().collect();
         ids.insert("no_such_query".into());
         let mut one_by_one = graph.clone();
-        let singles: Vec<QueryLineage> = ids
+        let singles: Vec<Arc<QueryLineage>> = ids
             .iter()
             .flat_map(|id| one_by_one.retract_queries(&BTreeSet::from([id.clone()])))
             .collect();
@@ -700,6 +778,27 @@ mod tests {
     }
 
     #[test]
+    fn incremental_size_estimate_matches_a_full_walk() {
+        let workload =
+            generator::generate(&GeneratorConfig { views: 40, ..GeneratorConfig::seeded(5) });
+        let graph = crate::lineagex(&workload.full_sql()).unwrap().graph;
+        let bytes = graph.approx_bytes();
+        assert!(bytes > 0);
+        // Retract a third of the queries, reshape one, add a node.
+        let mut edited = graph.clone();
+        let ids: BTreeSet<String> = graph.order.iter().step_by(3).cloned().collect();
+        edited.retract_queries(&ids);
+        let id = edited.order[0].clone();
+        Arc::make_mut(edited.queries.get_mut(&id).unwrap()).outputs.clear();
+        edited.nodes.insert(
+            "extra".into(),
+            Arc::new(Node { name: "extra".into(), kind: NodeKind::External, columns: vec![] }),
+        );
+        assert_eq!(edited.approx_bytes_from(&graph, bytes), edited.approx_bytes());
+        assert_eq!(graph.approx_bytes_from(&edited, edited.approx_bytes()), bytes);
+    }
+
+    #[test]
     fn node_kind_for_query_maps_all_kinds() {
         assert_eq!(NodeKind::for_query(&QueryKind::View { materialized: true }), NodeKind::View);
         assert_eq!(NodeKind::for_query(&QueryKind::TableAs), NodeKind::Table);
@@ -716,7 +815,7 @@ mod tests {
         let col = |c: &str| SourceColumn::new("t", c);
         g.queries.insert(
             "q".into(),
-            QueryLineage {
+            Arc::new(QueryLineage {
                 id: "q".into(),
                 kind: QueryKind::Select,
                 outputs: vec![
@@ -728,7 +827,7 @@ mod tests {
                 tables: BTreeSet::from(["t".into()]),
                 diagnostics: vec![],
                 partial: false,
-            },
+            }),
         );
         g.order.push("q".into());
         let stats = checked_stats(&g);

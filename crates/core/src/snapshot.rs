@@ -54,6 +54,7 @@ use lineagex_catalog::{Catalog, Column, RelationKind, TableSchema};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The four magic bytes every snapshot starts with.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LXSN";
@@ -379,14 +380,14 @@ fn read_graph(r: &mut Reader) -> Result<LineageGraph, SnapshotError> {
         for _ in 0..col_count {
             columns.push(r.str()?);
         }
-        nodes.push((key, Node { name, kind, columns }));
+        nodes.push((key, Arc::new(Node { name, kind, columns })));
     }
     let query_count = r.count()?;
     let mut queries = Vec::with_capacity(query_count);
     for _ in 0..query_count {
         let key = r.str()?;
         let query = read_query(r)?;
-        queries.push((key, query));
+        queries.push((key, Arc::new(query)));
     }
     let order_count = r.count()?;
     let mut order = Vec::with_capacity(order_count);

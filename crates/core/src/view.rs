@@ -43,10 +43,10 @@ pub trait LineageView {
     /// Settle the backend and return the interned traversal index
     /// ([`GraphIndex`]) over its graph — what [`GraphQuery::run`]
     /// traverses. The default builds a fresh index per call; both
-    /// workspace backends override it with a cached one (the batch
-    /// result behind a structural fingerprint, the session engine
-    /// invalidating alongside its dirty-cone state), so a burst of
-    /// queries over one settled graph pays the build once.
+    /// workspace backends override it (the batch result caches one
+    /// behind a structural fingerprint, the session engine maintains
+    /// one across revisions), so a burst of queries over one settled
+    /// graph pays the build once.
     fn settled_index(&mut self) -> Result<Arc<GraphIndex>, LineageError> {
         Ok(Arc::new(GraphIndex::build(self.settled_graph()?)))
     }

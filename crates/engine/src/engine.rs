@@ -2,7 +2,7 @@
 
 use crate::deps::referenced_relations;
 use crate::schedule::{components, run_tasks, topo_levels};
-use crate::stats::{EngineStats, IngestAction, StmtId};
+use crate::stats::{EngineStats, IngestAction, PublishSplit, StmtId};
 use lineagex_catalog::Catalog;
 use lineagex_core::{
     assemble_nodes, cycle_stub, extract_entry, preprocess_statement, Diagnostic, DiagnosticCode,
@@ -16,6 +16,7 @@ use lineagex_sqlparse::parse_statements_recovering_with;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Engine-layer handles into the process-wide metrics registry. Created
 /// at engine construction (so snapshots have a stable shape from the
@@ -30,10 +31,13 @@ struct EngineMetrics {
     refresh_level_us: Histogram,
     /// [`Engine::publish`] wall time (refresh + index + snapshot), µs.
     publish_us: Histogram,
+    /// Copy-on-write copies of the settled graph (the first mutation
+    /// after a publish shares it), µs.
+    graph_clone_us: Histogram,
+    /// Traversal-index updates to a new settled revision, µs.
+    index_update_us: Histogram,
     /// Entries re-extracted per refresh (the closed dirty cone).
     dirty_cone_size: Histogram,
-    /// Traversal-index cache invalidations (refreshes + retractions).
-    index_invalidations: Counter,
     /// High-water mark of the published graph + index heap estimate.
     peak_graph_bytes: Gauge,
     /// Wall time of the most recent [`Engine::load_snapshot`], µs.
@@ -55,8 +59,9 @@ impl Default for EngineMetrics {
             refresh_us: registry.histogram("engine.refresh_us"),
             refresh_level_us: registry.histogram("engine.refresh_level_us"),
             publish_us: registry.histogram("engine.publish_us"),
+            graph_clone_us: registry.histogram("engine.graph_clone_us"),
+            index_update_us: registry.histogram("engine.index_update_us"),
             dirty_cone_size: registry.histogram("engine.dirty_cone_size"),
-            index_invalidations: registry.counter("engine.index_invalidations"),
             peak_graph_bytes: registry.gauge("engine.peak_graph_bytes"),
             snapshot_load_us: registry.gauge("engine.snapshot_load_us"),
             dialect: registry.gauge("engine.dialect"),
@@ -216,9 +221,10 @@ pub struct Engine {
     rdeps: BTreeMap<String, BTreeSet<String>>,
     /// The settled graph, copy-on-write: [`Engine::publish`] and
     /// [`Engine::load_snapshot`] share this `Arc` with served snapshots
-    /// for free, and the first mutation after a share pays one clone
-    /// (`Arc::make_mut`) — exactly the clone `publish` used to pay every
-    /// new revision, moved off the read/cold-start path.
+    /// for free, and the first mutation after a share pays one copy of
+    /// the graph's maps ([`Engine::unshare_graph`]). Entries are `Arc`s,
+    /// so the copy is one pointer per entry; lineage records and nodes
+    /// are shared until a refresh replaces them.
     graph: Arc<LineageGraph>,
     /// Usage-inferred external schemas, attributed per inferring query so
     /// retraction can take them back out.
@@ -232,19 +238,26 @@ pub struct Engine {
     /// Session-level diagnostics: skipped statements, noise, no-match
     /// drops, and (lenient) parse failures. Per-query extraction
     /// diagnostics live on the graph and are retracted with their query.
-    session_diagnostics: Vec<Diagnostic>,
+    /// Shared with published snapshots like the graph: a publish hands
+    /// out the `Arc`, and the next new diagnostic copies the list once.
+    session_diagnostics: Arc<Vec<Diagnostic>>,
     /// Ids (re-)extracted or stubbed by the most recent refresh, in
     /// completion order — what a UI should report as fresh.
     last_refresh_ids: Vec<String>,
-    /// Build-once cache for the interned traversal index over the
-    /// settled graph, invalidated alongside the dirty-cone state: any
-    /// refresh that extracts (or a `DROP` that retracts) drops it, so
-    /// queries between ingests reuse one [`GraphIndex`] and pay the
-    /// rebuild only after lineage actually changed.
-    index_cache: GraphIndexCache,
-    /// Monotonic settled-graph revision, bumped at every graph
-    /// mutation; keys the index cache so a cache hit is one integer
-    /// compare instead of a graph walk.
+    /// The interned traversal index over `indexed_graph`. Maintained,
+    /// never rebuilt: when `graph` has moved on, [`Engine::settle_index`]
+    /// derives the next index from this one by diffing the two graphs
+    /// ([`GraphIndex::updated`]), so the update costs the changed
+    /// entries plus integer passes, not a rebuild from strings.
+    index: Arc<GraphIndex>,
+    /// The settled graph `index` describes (pointer-equal to `graph`
+    /// while the index is current).
+    indexed_graph: Arc<LineageGraph>,
+    /// [`LineageGraph::approx_bytes`] of `indexed_graph`, carried from
+    /// revision to revision so the `engine.peak_graph_bytes` probe
+    /// measures only changed entries.
+    indexed_bytes: usize,
+    /// Monotonic settled-graph revision, bumped at every graph mutation.
     graph_revision: u64,
     /// The revision whose `engine.peak_graph_bytes` probe already ran,
     /// so repeat [`Engine::publish`] calls on one revision skip it.
@@ -255,6 +268,10 @@ pub struct Engine {
     /// never touches engine state, so instrumentation is invisible to
     /// the incremental ≡ batch and `jobs`-independence invariants.
     metrics: EngineMetrics,
+    /// Graph-copy and index-update time since the last publish, and the
+    /// split the last publish settled ([`Engine::last_publish_split`]).
+    pending_split: PublishSplit,
+    last_split: PublishSplit,
     /// Running total of per-query extraction diagnostics on the settled
     /// graph, maintained through [`Engine::merge_lineage`] /
     /// [`Engine::retract_lineage`] so diagnostic accounting never walks
@@ -388,7 +405,7 @@ impl Engine {
                         Diagnostic::new(DiagnosticCode::ParseError, error.message.clone())
                             .with_span(error.span)
                             .with_excerpt_from(source);
-                    self.session_diagnostics.push(diagnostic.clone());
+                    Arc::make_mut(&mut self.session_diagnostics).push(diagnostic.clone());
                     receipts.push(StmtId {
                         seq: self.seq,
                         target: "<unparsable>".into(),
@@ -488,10 +505,8 @@ impl Engine {
                         self.unlink_entry(name, &old);
                         // The retraction below mutates the settled graph
                         // directly (no refresh will run unless something
-                        // is dirty), so the traversal index is stale now.
+                        // is dirty): a new revision.
                         self.graph_revision += 1;
-                        self.index_cache.invalidate();
-                        self.metrics.index_invalidations.inc();
                         self.nodes_settled = false;
                         self.traces.remove(name);
                         self.inferred_by_query.remove(name);
@@ -512,7 +527,7 @@ impl Engine {
                     )
                     .with_span(span)
                     .with_excerpt_from(source);
-                    self.session_diagnostics.push(diagnostic.clone());
+                    Arc::make_mut(&mut self.session_diagnostics).push(diagnostic.clone());
                     (target, IngestAction::Skipped, vec![diagnostic])
                 } else {
                     (target, IngestAction::Dropped, Vec::new())
@@ -524,7 +539,7 @@ impl Engine {
                 }
                 let diagnostic = diagnostic.with_excerpt_from(source);
                 let target = diagnostic.message.clone();
-                self.session_diagnostics.push(diagnostic.clone());
+                Arc::make_mut(&mut self.session_diagnostics).push(diagnostic.clone());
                 (target, IngestAction::Skipped, vec![diagnostic])
             }
         }
@@ -552,11 +567,10 @@ impl Engine {
         let _timer = self.metrics.refresh_us.time();
         self.last_refresh_ids.clear();
         // Everything below mutates the settled graph (retractions, cycle
-        // stubs, merges, node assembly): the traversal index dies with
-        // the old revision and is rebuilt lazily by the next query.
+        // stubs, merges, node assembly): a new revision, whose traversal
+        // index the next query or publish derives from the last one.
         self.graph_revision += 1;
-        self.index_cache.invalidate();
-        self.metrics.index_invalidations.inc();
+        self.unshare_graph();
 
         // 1. Close the dirty set: an entry is dirty when marked directly
         //    or when any (transitive) upstream relation changed.
@@ -695,7 +709,7 @@ impl Engine {
             self.resettle_nodes(&dirty, inferred_touched);
         } else {
             let nodes = assemble_nodes(&self.catalog, &self.graph.queries, &self.merged_inferred());
-            Arc::make_mut(&mut self.graph).nodes = nodes;
+            self.graph_mut().nodes = nodes;
             self.nodes_settled = true;
         }
         debug_assert_eq!(
@@ -787,8 +801,9 @@ impl Engine {
             touched.insert(base);
         }
         let merged = self.merged_inferred();
+        self.unshare_graph();
         let catalog = &self.catalog;
-        let graph = Arc::make_mut(&mut self.graph);
+        let graph = Arc::get_mut(&mut self.graph).expect("unshared above");
         for key in &touched {
             let node = if let Some(lineage) = graph.queries.get(key) {
                 let mut columns: Vec<String> =
@@ -802,12 +817,12 @@ impl Engine {
                     // point is the catalog's.
                     let base = key.split('#').next().unwrap_or(key);
                     let existing = if base != key && graph.queries.contains_key(base) {
-                        graph.nodes.get(base).cloned()
+                        graph.nodes.get(base).map(|node| node.columns.clone())
                     } else {
-                        catalog_node(catalog, base)
+                        catalog_node(catalog, base).map(|node| node.columns)
                     };
                     if let Some(existing) = existing {
-                        let mut merged_columns = existing.columns;
+                        let mut merged_columns = existing;
                         for column in columns {
                             if !merged_columns.contains(&column) {
                                 merged_columns.push(column);
@@ -828,7 +843,7 @@ impl Engine {
             };
             match node {
                 Some(node) => {
-                    graph.nodes.insert(key.clone(), node);
+                    graph.nodes.insert(key.clone(), Arc::new(node));
                 }
                 None => {
                     graph.nodes.remove(key);
@@ -844,13 +859,52 @@ impl Engine {
     }
 
     /// The interned traversal index ([`GraphIndex`]) over the settled
-    /// graph, refreshing first if needed. Cached per settled revision:
-    /// repeated queries between ingests share one index (a hit costs
-    /// one integer compare, no graph walk), and any refresh or
-    /// retraction that changes the graph bumps the revision.
+    /// graph, refreshing first if needed. Repeated queries between
+    /// ingests share one index; after the graph changed, the first call
+    /// derives the next index from the previous one
+    /// ([`GraphIndex::updated`]).
     pub fn graph_index(&mut self) -> Result<Arc<GraphIndex>, LineageError> {
         self.refresh()?;
-        Ok(self.index_cache.get_or_build_at(self.graph_revision, &self.graph))
+        Ok(self.settle_index())
+    }
+
+    /// Bring the traversal index up to the settled graph: a pointer
+    /// compare when nothing changed, otherwise one
+    /// [`GraphIndex::updated`] from the last indexed graph, timed into
+    /// `engine.index_update_us`.
+    fn settle_index(&mut self) -> Arc<GraphIndex> {
+        if !Arc::ptr_eq(&self.indexed_graph, &self.graph) {
+            let started = Instant::now();
+            let index = self.index.updated(&self.indexed_graph, &self.graph);
+            let us = started.elapsed().as_micros() as u64;
+            self.metrics.index_update_us.record(us);
+            self.pending_split.index_update_us += us;
+            self.index = Arc::new(index);
+            self.indexed_bytes =
+                self.graph.approx_bytes_from(&self.indexed_graph, self.indexed_bytes);
+            self.indexed_graph = Arc::clone(&self.graph);
+        }
+        Arc::clone(&self.index)
+    }
+
+    /// Make the settled graph unique before mutating it. Copy-on-write:
+    /// while a published snapshot (or the index's base graph) shares
+    /// it, the first mutation copies the graph's maps — one pointer per
+    /// entry, never the lineage — timed into `engine.graph_clone_us`.
+    fn unshare_graph(&mut self) {
+        if Arc::get_mut(&mut self.graph).is_none() {
+            let started = Instant::now();
+            self.graph = Arc::new((*self.graph).clone());
+            let us = started.elapsed().as_micros() as u64;
+            self.metrics.graph_clone_us.record(us);
+            self.pending_split.graph_clone_us += us;
+        }
+    }
+
+    /// The settled graph, unshared for mutation.
+    fn graph_mut(&mut self) -> &mut LineageGraph {
+        self.unshare_graph();
+        Arc::get_mut(&mut self.graph).expect("unshared above")
     }
 
     /// A point-in-time clone of the settled graph that survives further
@@ -876,19 +930,21 @@ impl Engine {
     /// write and swaps the snapshot into a shared slot; readers clone
     /// the `Arc`s and answer lock-free while the engine keeps mutating.
     /// Publishing twice without an intervening mutation reuses the same
-    /// graph and index `Arc`s (one integer compare, no clone). On error
+    /// graph, index and diagnostics `Arc`s (pointer compares, no copy).
+    /// A new revision's index is derived from the previous one. On error
     /// the previous snapshot stays valid — nothing is published for a
     /// refresh that failed to settle.
     pub fn publish(&mut self) -> Result<EngineSnapshot, LineageError> {
         let _timer = self.metrics.publish_us.time();
         self.refresh()?;
-        let index = self.index_cache.get_or_build_at(self.graph_revision, &self.graph);
+        let index = self.settle_index();
+        self.last_split = std::mem::take(&mut self.pending_split);
         if self.probed_revision != self.graph_revision {
             // A fresh revision is the natural high-water-mark probe: the
             // estimate covers exactly what a server now retains (settled
             // graph + interned index).
             self.probed_revision = self.graph_revision;
-            self.record_peak_bytes(&index);
+            self.record_peak_bytes();
         }
         Ok(EngineSnapshot {
             revision: self.graph_revision,
@@ -897,10 +953,17 @@ impl Engine {
             // not this publish.
             graph: Arc::clone(&self.graph),
             index,
-            diagnostics: Arc::new(self.session_diagnostics.clone()),
+            diagnostics: Arc::clone(&self.session_diagnostics),
             stats: self.stats.clone(),
             entries: self.entries.len(),
         })
+    }
+
+    /// Where the last [`Engine::publish`]'s write time went outside
+    /// extraction: the copy-on-write graph copies and the index update
+    /// since the publish before it. What a slow-write log prints.
+    pub fn last_publish_split(&self) -> PublishSplit {
+        self.last_split
     }
 
     /// Settle pending work and persist the whole session — catalog,
@@ -917,7 +980,7 @@ impl Engine {
     /// debugging aid, unbounded, and reproducible by re-extracting).
     pub fn save_snapshot(&mut self, path: &Path) -> Result<(), LineageError> {
         self.refresh()?;
-        let index = self.index_cache.get_or_build_at(self.graph_revision, &self.graph);
+        let index = self.settle_index();
         let entries = self
             .entries
             .iter()
@@ -932,7 +995,7 @@ impl Engine {
             catalog: self.catalog.clone(),
             graph: (*self.graph).clone(),
             index: (*index).clone(),
-            diagnostics: self.session_diagnostics.clone(),
+            diagnostics: (*self.session_diagnostics).clone(),
             inferred: self.inferred_by_query.clone(),
             entries,
             revision: self.graph_revision,
@@ -945,7 +1008,7 @@ impl Engine {
 
     /// Restore a session persisted by [`Engine::save_snapshot`]: decode,
     /// rebuild the in-memory indexes (reverse dependencies, id mirror),
-    /// and prime the traversal-index cache at the stored revision — no
+    /// and adopt the stored traversal index as current — no
     /// SQL is parsed and nothing is extracted, so cold-start cost is
     /// decode-bound. Corrupted, truncated, or version-mismatched files
     /// fail with a typed [`LineageError::Snapshot`], never a panic.
@@ -997,7 +1060,7 @@ impl Engine {
         let mut engine = Engine::with_options(options);
         engine.catalog = snapshot.catalog;
         engine.graph = Arc::new(snapshot.graph);
-        engine.session_diagnostics = snapshot.diagnostics;
+        engine.session_diagnostics = Arc::new(snapshot.diagnostics);
         engine.inferred_by_query = snapshot.inferred;
         // Bulk-build the dictionary and its reverse-dependency index:
         // snapshot entries arrive sorted by id, so collecting pairs and
@@ -1026,9 +1089,10 @@ impl Engine {
         engine.rdeps = rdeps;
         engine.graph_revision = snapshot.revision;
         engine.probed_revision = snapshot.revision;
-        let index = Arc::new(snapshot.index);
-        engine.record_peak_bytes(&index);
-        engine.index_cache.prime_at(snapshot.revision, index);
+        engine.index = Arc::new(snapshot.index);
+        engine.indexed_graph = Arc::clone(&engine.graph);
+        engine.indexed_bytes = engine.graph.approx_bytes();
+        engine.record_peak_bytes();
         for (name, value) in snapshot.counters {
             engine.restore_counter(&name, value);
         }
@@ -1039,10 +1103,10 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Raise `engine.peak_graph_bytes` to the settled graph plus `index`,
-    /// if that is a new high-water mark.
-    fn record_peak_bytes(&self, index: &GraphIndex) {
-        let bytes = (self.graph.approx_bytes() + index.approx_bytes()) as i64;
+    /// Raise `engine.peak_graph_bytes` to the indexed graph plus its
+    /// index, if that is a new high-water mark.
+    fn record_peak_bytes(&self) {
+        let bytes = (self.indexed_bytes + self.index.approx_bytes()) as i64;
         if bytes > self.metrics.peak_graph_bytes.get() {
             self.metrics.peak_graph_bytes.set(bytes);
         }
@@ -1115,8 +1179,8 @@ impl Engine {
             traces: self.traces.clone(),
             deferrals: Vec::new(),
             inferred: self.merged_inferred(),
-            diagnostics: self.session_diagnostics.clone(),
-            index: self.index_cache.clone(),
+            diagnostics: (*self.session_diagnostics).clone(),
+            index: GraphIndexCache::new(),
         })
     }
 
@@ -1198,15 +1262,16 @@ impl Engine {
 
     /// Merge per-query lineage into the settled graph, keeping the
     /// running diagnostic total current.
-    fn merge_lineage(&mut self, lineage: QueryLineage) {
+    fn merge_lineage(&mut self, lineage: impl Into<Arc<QueryLineage>>) {
+        let lineage = lineage.into();
         self.graph_diag_count += lineage.diagnostics.len() as u64;
-        Arc::make_mut(&mut self.graph).merge_query(lineage);
+        self.graph_mut().merge_query(lineage);
     }
 
     /// Retract the lineage of every query in `ids` from the settled
     /// graph, keeping the running diagnostic total current.
     fn retract_lineage(&mut self, ids: &BTreeSet<String>) {
-        for old in Arc::make_mut(&mut self.graph).retract_queries(ids) {
+        for old in self.graph_mut().retract_queries(ids) {
             self.graph_diag_count -= old.diagnostics.len() as u64;
         }
     }
@@ -1296,7 +1361,7 @@ impl LineageView for Engine {
     }
 
     fn run_diagnostics(&self) -> Vec<Diagnostic> {
-        self.session_diagnostics.clone()
+        (*self.session_diagnostics).clone()
     }
 
     fn backend_name(&self) -> &'static str {
@@ -1320,7 +1385,7 @@ struct ComponentPlan {
 /// contributed.
 type ExtractOutcome = (
     String,
-    Result<(QueryLineage, Option<TraceLog>, BTreeMap<String, BTreeSet<String>>), LineageError>,
+    Result<(Arc<QueryLineage>, Option<TraceLog>, BTreeMap<String, BTreeSet<String>>), LineageError>,
 );
 
 /// Extract one component level by level against an immutable slice of
@@ -1335,7 +1400,7 @@ type ExtractOutcome = (
 fn extract_component(
     plan: &ComponentPlan,
     entries: &BTreeMap<String, EntryState>,
-    settled: &BTreeMap<String, QueryLineage>,
+    settled: &BTreeMap<String, Arc<QueryLineage>>,
     qd_ids: &BTreeSet<String>,
     catalog: &Catalog,
     options: &ExtractOptions,
@@ -1343,12 +1408,12 @@ fn extract_component(
     inner_jobs: usize,
     level_us: &Histogram,
 ) -> Vec<ExtractOutcome> {
-    let mut processed: BTreeMap<String, QueryLineage> = BTreeMap::new();
+    let mut processed: BTreeMap<String, Arc<QueryLineage>> = BTreeMap::new();
     for member in &plan.members {
         for dep in &entries[member].deps {
             if !plan.members.contains(dep) {
                 if let Some(lineage) = settled.get(dep) {
-                    processed.entry(dep.clone()).or_insert_with(|| lineage.clone());
+                    processed.entry(dep.clone()).or_insert_with(|| Arc::clone(lineage));
                 }
             }
         }
@@ -1381,12 +1446,14 @@ fn extract_component(
                     options,
                     &mut inferred,
                 )
-                .map(|(lineage, trace)| (lineage, trace, inferred_delta(snapshot, inferred)))
+                .map(|(lineage, trace)| {
+                    (Arc::new(lineage), trace, inferred_delta(snapshot, inferred))
+                })
             })
         };
         for (id, result) in level.iter().cloned().zip(results) {
             if let Ok((lineage, _, delta)) = &result {
-                processed.insert(id.clone(), lineage.clone());
+                processed.insert(id.clone(), Arc::clone(lineage));
                 for (table, columns) in delta {
                     extra.entry(table.clone()).or_default().extend(columns.iter().cloned());
                 }

@@ -42,7 +42,7 @@ mod stats;
 
 pub use deps::referenced_relations;
 pub use engine::{Engine, EngineOptions, EngineSnapshot};
-pub use stats::{EngineStats, IngestAction, StmtId};
+pub use stats::{EngineStats, IngestAction, PublishSplit, StmtId};
 
 #[cfg(test)]
 mod tests {
@@ -399,14 +399,13 @@ mod tests {
         let before = engine.graph_index().unwrap();
         assert!(before.lookup_column("webinfo", "wpage").is_some());
         // Redefine the hub view (same outputs, no WHERE): the next
-        // settled index must be a fresh build reflecting the new lineage
-        // — the `web.reg` reference edges are gone — not the cached
-        // revision.
+        // settled index must reflect the new lineage — the `web.reg`
+        // reference edges are gone — not the previous revision.
         engine
             .ingest("CREATE VIEW webinfo AS SELECT cid AS wcid, page AS wpage FROM web;")
             .unwrap();
         let after = engine.graph_index().unwrap();
-        assert!(!std::sync::Arc::ptr_eq(&before, &after), "redefinition must rebuild the index");
+        assert!(!std::sync::Arc::ptr_eq(&before, &after), "redefinition must update the index");
         assert!(after.edge_count() < before.edge_count(), "reference edges must be gone");
         // Answers through the view surface see the new shape: web.reg no
         // longer impacts anything.
@@ -421,10 +420,10 @@ mod tests {
         engine.ingest(PIPELINE).unwrap();
         let before = engine.graph_index().unwrap();
         // DROP retracts from the settled graph without needing a refresh:
-        // the cached index must not survive it.
+        // the previous revision's index must not survive it.
         engine.ingest("DROP VIEW info;").unwrap();
         let after = engine.graph_index().unwrap();
-        assert!(!std::sync::Arc::ptr_eq(&before, &after), "drop must rebuild the index");
+        assert!(!std::sync::Arc::ptr_eq(&before, &after), "drop must update the index");
         assert!(before.lookup_relation("info").is_some());
         assert!(after.lookup_relation("info").is_none());
     }

@@ -113,6 +113,19 @@ impl Default for EngineStats {
     }
 }
 
+/// Where one [`crate::Engine::publish`]'s write time went outside
+/// extraction, in µs, summed since the publish before it
+/// ([`crate::Engine::last_publish_split`]). Both are copies the engine
+/// pays because readers hold the previous revision; a slow write whose
+/// split is small spent its time extracting its dirty cone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PublishSplit {
+    /// Copy-on-write copies of the settled graph (pointers per entry).
+    pub graph_clone_us: u64,
+    /// Deriving the new revision's traversal index from the last one.
+    pub index_update_us: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

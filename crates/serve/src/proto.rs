@@ -35,8 +35,12 @@ use serde_json::Value;
 /// grew `engine.dialect` / `sqlparse.dialect_fallbacks`, visible through
 /// the `metrics` op); `4` — the engine stopped caching parsed scripts,
 /// so the `stats` reply's `engine` block drops its two cache hit/miss
-/// fields and the `metrics` op its two matching counters.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// fields and the `metrics` op its two matching counters; `5` — the
+/// engine maintains its traversal index instead of invalidating it, so
+/// the `metrics` op drops the `engine.index_invalidations` counter and
+/// gains the `engine.graph_clone_us` and `engine.index_update_us`
+/// histograms.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// A typed service error: a [`DiagnosticCode`] plus a human message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]

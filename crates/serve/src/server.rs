@@ -320,9 +320,15 @@ impl Drop for Server {
 /// The engine thread: the single writer. Settles each command, then
 /// publishes the new snapshot *before* replying, so a client that saw
 /// its write acknowledged at revision `r` knows every later read at
-/// revision `r` includes it.
+/// revision `r` includes it. The replaced snapshot is swapped out under
+/// the write lock and retired: it is freed when the next write arrives,
+/// so neither readers (waiting on the lock) nor the write's reply wait
+/// on the free, and the free does not compete for the CPU with the
+/// reads a client sends between writes.
 fn engine_loop(mut engine: Engine, shared: Arc<Shared>, jobs: mpsc::Receiver<WriteJob>) {
+    let mut retired: Option<EngineSnapshot> = None;
     while let Ok(job) = jobs.recv() {
+        drop(retired.take());
         let op = match &job.cmd {
             WriteCmd::Ingest(_) => "ingest",
             WriteCmd::Drop(_) => "drop",
@@ -337,11 +343,16 @@ fn engine_loop(mut engine: Engine, shared: Arc<Shared>, jobs: mpsc::Receiver<Wri
             let before = engine.stats().extractions;
             let snapshot = engine.publish()?;
             let extracted = (engine.stats().extractions - before) as usize;
-            *shared.snapshot.write().expect("snapshot lock poisoned") = snapshot.clone();
+            retired = Some(std::mem::replace(
+                &mut *shared.snapshot.write().expect("snapshot lock poisoned"),
+                snapshot.clone(),
+            ));
             if shared.verbose {
+                let split = engine.last_publish_split();
                 eprintln!(
-                    "[lineagex-serve] event=publish op={op} revision={} extracted={extracted}",
-                    snapshot.revision
+                    "[lineagex-serve] event=publish op={op} revision={} extracted={extracted} \
+                     graph_clone_us={} index_update_us={}",
+                    snapshot.revision, split.graph_clone_us, split.index_update_us
                 );
             }
             let receipts = receipts.iter().map(ReceiptRecord::from).collect();

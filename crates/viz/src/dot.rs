@@ -9,7 +9,7 @@ use std::fmt::Write;
 
 /// Render a lineage graph as Graphviz DOT.
 pub fn to_dot(graph: &LineageGraph) -> String {
-    render_dot(graph.nodes.values(), &graph.all_edges())
+    render_dot(graph.nodes.values().map(|node| &**node), &graph.all_edges())
 }
 
 /// Render a query answer's traversal cone ([`Subgraph`]) as Graphviz DOT

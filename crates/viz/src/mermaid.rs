@@ -9,7 +9,7 @@ use std::fmt::Write;
 
 /// Render table-level lineage as a Mermaid flowchart.
 pub fn to_mermaid(graph: &LineageGraph) -> String {
-    render_mermaid(graph.nodes.values(), graph.table_edges())
+    render_mermaid(graph.nodes.values().map(|node| &**node), graph.table_edges())
 }
 
 /// Render a query answer's traversal cone ([`Subgraph`]) as a Mermaid

@@ -27,6 +27,13 @@
 #                                    at 20k views over 10k: 2 is linear,
 #                                    4 quadratic; a time ratio, so the
 #                                    floor does not scale it)
+#   * write_over_refresh_10k <= 3    (a server-shaped write — ingest,
+#                                    publish while the previous snapshot
+#                                    is held, free it — over the bare
+#                                    dirty-cone refresh: a write must cost
+#                                    its cone, not the catalog; a
+#                                    same-process time ratio, so the floor
+#                                    does not scale it)
 #
 # The cold-start bound is deliberately below the headline "50x" ambition:
 # on the single-core reference machine the binary decode is string-alloc
@@ -115,6 +122,7 @@ incremental=$(json_num "$fresh_engine" speedup)
 refresh_10k=$(json_num "$fresh_engine" refresh_speedup_10k)
 cold_10k=$(json_num "$fresh_engine" cold_start_speedup_10k)
 one_shot_scaling=$(json_num "$fresh_engine" one_shot_scaling_20k)
+write_ratio=$(json_num "$fresh_engine" write_over_refresh_10k)
 down=$(json_num "$fresh_query" downstream_cone_qps)
 up=$(json_num "$fresh_query" upstream_closure_qps)
 mixed=$(json_num "$fresh_serve" mixed_qps)
@@ -137,6 +145,7 @@ check "incremental.speedup" "$incremental" ">=" 2
 check "refresh_speedup_10k" "$refresh_10k" ">=" "$refresh_floor"
 check "cold_start_speedup_10k" "$cold_10k" ">=" "$cold_floor"
 check "one_shot_scaling_20k" "$one_shot_scaling" "<=" 2.6
+check "write_over_refresh_10k" "$write_ratio" "<=" 3
 check "downstream_cone_qps vs committed floor" "$down" ">=" "$down_floor"
 check "upstream_closure_qps vs committed floor" "$up" ">=" "$up_floor"
 check "serve mixed_qps vs committed floor" "$mixed" ">=" "$mixed_floor"

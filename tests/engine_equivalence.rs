@@ -15,7 +15,11 @@
 //!    reference (`QuerySpec::run_on_unindexed`), for every direction,
 //!    granularity, and filter shape, on both backends and
 //!    `jobs ∈ {1, 4}` — and the `ReportV2` wire bytes stay identical
-//!    everywhere.
+//!    everywhere;
+//! 5. **maintained ≡ fresh** — the traversal index each `publish`
+//!    derives from the previous revision's equals, array for array, a
+//!    fresh `GraphIndex::build` of the published graph, whatever write
+//!    history led there, so `.lxsn` bytes never depend on it.
 
 use lineagex::datasets::{generator, GeneratorConfig};
 use lineagex::engine::{Engine, EngineOptions};
@@ -30,6 +34,28 @@ fn ingest_statementwise(engine: &mut Engine, workload: &generator::PipelineWorkl
     }
     for view in &workload.view_statements {
         engine.ingest(view).unwrap();
+    }
+}
+
+/// One write of the maintained-index property: views `v0`..`v5` over
+/// the base table, an external relation, or each other (so lenient
+/// cycles and dangling references happen), redefined in every shape a
+/// session sees, dropped, and the base table's schema replaced.
+fn session_write(op: u8, view: usize, source: usize, n: u32) -> String {
+    let from = match source % 8 {
+        0 => "base".to_string(),
+        1 => format!("ext{}", n % 2),
+        other => format!("v{}", other % 6),
+    };
+    match op % 8 {
+        // A new view, or a same-shape redefinition of an existing one.
+        0 | 1 => format!("CREATE VIEW v{view} AS SELECT a, b FROM {from} WHERE c > {n}"),
+        2 => format!("CREATE VIEW v{view} AS SELECT a, b, c AS x{n} FROM {from}"),
+        3 => format!("CREATE VIEW v{view} AS SELECT a FROM {from}"),
+        4 => format!("CREATE VIEW v{view} AS SELECT a AS r{n}, b FROM {from}"),
+        5 => format!("DROP VIEW v{view}"),
+        6 => format!("CREATE TABLE base (a int, b int, c int, d{n} int)"),
+        _ => format!("CREATE VIEW v{view} AS SELECT a, b, c FROM {from} JOIN base USING (a)"),
     }
 }
 
@@ -208,6 +234,60 @@ proptest! {
         let graph = engine.graph().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(&graph.queries, &one_shot.graph.queries);
         prop_assert_eq!(&graph.nodes, &one_shot.graph.nodes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After every publish of a random write sequence — new views,
+    /// same-shape redefinitions, redefinitions that add, drop or rename
+    /// output columns, `DROP`, base-table DDL that changes the catalog
+    /// schema, externals, and lenient cycles — the index the engine
+    /// maintains equals a fresh build of the published graph, and its
+    /// traversals match the string walk.
+    #[test]
+    fn maintained_index_equals_a_fresh_build(
+        writes in proptest::collection::vec((0u8..8, 0usize..6, 0usize..8, 0u32..4), 1..24),
+        pick in proptest::prelude::any::<usize>(),
+    ) {
+        for jobs in [1usize, 4] {
+            let mut options = EngineOptions { jobs, ..EngineOptions::default() };
+            options.extract.lenient = true;
+            let mut engine = Engine::with_options(options);
+            engine
+                .ingest("CREATE TABLE base (a int, b int, c int);")
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            for &(op, view, source, n) in &writes {
+                engine
+                    .ingest(&session_write(op, view, source, n))
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                let snapshot = engine.publish().map_err(|e| TestCaseError::fail(e.to_string()))?;
+                prop_assert_eq!(
+                    snapshot.index.to_raw(),
+                    GraphIndex::build(&snapshot.graph).to_raw(),
+                    "jobs={} after `{}`", jobs, session_write(op, view, source, n)
+                );
+                let columns: Vec<SourceColumn> = snapshot
+                    .graph
+                    .nodes
+                    .values()
+                    .flat_map(|n| n.columns.iter().map(|c| SourceColumn::new(&n.name, c)))
+                    .collect();
+                if let Some(origin) = columns.get(pick % columns.len().max(1)) {
+                    for spec in [
+                        QuerySpec::new().from_column(&origin.table, &origin.column).downstream(),
+                        QuerySpec::new().from_column(&origin.table, &origin.column).upstream(),
+                        QuerySpec::new().from_table(&origin.table).table_level(),
+                    ] {
+                        prop_assert_eq!(
+                            spec.run_with(&snapshot.index),
+                            spec.run_on_unindexed(&snapshot.graph)
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

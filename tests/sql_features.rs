@@ -19,7 +19,7 @@ const DDL: &str = "
 
 fn view(sql_body: &str) -> QueryLineage {
     let log = format!("{DDL} CREATE VIEW v AS {sql_body};");
-    lineagex(&log).unwrap().graph.queries["v"].clone()
+    (*lineagex(&log).unwrap().graph.queries["v"]).clone()
 }
 
 #[test]

@@ -73,11 +73,11 @@ fn wide_star_diamond() {
 
 #[test]
 fn settled_index_is_never_stale_under_hammering() {
-    // The revision-keyed `GraphIndexCache` contract, under fire: between
-    // every redefinition / DROP / refresh, `settled_index()` must hand
-    // out an index that matches the graph *as settled at that moment* —
-    // a cache that keyed on anything weaker than the graph revision
-    // would leak an index from a previous round here.
+    // The maintained-index contract, under fire: between every
+    // redefinition / DROP / refresh, `settled_index()` must hand out an
+    // index that matches the graph *as settled at that moment* — an
+    // index derived from anything but the current graph would leak a
+    // previous round here.
     let engine = Arc::new(Mutex::new(Engine::new()));
     {
         let mut guard = engine.lock().unwrap();
