@@ -103,9 +103,10 @@ cargo test -q --test serve_concurrency
 
 # Serve smoke: a real `lineagex serve --verbose` process on an
 # OS-assigned port, a scripted `lineagex client` round-trip (ping,
-# ingest, query), a metrics scrape that must show the traffic (non-zero
-# request counters, a populated ingest histogram), and a clean wire
-# shutdown that the server process must survive to exit 0.
+# ingest, query, two reports at one revision), a metrics scrape that
+# must show the traffic (non-zero request counters, a populated ingest
+# histogram, the second report served from the first one's body), and
+# a clean wire shutdown that the server process must survive to exit 0.
 step "serve smoke (lineagex serve + client round-trip + metrics scrape + wire shutdown)"
 cargo build -q -p lineagex-cli
 smoke_dir=$(mktemp -d)
@@ -130,11 +131,14 @@ printf 'CREATE TABLE web (cid int, page text);\nCREATE VIEW v AS SELECT page FRO
 target/debug/lineagex client "$addr" ping
 target/debug/lineagex client "$addr" ingest "$smoke_dir/smoke.sql"
 target/debug/lineagex client "$addr" query web.page
+target/debug/lineagex client "$addr" report >/dev/null
+target/debug/lineagex client "$addr" report >/dev/null
 # Scrape the observability registry: the scripted traffic above must be
 # visible as non-zero serve counters and a populated ingest histogram.
 target/debug/lineagex client "$addr" metrics >"$smoke_dir/metrics.json"
 grep -qE '"serve\.requests":[1-9]' "$smoke_dir/metrics.json"
 grep -qE '"engine\.ingest_us":\{"count":[1-9]' "$smoke_dir/metrics.json"
+grep -qE '"serve\.report_cache\.hits":[1-9]' "$smoke_dir/metrics.json"
 target/debug/lineagex client "$addr" shutdown
 wait "$serve_pid"
 grep -q "server stopped" "$smoke_dir/serve.log"

@@ -9,7 +9,7 @@
 //! ratio, and the server-shaped write cost in CI.
 
 use lineagex_bench::{section, table2};
-use lineagex_core::{DialectKind, LineageX, ReportV2};
+use lineagex_core::{DialectKind, LineageView, LineageX, ReportV2};
 use lineagex_datasets::{generate_scaled, generator, GeneratorConfig, ScaleConfig};
 use lineagex_engine::{Engine, EngineOptions};
 use lineagex_sqlparse::ast::{Expr, Literal, Statement};
@@ -91,6 +91,7 @@ struct ScaleReport {
     one_shot_scaling_20k: f64,
     write_ms_10k: f64,
     write_over_refresh_10k: f64,
+    report_ms_10k: f64,
 }
 
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -409,6 +410,10 @@ fn main() {
                     report.scale.write_ms_10k, report.scale.write_over_refresh_10k
                 ),
             ),
+            (
+                "report render (compact, index edges)".into(),
+                format!("{:.1} ms", report.scale.report_ms_10k),
+            ),
         ],
     );
 
@@ -425,13 +430,14 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
     let options = || EngineOptions { jobs: SCALE_JOBS, ..EngineOptions::default() };
 
     // One-shot scaling: `lineagex extract`'s library work (extraction +
-    // report build) at 10k and twice that, as interleaved pairs. The
-    // time ratio is machine-independent: 2 for a linear pipeline, 4 for
-    // a quadratic one.
+    // the rendered report) at 10k and twice that, as interleaved pairs.
+    // The report renders while it serialises, so the closure must
+    // serialise it. The time ratio is machine-independent: 2 for a
+    // linear pipeline, 4 for a quadratic one.
     let sql_20k = generate_scaled(&ScaleConfig::with_views(31, 2 * SCALE_VIEWS)).full_sql();
     let one_shot = |sql: &str| {
         let result = LineageX::new().run(sql).unwrap();
-        ReportV2::from_graph(&result.graph, &result.diagnostics)
+        ReportV2::from_graph(&result.graph, &result.diagnostics).to_json()
     };
     let (one_shot_10k, one_shot_20k, _) =
         paired(reps.max(2), 1, || one_shot(&sql), || one_shot(&sql_20k));
@@ -446,6 +452,11 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         engine.invalidate_all();
         engine.refresh().unwrap()
     });
+
+    // What a served `report` encodes once per revision: the settled
+    // graph's document, compact, with edges from the maintained index.
+    let report_render =
+        best_of(reps.max(2), || serde_json::to_string(&engine.report_v2().unwrap()).unwrap());
 
     // Dirty-cone refresh: redefine the deepest view (every churn step is
     // a real redefinition), so refresh re-extracts exactly its cone.
@@ -521,6 +532,7 @@ fn run_scale_tier(reps: usize) -> ScaleReport {
         one_shot_scaling_20k: one_shot_20k.as_secs_f64() / one_shot_10k.as_secs_f64(),
         write_ms_10k: ms(write),
         write_over_refresh_10k: write.as_secs_f64() / refresh.as_secs_f64(),
+        report_ms_10k: ms(report_render),
     }
 }
 

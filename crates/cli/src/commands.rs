@@ -5,15 +5,14 @@ use lineagex_baseline::metrics::{graph_contribute_edges, score_edges};
 use lineagex_baseline::SqlLineageLike;
 use lineagex_catalog::{Catalog, SimulatedDatabase};
 use lineagex_core::{
-    Diagnostic, DialectKind, EdgeKind, ExtractOptions, LineageResult, LineageView, LineageX,
-    QueryReport, SourceColumn,
+    Diagnostic, DialectKind, EdgeKind, ExtractOptions, GraphStats, LineageResult, LineageView,
+    LineageX, QueryReport, ReportV2, SourceColumn,
 };
 use lineagex_engine::{Engine, EngineOptions};
 use lineagex_serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
 use lineagex_serve::{Client, ServeOptions, Server};
 use lineagex_viz::{
     subgraph_to_dot, subgraph_to_mermaid, to_dot, to_html, to_mermaid, to_output_json,
-    to_report_v2_json,
 };
 use std::io::{BufRead, Write};
 
@@ -52,7 +51,9 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
                     timings_summary(started.elapsed(), &lineagex_obs::registry().snapshot())
                 );
             }
-            summarize(&result, file, &sql, out)?;
+            // One stats pass serves the summary and the report.
+            let stats = result.graph.stats();
+            summarize(&result, &stats, file, &sql, out)?;
             if let Some(path) = diagnostics_json {
                 let diagnostics: Vec<Diagnostic> = collect_diagnostics(&result)
                     .into_iter()
@@ -66,7 +67,9 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
             if let Some(path) = json {
                 // The versioned v2 document: graph + per-query lineage +
                 // run diagnostics + stats, deterministic across backends.
-                write_file(path, &to_report_v2_json(&result.graph, &result.diagnostics))?;
+                let report =
+                    ReportV2::from_graph(&result.graph, &result.diagnostics).with_stats(&stats);
+                write_file(path, &report.to_json())?;
                 wln(out, &format!("wrote {path}"))?;
             }
             if let Some(path) = json_v1 {
@@ -725,7 +728,13 @@ fn plural_y(n: usize) -> &'static str {
     }
 }
 
-fn summarize(result: &LineageResult, file: &str, sql: &str, out: &mut dyn Write) -> CmdResult {
+fn summarize(
+    result: &LineageResult,
+    stats: &GraphStats,
+    file: &str,
+    sql: &str,
+    out: &mut dyn Write,
+) -> CmdResult {
     wln(out, &format!("queries processed : {}", result.graph.queries.len()))?;
     wln(out, &format!("processing order  : {:?}", result.graph.order))?;
     if !result.deferrals.is_empty() {
@@ -733,7 +742,7 @@ fn summarize(result: &LineageResult, file: &str, sql: &str, out: &mut dyn Write)
     }
     wln(out, &format!("relations in graph: {}", result.graph.nodes.len()))?;
     wln(out, &format!("column nodes      : {}", result.graph.column_count()))?;
-    wln(out, &format!("column edges      : {}", result.graph.stats().edge_count()))?;
+    wln(out, &format!("column edges      : {}", stats.edge_count()))?;
     let partial: Vec<&str> = result
         .graph
         .order

@@ -89,11 +89,12 @@ impl QueryLineage {
     /// `C_both`: sources that both contribute to some output and are
     /// referenced.
     pub fn cboth(&self) -> BTreeSet<SourceColumn> {
-        let mut all_con: BTreeSet<&SourceColumn> = BTreeSet::new();
-        for out in &self.outputs {
-            all_con.extend(out.ccon.iter());
-        }
-        self.cref.iter().filter(|c| all_con.contains(c)).cloned().collect()
+        self.both_sources().cloned().collect()
+    }
+
+    /// The members of [`QueryLineage::cboth`], borrowed, in `C_ref` order.
+    pub(crate) fn both_sources(&self) -> impl Iterator<Item = &SourceColumn> {
+        self.cref.iter().filter(|c| self.outputs.iter().any(|o| o.ccon.contains(*c)))
     }
 
     /// The full lineage of one output column per the paper's semantics:
@@ -164,6 +165,15 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
+    /// Every kind, in declaration order (`kind as usize` indexes it).
+    const ALL: [NodeKind; 5] = [
+        NodeKind::BaseTable,
+        NodeKind::View,
+        NodeKind::Table,
+        NodeKind::QueryResult,
+        NodeKind::External,
+    ];
+
     /// The node kind a query-lineage entry of `kind` produces.
     pub fn for_query(kind: &QueryKind) -> NodeKind {
         match kind {
@@ -194,6 +204,16 @@ pub struct Edge {
     pub to: SourceColumn,
     /// Contribute / Reference / Both.
     pub kind: EdgeKind,
+}
+
+/// A column-level edge whose `(table, column)` endpoints borrow the
+/// graph's names: [`LineageGraph::edge_refs`] lists them without copying
+/// a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EdgeRef<'g> {
+    pub(crate) from: (&'g str, &'g str),
+    pub(crate) to: (&'g str, &'g str),
+    pub(crate) kind: EdgeKind,
 }
 
 /// The combined table- and column-level lineage graph over a set of
@@ -281,32 +301,48 @@ impl LineageGraph {
 
     /// All edges with paper semantics: every referenced source points at
     /// every output column of the referencing query; sources that also
-    /// contribute are marked [`EdgeKind::Both`].
+    /// contribute are marked [`EdgeKind::Both`]. Sorted by `(from, to)`;
+    /// the owned form of the borrowed edge list a `ReportV2` renders
+    /// when it has no traversal index.
     pub fn all_edges(&self) -> Vec<Edge> {
-        let mut edges: BTreeMap<(SourceColumn, SourceColumn), EdgeKind> = BTreeMap::new();
+        self.edge_refs()
+            .into_iter()
+            .map(|e| Edge {
+                from: SourceColumn::new(e.from.0, e.from.1),
+                to: SourceColumn::new(e.to.0, e.to.1),
+                kind: e.kind,
+            })
+            .collect()
+    }
+
+    /// [`LineageGraph::all_edges`] with borrowed names: one `C_con` edge
+    /// per (source, output) and one `C_ref` edge per (referenced source,
+    /// output), sorted by `(from, to)`, then merged. Same-named outputs
+    /// (`SELECT a AS x, b AS x`) are one graph column, so their edges
+    /// merge too; a pair holding both kinds becomes [`EdgeKind::Both`].
+    pub(crate) fn edge_refs(&self) -> Vec<EdgeRef<'_>> {
+        let mut edges = Vec::new();
         for q in self.queries.values() {
             for out in &q.outputs {
-                let to = SourceColumn::new(&q.id, &out.name);
-                for src in &out.ccon {
-                    edges.insert((src.clone(), to.clone()), EdgeKind::Contribute);
-                }
-            }
-            for src in &q.cref {
-                for out in &q.outputs {
-                    let to = SourceColumn::new(&q.id, &out.name);
-                    let key = (src.clone(), to);
-                    edges
-                        .entry(key)
-                        .and_modify(|k| {
-                            if *k == EdgeKind::Contribute {
-                                *k = EdgeKind::Both;
-                            }
-                        })
-                        .or_insert(EdgeKind::Reference);
-                }
+                let to = (q.id.as_str(), out.name.as_str());
+                let sources = out.ccon.iter().map(|src| (src, EdgeKind::Contribute));
+                let sources = sources.chain(q.cref.iter().map(|src| (src, EdgeKind::Reference)));
+                edges.extend(sources.map(|(src, kind)| EdgeRef {
+                    from: (src.table.as_str(), src.column.as_str()),
+                    to,
+                    kind,
+                }));
             }
         }
-        edges.into_iter().map(|((from, to), kind)| Edge { from, to, kind }).collect()
+        edges.sort_unstable_by(|a, b| (a.from, a.to).cmp(&(b.from, b.to)));
+        edges.dedup_by(|next, kept| {
+            let same = (next.from, next.to) == (kept.from, kept.to);
+            if same && next.kind != kept.kind {
+                kept.kind = EdgeKind::Both;
+            }
+            same
+        });
+        edges
     }
 
     /// Table-level edges: `(source relation, derived relation)` pairs,
@@ -369,10 +405,16 @@ impl LineageGraph {
     /// Summary statistics of the graph (for reports and the CLI). Linear
     /// in the graph's size: no edge list is built.
     pub fn stats(&self) -> GraphStats {
-        let mut by_kind = BTreeMap::new();
+        let mut by_kind = [0usize; NodeKind::ALL.len()];
         for node in self.nodes.values() {
-            *by_kind.entry(format!("{:?}", node.kind)).or_insert(0usize) += 1;
+            by_kind[node.kind as usize] += 1;
         }
+        let nodes_by_kind = NodeKind::ALL
+            .iter()
+            .zip(by_kind)
+            .filter(|&(_, count)| count > 0)
+            .map(|(kind, count)| (format!("{kind:?}"), count))
+            .collect();
         // Every edge of a query ends at one of that query's own output
         // columns, so per-query counts sum to the `all_edges` totals.
         let [mut contribute, mut reference, mut both] = [0usize; 3];
@@ -399,7 +441,7 @@ impl LineageGraph {
         }
         GraphStats {
             relations: self.nodes.len(),
-            nodes_by_kind: by_kind,
+            nodes_by_kind,
             columns: self.column_count(),
             queries: self.queries.len(),
             contribute_edges: contribute,
@@ -513,21 +555,50 @@ impl GraphStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lineagex_datasets::{generator, GeneratorConfig};
     use proptest::prelude::*;
 
+    /// The map-keyed [`LineageGraph::all_edges`] the sort-merge replaced,
+    /// kept as its oracle: owned `(from, to)` keys, `C_con` edges first,
+    /// then `C_ref` edges upgrading a contributed pair to `Both`.
+    pub(crate) fn reference_edges(g: &LineageGraph) -> Vec<Edge> {
+        let mut edges: BTreeMap<(SourceColumn, SourceColumn), EdgeKind> = BTreeMap::new();
+        for q in g.queries.values() {
+            for out in &q.outputs {
+                let to = SourceColumn::new(&q.id, &out.name);
+                for src in &out.ccon {
+                    edges.insert((src.clone(), to.clone()), EdgeKind::Contribute);
+                }
+            }
+            for src in &q.cref {
+                for out in &q.outputs {
+                    let to = SourceColumn::new(&q.id, &out.name);
+                    edges
+                        .entry((src.clone(), to))
+                        .and_modify(|k| {
+                            if *k == EdgeKind::Contribute {
+                                *k = EdgeKind::Both;
+                            }
+                        })
+                        .or_insert(EdgeKind::Reference);
+                }
+            }
+        }
+        edges.into_iter().map(|((from, to), kind)| Edge { from, to, kind }).collect()
+    }
+
     /// The two-pass `stats()` the one-pass version replaced, kept as its
-    /// oracle: edge counts from a full [`LineageGraph::all_edges`] build,
-    /// and depth from scanning every table edge once per query.
+    /// oracle: edge counts from a full edge-list build, and depth from
+    /// scanning every table edge once per query.
     fn reference_stats(g: &LineageGraph) -> GraphStats {
         let mut by_kind = BTreeMap::new();
         for node in g.nodes.values() {
             *by_kind.entry(format!("{:?}", node.kind)).or_insert(0usize) += 1;
         }
         let [mut contribute, mut reference, mut both] = [0usize; 3];
-        for edge in g.all_edges() {
+        for edge in reference_edges(g) {
             match edge.kind {
                 EdgeKind::Contribute => contribute += 1,
                 EdgeKind::Reference => reference += 1,
@@ -562,6 +633,7 @@ mod tests {
     fn checked_stats(g: &LineageGraph) -> GraphStats {
         let stats = g.stats();
         assert_eq!(stats, reference_stats(g));
+        assert_eq!(g.all_edges(), reference_edges(g));
         assert_eq!(stats.edge_count(), g.all_edges().len());
         stats
     }
@@ -593,6 +665,7 @@ mod tests {
                 .map_err(|e| TestCaseError::fail(e.to_string()))?
                 .graph;
             prop_assert_eq!(graph.stats(), reference_stats(&graph));
+            prop_assert_eq!(graph.all_edges(), reference_edges(&graph));
             prop_assert_eq!(graph.stats().edge_count(), graph.all_edges().len());
             graph.order.reverse();
             prop_assert_eq!(graph.stats(), reference_stats(&graph));

@@ -12,16 +12,21 @@
 //!   diagnostics, and stats, in one deterministic document. Because it
 //!   carries no processing order and every collection is sorted, equal
 //!   graphs produce byte-identical documents regardless of backend
-//!   (batch or incremental) or parallelism.
+//!   (batch or incremental) or parallelism. It borrows the graph and
+//!   renders the document while it serialises.
 //!
 //! [`QueryReport`] is the schema-version-2 envelope for one
 //! [`QueryAnswer`] (the `lineagex query`
 //! subcommand's `--format json`).
 
 use crate::diagnostics::Diagnostic;
-use crate::model::{EdgeKind, LineageGraph, NodeKind, QueryKind, SourceColumn};
+use crate::graph::{ColumnId, GraphIndex};
+use crate::model::{
+    EdgeKind, GraphStats, LineageGraph, NodeKind, QueryKind, QueryLineage, SourceColumn,
+};
 use crate::query::QueryAnswer;
-use serde::Serialize;
+use serde::{Serialize, Serializer};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The wire schema version emitted by [`ReportV2`] and [`QueryReport`].
@@ -134,53 +139,154 @@ impl JsonReport {
 }
 
 /// The versioned lineage document (v2): the one wire format `core`,
-/// `engine`, `cli`, and `viz` all serialise through.
-#[derive(Debug, Clone, Serialize, PartialEq)]
-pub struct ReportV2 {
-    /// Always [`SCHEMA_VERSION`].
-    pub schema_version: u32,
-    /// All relation nodes with their kinds and columns.
-    pub relations: BTreeMap<String, TableRecord>,
-    /// Per-query lineage keyed by query id.
-    pub queries: BTreeMap<String, QueryRecordV2>,
-    /// Every column-level edge (paper semantics), sorted by
-    /// `(from, to)`.
-    pub edges: Vec<EdgeRecord>,
-    /// Run-/session-level diagnostics (per-query ones are embedded in
-    /// their query record).
-    pub diagnostics: Vec<Diagnostic>,
-    /// Summary statistics of the graph.
-    pub stats: crate::model::GraphStats,
+/// `engine`, `cli`, `serve` and `viz` all serialise through.
+///
+/// The report borrows a settled graph and its run diagnostics, and
+/// [`Serialize`] renders the document from them in one pass: relations,
+/// per-query lineage (outputs in projection order, each query's
+/// diagnostics and partial flag embedded), every column-level edge
+/// sorted by `(from, to)`, the run diagnostics, and the graph's stats.
+/// Nothing is copied before rendering.
+#[derive(Debug, Clone)]
+pub struct ReportV2<'a> {
+    graph: &'a LineageGraph,
+    diagnostics: Cow<'a, [Diagnostic]>,
+    index: Option<&'a GraphIndex>,
+    stats: Option<&'a GraphStats>,
 }
 
-/// One query's lineage record (v2). Unlike v1, outputs keep projection
-/// order and the record embeds its diagnostics and partial flag.
-#[derive(Debug, Clone, Serialize, PartialEq)]
-pub struct QueryRecordV2 {
-    /// Statement kind (`view`, `materialized_view`, `table_as`,
-    /// `insert`, `update`, `select`).
-    pub kind: String,
-    /// Source relations (table lineage `T`).
-    pub tables: Vec<String>,
-    /// Output columns in projection order with their `C_con` sources.
-    pub outputs: Vec<OutputRecord>,
-    /// Query-level referenced columns (`C_ref`).
-    pub referenced: Vec<String>,
-    /// Columns both contributed and referenced (`C_both`).
-    pub both: Vec<String>,
-    /// Whether lenient mode degraded part of this lineage.
-    pub partial: bool,
-    /// The query's extraction diagnostics.
-    pub diagnostics: Vec<Diagnostic>,
+impl<'a> ReportV2<'a> {
+    /// The v2 document of a settled graph and its run diagnostics.
+    pub fn from_graph(graph: &'a LineageGraph, run_diagnostics: &'a [Diagnostic]) -> Self {
+        ReportV2::new(graph, Cow::Borrowed(run_diagnostics))
+    }
+
+    /// The report over run diagnostics that are borrowed or, for a view
+    /// that can only hand out a copy, owned.
+    pub(crate) fn new(graph: &'a LineageGraph, diagnostics: Cow<'a, [Diagnostic]>) -> Self {
+        ReportV2 { graph, diagnostics, index: None, stats: None }
+    }
+
+    /// Take the edges from `index`, which must be the traversal index of
+    /// this report's graph: its forward rows already list the merged
+    /// edges in `(from, to)` order, so rendering them skips the sort.
+    pub fn with_index(mut self, index: &'a GraphIndex) -> Self {
+        self.index = Some(index);
+        self
+    }
+
+    /// Render `stats`, which must be the graph's
+    /// [`LineageGraph::stats`], instead of computing them again.
+    pub fn with_stats(mut self, stats: &'a GraphStats) -> Self {
+        self.stats = Some(stats);
+        self
+    }
+
+    /// Serialise to pretty JSON.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("report serialises")
+    }
 }
 
-/// One output column with its contributing sources (v2).
-#[derive(Debug, Clone, Serialize, PartialEq)]
-pub struct OutputRecord {
-    /// The output column name.
-    pub name: String,
-    /// `C_con` as `table.column` strings, sorted.
-    pub sources: Vec<String>,
+impl Serialize for ReportV2<'_> {
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        let graph = self.graph;
+        s.begin_map();
+        s.field("schema_version", &SCHEMA_VERSION);
+        s.key("relations");
+        s.begin_map();
+        for (name, node) in &graph.nodes {
+            s.key(name);
+            s.begin_map();
+            s.field("kind", node_kind_label(node.kind));
+            s.field("columns", &node.columns);
+            s.end_map();
+        }
+        s.end_map();
+        s.key("queries");
+        s.begin_map();
+        for (id, q) in &graph.queries {
+            s.key(id);
+            write_query(s, q);
+        }
+        s.end_map();
+        s.key("edges");
+        s.begin_seq();
+        match self.index {
+            Some(index) => {
+                let name = |c: u32| {
+                    let c = ColumnId::from_index(c as usize);
+                    (index.relation_name(index.column_relation(c)), index.column_name(c))
+                };
+                for from in 0..index.column_count() as u32 {
+                    for &(to, kind) in index.out_edges(ColumnId::from_index(from as usize)) {
+                        write_edge(s, name(from), name(to), kind);
+                    }
+                }
+            }
+            None => {
+                for e in graph.edge_refs() {
+                    write_edge(s, e.from, e.to, e.kind);
+                }
+            }
+        }
+        s.end_seq();
+        s.field("diagnostics", &*self.diagnostics);
+        match self.stats {
+            Some(stats) => s.field("stats", stats),
+            None => s.field("stats", &graph.stats()),
+        }
+        s.end_map();
+    }
+}
+
+/// A `table.column` name on the wire, written without joining it first.
+struct Dotted<'a>(&'a str, &'a str);
+
+impl Serialize for Dotted<'_> {
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.str_parts(&[self.0, ".", self.1]);
+    }
+}
+
+fn dotted(c: &SourceColumn) -> Dotted<'_> {
+    Dotted(&c.table, &c.column)
+}
+
+/// One query's record: kind, scanned relations, outputs in projection
+/// order with their `C_con` sources, `C_ref`, `C_both`, the partial flag
+/// and the query's own diagnostics.
+fn write_query(s: &mut Serializer<'_>, q: &QueryLineage) {
+    s.begin_map();
+    s.field("kind", query_kind_label(&q.kind));
+    s.field("tables", &q.tables);
+    s.key("outputs");
+    s.begin_seq();
+    for out in &q.outputs {
+        s.element();
+        s.begin_map();
+        s.field("name", &out.name);
+        s.key("sources");
+        s.seq(out.ccon.iter().map(dotted));
+        s.end_map();
+    }
+    s.end_seq();
+    s.key("referenced");
+    s.seq(q.cref.iter().map(dotted));
+    s.key("both");
+    s.seq(q.both_sources().map(dotted));
+    s.field("partial", &q.partial);
+    s.field("diagnostics", &q.diagnostics);
+    s.end_map();
+}
+
+fn write_edge(s: &mut Serializer<'_>, from: (&str, &str), to: (&str, &str), kind: EdgeKind) {
+    s.element();
+    s.begin_map();
+    s.field("from", &Dotted(from.0, from.1));
+    s.field("to", &Dotted(to.0, to.1));
+    s.field("kind", edge_kind_label(kind));
+    s.end_map();
 }
 
 /// One column-level edge on the wire.
@@ -192,66 +298,6 @@ pub struct EdgeRecord {
     pub to: String,
     /// `contribute` / `reference` / `both`.
     pub kind: String,
-}
-
-impl ReportV2 {
-    /// Build the v2 document from a settled graph and run diagnostics.
-    pub fn from_graph(graph: &LineageGraph, run_diagnostics: &[Diagnostic]) -> Self {
-        let mut relations = BTreeMap::new();
-        for (name, node) in &graph.nodes {
-            relations.insert(
-                name.clone(),
-                TableRecord {
-                    kind: node_kind_label(node.kind).to_string(),
-                    columns: node.columns.clone(),
-                },
-            );
-        }
-        let mut queries = BTreeMap::new();
-        for (id, q) in &graph.queries {
-            queries.insert(
-                id.clone(),
-                QueryRecordV2 {
-                    kind: query_kind_label(&q.kind).to_string(),
-                    tables: q.tables.iter().cloned().collect(),
-                    outputs: q
-                        .outputs
-                        .iter()
-                        .map(|out| OutputRecord {
-                            name: out.name.clone(),
-                            sources: out.ccon.iter().map(SourceColumn::to_string).collect(),
-                        })
-                        .collect(),
-                    referenced: q.cref.iter().map(SourceColumn::to_string).collect(),
-                    both: q.cboth().iter().map(SourceColumn::to_string).collect(),
-                    partial: q.partial,
-                    diagnostics: q.diagnostics.clone(),
-                },
-            );
-        }
-        let edges = graph
-            .all_edges()
-            .into_iter()
-            .map(|e| EdgeRecord {
-                from: e.from.to_string(),
-                to: e.to.to_string(),
-                kind: edge_kind_label(e.kind).to_string(),
-            })
-            .collect();
-        ReportV2 {
-            schema_version: SCHEMA_VERSION,
-            relations,
-            queries,
-            edges,
-            diagnostics: run_diagnostics.to_vec(),
-            stats: graph.stats(),
-        }
-    }
-
-    /// Serialise to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialises")
-    }
 }
 
 /// The schema-version-2 envelope for one graph-query answer — what
@@ -417,10 +463,13 @@ impl QueryReport {
 mod tests {
     use super::*;
     use crate::infer::InferenceEngine;
+    use crate::model::tests::reference_edges;
     use crate::options::ExtractOptions;
     use crate::preprocess::QueryDict;
     use crate::query::QuerySpec;
     use lineagex_catalog::Catalog;
+    use lineagex_datasets::{generator::generate, GeneratorConfig};
+    use proptest::prelude::*;
 
     fn graph() -> LineageGraph {
         let qd = QueryDict::from_sql(
@@ -470,21 +519,19 @@ mod tests {
 
     #[test]
     fn report_v2_structure() {
-        let report = ReportV2::from_graph(&graph(), &[]);
-        assert_eq!(report.schema_version, 2);
-        assert_eq!(report.relations["t"].kind, "base_table");
-        let v = &report.queries["v"];
-        assert_eq!(v.kind, "view");
-        assert_eq!(v.outputs[0].name, "a");
-        assert_eq!(v.outputs[0].sources, vec!["t.a"]);
-        assert_eq!(v.referenced, vec!["t.b"]);
-        assert!(!v.partial);
-        assert_eq!(report.edges.len(), 2);
-        assert_eq!(report.stats.queries, 1);
-        let json = report.to_json();
+        let g = graph();
+        let json = ReportV2::from_graph(&g, &[]).to_json();
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed["schema_version"], 2);
-        assert_eq!(parsed["queries"]["v"]["outputs"][0]["name"], "a");
+        assert_eq!(parsed["relations"]["t"]["kind"], "base_table");
+        let v = &parsed["queries"]["v"];
+        assert_eq!(v["kind"], "view");
+        assert_eq!(v["outputs"][0]["name"], "a");
+        assert_eq!(v["outputs"][0]["sources"][0], "t.a");
+        assert_eq!(v["referenced"][0], "t.b");
+        assert_eq!(v["partial"], false);
+        assert_eq!(parsed["edges"].as_array().unwrap().len(), 2);
+        assert_eq!(parsed["stats"]["queries"], 1);
         assert_eq!(parsed["stats"]["relations"], 2);
     }
 
@@ -499,6 +546,179 @@ mod tests {
             ReportV2::from_graph(&g1, &[]).to_json(),
             ReportV2::from_graph(&g2, &[]).to_json()
         );
+    }
+
+    /// The owned v2 builder the borrowed renderer replaced, kept as its
+    /// oracle: every string copied into a derived-`Serialize` document,
+    /// edges from the map-keyed edge merge.
+    fn reference_report(graph: &LineageGraph, run_diagnostics: &[Diagnostic]) -> ReferenceReport {
+        let mut relations = BTreeMap::new();
+        for (name, node) in &graph.nodes {
+            relations.insert(
+                name.clone(),
+                TableRecord {
+                    kind: node_kind_label(node.kind).to_string(),
+                    columns: node.columns.clone(),
+                },
+            );
+        }
+        let mut queries = BTreeMap::new();
+        for (id, q) in &graph.queries {
+            queries.insert(
+                id.clone(),
+                ReferenceQuery {
+                    kind: query_kind_label(&q.kind).to_string(),
+                    tables: q.tables.iter().cloned().collect(),
+                    outputs: q
+                        .outputs
+                        .iter()
+                        .map(|out| ReferenceOutput {
+                            name: out.name.clone(),
+                            sources: out.ccon.iter().map(SourceColumn::to_string).collect(),
+                        })
+                        .collect(),
+                    referenced: q.cref.iter().map(SourceColumn::to_string).collect(),
+                    both: q.cboth().iter().map(SourceColumn::to_string).collect(),
+                    partial: q.partial,
+                    diagnostics: q.diagnostics.clone(),
+                },
+            );
+        }
+        let edges = reference_edges(graph)
+            .into_iter()
+            .map(|e| EdgeRecord {
+                from: e.from.to_string(),
+                to: e.to.to_string(),
+                kind: edge_kind_label(e.kind).to_string(),
+            })
+            .collect();
+        ReferenceReport {
+            schema_version: SCHEMA_VERSION,
+            relations,
+            queries,
+            edges,
+            diagnostics: run_diagnostics.to_vec(),
+            stats: graph.stats(),
+        }
+    }
+
+    #[derive(Serialize)]
+    struct ReferenceReport {
+        schema_version: u32,
+        relations: BTreeMap<String, TableRecord>,
+        queries: BTreeMap<String, ReferenceQuery>,
+        edges: Vec<EdgeRecord>,
+        diagnostics: Vec<Diagnostic>,
+        stats: GraphStats,
+    }
+
+    #[derive(Serialize)]
+    struct ReferenceQuery {
+        kind: String,
+        tables: Vec<String>,
+        outputs: Vec<ReferenceOutput>,
+        referenced: Vec<String>,
+        both: Vec<String>,
+        partial: bool,
+        diagnostics: Vec<Diagnostic>,
+    }
+
+    #[derive(Serialize)]
+    struct ReferenceOutput {
+        name: String,
+        sources: Vec<String>,
+    }
+
+    /// Statements the generator never writes, each picked by one bit:
+    /// same-named outputs, a self-join, repeated `INSERT`/`UPDATE`
+    /// writers of one table (the `sink#2` ids), an external read, and,
+    /// in lenient mode, an unresolvable column (a partial record), a
+    /// noise statement and a parse error (run diagnostics).
+    const EXTRAS: [&str; 8] = [
+        "CREATE VIEW dup_out AS SELECT a AS x, b AS x, c FROM ext_base WHERE c > 0;",
+        "CREATE VIEW self_join AS SELECT l.a, r.b FROM ext_base l JOIN ext_base r ON l.a = r.b;",
+        "INSERT INTO sink SELECT a, b FROM ext_base; INSERT INTO sink SELECT c, a FROM ext_base;",
+        "UPDATE sink SET y = e.b FROM ext_base e WHERE sink.x = e.a;",
+        "CREATE VIEW ext_reader AS SELECT k.id, k.val FROM outside k WHERE k.id > 1;",
+        "CREATE VIEW partial_v AS SELECT ghost FROM ext_base;",
+        "SET search_path = lineage;",
+        "CREATE VIEW broken AS SELEC;",
+    ];
+
+    /// The extras reach the graph as intended, so the proptest below
+    /// covers each case.
+    #[test]
+    fn extras_cover_the_shapes_the_generator_never_writes() {
+        let sql = format!(
+            "CREATE TABLE ext_base (a int, b int, c int); CREATE TABLE sink (x int, y int);\n{}",
+            EXTRAS.join("\n")
+        );
+        let result = crate::LineageX::new().lenient().run(&sql).unwrap();
+        let g = &result.graph;
+        let dup = &g.queries["dup_out"];
+        assert_eq!(dup.output_names(), vec!["x", "x", "c"]);
+        assert!(g.queries["self_join"].tables.contains("ext_base"));
+        assert!(g.queries.contains_key("sink#2") && g.queries.contains_key("sink#3"));
+        assert_eq!(g.nodes["outside"].kind, NodeKind::External);
+        assert!(g.queries["partial_v"].partial);
+        assert!(result.diagnostics.len() >= 2, "{:?}", result.diagnostics);
+        let json = ReportV2::from_graph(g, &result.diagnostics).to_json();
+        assert_eq!(
+            json,
+            serde_json::to_string_pretty(&reference_report(g, &result.diagnostics)).unwrap()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The borrowed renderer writes the owned builder's bytes, pretty
+        /// and compact, with edges from the sort-merge and from a
+        /// traversal index, on generated logs mixed with the extras.
+        #[test]
+        fn borrowed_report_matches_the_owned_builder(
+            seed in 0u64..10_000,
+            shuffled in any::<bool>(),
+            extras in 0u8..=255,
+            lenient in any::<bool>(),
+        ) {
+            let workload = generate(&GeneratorConfig {
+                views: 20,
+                shuffle_statements: shuffled,
+                ..GeneratorConfig::seeded(seed)
+            });
+            let mut sql = workload.full_sql();
+            sql.push_str("\nCREATE TABLE ext_base (a int, b int, c int);");
+            sql.push_str("\nCREATE TABLE sink (x int, y int);");
+            // Strict mode rejects the last three extras outright.
+            let usable = if lenient { EXTRAS.len() } else { 5 };
+            for (bit, extra) in EXTRAS.iter().enumerate().take(usable) {
+                if extras & (1 << bit) != 0 {
+                    sql.push('\n');
+                    sql.push_str(extra);
+                }
+            }
+            let extractor = if lenient { crate::LineageX::new().lenient() } else { crate::LineageX::new() };
+            let result = extractor.run(&sql).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let (graph, diagnostics) = (&result.graph, &result.diagnostics);
+            let reference = reference_report(graph, diagnostics);
+            let index = GraphIndex::build(graph);
+            for report in [
+                ReportV2::from_graph(graph, diagnostics),
+                ReportV2::from_graph(graph, diagnostics).with_index(&index),
+            ] {
+                prop_assert_eq!(report.to_json(), serde_json::to_string_pretty(&reference).unwrap());
+                prop_assert_eq!(
+                    serde_json::to_string(&report).unwrap(),
+                    serde_json::to_string(&reference).unwrap()
+                );
+            }
+            let stats = graph.stats();
+            prop_assert_eq!(
+                ReportV2::from_graph(graph, diagnostics).with_stats(&stats).to_json(),
+                serde_json::to_string_pretty(&reference).unwrap()
+            );
+        }
     }
 
     #[test]

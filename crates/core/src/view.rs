@@ -20,6 +20,7 @@ use crate::infer::LineageResult;
 use crate::model::{GraphStats, LineageGraph, SourceColumn};
 use crate::query::GraphQuery;
 use crate::report::ReportV2;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -84,15 +85,17 @@ pub trait LineageView {
         Ok(self.settled_graph()?.stats())
     }
 
-    /// The versioned wire document ([`ReportV2`], `schema_version: 2`):
-    /// graph, per-query lineage, embedded diagnostics, and stats in one
-    /// deterministic JSON-able value. Byte-identical across backends for
-    /// equal graphs and diagnostics.
-    fn report_v2(&mut self) -> Result<ReportV2, LineageError> {
+    /// The versioned wire document ([`ReportV2`], `schema_version: 2`)
+    /// over the settled graph: graph, per-query lineage, embedded
+    /// diagnostics, and stats, rendered when serialised. Byte-identical
+    /// across backends for equal graphs and diagnostics. The default
+    /// copies [`LineageView::run_diagnostics`]; both workspace backends
+    /// override it to borrow them.
+    fn report_v2(&mut self) -> Result<ReportV2<'_>, LineageError> {
         self.settled_graph()?;
         let diagnostics = self.run_diagnostics();
         let graph = self.settled_graph()?;
-        Ok(ReportV2::from_graph(graph, &diagnostics))
+        Ok(ReportV2::new(graph, Cow::Owned(diagnostics)))
     }
 }
 
@@ -111,6 +114,10 @@ impl LineageView for LineageResult {
 
     fn settled_index(&mut self) -> Result<Arc<GraphIndex>, LineageError> {
         Ok(self.index.get_or_build(&self.graph))
+    }
+
+    fn report_v2(&mut self) -> Result<ReportV2<'_>, LineageError> {
+        Ok(ReportV2::from_graph(&self.graph, &self.diagnostics))
     }
 }
 
@@ -157,9 +164,12 @@ mod tests {
     #[test]
     fn report_v2_through_the_trait() {
         let mut view = result();
-        let report = view.report_v2().unwrap();
-        assert_eq!(report.schema_version, 2);
-        assert!(report.queries.contains_key("v"));
+        let json = view.report_v2().unwrap().to_json();
+        let expected = ReportV2::from_graph(&view.graph, &view.diagnostics).to_json();
+        assert_eq!(json, expected);
+        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed["schema_version"], 2);
+        assert_eq!(parsed["queries"]["v"]["kind"], "view");
     }
 
     #[test]

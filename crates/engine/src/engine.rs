@@ -8,7 +8,7 @@ use lineagex_core::{
     assemble_nodes, cycle_stub, extract_entry, preprocess_statement, Diagnostic, DiagnosticCode,
     ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot, ImpactReport, LineageError,
     LineageGraph, LineageResult, LineageView, Node, NodeKind, PreprocessedStatement, QueryEntry,
-    QueryKind, QueryLineage, QuerySpec, SnapshotEntry, SourceColumn, TraceLog,
+    QueryKind, QueryLineage, QuerySpec, ReportV2, SnapshotEntry, SourceColumn, TraceLog,
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
 use lineagex_sqlparse::ast::{SpannedStatement, Statement};
@@ -1370,6 +1370,14 @@ impl LineageView for Engine {
 
     fn settled_index(&mut self) -> Result<Arc<GraphIndex>, LineageError> {
         self.graph_index()
+    }
+
+    /// The report over the settled graph, borrowing the session
+    /// diagnostics and taking its edges from the maintained index.
+    fn report_v2(&mut self) -> Result<ReportV2<'_>, LineageError> {
+        self.refresh()?;
+        self.settle_index();
+        Ok(ReportV2::from_graph(&self.graph, &self.session_diagnostics).with_index(&self.index))
     }
 }
 

@@ -38,7 +38,7 @@ pub use proto::{
     Incoming, Payload, QueryParams, ReceiptRecord, Request, Response, StatsBody, WireError,
     WriteReceipt, PROTOCOL_VERSION,
 };
-pub use server::{ServeOptions, Server, DEFAULT_SLOW_MS};
+pub use server::{ServeOptions, Server, DEFAULT_SLOW_MS, MAX_REQUEST_BYTES};
 
 #[cfg(test)]
 mod tests {

@@ -25,6 +25,7 @@ use lineagex_engine::{EngineStats, IngestAction, StmtId};
 use lineagex_obs::MetricsSnapshot;
 use serde::{Serialize, Serializer};
 use serde_json::Value;
+use std::sync::Arc;
 
 /// The protocol envelope version this crate speaks.
 ///
@@ -39,8 +40,11 @@ use serde_json::Value;
 /// engine maintains its traversal index instead of invalidating it, so
 /// the `metrics` op drops the `engine.index_invalidations` counter and
 /// gains the `engine.graph_clone_us` and `engine.index_update_us`
-/// histograms.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// histograms; `6` — the server encodes each published revision's
+/// `report` body once and rejects oversized request lines, so the
+/// `metrics` op gains the `serve.report_cache.hits` and
+/// `serve.rejected.oversize` counters.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// A typed service error: a [`DiagnosticCode`] plus a human message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -451,12 +455,16 @@ impl Serialize for StatsBody {
 }
 
 /// A successful response's `result` body.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
+#[derive(Debug, Clone)]
+pub enum Payload<'a> {
     /// A [`QueryReport`] (`schema_version: 2`).
     Query(Box<QueryReport>),
-    /// The full [`ReportV2`] document (`schema_version: 2`).
-    Report(Box<ReportV2>),
+    /// The full [`ReportV2`] document (`schema_version: 2`), rendered
+    /// from the graph it borrows.
+    Report(Box<ReportV2<'a>>),
+    /// A body encoded earlier as compact JSON, written as it is: the
+    /// server's once-per-revision `report` body.
+    Encoded(Arc<str>),
     /// Graph/engine/server statistics.
     Stats(Box<StatsBody>),
     /// Session-level diagnostics.
@@ -471,11 +479,12 @@ pub enum Payload {
     Stopping,
 }
 
-impl Serialize for Payload {
+impl Serialize for Payload<'_> {
     fn serialize(&self, s: &mut Serializer<'_>) {
         match self {
             Payload::Query(report) => report.serialize(s),
             Payload::Report(report) => report.serialize(s),
+            Payload::Encoded(body) => s.raw(body),
             Payload::Stats(stats) => stats.serialize(s),
             Payload::Diagnostics(diagnostics) => {
                 s.begin_map();
@@ -499,20 +508,20 @@ impl Serialize for Payload {
 }
 
 /// One response line: the envelope plus either a result or an error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Response {
+#[derive(Debug, Clone)]
+pub struct Response<'a> {
     /// The echoed request id (absent when the request carried none or
     /// the line was too malformed to recover one).
     pub id: Option<u64>,
     /// The settled-graph revision this answer was computed from.
     pub revision: u64,
     /// The result or error body.
-    pub body: Result<Payload, WireError>,
+    pub body: Result<Payload<'a>, WireError>,
 }
 
-impl Response {
+impl<'a> Response<'a> {
     /// A success response.
-    pub fn ok(id: Option<u64>, revision: u64, payload: Payload) -> Self {
+    pub fn ok(id: Option<u64>, revision: u64, payload: Payload<'a>) -> Self {
         Response { id, revision, body: Ok(payload) }
     }
 
@@ -527,7 +536,7 @@ impl Response {
     }
 }
 
-impl Serialize for Response {
+impl Serialize for Response<'_> {
     fn serialize(&self, s: &mut Serializer<'_>) {
         s.begin_map();
         s.field("schema_version", &PROTOCOL_VERSION);

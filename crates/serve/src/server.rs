@@ -12,7 +12,9 @@
 //!   a few `Arc` bumps under a read lock held for nanoseconds, and the
 //!   traversal itself touches no lock at all. A slow ingest can never
 //!   block a reader — readers just keep answering from the previous
-//!   settled revision, and every response says which revision that was;
+//!   settled revision, and every response says which revision that was.
+//!   A published revision never changes, so the first `report` request
+//!   at it encodes the report body and every later one reuses the bytes;
 //! * an **accept thread** polls the listener so it can notice shutdown,
 //!   and joins every connection thread before exiting (in-flight
 //!   requests drain; no response is ever cut off mid-line).
@@ -20,7 +22,8 @@
 //! Failed writes publish nothing: the previous snapshot stays current
 //! and the error reply carries its revision. One malformed request gets
 //! one typed error reply and the connection (and every other client)
-//! carries on.
+//! carries on; a request line longer than [`MAX_REQUEST_BYTES`] gets one
+//! and the connection is closed.
 
 use crate::proto::{
     Incoming, Payload, ReceiptRecord, Request, Response, StatsBody, WireError, WriteReceipt,
@@ -29,11 +32,11 @@ use lineagex_catalog::Catalog;
 use lineagex_core::{DiagnosticCode, LineageError, QueryReport, ReportV2};
 use lineagex_engine::{Engine, EngineOptions, EngineSnapshot};
 use lineagex_obs::{Counter, Gauge, Histogram};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -43,6 +46,13 @@ const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Default [`ServeOptions::slow_ms`]: requests slower than this enter
 /// the registry's slow-op ring (and the `--verbose` event log).
 pub const DEFAULT_SLOW_MS: u64 = 100;
+
+/// The longest request line a connection reads, newline included:
+/// 64 MiB, 40 times the ingest of a 20k-view log. A longer line is
+/// answered with an `invalid-request` error and the connection is
+/// closed, so a client that never sends a newline cannot grow the
+/// server's memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 << 20;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -128,6 +138,10 @@ struct ServerMetrics {
     ops: Vec<(&'static str, Histogram)>,
     /// Error replies by code (`serve.errors.<code>`).
     errors: Vec<(DiagnosticCode, Counter)>,
+    /// `report` replies that reused their revision's encoded body.
+    report_cache_hits: Counter,
+    /// Request lines rejected for exceeding [`MAX_REQUEST_BYTES`].
+    rejected_oversize: Counter,
 }
 
 impl ServerMetrics {
@@ -147,6 +161,8 @@ impl ServerMetrics {
                 .iter()
                 .map(|code| (*code, registry.counter(&format!("serve.errors.{}", code.as_str()))))
                 .collect(),
+            report_cache_hits: registry.counter("serve.report_cache.hits"),
+            rejected_oversize: registry.counter("serve.rejected.oversize"),
         }
     }
 
@@ -165,8 +181,23 @@ impl ServerMetrics {
     }
 }
 
+/// The published snapshot and its `report` body, encoded by the first
+/// reader that asks for it and shared by every later reply at the same
+/// snapshot.
+#[derive(Clone)]
+struct Published {
+    snapshot: EngineSnapshot,
+    report: Arc<OnceLock<Arc<str>>>,
+}
+
+impl Published {
+    fn new(snapshot: EngineSnapshot) -> Published {
+        Published { snapshot, report: Arc::default() }
+    }
+}
+
 struct Shared {
-    snapshot: RwLock<EngineSnapshot>,
+    published: RwLock<Published>,
     shutdown: AtomicBool,
     connections: AtomicU64,
     requests: AtomicU64,
@@ -176,8 +207,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn current(&self) -> EngineSnapshot {
-        self.snapshot.read().expect("snapshot lock poisoned").clone()
+    fn current(&self) -> Published {
+        self.published.read().expect("snapshot lock poisoned").clone()
+    }
+
+    fn revision(&self) -> u64 {
+        self.published.read().expect("snapshot lock poisoned").snapshot.revision
     }
 
     fn stopping(&self) -> bool {
@@ -246,7 +281,7 @@ impl Server {
             io::Error::new(io::ErrorKind::InvalidData, format!("initial publish failed: {e}"))
         })?;
         let shared = Arc::new(Shared {
-            snapshot: RwLock::new(initial),
+            published: RwLock::new(Published::new(initial)),
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -280,7 +315,7 @@ impl Server {
 
     /// The currently published settled-graph revision.
     pub fn revision(&self) -> u64 {
-        self.shared.snapshot.read().expect("snapshot lock poisoned").revision
+        self.shared.revision()
     }
 
     /// Block until a client asks for `shutdown` over the wire, then
@@ -324,9 +359,11 @@ impl Drop for Server {
 /// the write lock and retired: it is freed when the next write arrives,
 /// so neither readers (waiting on the lock) nor the write's reply wait
 /// on the free, and the free does not compete for the CPU with the
-/// reads a client sends between writes.
+/// reads a client sends between writes. Every publish starts an empty
+/// `report` body: a write that keeps the revision may still add a
+/// session diagnostic, which the report carries.
 fn engine_loop(mut engine: Engine, shared: Arc<Shared>, jobs: mpsc::Receiver<WriteJob>) {
-    let mut retired: Option<EngineSnapshot> = None;
+    let mut retired: Option<Published> = None;
     while let Ok(job) = jobs.recv() {
         drop(retired.take());
         let op = match &job.cmd {
@@ -344,8 +381,8 @@ fn engine_loop(mut engine: Engine, shared: Arc<Shared>, jobs: mpsc::Receiver<Wri
             let snapshot = engine.publish()?;
             let extracted = (engine.stats().extractions - before) as usize;
             retired = Some(std::mem::replace(
-                &mut *shared.snapshot.write().expect("snapshot lock poisoned"),
-                snapshot.clone(),
+                &mut *shared.published.write().expect("snapshot lock poisoned"),
+                Published::new(snapshot.clone()),
             ));
             if shared.verbose {
                 let split = engine.last_publish_split();
@@ -412,7 +449,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, write_tx: mpsc::Sende
 
 /// One connection: read JSON lines, answer each with exactly one line.
 /// Reads poll with a timeout so an idle connection notices shutdown;
-/// a partially received line is kept across polls, never dropped.
+/// a partially received line is kept across polls, never dropped. A
+/// line that reaches [`MAX_REQUEST_BYTES`] without its newline is
+/// answered with an `invalid-request` error, and the connection closes.
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sender<WriteJob>) {
     // The stream inherits the listener's non-blocking mode on some
     // platforms; switch to blocking reads with a poll timeout.
@@ -428,7 +467,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
     let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "unknown".into());
     let mut reader = BufReader::new(reader);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     shared.metrics.connections_total.inc();
     shared.metrics.connections_live.inc();
     if shared.verbose {
@@ -438,19 +477,25 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
         );
     }
     loop {
-        match reader.read_line(&mut line) {
+        // `line` never holds `MAX_REQUEST_BYTES` here: a line that reaches
+        // it is rejected below.
+        let room = (MAX_REQUEST_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(read) => {
                 shared.metrics.bytes_in.add(read as u64);
-                let stop = if line.trim().is_empty() {
+                if line.len() == MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+                    reject_oversize(&shared, &mut reader, &mut writer);
+                    break;
+                }
+                // Lines that are not UTF-8 close the connection.
+                let Ok(text) = std::str::from_utf8(&line) else { break };
+                let stop = if text.trim().is_empty() {
                     false
                 } else {
                     shared.requests.fetch_add(1, Ordering::Relaxed);
-                    let (response, stop) = dispatch(line.trim(), &shared, &write_tx);
-                    let out = response.to_line();
-                    shared.metrics.bytes_out.add(out.len() as u64 + 1);
-                    let wrote = writeln!(writer, "{out}").and_then(|()| writer.flush()).is_ok();
-                    stop || !wrote
+                    let (response, stop) = dispatch(text.trim(), &shared, &write_tx);
+                    !write_response(&shared, &mut writer, &response) || stop
                 };
                 line.clear();
                 if stop {
@@ -480,6 +525,33 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
     }
 }
 
+/// Write one response line; returns whether the write succeeded.
+fn write_response(shared: &Shared, writer: &mut TcpStream, response: &Response<'_>) -> bool {
+    let out = response.to_line();
+    shared.metrics.bytes_out.add(out.len() as u64 + 1);
+    writeln!(writer, "{out}").and_then(|()| writer.flush()).is_ok()
+}
+
+/// Answer a line that reached [`MAX_REQUEST_BYTES`] without a newline:
+/// count it, send an `invalid-request` error, end the write side, and
+/// discard what the client still sends (bounded by one more cap), so
+/// closing with unread input does not reset the connection before the
+/// client reads the error.
+fn reject_oversize(shared: &Shared, reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) {
+    shared.requests.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.requests.inc();
+    shared.metrics.rejected_oversize.inc();
+    shared.metrics.error_counter(DiagnosticCode::InvalidRequest).inc();
+    let error = WireError::new(
+        DiagnosticCode::InvalidRequest,
+        format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+    );
+    if write_response(shared, writer, &Response::error(None, shared.revision(), error)) {
+        let _ = writer.shutdown(Shutdown::Write);
+        let _ = io::copy(&mut reader.take(MAX_REQUEST_BYTES as u64), &mut io::sink());
+    }
+}
+
 /// Answer one request line. Returns the response plus whether this
 /// connection should stop serving (after acknowledging `shutdown`).
 ///
@@ -487,7 +559,11 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
 /// `invalid` pseudo-op for unparsable lines), error counters by
 /// [`DiagnosticCode`], and the slow-op ring for requests over the
 /// configured threshold.
-fn dispatch(line: &str, shared: &Shared, write_tx: &mpsc::Sender<WriteJob>) -> (Response, bool) {
+fn dispatch(
+    line: &str,
+    shared: &Shared,
+    write_tx: &mpsc::Sender<WriteJob>,
+) -> (Response<'static>, bool) {
     let start = Instant::now();
     let Incoming { id, request } = Request::parse_line(line);
     let (op, origins) = match &request {
@@ -497,10 +573,7 @@ fn dispatch(line: &str, shared: &Shared, write_tx: &mpsc::Sender<WriteJob>) -> (
     };
     let (response, stop) = match request {
         Ok(request) => handle(id, request, shared, write_tx),
-        Err(error) => {
-            let revision = shared.snapshot.read().expect("snapshot lock poisoned").revision;
-            (Response::error(id, revision, error), false)
-        }
+        Err(error) => (Response::error(id, shared.revision(), error), false),
     };
     let elapsed = start.elapsed();
     shared.metrics.requests.inc();
@@ -527,22 +600,29 @@ fn handle(
     request: Request,
     shared: &Shared,
     write_tx: &mpsc::Sender<WriteJob>,
-) -> (Response, bool) {
+) -> (Response<'static>, bool) {
     match request {
         Request::Query(params) => {
-            let snapshot = shared.current();
+            let snapshot = shared.current().snapshot;
             let answer = params.spec().run_with(&snapshot.index);
             let report = QueryReport::from_answer(&answer)
                 .with_context(&snapshot.graph, &snapshot.diagnostics);
             (Response::ok(id, snapshot.revision, Payload::Query(Box::new(report))), false)
         }
         Request::Report => {
-            let snapshot = shared.current();
-            let report = ReportV2::from_graph(&snapshot.graph, &snapshot.diagnostics);
-            (Response::ok(id, snapshot.revision, Payload::Report(Box::new(report))), false)
+            let Published { snapshot, report } = shared.current();
+            if report.get().is_some() {
+                shared.metrics.report_cache_hits.inc();
+            }
+            let body = report.get_or_init(|| {
+                let report = ReportV2::from_graph(&snapshot.graph, &snapshot.diagnostics)
+                    .with_index(&snapshot.index);
+                serde_json::to_string(&report).expect("reports serialize").into()
+            });
+            (Response::ok(id, snapshot.revision, Payload::Encoded(Arc::clone(body))), false)
         }
         Request::Stats => {
-            let snapshot = shared.current();
+            let snapshot = shared.current().snapshot;
             let stats = StatsBody {
                 graph: snapshot.graph.stats(),
                 engine: snapshot.stats.clone(),
@@ -553,26 +633,21 @@ fn handle(
             (Response::ok(id, snapshot.revision, Payload::Stats(Box::new(stats))), false)
         }
         Request::Diagnostics => {
-            let snapshot = shared.current();
+            let snapshot = shared.current().snapshot;
             let diagnostics = snapshot.diagnostics.as_ref().clone();
             (Response::ok(id, snapshot.revision, Payload::Diagnostics(diagnostics)), false)
         }
         Request::Metrics => {
-            let revision = shared.snapshot.read().expect("snapshot lock poisoned").revision;
             let snapshot = lineagex_obs::registry().snapshot();
-            (Response::ok(id, revision, Payload::Metrics(snapshot)), false)
+            (Response::ok(id, shared.revision(), Payload::Metrics(snapshot)), false)
         }
         Request::Ingest { sql } => (run_write(id, WriteCmd::Ingest(sql), shared, write_tx), false),
         Request::Refresh => (run_write(id, WriteCmd::Refresh, shared, write_tx), false),
         Request::Drop { names } => (run_write(id, WriteCmd::Drop(names), shared, write_tx), false),
-        Request::Ping => {
-            let revision = shared.snapshot.read().expect("snapshot lock poisoned").revision;
-            (Response::ok(id, revision, Payload::Pong), false)
-        }
+        Request::Ping => (Response::ok(id, shared.revision(), Payload::Pong), false),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            let revision = shared.snapshot.read().expect("snapshot lock poisoned").revision;
-            (Response::ok(id, revision, Payload::Stopping), true)
+            (Response::ok(id, shared.revision(), Payload::Stopping), true)
         }
     }
 }
@@ -585,7 +660,7 @@ fn run_write(
     cmd: WriteCmd,
     shared: &Shared,
     write_tx: &mpsc::Sender<WriteJob>,
-) -> Response {
+) -> Response<'static> {
     let (reply_tx, reply_rx) = mpsc::channel();
     let job = WriteJob { cmd, reply: reply_tx };
     let outcome = match write_tx.send(job) {
@@ -599,9 +674,6 @@ fn run_write(
     };
     match outcome {
         Ok((revision, receipt)) => Response::ok(id, revision, Payload::Write(receipt)),
-        Err(error) => {
-            let revision = shared.snapshot.read().expect("snapshot lock poisoned").revision;
-            Response::error(id, revision, error)
-        }
+        Err(error) => Response::error(id, shared.revision(), error),
     }
 }

@@ -16,12 +16,18 @@
 //!   [`LineageView::report_v2`] serialises for the same statements —
 //!   the *incremental ≡ batch* invariant extended to the wire;
 //! * a request line nested too deeply to parse is an `invalid-request`
-//!   reply, and the connection keeps serving.
+//!   reply, and the connection keeps serving;
+//! * a published revision's `report` body is encoded once and reused
+//!   byte for byte, and a write starts a fresh one;
+//! * a request line of [`MAX_REQUEST_BYTES`] without a newline is an
+//!   `invalid-request` reply, and the connection closes.
 
 use lineagex::datasets::example1;
 use lineagex::prelude::*;
 use lineagex::serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
-use lineagex::serve::{Client, ServeOptions, Server};
+use lineagex::serve::{Client, ServeOptions, Server, MAX_REQUEST_BYTES};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 const GOLDEN: &str = "tests/golden/serve_proto.txt";
 
@@ -271,5 +277,70 @@ fn deeply_nested_request_is_rejected_and_the_connection_keeps_serving() {
     );
     let pong = client.request(&Request::Ping).expect("the same connection still serves");
     assert!(pong.ok(), "ping failed: {}", pong.line);
+    server.shutdown();
+}
+
+/// The `result` object of a reply line, as sent (its final field).
+fn result_bytes(line: &str) -> &str {
+    let marker = ",\"result\":";
+    let at = line.find(marker).expect("reply has a result field");
+    &line[at + marker.len()..line.len() - 1]
+}
+
+#[test]
+fn report_body_is_encoded_once_per_revision() {
+    // Only this test asks for a report twice at one revision, so the
+    // process-wide hit counter moves only here.
+    let hits = || lineagex::obs::registry().counter("serve.report_cache.hits").get();
+    let server = start(1);
+    let mut client = Client::connect(server.local_addr()).expect("client connects");
+    assert!(client.ingest(PIPELINE_SQL).expect("ingest succeeds").ok());
+    let before = hits();
+    let first = client.report().expect("report succeeds");
+    let second = client.report().expect("report succeeds");
+    assert!(first.ok() && second.ok(), "report failed: {}", first.line);
+    assert_eq!(first.revision(), second.revision());
+    assert_eq!(result_bytes(&first.line), result_bytes(&second.line));
+    assert_eq!(hits() - before, 1, "the second report must reuse the first one's body");
+
+    // A write publishes a new revision with a fresh body: the batch
+    // replay of every statement so far.
+    let write = "CREATE VIEW pages AS SELECT wpage, wcid FROM webinfo WHERE wcid > 0;";
+    assert!(client.ingest(write).expect("ingest succeeds").ok());
+    let third = client.report().expect("report succeeds");
+    assert_eq!(third.revision(), first.revision() + 1);
+    let mut batch = lineagex(&format!("{PIPELINE_SQL} {write}")).expect("batch run succeeds");
+    let expected = serde_json::to_string(&batch.report_v2().expect("batch report succeeds"))
+        .expect("report serialises");
+    assert_eq!(result_bytes(&third.line), expected);
+    assert_ne!(result_bytes(&third.line), result_bytes(&first.line));
+    assert_eq!(hits() - before, 1, "a new revision's first report encodes afresh");
+    server.shutdown();
+}
+
+#[test]
+fn oversized_request_line_is_rejected_and_the_connection_closes() {
+    let rejected = || lineagex::obs::registry().counter("serve.rejected.oversize").get();
+    let before = rejected();
+    let server = start(1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
+    // Exactly the cap and no newline: the server has read every byte
+    // when it rejects the line.
+    let chunk = vec![b'x'; 1 << 16];
+    for _ in 0..MAX_REQUEST_BYTES / chunk.len() {
+        stream.write_all(&chunk).expect("the server reads up to the cap");
+    }
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("the server replies");
+    assert!(reply.contains("\"id\":null,\"ok\":false"), "{reply}");
+    assert!(reply.contains("\"code\":\"invalid-request\""), "{reply}");
+    assert!(reply.contains(&format!("exceeds {MAX_REQUEST_BYTES} bytes")), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("the connection closes"), 0, "{rest}");
+    assert_eq!(rejected() - before, 1);
+    // Other connections keep serving.
+    let mut client = Client::connect(server.local_addr()).expect("client connects");
+    assert!(client.request(&Request::Ping).expect("ping succeeds").ok());
     server.shutdown();
 }
