@@ -87,6 +87,14 @@ cargo test -q --test resilience
 step "cargo test -q --test dialect_corpus (per-dialect corpus runner)"
 cargo test -q --test dialect_corpus
 
+# --jobs parity, gated explicitly like the corpora above: extract --json,
+# query --format json and strict error text must be byte-identical at
+# --jobs 2 and 4 (the engine's parallel scheduler over the log's Query
+# Dictionary) and at the default (the auto-inference stack), on every
+# corpus under tests/corpus/, strict and lenient.
+step "cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics (--jobs output parity)"
+cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics
+
 # Public-API snapshot guard: the lineagex::prelude export list and the
 # Example 1 ReportV2 document are golden files (./ci.sh regen
 # regenerates) — accidental API or wire-format breaks fail the build.

@@ -14,14 +14,17 @@ usage:
                      --json-v1 keeps the legacy output.json; --timings prints a
                      phase/metrics summary to stderr; --save-snapshot persists
                      the settled session in the binary snapshot format for
-                     `serve --load-snapshot`)
+                     `serve --load-snapshot`; the log's Query Dictionary is
+                     extracted by the auto-inference stack, or by the engine's
+                     parallel scheduler under --jobs N > 1 or --save-snapshot,
+                     with the same --json bytes)
   lineagex query    <origin>[,<origin>...] <queries.sql> [--ddl <schema.sql>]
                     [--direction down|up] [--depth <N>]
                     [--edge-kind contribute|reference|both]... [--table-level]
                     [--to <table.column>] [--format text|json|json-v1|dot|mermaid]
                     [--jobs <N>] [--lenient] [--dialect <name>]
                     (composable GraphQuery: an origin is table.column, or a bare
-                     relation name for all of its columns)
+                     relation name for all of its columns; --jobs as for extract)
   lineagex session  [--ddl <schema.sql>] [--jobs <N>] [--ambiguity all|first|error] [--lenient]
                     [--dialect <name>]
                     (incremental REPL: statements from stdin, \\commands for queries)
@@ -82,8 +85,10 @@ pub struct CommonOptions {
     pub no_auto_inference: bool,
     /// Record traversal traces.
     pub trace: bool,
-    /// Worker threads for batch extraction (0/1 = sequential; > 1 routes
-    /// through the incremental engine's parallel scheduler).
+    /// Worker threads. One-shot commands extract the log's Query
+    /// Dictionary with the auto-inference stack at 0/1 and hand it whole
+    /// to the engine's parallel scheduler above that, with the same
+    /// `--json` bytes; `session` and `serve` size their refresh pool.
     pub jobs: usize,
     /// Lenient mode: corrupt statements, duplicate ids, and unresolvable
     /// columns degrade into diagnostics instead of aborting.
@@ -117,7 +122,8 @@ pub enum Command {
         /// `--timings`: print a phase/metrics summary to stderr.
         timings: bool,
         /// `--save-snapshot` output path: persist the settled session in
-        /// the binary snapshot format (forces the engine path).
+        /// the binary snapshot format (the engine extracts the log even
+        /// at `--jobs 1`).
         save_snapshot: Option<String>,
         /// Shared options.
         common: CommonOptions,

@@ -5,8 +5,8 @@ use lineagex_baseline::metrics::{graph_contribute_edges, score_edges};
 use lineagex_baseline::SqlLineageLike;
 use lineagex_catalog::{Catalog, SimulatedDatabase};
 use lineagex_core::{
-    Diagnostic, DialectKind, EdgeKind, ExtractOptions, GraphStats, LineageResult, LineageView,
-    LineageX, QueryReport, ReportV2, SourceColumn,
+    Diagnostic, EdgeKind, ExtractOptions, GraphStats, InferenceEngine, LineageError, LineageResult,
+    LineageView, QueryDict, QueryReport, ReportV2, SourceColumn,
 };
 use lineagex_engine::{Engine, EngineOptions};
 use lineagex_serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
@@ -34,16 +34,10 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
             common,
         } => {
             let started = std::time::Instant::now();
-            // --save-snapshot needs the live session after settling, so
-            // it forces the engine path even at jobs = 1; the engine
-            // shim keeps one-shot log semantics, so results match.
             let sql = read_file(file)?;
-            let (result, mut engine) = if save_snapshot.is_some() {
-                let (engine, result) = run_engine_extraction(&sql, common)?;
-                (result, Some(engine))
-            } else {
-                (run_extraction_sql(&sql, common)?, None)
-            };
+            // --save-snapshot needs the settled session, so it runs the
+            // engine even at jobs = 1.
+            let (result, engine) = extract_log(&sql, common, save_snapshot.is_some())?;
             if *timings {
                 // Stderr so piped stdout artifacts stay clean.
                 eprintln!(
@@ -89,7 +83,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
                 wln(out, &format!("wrote {path}"))?;
             }
             if let Some(path) = save_snapshot {
-                let engine = engine.as_mut().expect("snapshot runs use the engine path");
+                let mut engine = engine.expect("snapshot runs use the engine");
                 engine
                     .save_snapshot(std::path::Path::new(path))
                     .map_err(|e| format!("cannot write snapshot {path}: {e}"))?;
@@ -276,7 +270,10 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
         }
         Command::Serve { addr, verbose, slow_ms, load_snapshot, common } => {
             let options = ServeOptions {
-                engine: engine_options(common),
+                engine: EngineOptions {
+                    jobs: common.jobs.max(1),
+                    extract: extract_options(common),
+                },
                 catalog: load_catalog(common)?,
                 verbose: *verbose,
                 slow_ms: slow_ms.unwrap_or(lineagex_serve::DEFAULT_SLOW_MS),
@@ -358,7 +355,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
         }
         Command::Compare { file, common } => {
             let sql = read_file(file)?;
-            let ours = run_extraction_sql(&sql, common)?;
+            let (ours, _) = extract_log(&sql, common, false)?;
             let ours_edges = graph_contribute_edges(&ours.graph);
             let baseline = SqlLineageLike::new().extract(&sql).map_err(|e| e.to_string())?;
             let base_edges = graph_contribute_edges(&baseline);
@@ -391,7 +388,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
 
 fn run_extraction(file: &str, common: &CommonOptions) -> Result<(LineageResult, String), String> {
     let sql = read_file(file)?;
-    let result = run_extraction_sql(&sql, common)?;
+    let (result, _) = extract_log(&sql, common, false)?;
     Ok((result, sql))
 }
 
@@ -408,120 +405,49 @@ fn collect_diagnostics(result: &LineageResult) -> Vec<Diagnostic> {
     out
 }
 
-fn run_extraction_sql(sql: &str, common: &CommonOptions) -> Result<LineageResult, String> {
-    // --jobs N (N > 1) routes through the incremental engine's parallel
-    // batch scheduler, shimmed to keep one-shot log semantics so the flag
-    // never changes results: a DROP in the file is skipped with a warning
-    // (a session would retract) and a duplicate id is an error (a session
-    // would redefine).
-    if common.jobs > 1 {
-        return run_engine_extraction(sql, common).map(|(_, result)| result);
-    }
-    let mut builder = LineageX::new().ambiguity(common.ambiguity);
-    if let Some(dialect) = common.dialect {
-        builder = builder.dialect(dialect);
-    }
-    if let Some(ddl_path) = &common.ddl {
-        let ddl = read_file(ddl_path)?;
-        builder = builder.with_ddl(&ddl).map_err(|e| e.to_string())?;
-    }
-    if common.trace {
-        builder = builder.trace();
-    }
-    if common.no_auto_inference {
-        builder = builder.without_auto_inference();
-    }
-    if common.lenient {
-        builder = builder.lenient();
-    }
-    builder.run(sql).map_err(|e| e.to_string())
-}
-
-/// Run a one-shot log through the incremental engine and settle it,
-/// returning the live session alongside the result so callers can
-/// persist it (`--save-snapshot`).
-fn run_engine_extraction(
+/// Extract a one-shot log. The options, the `--ddl` catalog and the
+/// log's Query Dictionary are built here, once, and the dictionary alone
+/// applies the one-shot rules (`DROP` skipped, strict duplicates
+/// rejected, lenient last definition wins, noise skipped). The
+/// auto-inference stack extracts it by default; under `--jobs N > 1`, or
+/// when the settled session is wanted (`keep_engine`), the engine's
+/// parallel scheduler takes it whole.
+fn extract_log(
     sql: &str,
     common: &CommonOptions,
-) -> Result<(Engine, LineageResult), String> {
-    let mut engine = build_engine(common)?;
-    // The shim parses the whole file once, so statement spans — and
-    // therefore every diagnostic the engine attaches — stay relative
-    // to the original file, exactly like the sequential path.
-    let mut diagnostics = Vec::new();
-    let dialect = common.dialect.unwrap_or(DialectKind::Ansi);
-    let statements = if common.lenient {
-        let script = lineagex_sqlparse::parse_statements_recovering_with(sql, dialect);
-        diagnostics.extend(script.errors.iter().map(|e| {
-            Diagnostic::new(lineagex_core::DiagnosticCode::ParseError, e.message.clone())
-                .with_span(e.span)
-                .with_excerpt_from(sql)
-        }));
-        script.statements
-    } else {
-        lineagex_sqlparse::parse_sql_spanned_with(sql, dialect).map_err(|e| e.to_string())?
+    keep_engine: bool,
+) -> Result<(LineageResult, Option<Engine>), String> {
+    let options = extract_options(common);
+    let catalog = match &common.ddl {
+        None => Catalog::default(),
+        // Worded like `LineageX::with_ddl`: a bad schema is a parse error.
+        Some(path) => Catalog::from_ddl(&read_file(path)?)
+            .map_err(|e| LineageError::Parse(e.to_string()).to_string())?,
     };
-    for stmt in statements {
-        if let lineagex_sqlparse::ast::Statement::Drop { ref names, .. } = stmt.statement {
-            let what: Vec<String> = names.iter().map(|n| n.base_name().to_string()).collect();
-            diagnostics.push(
-                Diagnostic::new(
-                    lineagex_core::DiagnosticCode::SkippedStatement,
-                    format!("skipped DROP {}", what.join(", ")),
-                )
-                .with_span(stmt.span),
-            );
-            continue;
-        }
-        for receipt in engine.ingest_parsed(vec![stmt], sql) {
-            let redefined = matches!(
-                receipt.action,
-                lineagex_engine::IngestAction::Redefined | lineagex_engine::IngestAction::Unchanged
-            );
-            if redefined && !common.lenient {
-                return Err(format!("duplicate query id {:?}", receipt.target));
-            }
-            // Receipts carry noise/skip/duplicate diagnostics in
-            // statement order, matching the batch dictionary's.
-            diagnostics.extend(receipt.diagnostics.iter().cloned());
-            if receipt.action == lineagex_engine::IngestAction::Unchanged {
-                // A byte-identical duplicate is a no-op to the
-                // session but still a duplicate in a one-shot log.
-                diagnostics.push(
-                    Diagnostic::new(
-                        lineagex_core::DiagnosticCode::DuplicateQueryId,
-                        format!(
-                            "duplicate query identifier {:?}: last definition wins",
-                            receipt.target
-                        ),
-                    )
-                    .for_statement(&receipt.target),
-                );
-            }
-        }
+    let dict = QueryDict::from_sql_dialect(sql, options.lenient, options.dialect)
+        .map_err(|e| e.to_string())?;
+    if common.jobs <= 1 && !keep_engine {
+        let result =
+            InferenceEngine::over(dict, &catalog, options).run().map_err(|e| e.to_string())?;
+        return Ok((result, None));
     }
-    let mut result = engine.result().map_err(|e| e.to_string())?;
-    // The shim assembled the same findings in log order (parse
-    // errors first, then per-statement events); use that ordering.
-    result.diagnostics = diagnostics;
-    Ok((engine, result))
+    let mut engine = build_engine(common, catalog);
+    engine.ingest_dict(dict);
+    let result = engine.result().map_err(|e| e.to_string())?;
+    // Free the session (its parsed entries) before the caller renders,
+    // unless it is wanted.
+    Ok((result, keep_engine.then_some(engine)))
 }
 
-fn engine_options(common: &CommonOptions) -> EngineOptions {
-    let mut extract = ExtractOptions::new().with_ambiguity(common.ambiguity);
-    if let Some(dialect) = common.dialect {
-        extract = extract.with_dialect(dialect);
+/// The extraction options the shared flags select.
+fn extract_options(common: &CommonOptions) -> ExtractOptions {
+    ExtractOptions {
+        ambiguity: common.ambiguity,
+        trace: common.trace,
+        auto_inference: !common.no_auto_inference,
+        lenient: common.lenient,
+        dialect: common.dialect.unwrap_or_default(),
     }
-    if common.trace {
-        extract = extract.with_trace();
-    }
-    if common.no_auto_inference {
-        extract = extract.without_auto_inference();
-    }
-    if common.lenient {
-        extract = extract.with_lenient();
-    }
-    EngineOptions { jobs: common.jobs.max(1), extract }
 }
 
 fn load_catalog(common: &CommonOptions) -> Result<Option<Catalog>, String> {
@@ -534,12 +460,13 @@ fn load_catalog(common: &CommonOptions) -> Result<Option<Catalog>, String> {
     }
 }
 
-fn build_engine(common: &CommonOptions) -> Result<Engine, String> {
-    let mut engine = Engine::with_options(engine_options(common));
-    if let Some(catalog) = load_catalog(common)? {
-        engine = engine.with_catalog(catalog);
-    }
-    Ok(engine)
+/// An engine over `catalog` with the options the shared flags select.
+fn build_engine(common: &CommonOptions, catalog: Catalog) -> Engine {
+    Engine::with_options(EngineOptions {
+        jobs: common.jobs.max(1),
+        extract: extract_options(common),
+    })
+    .with_catalog(catalog)
 }
 
 /// The interactive session loop: SQL statements (terminated by `;`) are
@@ -551,7 +478,7 @@ pub fn run_session(
     out: &mut dyn Write,
     common: &CommonOptions,
 ) -> CmdResult {
-    let mut engine = build_engine(common)?;
+    let mut engine = build_engine(common, load_catalog(common)?.unwrap_or_default());
     wln(out, "lineagex session — statements end with ';', meta commands with \\ (try \\help)")?;
     let mut buffer = String::new();
     let mut line = String::new();
@@ -797,6 +724,7 @@ fn write_file(path: &str, content: &str) -> CmdResult {
 mod tests {
     use super::*;
     use crate::args::Command;
+    use lineagex_core::DialectKind;
 
     fn write_temp(name: &str, content: &str) -> String {
         let dir = std::env::temp_dir().join("lineagex_cli_tests");
@@ -979,47 +907,124 @@ mod tests {
         assert!(value["partial_relations"].is_array(), "{json}");
     }
 
+    /// A lenient log exercising every one-shot rule: a redefinition, a
+    /// byte-identical duplicate, a `DROP`, a `DELETE` and an `EXPLAIN`.
+    const ONE_SHOT_RULES: &str = "
+        CREATE TABLE web (cid int, page text, reg boolean);
+        CREATE VIEW v AS SELECT page AS p FROM web WHERE reg;
+        CREATE VIEW w AS SELECT p FROM v;
+        CREATE VIEW v AS SELECT cid AS p FROM web;
+        CREATE VIEW w AS SELECT p FROM v;
+        DROP VIEW w;
+        DELETE FROM web WHERE reg;
+        EXPLAIN SELECT * FROM v;
+        SELECT p FROM w;
+    ";
+
+    /// The `--jobs` parity inputs, each with the origin to query: the
+    /// messy-log corpus and every dialect corpus under its own dialect,
+    /// strict and lenient, and the one-shot-rules log, lenient.
+    fn parity_inputs() -> Vec<(String, Vec<String>, &'static str)> {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        let mut logs = vec![(format!("{corpus}/messy_log.sql"), vec![], "web")];
+        for dialect in DialectKind::ALL {
+            let file = format!("{corpus}/dialects/{}.sql", dialect.name());
+            logs.push((
+                file,
+                vec!["--dialect".to_string(), dialect.name().to_string()],
+                "customers",
+            ));
+        }
+        let mut inputs = Vec::new();
+        for (file, flags, origin) in logs {
+            let lenient = [flags.clone(), vec!["--lenient".to_string()]].concat();
+            inputs.push((file.clone(), flags, origin));
+            inputs.push((file, lenient, origin));
+        }
+        let rules = write_temp("parity_one_shot_rules.sql", ONE_SHOT_RULES);
+        inputs.push((rules, vec!["--lenient".to_string()], "web"));
+        inputs
+    }
+
     #[test]
     fn query_json_is_byte_identical_across_jobs_and_backends() {
-        // The acceptance gate: schema_version-2 documents from the batch
-        // path (jobs=1) and the incremental engine path (jobs>1) are
-        // byte-identical.
-        let file = write_temp("query_jobs.sql", CHAIN);
-        let run = |extra: &[&str]| {
-            let mut argv = vec![
-                "query".to_string(),
-                "web.page".to_string(),
-                file.clone(),
-                "--format".to_string(),
-                "json".to_string(),
-            ];
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            let (result, text) = execute_to_string(&Command::parse(&argv).unwrap());
-            result.unwrap();
-            text
-        };
-        let sequential = run(&[]);
-        let parallel = run(&["--jobs", "4"]);
-        assert_eq!(sequential, parallel);
+        // The acceptance gate: schema_version-2 documents (or the error)
+        // from the batch path and the engine path (--jobs > 1) are
+        // byte-identical on every input.
+        let chain = write_temp("query_jobs.sql", CHAIN);
+        let inputs = [(chain, Vec::new(), "web.page")].into_iter().chain(parity_inputs());
+        for (file, flags, origin) in inputs {
+            let run = |jobs: &[&str]| {
+                let mut argv = vec![
+                    "query".to_string(),
+                    origin.to_string(),
+                    file.clone(),
+                    "--format".to_string(),
+                    "json".to_string(),
+                ];
+                argv.extend(flags.iter().cloned());
+                argv.extend(jobs.iter().map(|s| s.to_string()));
+                execute_to_string(&Command::parse(&argv).unwrap())
+            };
+            let sequential = run(&[]);
+            for jobs in ["2", "4"] {
+                assert_eq!(run(&["--jobs", jobs]), sequential, "{file} {flags:?} --jobs {jobs}");
+            }
+        }
     }
 
     #[test]
     fn extract_json_v2_is_byte_identical_across_jobs() {
-        let file = write_temp("extract_v2_jobs.sql", CHAIN);
-        let run = |name: &str, extra: &[&str]| {
-            let json = write_temp(name, "");
-            let mut argv =
-                vec!["extract".to_string(), file.clone(), "--json".to_string(), json.clone()];
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            execute_to_string(&Command::parse(&argv).unwrap()).0.unwrap();
-            std::fs::read_to_string(&json).unwrap()
-        };
-        let sequential = run("v2_seq.json", &[]);
-        let parallel = run("v2_par.json", &["--jobs", "4"]);
-        assert_eq!(sequential, parallel);
-        let value: serde_json::Value = serde_json::from_str(&sequential).unwrap();
-        assert_eq!(value["schema_version"], 2);
-        assert_eq!(value["stats"]["queries"], 2);
+        let chain = write_temp("extract_v2_jobs.sql", CHAIN);
+        let inputs = [(chain, Vec::new(), "")].into_iter().chain(parity_inputs());
+        for (n, (file, flags, _)) in inputs.enumerate() {
+            // The run's result, its --json bytes, and its
+            // --diagnostics-json entries as a multiset: their order
+            // follows each executor's processing order, like
+            // `processing_order` in --json-v1.
+            let run = |jobs: &str| {
+                let json = write_temp(&format!("v2_jobs_{n}_{jobs}.json"), "");
+                let diagnostics = write_temp(&format!("v2_jobs_{n}_{jobs}.diag.json"), "");
+                let mut argv = vec![
+                    "extract".to_string(),
+                    file.clone(),
+                    "--json".to_string(),
+                    json.clone(),
+                    "--diagnostics-json".to_string(),
+                    diagnostics.clone(),
+                ];
+                argv.extend(flags.iter().cloned());
+                if !jobs.is_empty() {
+                    argv.extend(["--jobs".to_string(), jobs.to_string()]);
+                }
+                let result = execute_to_string(&Command::parse(&argv).unwrap()).0;
+                let diagnostics = std::fs::read_to_string(&diagnostics).unwrap();
+                let mut entries: Vec<String> = match diagnostics.as_str() {
+                    "" => Vec::new(),
+                    text => serde_json::from_str::<serde_json::Value>(text)
+                        .unwrap()
+                        .as_array()
+                        .unwrap()
+                        .iter()
+                        .map(|d| d.to_string())
+                        .collect(),
+                };
+                entries.sort();
+                (result, std::fs::read_to_string(&json).unwrap(), entries)
+            };
+            let sequential = run("");
+            // Only the strict messy log fails; every other input extracts.
+            let extracts = !file.ends_with("messy_log.sql") || flags.contains(&"--lenient".into());
+            assert_eq!(sequential.0.is_ok(), extracts, "{file} {flags:?}: {:?}", sequential.0);
+            for jobs in ["2", "4"] {
+                assert_eq!(run(jobs), sequential, "{file} {flags:?} --jobs {jobs}");
+            }
+            if n == 0 {
+                let value: serde_json::Value = serde_json::from_str(&sequential.1).unwrap();
+                assert_eq!(value["schema_version"], 2);
+                assert_eq!(value["stats"]["queries"], 2);
+            }
+        }
     }
 
     #[test]
@@ -1134,16 +1139,35 @@ mod tests {
         assert!(par_text.contains("queries processed : 1"), "{par_text}");
         assert!(seq_text.contains("diagnostics       : 1"), "{seq_text}");
         assert!(par_text.contains("diagnostics       : 1"), "{par_text}");
-        // A duplicate query id errors in both modes.
+        // Strict errors read the same on every path: a duplicate query
+        // id, a SQL parse error, and a --ddl file that does not parse.
         let dup =
             write_temp("jobs_dup.sql", "CREATE VIEW v AS SELECT 1; CREATE VIEW v AS SELECT 2;");
-        for args in [
-            vec!["extract".to_string(), dup.clone()],
-            vec!["extract".to_string(), dup.clone(), "--jobs".to_string(), "2".to_string()],
+        let bad_sql = write_temp("jobs_bad.sql", "CREATE TABLE t (a int);\nSELECT FROM oops;\n");
+        let log = write_temp("jobs_log.sql", LOG);
+        let bad_ddl = write_temp("jobs_bad_ddl.sql", "CREATE TABLE t (a int;");
+        let snapshot = write_temp("jobs_errors.lxsn", "");
+        for (args, expected) in [
+            (vec![dup], "duplicate query identifier \"v\""),
+            (
+                vec![bad_sql],
+                "parse error: parse error at line 2, column 8: expected identifier, found \
+                 reserved keyword FROM",
+            ),
+            (
+                vec![log, "--ddl".to_string(), bad_ddl],
+                "parse error: syntax error: parse error at line 1, column 22: expected ), found ;",
+            ),
         ] {
-            let (result, _) = execute_to_string(&Command::parse(&args).unwrap());
-            let message = result.unwrap_err();
-            assert!(message.contains("duplicate query id"), "{message}");
+            for extra in
+                [&[][..], &["--jobs", "2"], &["--jobs", "4"], &["--save-snapshot", &snapshot]]
+            {
+                let mut argv = vec!["extract".to_string()];
+                argv.extend(args.iter().cloned());
+                argv.extend(extra.iter().map(|s| s.to_string()));
+                let (result, _) = execute_to_string(&Command::parse(&argv).unwrap());
+                assert_eq!(result.unwrap_err(), expected, "{argv:?}");
+            }
         }
     }
 
@@ -1512,6 +1536,31 @@ mod tests {
         let mut client = Client::connect(server.local_addr()).unwrap();
         assert_eq!(client.server_dialect().unwrap(), "snowflake");
         server.shutdown();
+    }
+
+    #[test]
+    fn a_saved_snapshot_continues_after_the_log() {
+        // Two bare SELECTs, plus noise, a DROP and a parse error that
+        // become run diagnostics.
+        let sql = "CREATE TABLE web (cid int, page text);\n\
+                   BEGIN;\n\
+                   SELECT page FROM web;\n\
+                   DROP VIEW gone;\n\
+                   SELECT FROM oops;\n\
+                   SELECT cid FROM web;\n";
+        let file = write_temp("snapshot_continues.sql", sql);
+        let snap = write_temp("snapshot_continues.lxsn", "");
+        let argv = ["extract", &file, "--lenient", "--save-snapshot", &snap].map(String::from);
+        execute_to_string(&Command::parse(&argv).unwrap()).0.unwrap();
+        let mut engine =
+            Engine::load_snapshot(std::path::Path::new(&snap), EngineOptions::default()).unwrap();
+        // The restored session diagnostics are the extract's run
+        // diagnostics, and the next bare SELECT numbers on after the log.
+        let run = lineagex_core::LineageX::new().lenient().run(sql).unwrap();
+        assert_eq!(run.diagnostics.len(), 3);
+        assert_eq!(engine.diagnostics(), run.diagnostics.as_slice());
+        let receipts = engine.ingest("SELECT cid, page FROM web;").unwrap();
+        assert_eq!(receipts[0].target, "query_3");
     }
 
     #[test]

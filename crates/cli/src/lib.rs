@@ -18,10 +18,12 @@
 //! lineagex compare  queries.sql [--ddl schema.sql]
 //! ```
 //!
-//! `extract --jobs N` (N > 1) routes through `lineagex-engine`'s parallel
-//! batch scheduler; `session` is the incremental REPL over the same
-//! engine — SQL statements stream in over stdin, `\`-commands (`\impact`,
-//! `\lineage`, `\stats`, ...) answer lineage questions between ingests.
+//! `extract --jobs N` (N > 1) hands the log's Query Dictionary whole to
+//! `lineagex-engine`'s parallel scheduler (`Engine::ingest_dict`), for
+//! the same `--json` bytes as the default auto-inference run. `session`
+//! is the incremental REPL over the same engine — SQL statements stream
+//! in over stdin, `\`-commands (`\impact`, `\lineage`, `\stats`, ...)
+//! answer lineage questions between ingests.
 //! `serve` exposes the same engine as a long-lived JSON-lines TCP
 //! service (`lineagex-serve`), and `client` scripts one request against
 //! it, printing the server's raw response line.

@@ -33,9 +33,12 @@ impl ExplainPathExtractor {
     /// Create an extractor over a dictionary and a database whose catalog
     /// holds the base tables. DDL in the log is loaded into the database.
     pub fn new(qd: QueryDict, mut db: SimulatedDatabase) -> Self {
-        for schema in qd.ddl_catalog.relations() {
+        // One merged copy of the catalog for the whole log's DDL.
+        if qd.ddl_catalog.relations().next().is_some() {
             let mut catalog = db.catalog().clone();
-            catalog.add_or_replace(schema.clone());
+            for schema in qd.ddl_catalog.relations() {
+                catalog.add_or_replace(schema.clone());
+            }
             db = SimulatedDatabase::with_catalog(catalog);
         }
         ExplainPathExtractor {

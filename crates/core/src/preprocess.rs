@@ -242,6 +242,8 @@ pub struct QueryDict {
     /// Diagnostics produced during preprocessing: skipped statements,
     /// noise, and — in lenient mode — parse errors and duplicate ids.
     pub diagnostics: Vec<Diagnostic>,
+    /// How many `query_N` ids the log's bare `SELECT`s took.
+    anonymous: usize,
 }
 
 impl QueryDict {
@@ -375,6 +377,7 @@ impl QueryDict {
                 PreprocessedStatement::Skipped(diagnostic) => dict.diagnostics.push(diagnostic),
             }
         }
+        dict.anonymous = anon_counter;
         Ok(dict)
     }
 
@@ -418,6 +421,19 @@ impl QueryDict {
         &self.entries
     }
 
+    /// Take the entries out, in log order (after taking `ddl_catalog`
+    /// and `diagnostics`, this hands the whole dictionary over).
+    pub fn into_entries(self) -> Vec<QueryEntry> {
+        self.entries
+    }
+
+    /// How many generated `query_N` ids the log used: the next bare
+    /// `SELECT` after it is `query_{n + 1}`. Named sources take no
+    /// generated ids.
+    pub fn anonymous_count(&self) -> usize {
+        self.anonymous
+    }
+
     /// All identifiers in log order.
     pub fn ids(&self) -> impl Iterator<Item = &str> {
         self.entries.iter().map(|e| e.id.as_str())
@@ -455,6 +471,11 @@ mod tests {
     fn generates_deterministic_ids_for_bare_selects() {
         let qd = QueryDict::from_sql("SELECT 1; SELECT 2").unwrap();
         assert_eq!(qd.ids().collect::<Vec<_>>(), vec!["query_1", "query_2"]);
+        assert_eq!(qd.anonymous_count(), 2);
+        // Only bare SELECTs take generated ids; named sources take none.
+        assert_eq!(QueryDict::from_sql("CREATE VIEW v AS SELECT 1").unwrap().anonymous_count(), 0);
+        let named = QueryDict::from_named_sources([("m", "SELECT 1")]).unwrap();
+        assert_eq!(named.anonymous_count(), 0);
     }
 
     #[test]

@@ -7,8 +7,9 @@ use lineagex_catalog::Catalog;
 use lineagex_core::{
     assemble_nodes, cycle_stub, extract_entry, preprocess_statement, Diagnostic, DiagnosticCode,
     ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot, ImpactReport, LineageError,
-    LineageGraph, LineageResult, LineageView, Node, NodeKind, PreprocessedStatement, QueryEntry,
-    QueryKind, QueryLineage, QuerySpec, ReportV2, SnapshotEntry, SourceColumn, TraceLog,
+    LineageGraph, LineageResult, LineageView, Node, NodeKind, PreprocessedStatement, QueryDict,
+    QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2, SnapshotEntry, SourceColumn,
+    TraceLog,
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
 use lineagex_sqlparse::ast::{SpannedStatement, Statement};
@@ -23,7 +24,7 @@ use std::time::Instant;
 /// first one) and shared by name across every engine in the process.
 #[derive(Debug, Clone)]
 struct EngineMetrics {
-    /// [`Engine::ingest`] / [`Engine::ingest_parsed`] wall time, µs.
+    /// [`Engine::ingest`] / [`Engine::ingest_dict`] wall time, µs.
     ingest_us: Histogram,
     /// Non-empty [`Engine::refresh`] wall time, µs.
     refresh_us: Histogram,
@@ -195,6 +196,8 @@ pub struct EngineSnapshot {
 /// differences from the one-shot pipeline: re-defining an existing view
 /// *replaces* it (the batch dictionary rejects duplicate ids), and `DROP`
 /// *retracts* (the batch pipeline records it as skipped).
+/// [`Engine::ingest_dict`] instead takes a one-shot log's dictionary
+/// whole, one-shot rules included.
 ///
 /// ```
 /// use lineagex_engine::Engine;
@@ -350,24 +353,33 @@ impl Engine {
         Ok(self.apply_script(script, sql))
     }
 
-    /// Ingest statements that were parsed elsewhere, skipping the
-    /// engine's own parser. `source` is the text the statements' spans
-    /// index into, used to attach excerpts to diagnostics — so spans (and
-    /// therefore receipts) stay relative to the caller's original script
-    /// rather than to per-statement re-renders. This is how the CLI's
-    /// `extract --jobs N` shim keeps control over each statement and
-    /// file-accurate diagnostics while feeding a one-shot log through the
-    /// session engine.
-    pub fn ingest_parsed(
-        &mut self,
-        statements: Vec<SpannedStatement>,
-        source: &str,
-    ) -> Vec<StmtId> {
+    /// Ingest a whole one-shot log in one bulk write: the Query
+    /// Dictionary [`QueryDict::from_sql_dialect`] built from it, so the
+    /// log keeps the one-shot rules (`DROP` skipped, strict duplicates
+    /// rejected, lenient last definition wins, noise skipped) exactly as
+    /// [`lineagex_core::LineageX::run`] applies them.
+    ///
+    /// Each entry is linked like an [`Engine::ingest`]ed definition and
+    /// counts as one ingested statement; the log's DDL is merged with
+    /// [`Engine::merge_catalog`]; the dictionary's diagnostics become
+    /// session diagnostics (parse errors also count as parse failures);
+    /// and the session's anonymous ids continue after the log's, so the
+    /// next bare `SELECT` ingested is `query_{n + 1}`. No receipts are
+    /// issued. Extraction waits for the next [`Engine::refresh`].
+    pub fn ingest_dict(&mut self, mut dict: QueryDict) {
         let _timer = self.metrics.ingest_us.time();
-        self.apply_script(
-            lineagex_sqlparse::RecoveredScript { statements, errors: Vec::new() },
-            source,
-        )
+        self.merge_catalog(std::mem::take(&mut dict.ddl_catalog));
+        let diagnostics = std::mem::take(&mut dict.diagnostics);
+        self.stats.parse_failures +=
+            diagnostics.iter().filter(|d| d.code == DiagnosticCode::ParseError).count() as u64;
+        Arc::make_mut(&mut self.session_diagnostics).extend(diagnostics);
+        self.anon_counter = self.anon_counter.max(dict.anonymous_count());
+        for entry in dict.into_entries() {
+            self.seq += 1;
+            self.stats.statements += 1;
+            self.define(Box::new(entry));
+        }
+        self.settle_diagnostic_count();
     }
 
     /// Apply a recovered script: route statements through preprocessing
@@ -447,49 +459,23 @@ impl Engine {
         };
         match preprocessed {
             PreprocessedStatement::Entry(entry) => {
-                let id = entry.id.clone();
-                match self.entries.get(&id) {
-                    Some(old) if old.same_statement(&entry.statement) => {
-                        self.stats.unchanged += 1;
-                        (id, IngestAction::Unchanged, Vec::new())
-                    }
-                    existing => {
-                        let (action, diagnostics) = if existing.is_some() {
-                            self.stats.redefinitions += 1;
-                            // Redefinition is first-class in a session;
-                            // the notice still surfaces so receipts match
-                            // the batch pipeline's lenient diagnostics.
-                            let diagnostic = Diagnostic::new(
-                                DiagnosticCode::DuplicateQueryId,
-                                format!(
-                                    "duplicate query identifier \"{id}\": last definition wins"
-                                ),
-                            )
-                            .for_statement(&id)
-                            .with_span(entry.span)
-                            .with_excerpt_from(source);
-                            (IngestAction::Redefined, vec![diagnostic])
-                        } else {
-                            self.stats.defined += 1;
-                            (IngestAction::Defined, Vec::new())
-                        };
-                        let mut deps = referenced_relations(entry.query());
-                        if matches!(entry.kind, QueryKind::Insert | QueryKind::Update) {
-                            // A write's output names come from the target
-                            // table's catalog schema (`apply_output_names`),
-                            // so the target is a real dependency: its
-                            // redefinition must re-extract this entry.
-                            deps.insert(id.split('#').next().unwrap_or(&id).to_string());
-                        }
-                        let deps_norm: BTreeSet<String> =
-                            deps.iter().map(|d| normalize(d)).collect();
-                        let state = EntryState { slot: EntrySlot::Parsed(entry), deps, deps_norm };
-                        self.link_entry(id.clone(), state);
-                        self.dirty_entries.insert(id.clone());
-                        self.dirty_relations.insert(normalize(&id));
-                        (id, action, diagnostics)
-                    }
-                }
+                let (id, span) = (entry.id.clone(), entry.span);
+                let action = self.define(entry);
+                let diagnostics = if action == IngestAction::Redefined {
+                    // Redefinition is first-class in a session; the
+                    // notice still surfaces so receipts match the batch
+                    // pipeline's lenient diagnostics.
+                    vec![Diagnostic::new(
+                        DiagnosticCode::DuplicateQueryId,
+                        format!("duplicate query identifier \"{id}\": last definition wins"),
+                    )
+                    .for_statement(&id)
+                    .with_span(span)
+                    .with_excerpt_from(source)]
+                } else {
+                    Vec::new()
+                };
+                (id, action, diagnostics)
             }
             // The catalog side already happened above; this arm only
             // acknowledges the statement.
@@ -543,6 +529,41 @@ impl Engine {
                 (target, IngestAction::Skipped, vec![diagnostic])
             }
         }
+    }
+
+    /// Link one dictionary entry into the session: a new id is
+    /// defined, a changed definition replaces the live one, and an
+    /// identical one is a no-op. Whatever changed is marked dirty, with
+    /// its dependency edges, for the next refresh.
+    fn define(&mut self, entry: Box<QueryEntry>) -> IngestAction {
+        let id = entry.id.clone();
+        let action = match self.entries.get(&id) {
+            Some(old) if old.same_statement(&entry.statement) => {
+                self.stats.unchanged += 1;
+                return IngestAction::Unchanged;
+            }
+            Some(_) => {
+                self.stats.redefinitions += 1;
+                IngestAction::Redefined
+            }
+            None => {
+                self.stats.defined += 1;
+                IngestAction::Defined
+            }
+        };
+        let mut deps = referenced_relations(entry.query());
+        if matches!(entry.kind, QueryKind::Insert | QueryKind::Update) {
+            // A write's output names come from the target table's catalog
+            // schema (`apply_output_names`), so the target is a real
+            // dependency: its redefinition must re-extract this entry.
+            deps.insert(id.split('#').next().unwrap_or(&id).to_string());
+        }
+        let deps_norm: BTreeSet<String> = deps.iter().map(|d| normalize(d)).collect();
+        let state = EntryState { slot: EntrySlot::Parsed(entry), deps, deps_norm };
+        self.link_entry(id.clone(), state);
+        self.dirty_relations.insert(normalize(&id));
+        self.dirty_entries.insert(id);
+        action
     }
 
     /// Settle all pending invalidations: close the dirty set over the

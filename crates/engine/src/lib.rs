@@ -21,7 +21,10 @@
 //!   work-queue pool (`jobs` option) — across components when there are
 //!   several, across each level's independent views when there is one;
 //! * [`Engine::graph`] / [`Engine::lineage_of`] / [`Engine::impact_of`] —
-//!   lineage queries between ingests, over a lazily-settled graph.
+//!   lineage queries between ingests, over a lazily-settled graph;
+//! * [`Engine::ingest_dict`] — a one-shot log's Query Dictionary in one
+//!   bulk write, keeping the batch pipeline's one-shot rules (what
+//!   `lineagex extract --jobs N` runs).
 //!
 //! Two invariants tie the engine back to the paper's semantics, asserted
 //! by the workspace property tests over generator workloads:
@@ -107,6 +110,57 @@ mod tests {
         assert_eq!(engine.refresh().unwrap(), 2);
         assert_eq!(engine.stats().last_refresh_extractions, 2);
         assert_eq!(engine.stats().redefinitions, 1);
+    }
+
+    #[test]
+    fn dictionary_ingest_keeps_one_shot_rules_and_continues_the_session() {
+        use lineagex_core::{lineagex_lenient, ExtractOptions, QueryDict};
+        // Noise, a parse error, a redefinition and a DROP: the dictionary
+        // applies the one-shot rules before the engine sees anything.
+        let log = "BEGIN;\n\
+                   CREATE TABLE web (cid int, page text, reg boolean);\n\
+                   CREATE VIEW v AS SELECT page AS p FROM web WHERE reg;\n\
+                   SELECT FROM oops;\n\
+                   CREATE VIEW v AS SELECT cid AS p FROM web;\n\
+                   SELECT p FROM v;\n\
+                   DROP VIEW v;\n\
+                   SELECT p FROM v;";
+        let one_shot = lineagex_lenient(log).unwrap();
+        let mut engine = Engine::with_options(EngineOptions {
+            jobs: 1,
+            extract: ExtractOptions::new().with_lenient(),
+        });
+        engine.ingest_dict(QueryDict::from_sql_with(log, true).unwrap());
+        // Each entry counts as one statement and one definition; the
+        // dictionary's parse error is a parse failure, and its four run
+        // diagnostics are the session's. Nothing is extracted yet.
+        let pending = EngineStats {
+            statements: 3,
+            defined: 3,
+            parse_failures: 1,
+            diagnostics: 4,
+            ..EngineStats::default()
+        };
+        assert_eq!(engine.stats(), &pending);
+        assert_eq!(engine.diagnostics(), one_shot.diagnostics.as_slice());
+        assert!(engine.catalog().contains("web"));
+        assert_eq!(engine.refresh().unwrap(), 3);
+        assert_eq!(
+            engine.stats(),
+            &EngineStats {
+                extractions: 3,
+                last_refresh_extractions: 3,
+                refreshes: 1,
+                ..pending.clone()
+            }
+        );
+        let graph = engine.graph().unwrap();
+        assert_eq!(graph.queries, one_shot.graph.queries);
+        assert_eq!(graph.nodes, one_shot.graph.nodes);
+        // The session numbers on after the log: statements and bare
+        // SELECTs alike.
+        let receipts = engine.ingest("SELECT 1 AS one").unwrap();
+        assert_eq!((receipts[0].seq, receipts[0].target.as_str()), (4, "query_3"));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!    `GraphIndex` (`QuerySpec::run_with`, the path every backend
 //!    serves) answer byte-identically to the string-keyed test
 //!    reference (`QuerySpec::run_on_unindexed`), for every direction,
-//!    granularity, and filter shape, on both backends and
+//!    granularity, and filter shape, on the batch backend and on
+//!    engines fed by `Engine::ingest` and by `Engine::ingest_dict`, at
 //!    `jobs ∈ {1, 4}` — and the `ReportV2` wire bytes stay identical
 //!    everywhere;
 //! 5. **maintained ≡ fresh** — the traversal index each `publish`
@@ -21,6 +22,7 @@
 //!    fresh `GraphIndex::build` of the published graph, whatever write
 //!    history led there, so `.lxsn` bytes never depend on it.
 
+use lineagex::core::QueryDict;
 use lineagex::datasets::{generator, GeneratorConfig};
 use lineagex::engine::{Engine, EngineOptions};
 use lineagex::prelude::*;
@@ -169,16 +171,19 @@ proptest! {
             QuerySpec::new().from_table(&origin.table).table_level().upstream().max_depth(1),
         ];
 
-        // The session backends settle once; their cached indexes answer
+        // The session backends, fed statement by statement and as one
+        // Query Dictionary, settle once; their cached indexes answer
         // every spec below.
-        let mut engines: Vec<(usize, Engine)> = [1usize, 4]
-            .into_iter()
-            .map(|jobs| {
-                (jobs, Engine::with_options(EngineOptions { jobs, ..EngineOptions::default() }))
-            })
-            .collect();
-        for (_, engine) in &mut engines {
-            engine.ingest(&sql).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let mut engines: Vec<(String, Engine)> = Vec::new();
+        for jobs in [1usize, 4] {
+            let options = EngineOptions { jobs, ..EngineOptions::default() };
+            let mut streamed = Engine::with_options(options.clone());
+            streamed.ingest(&sql).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let dict = QueryDict::from_sql(&sql).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let mut bulk = Engine::with_options(options);
+            bulk.ingest_dict(dict);
+            engines.push((format!("ingest, jobs={jobs}"), streamed));
+            engines.push((format!("ingest_dict, jobs={jobs}"), bulk));
         }
 
         for (i, spec) in specs.iter().enumerate() {
@@ -190,17 +195,17 @@ proptest! {
                 serde_json::to_string(&legacy).unwrap(),
                 "spec #{} serialisation diverged", i
             );
-            // Batch backend (cached index) and both session engines.
+            // Batch backend (cached index) and every session engine.
             let batch_index =
                 batch.settled_index().map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(&spec.run_with(&batch_index), &legacy);
-            for (jobs, engine) in &mut engines {
+            for (backend, engine) in &mut engines {
                 let index =
                     engine.settled_index().map_err(|e| TestCaseError::fail(e.to_string()))?;
                 prop_assert_eq!(
                     &spec.run_with(&index),
                     &legacy,
-                    "jobs={} diverged on spec #{}", jobs, i
+                    "{} diverged on spec #{}", backend, i
                 );
             }
         }
@@ -208,9 +213,9 @@ proptest! {
         // The wire document is untouched by the index and byte-identical
         // across every backend.
         let batch_report = batch.report_v2().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        for (_, engine) in &mut engines {
+        for (backend, engine) in &mut engines {
             let report = engine.report_v2().map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(report.to_json(), batch_report.to_json());
+            prop_assert_eq!(report.to_json(), batch_report.to_json(), "{}", backend);
         }
     }
 
