@@ -101,6 +101,14 @@ cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics
 step "cargo test -q --test api_surface (prelude + ReportV2 golden guard)"
 cargo test -q --test api_surface
 
+# The structurally shared graph containers: the core crate's proptests
+# drive random edits against BTreeMap/Vec reference models (clones must
+# never change), and a one-view write on a 10-component engine must
+# publish a revision sharing every leaf outside the written component.
+step "cargo test -q -p lineagex-core shared --test shared_graph (structurally shared graph)"
+cargo test -q -p lineagex-core shared
+cargo test -q --test shared_graph
+
 # The serve battery, gated explicitly like the resilience corpus: the
 # golden wire transcript (protocol drift fails the build; ./ci.sh regen
 # regenerates) and the concurrency soak (every served revision must

@@ -247,8 +247,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
         }
         Command::Explain { file, common } => {
             let sql = read_file(file)?;
-            let ddl = read_file(common.ddl.as_ref().expect("validated by parser"))?;
-            let catalog = Catalog::from_ddl(&ddl).map_err(|e| e.to_string())?;
+            let catalog = ddl_catalog(common)?.expect("validated by parser");
             let db = SimulatedDatabase::with_catalog(catalog);
             let statements = lineagex_sqlparse::parse_sql(&sql).map_err(|e| e.to_string())?;
             let mut db = db;
@@ -274,7 +273,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
                     jobs: common.jobs.max(1),
                     extract: extract_options(common),
                 },
-                catalog: load_catalog(common)?,
+                catalog: ddl_catalog(common)?,
                 verbose: *verbose,
                 slow_ms: slow_ms.unwrap_or(lineagex_serve::DEFAULT_SLOW_MS),
                 snapshot_path: load_snapshot.as_ref().map(std::path::PathBuf::from),
@@ -418,12 +417,7 @@ fn extract_log(
     keep_engine: bool,
 ) -> Result<(LineageResult, Option<Engine>), String> {
     let options = extract_options(common);
-    let catalog = match &common.ddl {
-        None => Catalog::default(),
-        // Worded like `LineageX::with_ddl`: a bad schema is a parse error.
-        Some(path) => Catalog::from_ddl(&read_file(path)?)
-            .map_err(|e| LineageError::Parse(e.to_string()).to_string())?,
-    };
+    let catalog = ddl_catalog(common)?.unwrap_or_default();
     let dict = QueryDict::from_sql_dialect(sql, options.lenient, options.dialect)
         .map_err(|e| e.to_string())?;
     if common.jobs <= 1 && !keep_engine {
@@ -450,14 +444,15 @@ fn extract_options(common: &CommonOptions) -> ExtractOptions {
     }
 }
 
-fn load_catalog(common: &CommonOptions) -> Result<Option<Catalog>, String> {
-    match &common.ddl {
-        None => Ok(None),
-        Some(ddl_path) => {
-            let ddl = read_file(ddl_path)?;
-            Ok(Some(Catalog::from_ddl(&ddl).map_err(|e| e.to_string())?))
-        }
-    }
+/// The `--ddl` catalog, when the flag is given. Every command words a
+/// schema that does not parse like `LineageX::with_ddl`: a parse error.
+fn ddl_catalog(common: &CommonOptions) -> Result<Option<Catalog>, String> {
+    let Some(path) = &common.ddl else {
+        return Ok(None);
+    };
+    let catalog = Catalog::from_ddl(&read_file(path)?)
+        .map_err(|e| LineageError::Parse(e.to_string()).to_string())?;
+    Ok(Some(catalog))
 }
 
 /// An engine over `catalog` with the options the shared flags select.
@@ -478,7 +473,7 @@ pub fn run_session(
     out: &mut dyn Write,
     common: &CommonOptions,
 ) -> CmdResult {
-    let mut engine = build_engine(common, load_catalog(common)?.unwrap_or_default());
+    let mut engine = build_engine(common, ddl_catalog(common)?.unwrap_or_default());
     wln(out, "lineagex session — statements end with ';', meta commands with \\ (try \\help)")?;
     let mut buffer = String::new();
     let mut line = String::new();
@@ -1168,6 +1163,27 @@ mod tests {
                 let (result, _) = execute_to_string(&Command::parse(&argv).unwrap());
                 assert_eq!(result.unwrap_err(), expected, "{argv:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_ddl_file_that_does_not_parse_reads_the_same_in_every_command() {
+        let bad_ddl = write_temp("every_command_bad_ddl.sql", "CREATE TABLE t (a int;");
+        let log = write_temp("every_command_log.sql", LOG);
+        let expected = "error: parse error: syntax error: parse error at line 1, column 22: \
+                        expected ), found ;\n";
+        for command in [
+            vec!["extract", log.as_str()],
+            vec!["extract", log.as_str(), "--jobs", "2"],
+            vec!["explain", log.as_str()],
+            vec!["session"],
+            vec!["serve", "--addr", "127.0.0.1:0"],
+        ] {
+            let mut argv: Vec<String> = command.iter().map(|s| s.to_string()).collect();
+            argv.extend(["--ddl".to_string(), bad_ddl.clone()]);
+            let mut out = Vec::new();
+            assert_eq!(crate::run(&argv, &mut out), 1, "{argv:?}");
+            assert_eq!(String::from_utf8(out).unwrap(), expected, "{argv:?}");
         }
     }
 

@@ -86,8 +86,8 @@ impl ExplainPathExtractor {
                 }),
             );
         }
-        graph.queries = self.processed;
-        graph.order = self.order;
+        graph.queries = self.processed.into();
+        graph.order = self.order.into();
         Ok(LineageResult {
             graph,
             traces: BTreeMap::new(),

@@ -41,9 +41,8 @@
 //! breaks, and therefore shortest-path answers, are preserved bit for
 //! bit.
 
-use crate::model::{
-    for_each_changed, EdgeKind, LineageGraph, Node, NodeKind, QueryLineage, SourceColumn,
-};
+use crate::model::{EdgeKind, LineageGraph, Node, NodeKind, QueryLineage, SourceColumn};
+use crate::shared::SharedMap;
 use lineagex_obs::Histogram;
 use std::collections::{BTreeMap, HashMap};
 use std::iter;
@@ -324,8 +323,8 @@ fn same_topology(a: &QueryLineage, b: &QueryLineage) -> bool {
 
 /// The entries two graphs disagree on: the old versions of changed and
 /// removed entries, and the new versions of changed and added ones.
-/// Pointer-equal entries are skipped without a look
-/// ([`for_each_changed`]); the rest are compared by value.
+/// Shared leaves and pointer-equal entries are skipped without a look
+/// ([`SharedMap::for_each_changed`]); the rest are compared by value.
 #[derive(Default)]
 struct Delta<'g> {
     removed_queries: Vec<&'g QueryLineage>,
@@ -346,13 +345,13 @@ impl<'g> Delta<'g> {
 
 /// Collect the entries of two maps that `same` does not match.
 fn differing<'g, V>(
-    old: &'g BTreeMap<String, Arc<V>>,
-    new: &'g BTreeMap<String, Arc<V>>,
+    old: &'g SharedMap<String, Arc<V>>,
+    new: &'g SharedMap<String, Arc<V>>,
     same: fn(&V, &V) -> bool,
     removed: &mut Vec<&'g V>,
     added: &mut Vec<&'g V>,
 ) {
-    for_each_changed(old, new, |old, new| {
+    old.for_each_changed(new, |old, new| {
         if let (Some((_, a)), Some((_, b))) = (old, new) {
             if same(a, b) {
                 return;

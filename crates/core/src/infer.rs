@@ -18,6 +18,7 @@ use crate::extract::{rename_outputs, Extractor};
 use crate::model::{LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryLineage};
 use crate::options::ExtractOptions;
 use crate::preprocess::{QueryDict, QueryEntry};
+use crate::shared::SharedMap;
 use crate::trace::TraceLog;
 use lineagex_catalog::Catalog;
 use lineagex_sqlparse::ast::Ident;
@@ -175,8 +176,8 @@ impl<'a> InferenceEngine<'a> {
     }
 
     fn assemble(self) -> LineageResult {
-        let graph =
-            assemble_graph(self.catalog.as_ref(), self.processed, &self.inferred, self.order);
+        let queries = SharedMap::from(self.processed);
+        let graph = assemble_graph(self.catalog.as_ref(), queries, &self.inferred, self.order);
         LineageResult {
             graph,
             traces: self.traces,
@@ -323,10 +324,10 @@ fn apply_output_names(
 /// usage-inferred externals (which never shadow anything).
 pub fn assemble_nodes(
     catalog: &Catalog,
-    processed: &BTreeMap<String, Arc<QueryLineage>>,
+    processed: &SharedMap<String, Arc<QueryLineage>>,
     inferred: &BTreeMap<String, BTreeSet<String>>,
-) -> BTreeMap<String, Arc<Node>> {
-    let mut nodes: BTreeMap<String, Arc<Node>> = BTreeMap::new();
+) -> SharedMap<String, Arc<Node>> {
+    let mut nodes: SharedMap<String, Arc<Node>> = SharedMap::new();
 
     // Catalog relations become base-table / view nodes.
     for schema in catalog.relations() {
@@ -361,13 +362,11 @@ pub fn assemble_nodes(
     }
     // Usage-inferred externals.
     for (name, columns) in inferred {
-        nodes.entry(name.clone()).or_insert_with(|| {
-            Arc::new(Node {
-                name: name.clone(),
-                kind: NodeKind::External,
-                columns: columns.iter().cloned().collect(),
-            })
-        });
+        if !nodes.contains_key(name) {
+            let columns = columns.iter().cloned().collect();
+            let node = Node { name: name.clone(), kind: NodeKind::External, columns };
+            nodes.insert(name.clone(), Arc::new(node));
+        }
     }
     nodes
 }
@@ -379,12 +378,12 @@ pub fn assemble_nodes(
 /// incremental engine guarantee that by construction.
 pub fn assemble_graph(
     catalog: &Catalog,
-    processed: BTreeMap<String, Arc<QueryLineage>>,
+    processed: SharedMap<String, Arc<QueryLineage>>,
     inferred: &BTreeMap<String, BTreeSet<String>>,
     order: Vec<String>,
 ) -> LineageGraph {
     let nodes = assemble_nodes(catalog, &processed, inferred);
-    LineageGraph { nodes, queries: processed, order }
+    LineageGraph { nodes, queries: processed, order: order.into() }
 }
 
 #[cfg(test)]

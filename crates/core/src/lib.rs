@@ -59,6 +59,7 @@ pub mod options;
 pub mod preprocess;
 pub mod query;
 pub mod report;
+pub mod shared;
 pub mod snapshot;
 pub mod trace;
 pub mod view;
@@ -83,6 +84,7 @@ pub use query::{
     ColumnMatch, Direction, GraphQuery, PathStep, QueryAnswer, QuerySpec, RelationMatch, Subgraph,
 };
 pub use report::{JsonReport, QueryReport, ReportV2, SCHEMA_VERSION};
+pub use shared::{SharedMap, SharedVec};
 pub use snapshot::{
     read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, GraphSnapshot,
     SnapshotEntry, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

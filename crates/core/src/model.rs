@@ -12,6 +12,7 @@
 //!   ([`QueryLineage::tables`]).
 
 use crate::diagnostics::Diagnostic;
+use crate::shared::{SharedMap, SharedVec};
 pub use lineagex_catalog::SourceColumn;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -219,20 +220,24 @@ pub(crate) struct EdgeRef<'g> {
 /// The combined table- and column-level lineage graph over a set of
 /// queries, as visualised by the paper's UI (Fig. 2/5).
 ///
-/// Entries are shared (`Arc`), so cloning a graph copies one pointer per
-/// entry, never the lineage itself: a session that publishes a revision
-/// and then mutates its own copy pays for the map structure, and each
-/// re-extracted query replaces its own entry. Mutate an entry in place
-/// with [`Arc::make_mut`].
+/// The containers are structurally shared ([`SharedMap`], [`SharedVec`])
+/// and their entries are `Arc`s, so cloning a graph copies six
+/// pointers, two per container. A session that publishes a revision and
+/// then edits its own copy pays for the leaves its edits touch, each
+/// re-extracted query replacing its own entry; dropping a revision frees
+/// only what no other revision holds. Mutate an entry in place with
+/// [`Arc::make_mut`] on [`SharedMap::get_mut`]. Iteration, equality,
+/// `Debug` and `Serialize` read exactly like the `BTreeMap`s and `Vec`
+/// of the same entries.
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct LineageGraph {
     /// Every relation node (base tables, views, query results, externals).
-    pub nodes: BTreeMap<String, Arc<Node>>,
+    pub nodes: SharedMap<String, Arc<Node>>,
     /// Per-query lineage keyed by query id.
-    pub queries: BTreeMap<String, Arc<QueryLineage>>,
+    pub queries: SharedMap<String, Arc<QueryLineage>>,
     /// The order queries were successfully processed in (the output of the
     /// table/view auto-inference stack).
-    pub order: Vec<String>,
+    pub order: SharedVec<String>,
 }
 
 impl LineageGraph {
@@ -252,10 +257,10 @@ impl LineageGraph {
         // A query has an `order` slot exactly when it has a lineage
         // record (merge, retract and assembly keep the two in step), so
         // the map answers "is it new?" without scanning the order.
-        if !self.queries.contains_key(&lineage.id) {
-            self.order.push(lineage.id.clone());
+        let id = lineage.id.clone();
+        if self.queries.insert(id.clone(), lineage).is_none() {
+            self.order.push(id);
         }
-        self.queries.insert(lineage.id.clone(), lineage);
     }
 
     /// Retract every query in `ids` from the graph: remove its lineage
@@ -376,7 +381,7 @@ impl LineageGraph {
 
     /// A cheap O(nodes + lineage entries) estimate of this graph's heap
     /// footprint in bytes — string payloads plus per-allocation overhead,
-    /// ignoring the `BTreeMap` internals; each query is charged one
+    /// ignoring the containers' leaf tables; each query is charged one
     /// processing-order slot. Feeds the `engine.peak_graph_bytes` gauge;
     /// it is a capacity-planning signal, not an allocator-accurate
     /// measurement.
@@ -387,16 +392,17 @@ impl LineageGraph {
     /// [`LineageGraph::approx_bytes`] of `self`, given the estimate
     /// `old_bytes` of `old`: only the entries the two graphs do not
     /// share are measured, so re-estimating a copy-on-write revision
-    /// costs its changed entries plus pointer compares.
+    /// costs the leaves its edits copied plus one pointer compare per
+    /// leaf.
     pub fn approx_bytes_from(&self, old: &LineageGraph, old_bytes: usize) -> usize {
         let mut total = old_bytes;
         let mut charge = |removed: Option<usize>, added: Option<usize>| {
             total = (total + added.unwrap_or(0)).saturating_sub(removed.unwrap_or(0));
         };
-        for_each_changed(&old.queries, &self.queries, |removed, added| {
+        old.queries.for_each_changed(&self.queries, |removed, added| {
             charge(removed.map(query_entry_bytes), added.map(query_entry_bytes))
         });
-        for_each_changed(&old.nodes, &self.nodes, |removed, added| {
+        old.nodes.for_each_changed(&self.nodes, |removed, added| {
             charge(removed.map(node_entry_bytes), added.map(node_entry_bytes))
         });
         total
@@ -452,43 +458,6 @@ impl LineageGraph {
     }
 }
 
-/// Walk two key-sorted entry maps in one merge-join and call `changed`
-/// with every entry pair that is not shared: `(Some(old), Some(new))`
-/// for a key both maps hold with different entries, `(Some(old), None)`
-/// for a key only `old` holds, `(None, Some(new))` for one only `new`
-/// holds. A pointer-equal pair is one entry on both sides and is skipped
-/// without even comparing keys, so walking a copy-on-write copy costs
-/// pointer compares plus one key compare per replaced entry. Callers
-/// that depend on the entries alone (not the keys) see exactly the
-/// difference, as every entry is consumed once.
-pub(crate) fn for_each_changed<'g, V>(
-    old: &'g BTreeMap<String, Arc<V>>,
-    new: &'g BTreeMap<String, Arc<V>>,
-    mut changed: impl FnMut(Option<(&'g str, &'g V)>, Option<(&'g str, &'g V)>),
-) {
-    let mut olds = old.iter().peekable();
-    let mut news = new.iter().peekable();
-    loop {
-        let order = match (olds.peek(), news.peek()) {
-            (None, None) => return,
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (Some((_, old_value)), Some((_, new_value))) if Arc::ptr_eq(old_value, new_value) => {
-                olds.next();
-                news.next();
-                continue;
-            }
-            (Some((old_key, _)), Some((new_key, _))) => old_key.cmp(new_key),
-        };
-        let entry = |(key, value): (&'g String, &'g Arc<V>)| (key.as_str(), &**value);
-        match order {
-            std::cmp::Ordering::Less => changed(olds.next().map(entry), None),
-            std::cmp::Ordering::Greater => changed(None, news.next().map(entry)),
-            std::cmp::Ordering::Equal => changed(olds.next().map(entry), news.next().map(entry)),
-        }
-    }
-}
-
 /// An owned string's estimated heap cost: payload plus allocation
 /// overhead.
 fn str_bytes(s: &str) -> usize {
@@ -501,7 +470,7 @@ fn source_bytes(sc: &SourceColumn) -> usize {
 
 /// One query entry's share of [`LineageGraph::approx_bytes`]: its key,
 /// its lineage record, and its processing-order slot.
-fn query_entry_bytes((key, q): (&str, &QueryLineage)) -> usize {
+fn query_entry_bytes((key, q): (&String, &QueryLineage)) -> usize {
     let mut total = str_bytes(key) + 2 * str_bytes(&q.id);
     for out in &q.outputs {
         total += str_bytes(&out.name);
@@ -519,7 +488,7 @@ fn query_entry_bytes((key, q): (&str, &QueryLineage)) -> usize {
 }
 
 /// One node entry's share of [`LineageGraph::approx_bytes`].
-fn node_entry_bytes((key, node): (&str, &Node)) -> usize {
+fn node_entry_bytes((key, node): (&String, &Node)) -> usize {
     str_bytes(key)
         + str_bytes(&node.name)
         + node.columns.iter().map(|c| str_bytes(c)).sum::<usize>()
@@ -667,7 +636,9 @@ pub(crate) mod tests {
             prop_assert_eq!(graph.stats(), reference_stats(&graph));
             prop_assert_eq!(graph.all_edges(), reference_edges(&graph));
             prop_assert_eq!(graph.stats().edge_count(), graph.all_edges().len());
-            graph.order.reverse();
+            let mut reversed: Vec<String> = graph.order.iter().cloned().collect();
+            reversed.reverse();
+            graph.order = reversed.into();
             prop_assert_eq!(graph.stats(), reference_stats(&graph));
         }
     }
@@ -861,7 +832,7 @@ pub(crate) mod tests {
         let mut edited = graph.clone();
         let ids: BTreeSet<String> = graph.order.iter().step_by(3).cloned().collect();
         edited.retract_queries(&ids);
-        let id = edited.order[0].clone();
+        let id = edited.order.iter().next().unwrap().clone();
         Arc::make_mut(edited.queries.get_mut(&id).unwrap()).outputs.clear();
         edited.nodes.insert(
             "extra".into(),

@@ -129,7 +129,7 @@ impl JsonReport {
                 },
             );
         }
-        JsonReport { queries, tables, processing_order: graph.order.clone() }
+        JsonReport { queries, tables, processing_order: graph.order.iter().cloned().collect() }
     }
 
     /// Serialise to pretty JSON.
@@ -540,8 +540,8 @@ mod tests {
         // Same graph value, different processing order: identical bytes.
         let mut g1 = graph();
         let mut g2 = graph();
-        g1.order = vec!["v".into()];
-        g2.order = vec!["v".into(), "v".into()];
+        g1.order = vec!["v".into()].into();
+        g2.order = vec!["v".into(), "v".into()].into();
         assert_eq!(
             ReportV2::from_graph(&g1, &[]).to_json(),
             ReportV2::from_graph(&g2, &[]).to_json()

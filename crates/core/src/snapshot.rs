@@ -366,9 +366,9 @@ fn write_graph(w: &mut Writer, graph: &LineageGraph) {
 }
 
 fn read_graph(r: &mut Reader) -> Result<LineageGraph, SnapshotError> {
-    // The maps were serialised from `BTreeMap` iteration, so the stream
-    // is already sorted: collecting pairs and bulk-building the tree is
-    // markedly faster at 10k+ queries than one rebalancing insert each.
+    // The maps were serialised in key order, so the stream is already
+    // sorted: collecting pairs and cutting them into leaves is markedly
+    // faster at 10k+ queries than one insert each.
     let node_count = r.count()?;
     let mut nodes = Vec::with_capacity(node_count);
     for _ in 0..node_count {
@@ -397,7 +397,7 @@ fn read_graph(r: &mut Reader) -> Result<LineageGraph, SnapshotError> {
     Ok(LineageGraph {
         nodes: nodes.into_iter().collect(),
         queries: queries.into_iter().collect(),
-        order,
+        order: order.into(),
     })
 }
 

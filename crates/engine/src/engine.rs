@@ -8,8 +8,8 @@ use lineagex_core::{
     assemble_nodes, cycle_stub, extract_entry, preprocess_statement, Diagnostic, DiagnosticCode,
     ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot, ImpactReport, LineageError,
     LineageGraph, LineageResult, LineageView, Node, NodeKind, PreprocessedStatement, QueryDict,
-    QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2, SnapshotEntry, SourceColumn,
-    TraceLog,
+    QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2, SharedMap, SnapshotEntry,
+    SourceColumn, TraceLog,
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
 use lineagex_sqlparse::ast::{SpannedStatement, Statement};
@@ -152,7 +152,9 @@ impl EntryState {
 /// clone stays valid (and internally consistent — graph, index, and
 /// diagnostics all describe the same `revision`) no matter what the
 /// engine does afterwards. This is what a concurrent server hands to
-/// reader threads.
+/// reader threads. The graph shares its untouched leaves with the
+/// revisions before and after it, so holding an old snapshot keeps
+/// alive only the leaves later writes replaced.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     /// The settled-graph revision this snapshot was published at.
@@ -224,9 +226,11 @@ pub struct Engine {
     rdeps: BTreeMap<String, BTreeSet<String>>,
     /// The settled graph, copy-on-write: [`Engine::publish`] and
     /// [`Engine::load_snapshot`] share this `Arc` with served snapshots
-    /// for free, and the first mutation after a share pays one copy of
-    /// the graph's maps ([`Engine::unshare_graph`]). Entries are `Arc`s,
-    /// so the copy is one pointer per entry; lineage records and nodes
+    /// for free, and the first mutation after a share copies the
+    /// graph's container pointers, two per container
+    /// ([`Engine::unshare_graph`]). The containers are structurally
+    /// shared, so the refresh's edits then copy each leaf table's
+    /// pointers plus the leaves they touch; lineage records and nodes
     /// are shared until a refresh replaces them.
     graph: Arc<LineageGraph>,
     /// Usage-inferred external schemas, attributed per inferring query so
@@ -813,7 +817,7 @@ impl Engine {
             for key in self
                 .graph
                 .queries
-                .range(base.clone()..)
+                .range_from(base.as_str())
                 .map(|(key, _)| key)
                 .take_while(|key| **key == base || key.starts_with(&prefix))
             {
@@ -873,7 +877,10 @@ impl Engine {
         }
     }
 
-    /// The settled lineage graph (refreshing first if needed).
+    /// The settled lineage graph (refreshing first if needed). Cloning
+    /// it copies six pointers; the clone shares every leaf with the
+    /// session until a later refresh replaces the leaf on the session's
+    /// side.
     pub fn graph(&mut self) -> Result<&LineageGraph, LineageError> {
         self.refresh()?;
         Ok(&self.graph)
@@ -910,8 +917,10 @@ impl Engine {
 
     /// Make the settled graph unique before mutating it. Copy-on-write:
     /// while a published snapshot (or the index's base graph) shares
-    /// it, the first mutation copies the graph's maps — one pointer per
-    /// entry, never the lineage — timed into `engine.graph_clone_us`.
+    /// it, the first mutation copies the graph's container pointers,
+    /// two per container — never a leaf, an entry or the lineage —
+    /// timed into `engine.graph_clone_us`. The edits that follow copy
+    /// the leaves they touch.
     fn unshare_graph(&mut self) {
         if Arc::get_mut(&mut self.graph).is_none() {
             let started = Instant::now();
@@ -970,8 +979,8 @@ impl Engine {
         Ok(EngineSnapshot {
             revision: self.graph_revision,
             // Copy-on-write: every graph mutation also bumps the
-            // revision, and the next one pays the clone (`Arc::make_mut`),
-            // not this publish.
+            // revision, and the next one copies the leaves it edits, not
+            // this publish.
             graph: Arc::clone(&self.graph),
             index,
             diagnostics: Arc::clone(&self.session_diagnostics),
@@ -1429,7 +1438,7 @@ type ExtractOutcome = (
 fn extract_component(
     plan: &ComponentPlan,
     entries: &BTreeMap<String, EntryState>,
-    settled: &BTreeMap<String, Arc<QueryLineage>>,
+    settled: &SharedMap<String, Arc<QueryLineage>>,
     qd_ids: &BTreeSet<String>,
     catalog: &Catalog,
     options: &ExtractOptions,

@@ -534,15 +534,36 @@ impl<'a> Response<'a> {
     pub fn to_line(&self) -> String {
         serde_json::to_string(self).expect("responses always serialize")
     }
-}
 
-impl Serialize for Response<'_> {
-    fn serialize(&self, s: &mut Serializer<'_>) {
+    /// [`to_line`](Self::to_line)'s text in three parts, to be written in
+    /// order, so a server can send a [`Payload::Encoded`] body without
+    /// copying it into a line: for such a body, the envelope before it,
+    /// the body, and the envelope's closing `}`; for any other response,
+    /// the whole line and two empty parts.
+    pub fn line_parts(&self) -> (String, &str, &'static str) {
+        let Ok(Payload::Encoded(body)) = &self.body else {
+            return (self.to_line(), "", "");
+        };
+        let mut head = String::new();
+        let s = &mut Serializer::compact(&mut head);
+        self.envelope(s);
+        s.key("result");
+        (head, body, "}")
+    }
+
+    /// Open the line's object and write the members before the body.
+    fn envelope(&self, s: &mut Serializer<'_>) {
         s.begin_map();
         s.field("schema_version", &PROTOCOL_VERSION);
         s.field("id", &self.id);
         s.field("ok", &self.body.is_ok());
         s.field("revision", &self.revision);
+    }
+}
+
+impl Serialize for Response<'_> {
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        self.envelope(s);
         match &self.body {
             Ok(payload) => s.field("result", payload),
             Err(error) => s.field("error", error),
@@ -612,6 +633,17 @@ mod tests {
         let error = incoming.request.unwrap_err();
         assert_eq!(error.code, DiagnosticCode::InvalidRequest);
         assert!(error.message.contains("origins"));
+    }
+
+    #[test]
+    fn an_encoded_body_splits_the_line_around_itself() {
+        let body: Arc<str> = r#"{"schema_version":2,"nodes":[]}"#.into();
+        let response = Response::ok(Some(3), 9, Payload::Encoded(Arc::clone(&body)));
+        let (head, parts_body, tail) = response.line_parts();
+        assert_eq!(format!("{head}{parts_body}{tail}"), response.to_line());
+        assert_eq!(parts_body, &*body);
+        let pong = Response::ok(Some(3), 9, Payload::Pong);
+        assert_eq!(pong.line_parts(), (pong.to_line(), "", ""));
     }
 
     #[test]

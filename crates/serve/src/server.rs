@@ -525,11 +525,18 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
     }
 }
 
-/// Write one response line; returns whether the write succeeded.
+/// Write one response line; returns whether the write succeeded. A
+/// reused `report` body goes to the connection as it is, between the
+/// parts of the line around it, never copied into a line.
 fn write_response(shared: &Shared, writer: &mut TcpStream, response: &Response<'_>) -> bool {
-    let out = response.to_line();
-    shared.metrics.bytes_out.add(out.len() as u64 + 1);
-    writeln!(writer, "{out}").and_then(|()| writer.flush()).is_ok()
+    let (head, body, tail) = response.line_parts();
+    let parts = [head.as_str(), body, tail, "\n"];
+    shared.metrics.bytes_out.add(parts.iter().map(|part| part.len() as u64).sum());
+    parts
+        .iter()
+        .try_for_each(|part| writer.write_all(part.as_bytes()))
+        .and_then(|()| writer.flush())
+        .is_ok()
 }
 
 /// Answer a line that reached [`MAX_REQUEST_BYTES`] without a newline:
