@@ -117,6 +117,17 @@ step "cargo test -q --test serve_protocol --test serve_concurrency (serve batter
 cargo test -q --test serve_protocol
 cargo test -q --test serve_concurrency
 
+# The served query path, gated explicitly: the reply `serve` writes from
+# a traversal's id-level cone must have the owned QueryReport's bytes
+# for every spec shape on every backend, strict and lenient; served
+# query replies must match the in-process reference while a view turns
+# partial and clean again; and a client that pipelines requests without
+# reading the replies must not keep a shut-down server from stopping.
+step "cargo test -q cone writer + write timeout (served query bytes, stuck client)"
+cargo test -q -p lineagex-core indexed_execution_matches_the_string_walk
+cargo test -q --test engine_equivalence indexed_traversal_matches_string_walk
+cargo test -q --test serve_protocol -- lenient_query_replies a_client_that_stops_reading
+
 # Serve smoke: a real `lineagex serve --verbose` process on an
 # OS-assigned port, a scripted `lineagex client` round-trip (ping,
 # ingest, query, two reports at one revision), a metrics scrape that

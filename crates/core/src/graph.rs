@@ -887,6 +887,13 @@ impl GraphIndex {
         self.declared.row(relation.0)
     }
 
+    /// Every indexed column of a relation, in id (name) order: its
+    /// declared columns and any only lineage records mention.
+    pub(crate) fn relation_columns(&self, relation: RelationId) -> impl Iterator<Item = ColumnId> {
+        let info = &self.relations[relation.index()];
+        (info.col_start..info.col_end).map(ColumnId)
+    }
+
     /// Translate a column id back to the string world.
     pub fn source_column(&self, column: ColumnId) -> SourceColumn {
         SourceColumn::new(

@@ -83,7 +83,7 @@ pub use preprocess::{preprocess_statement, PreprocessedStatement, QueryDict, Que
 pub use query::{
     ColumnMatch, Direction, GraphQuery, PathStep, QueryAnswer, QuerySpec, RelationMatch, Subgraph,
 };
-pub use report::{JsonReport, QueryReport, ReportV2, SCHEMA_VERSION};
+pub use report::{ConeReport, JsonReport, QueryReport, ReportV2, SCHEMA_VERSION};
 pub use shared::{SharedMap, SharedVec};
 pub use snapshot::{
     read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, GraphSnapshot,

@@ -42,6 +42,7 @@ use crate::graph::{ColumnId, GraphIndex, RelationId};
 use crate::model::{Edge, EdgeKind, LineageGraph, Node, NodeKind, SourceColumn};
 use lineagex_obs::{Counter, Histogram};
 use serde::Serialize;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::OnceLock;
 
@@ -235,12 +236,18 @@ impl QuerySpec {
     /// strings only at the answer boundary. Produces byte-identical
     /// answers to [`QuerySpec::run_on_unindexed`].
     pub fn run_with(&self, index: &GraphIndex) -> QueryAnswer {
+        self.cone(index).answer()
+    }
+
+    /// Run the indexed traversal, ending in the id-level [`Cone`] that
+    /// answers and replies are written from.
+    pub(crate) fn cone<'a>(&self, index: &'a GraphIndex) -> Cone<'a> {
         // Metrics never touch the answer: the indexed ≡ unindexed
         // byte-identity property holds with instrumentation enabled.
         let _timer = query_metrics().spec_us.time();
         match self.granularity {
-            Granularity::Column => run_columns_indexed(index, self),
-            Granularity::Table => run_tables_indexed(index, self),
+            Granularity::Column => column_cone(index, self),
+            Granularity::Table => table_cone(index, self),
         }
     }
 
@@ -769,66 +776,379 @@ fn slice_subgraph<'a>(
 // over `GraphIndex`'s dense ids and CSR adjacency. Ids are assigned in
 // lexicographic name order and CSR rows are sorted by id, so visit
 // orders — and therefore every tie-break the answers depend on — match
-// the string walk exactly.
+// the string walk exactly. A traversal ends in a `Cone` of ids; names
+// are read from the index only when an answer or a reply is written.
 // ---------------------------------------------------------------------
 
-/// The spec's origins resolved against an index: the reference walk's
-/// origin list (order-preserving, deduplicated), each with its column id
-/// when the column is actually indexed. Unknown origins still appear in
-/// answers (distance 0, no edges), exactly like the string walk keeps
-/// them in its distance map.
-fn resolve_origins_indexed(
+/// The id a free [`IdMap`] slot holds. No column or relation has it: an
+/// index holds fewer than 2^32 of either.
+const FREE: u32 = u32::MAX;
+
+/// Per-query scratch: a map from dense ids to `u32`s that grows with
+/// what it holds (open addressing, linear probing, at most half full),
+/// so a traversal allocates in proportion to its cone, never to the
+/// index.
+#[derive(Debug, Clone)]
+struct IdMap {
+    slots: Vec<(u32, u32)>,
+    len: usize,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl IdMap {
+    fn new() -> IdMap {
+        IdMap { slots: vec![(FREE, 0); 16], len: 0, shift: 60 }
+    }
+
+    fn home(&self, id: u32) -> usize {
+        (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    fn get(&self, id: u32) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(id);
+        loop {
+            match self.slots[i] {
+                (key, value) if key == id => return Some(value),
+                (FREE, _) => return None,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Map `id` to `value`, replacing what it held.
+    fn insert(&mut self, id: u32, value: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![(FREE, 0); 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.shift -= 1;
+            self.len = 0;
+            for (key, held) in old.into_iter().filter(|&(key, _)| key != FREE) {
+                self.insert(key, held);
+            }
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(id);
+        while self.slots[i].0 != id && self.slots[i].0 != FREE {
+            i = (i + 1) & mask;
+        }
+        self.len += usize::from(self.slots[i].0 == FREE);
+        self.slots[i] = (id, value);
+    }
+}
+
+/// One origin of a [`Cone`], in spec order.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    Column(ColumnId),
+    /// A table-granularity origin.
+    Relation(RelationId),
+    /// `Cone::unknown[i]`.
+    Unknown(usize),
+}
+
+/// One relation a [`Cone`] reached.
+#[derive(Debug, Clone, Copy)]
+enum Reached {
+    Indexed(RelationId),
+    /// The relation of `Cone::unknown[i]`, which the index does not hold.
+    Unknown(usize),
+}
+
+/// The id-level result of one indexed traversal: the answer before any
+/// name is copied. [`QuerySpec::run_with`] materialises a
+/// [`QueryAnswer`] from it, and [`crate::ConeReport`] writes the
+/// [`crate::QueryReport`] document from it, every name borrowed from the
+/// index. Its scratch grows with the cone, never with the index.
+#[derive(Debug, Clone)]
+pub(crate) struct Cone<'a> {
+    index: &'a GraphIndex,
+    direction: Direction,
+    /// The resolved origins, in spec order, once each.
+    origins: Vec<Origin>,
+    /// Origins the index does not hold, as given (with an empty column
+    /// at table granularity). They reach nothing, and their relations
+    /// are reported at distance 0.
+    unknown: Vec<SourceColumn>,
+    /// Columns reached at distance ≥ 1 with their merged edge kind,
+    /// sorted by `(distance, column)`. Empty at table granularity.
+    columns: Vec<(u32, ColumnId, EdgeKind)>,
+    /// Every relation reached, the origins' included, with its least
+    /// distance, sorted by `(distance, name)`.
+    relations: Vec<(u32, Reached)>,
+    /// The hops of the shortest path to the target, when one was set and
+    /// reached.
+    path: Option<Vec<(ColumnId, EdgeKind)>>,
+    /// The slice's relations, in name order.
+    nodes: Vec<Reached>,
+    /// The slice's indexed columns.
+    touched: IdMap,
+    /// The slice's edges, sorted by `(from, to)`.
+    edges: Vec<(ColumnId, ColumnId, EdgeKind)>,
+}
+
+impl<'a> Cone<'a> {
+    /// The direction that was walked.
+    pub(crate) fn direction(&self) -> Direction {
+        self.direction
+    }
+
+    /// The origins as `(table, column)` names (`(relation, "")` at table
+    /// granularity).
+    pub(crate) fn origins(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.origins.iter().map(move |&origin| match origin {
+            Origin::Column(id) => self.column(id),
+            Origin::Relation(rel) => (self.index.relation_name(rel), ""),
+            Origin::Unknown(i) => (self.unknown[i].table.as_str(), self.unknown[i].column.as_str()),
+        })
+    }
+
+    /// Columns reached: name, merged kind, distance.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = ((&str, &str), EdgeKind, usize)> {
+        self.columns.iter().map(move |&(d, id, kind)| (self.column(id), kind, d as usize))
+    }
+
+    /// Relations reached: name, least distance.
+    pub(crate) fn relations(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.relations.iter().map(move |&(d, rel)| (self.relation(rel), d as usize))
+    }
+
+    /// The shortest path's hops: the column stepped onto, the kind of the
+    /// edge into it.
+    pub(crate) fn path(&self) -> Option<impl Iterator<Item = ((&str, &str), EdgeKind)>> {
+        let hops = self.path.as_ref()?;
+        Some(hops.iter().map(move |&(id, kind)| (self.column(id), kind)))
+    }
+
+    /// The slice's relations in name order, each with its node kind
+    /// (`External` without a node) and the columns the cone touched.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (&str, NodeKind, NodeColumns<'_>)> {
+        self.nodes.iter().map(move |&reached| {
+            let name = self.relation(reached);
+            let node = match reached {
+                Reached::Indexed(rel) => self.index.relation_kind(rel).map(|kind| (rel, kind)),
+                Reached::Unknown(_) => None,
+            };
+            match node {
+                Some((rel, kind)) => {
+                    let declared = self.index.declared_columns(rel).iter();
+                    (name, kind, NodeColumns::Declared { cone: self, declared })
+                }
+                None => (name, NodeKind::External, self.loose_columns(reached)),
+            }
+        })
+    }
+
+    /// The slice's edges: from, to, merged kind.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = ((&str, &str), (&str, &str), EdgeKind)> {
+        self.edges.iter().map(move |&(from, to, kind)| (self.column(from), self.column(to), kind))
+    }
+
+    /// The owned answer, every name copied out of the index.
+    fn answer(&self) -> QueryAnswer {
+        let owned = |(table, column): (&str, &str)| SourceColumn::new(table, column);
+        QueryAnswer {
+            direction: self.direction,
+            origins: self.origins().map(owned).collect(),
+            columns: self
+                .columns()
+                .map(|(column, kind, distance)| ColumnMatch {
+                    column: owned(column),
+                    kind,
+                    distance,
+                })
+                .collect(),
+            relations: self
+                .relations()
+                .map(|(name, distance)| RelationMatch { name: name.to_string(), distance })
+                .collect(),
+            path: self.path().map(|hops| {
+                hops.map(|(column, kind)| PathStep { column: owned(column), kind }).collect()
+            }),
+            subgraph: Subgraph {
+                nodes: self
+                    .nodes()
+                    .map(|(name, kind, columns)| {
+                        let columns = columns.map(str::to_string).collect();
+                        (name.to_string(), Node { name: name.to_string(), kind, columns })
+                    })
+                    .collect(),
+                edges: self
+                    .edges()
+                    .map(|(from, to, kind)| Edge { from: owned(from), to: owned(to), kind })
+                    .collect(),
+            },
+        }
+    }
+
+    fn column(&self, id: ColumnId) -> (&'a str, &'a str) {
+        (self.index.relation_name(self.index.column_relation(id)), self.index.column_name(id))
+    }
+
+    fn relation(&self, reached: Reached) -> &str {
+        relation_name(self.index, &self.unknown, reached)
+    }
+
+    /// The touched columns of a relation without a node, by name, once
+    /// each: its indexed columns in the slice and the unknown origins
+    /// naming it.
+    fn loose_columns(&self, reached: Reached) -> NodeColumns<'_> {
+        let table = self.relation(reached);
+        let mut names: Vec<&str> = self
+            .unknown
+            .iter()
+            .filter(|origin| origin.table == table)
+            .map(|origin| origin.column.as_str())
+            .collect();
+        if let Reached::Indexed(rel) = reached {
+            names.extend(
+                self.index
+                    .relation_columns(rel)
+                    .filter(|c| self.touched.contains(c.index() as u32))
+                    .map(|c| self.index.column_name(c)),
+            );
+        }
+        names.sort_unstable();
+        names.dedup();
+        NodeColumns::Loose(names.into_iter())
+    }
+}
+
+/// The columns of one slice relation ([`Cone::nodes`]), by name.
+pub(crate) enum NodeColumns<'c> {
+    /// A relation with a node: its declared columns the cone touched, in
+    /// declared order (a same-named output repeats, as in the node).
+    Declared { cone: &'c Cone<'c>, declared: std::slice::Iter<'c, ColumnId> },
+    /// A relation without a node, sorted.
+    Loose(std::vec::IntoIter<&'c str>),
+}
+
+impl<'c> Iterator for NodeColumns<'c> {
+    type Item = &'c str;
+
+    fn next(&mut self) -> Option<&'c str> {
+        match self {
+            NodeColumns::Declared { cone, declared } => declared
+                .find(|c| cone.touched.contains(c.index() as u32))
+                .map(|&c| cone.index.column_name(c)),
+            NodeColumns::Loose(names) => names.next(),
+        }
+    }
+}
+
+fn relation_name<'n>(
+    index: &'n GraphIndex,
+    unknown: &'n [SourceColumn],
+    reached: Reached,
+) -> &'n str {
+    match reached {
+        Reached::Indexed(rel) => index.relation_name(rel),
+        Reached::Unknown(i) => &unknown[i].table,
+    }
+}
+
+/// Name order: relation ids compare as their names do, and no unknown
+/// relation shares an indexed one's name, so only unknown relations
+/// compare strings.
+fn name_order(index: &GraphIndex, unknown: &[SourceColumn], a: Reached, b: Reached) -> Ordering {
+    match (a, b) {
+        (Reached::Indexed(a), Reached::Indexed(b)) => a.cmp(&b),
+        _ => relation_name(index, unknown, a).cmp(relation_name(index, unknown, b)),
+    }
+}
+
+/// Sort reached relations by `(distance, name)`.
+fn sort_by_distance(
     index: &GraphIndex,
-    spec: &QuerySpec,
-) -> Vec<(SourceColumn, Option<ColumnId>)> {
-    let mut seen = BTreeSet::new();
-    let mut resolved = Vec::new();
-    let mut push = |col: SourceColumn, id: Option<ColumnId>| {
-        if seen.insert(col.clone()) {
-            resolved.push((col, id));
+    unknown: &[SourceColumn],
+    relations: &mut [(u32, Reached)],
+) {
+    relations.sort_unstable_by(|&(da, a), &(db, b)| {
+        da.cmp(&db).then_with(|| name_order(index, unknown, a, b))
+    });
+}
+
+/// Every kept edge between the `columns` of a slice (`touched` holds
+/// them), enumerated off the reverse CSR and sorted by `(from, to)`.
+fn slice_edges(
+    index: &GraphIndex,
+    columns: impl Iterator<Item = ColumnId>,
+    touched: &IdMap,
+    keep: impl Fn(EdgeKind) -> bool,
+) -> Vec<(ColumnId, ColumnId, EdgeKind)> {
+    let mut edges = Vec::new();
+    for to in columns {
+        for &(from, kind) in index.in_edges(to) {
+            if keep(kind) && touched.contains(from) {
+                edges.push((ColumnId::from_index(from as usize), to, kind));
+            }
+        }
+    }
+    edges.sort_unstable_by_key(|&(from, to, _)| (from, to));
+    edges
+}
+
+/// One visit of the column walk: the column, its distance, and the visit
+/// that first reached it with the kind of that edge (`FREE` for an
+/// origin).
+struct Visit {
+    column: ColumnId,
+    distance: u32,
+    from: u32,
+    kind: EdgeKind,
+}
+
+/// Column-granularity execution over the index.
+fn column_cone<'a>(index: &'a GraphIndex, spec: &QuerySpec) -> Cone<'a> {
+    let mut origins = Vec::new();
+    let mut unknown: Vec<SourceColumn> = Vec::new();
+    // The walk's visits in visit order (also its queue), and the visit
+    // of each column it reached.
+    let mut visits: Vec<Visit> = Vec::new();
+    let mut visited = IdMap::new();
+    let mut push_origin = |id: ColumnId, visits: &mut Vec<Visit>, origins: &mut Vec<Origin>| {
+        if !visited.contains(id.index() as u32) {
+            visited.insert(id.index() as u32, visits.len() as u32);
+            visits.push(Visit { column: id, distance: 0, from: FREE, kind: EdgeKind::Contribute });
+            origins.push(Origin::Column(id));
         }
     };
     for origin in &spec.origins {
         match origin {
-            OriginSpec::Column(col) => {
-                let id = index.lookup_column(&col.table, &col.column);
-                push(col.clone(), id);
-            }
+            OriginSpec::Column(col) => match index.lookup_column(&col.table, &col.column) {
+                Some(id) => push_origin(id, &mut visits, &mut origins),
+                // An unknown origin is still reported, exactly like the
+                // string walk keeps it in its distance map.
+                None if !unknown.contains(col) => {
+                    origins.push(Origin::Unknown(unknown.len()));
+                    unknown.push(col.clone());
+                }
+                None => {}
+            },
+            // Whole-relation origins expand through the *node's* declared
+            // column list (a relation without a node contributes
+            // nothing), matching the string walk.
             OriginSpec::Table(name) => {
-                // Whole-relation origins expand through the *node's*
-                // declared column list (a relation without a node
-                // contributes nothing), matching the string walk.
                 if let Some(rel) = index.lookup_relation(name) {
-                    for &col in index.declared_columns(rel) {
-                        push(index.source_column(col), Some(col));
+                    for &id in index.declared_columns(rel) {
+                        push_origin(id, &mut visits, &mut origins);
                     }
                 }
             }
         }
     }
-    resolved
-}
 
-/// Column-granularity execution over the index.
-fn run_columns_indexed(index: &GraphIndex, spec: &QuerySpec) -> QueryAnswer {
-    let resolved = resolve_origins_indexed(index, spec);
-
-    // Pass 1: BFS distances over allowed edges and nodes, on dense ids.
-    let mut dist: Vec<u32> = vec![u32::MAX; index.column_count()];
-    let mut touched: Vec<ColumnId> = Vec::new();
-    let mut queue: VecDeque<ColumnId> = VecDeque::new();
-    for (_, id) in &resolved {
-        if let Some(id) = *id {
-            if dist[id.index()] == u32::MAX {
-                dist[id.index()] = 0;
-                touched.push(id);
-                queue.push_back(id);
-            }
-        }
-    }
-    while let Some(current) = queue.pop_front() {
-        let d = dist[current.index()];
-        if spec.max_depth.is_some_and(|limit| d as usize >= limit) {
+    // Pass 1: BFS distances over allowed edges and nodes.
+    let mut next_visit = 0;
+    while let Some(&Visit { column: current, distance, .. }) = visits.get(next_visit) {
+        let from = next_visit as u32;
+        next_visit += 1;
+        if spec.max_depth.is_some_and(|limit| distance as usize >= limit) {
             continue;
         }
         let row = match spec.direction {
@@ -836,192 +1156,150 @@ fn run_columns_indexed(index: &GraphIndex, spec: &QuerySpec) -> QueryAnswer {
             Direction::Upstream => index.in_edges(current),
         };
         for &(next, kind) in row {
-            if !spec.allows_edge(kind) {
+            if !spec.allows_edge(kind) || visited.contains(next) {
                 continue;
             }
-            let next = ColumnId::from_index(next as usize);
-            if dist[next.index()] != u32::MAX
-                || !spec.allows_node_id(index, index.column_relation(next))
-            {
+            let column = ColumnId::from_index(next as usize);
+            if !spec.allows_node_id(index, index.column_relation(column)) {
                 continue;
             }
-            dist[next.index()] = d + 1;
-            touched.push(next);
-            queue.push_back(next);
+            visited.insert(next, visits.len() as u32);
+            visits.push(Visit { column, distance: distance + 1, from, kind });
         }
     }
-    query_metrics().bfs_nodes.add(touched.len() as u64);
+    query_metrics().bfs_nodes.add(visits.len() as u64);
 
     // Pass 2: merge the edge kinds of every shortest-path predecessor.
     // Predecessors of a reached column are exactly its CSR neighbours in
     // the *opposite* direction sitting one hop closer to the origins.
-    let mut matches: Vec<(u32, ColumnId, EdgeKind)> = Vec::new();
-    for &id in &touched {
-        let d = dist[id.index()];
-        if d == 0 {
-            continue;
-        }
+    let mut columns = Vec::new();
+    for visit in visits.iter().filter(|visit| visit.distance > 0) {
         let mut contributes = false;
         let mut references = false;
         let preds = match spec.direction {
-            Direction::Downstream => index.in_edges(id),
-            Direction::Upstream => index.out_edges(id),
+            Direction::Downstream => index.in_edges(visit.column),
+            Direction::Upstream => index.out_edges(visit.column),
         };
         for &(pred, kind) in preds {
-            let pd = dist[pred as usize];
-            if pd == u32::MAX || pd + 1 != d || !spec.allows_edge(kind) {
+            if !spec.allows_edge(kind) {
                 continue;
             }
-            contributes |= matches!(kind, EdgeKind::Contribute | EdgeKind::Both);
-            references |= matches!(kind, EdgeKind::Reference | EdgeKind::Both);
+            if visited
+                .get(pred)
+                .is_some_and(|at| visits[at as usize].distance + 1 == visit.distance)
+            {
+                contributes |= matches!(kind, EdgeKind::Contribute | EdgeKind::Both);
+                references |= matches!(kind, EdgeKind::Reference | EdgeKind::Both);
+            }
         }
         let kind = match (contributes, references) {
             (true, true) => EdgeKind::Both,
             (true, false) => EdgeKind::Contribute,
             _ => EdgeKind::Reference,
         };
-        matches.push((d, id, kind));
+        columns.push((visit.distance, visit.column, kind));
     }
-    matches.sort_unstable_by_key(|&(d, id, _)| (d, id));
-    let columns = matches
-        .into_iter()
-        .map(|(d, id, kind)| ColumnMatch {
-            column: index.source_column(id),
-            kind,
-            distance: d as usize,
-        })
-        .collect();
+    columns.sort_unstable_by_key(|&(d, id, _)| (d, id));
 
-    let path = spec
-        .target
-        .as_ref()
-        .and_then(|target| shortest_path_indexed(index, spec, &resolved, target));
+    // The walk is the path search's BFS too (same order, same filters),
+    // so the target's first visit chain is its shortest path. An
+    // unindexed target is reachable only as a trivial path to an origin
+    // naming the same column.
+    let path = spec.target.as_ref().and_then(|target| {
+        let Some(target_id) = index.lookup_column(&target.table, &target.column) else {
+            return unknown.contains(target).then(Vec::new);
+        };
+        let mut at = visited.get(target_id.index() as u32)? as usize;
+        let mut hops = Vec::new();
+        while visits[at].distance > 0 {
+            hops.push((visits[at].column, visits[at].kind));
+            at = visits[at].from as usize;
+        }
+        hops.reverse();
+        Some(hops)
+    });
 
-    // Relations reached, with min distance over their columns; unknown
+    // Relations reached, with their least distance: visits run in
+    // distance order, so a relation's first visit is its least. Unknown
     // origins count as distance-0 members of their (possibly unknown)
     // relation.
-    let mut relation_distance: BTreeMap<&str, usize> = BTreeMap::new();
-    for &id in &touched {
-        let name = index.relation_name(index.column_relation(id));
-        let d = dist[id.index()] as usize;
-        relation_distance.entry(name).and_modify(|cur| *cur = (*cur).min(d)).or_insert(d);
+    let mut relations: Vec<(u32, Reached)> = Vec::new();
+    let mut relation_at = IdMap::new();
+    for visit in &visits {
+        let rel = index.column_relation(visit.column);
+        if !relation_at.contains(rel.index() as u32) {
+            relation_at.insert(rel.index() as u32, relations.len() as u32);
+            relations.push((visit.distance, Reached::Indexed(rel)));
+        }
     }
-    let unknown: Vec<&SourceColumn> =
-        resolved.iter().filter(|(_, id)| id.is_none()).map(|(col, _)| col).collect();
-    for col in &unknown {
-        relation_distance.entry(col.table.as_str()).and_modify(|cur| *cur = 0).or_insert(0);
+    for (i, origin) in unknown.iter().enumerate() {
+        match index.lookup_relation(&origin.table) {
+            Some(rel) => match relation_at.get(rel.index() as u32) {
+                Some(at) => relations[at as usize].0 = 0,
+                None => {
+                    relation_at.insert(rel.index() as u32, relations.len() as u32);
+                    relations.push((0, Reached::Indexed(rel)));
+                }
+            },
+            None if !unknown[..i].iter().any(|other| other.table == origin.table) => {
+                relations.push((0, Reached::Unknown(i)));
+            }
+            None => {}
+        }
     }
-    let mut relations: Vec<RelationMatch> = relation_distance
-        .into_iter()
-        .map(|(name, distance)| RelationMatch { name: name.to_string(), distance })
-        .collect();
-    relations.sort_by(|a, b| (a.distance, &a.name).cmp(&(b.distance, &b.name)));
+    sort_by_distance(index, &unknown, &mut relations);
 
-    let subgraph = slice_subgraph_indexed(index, spec, &dist, &touched, &unknown);
-    QueryAnswer {
+    // The slice: every reached relation, and every allowed-kind edge
+    // between touched columns.
+    let mut nodes: Vec<Reached> = relations.iter().map(|&(_, rel)| rel).collect();
+    nodes.sort_unstable_by(|&a, &b| name_order(index, &unknown, a, b));
+    let edges = slice_edges(index, visits.iter().map(|visit| visit.column), &visited, |kind| {
+        spec.allows_edge(kind)
+    });
+    Cone {
+        index,
         direction: spec.direction,
-        origins: resolved.into_iter().map(|(col, _)| col).collect(),
+        origins,
+        unknown,
         columns,
         relations,
         path,
-        subgraph,
+        nodes,
+        touched: visited,
+        edges,
     }
-}
-
-/// Indexed BFS shortest path from any origin to `target`.
-fn shortest_path_indexed(
-    index: &GraphIndex,
-    spec: &QuerySpec,
-    resolved: &[(SourceColumn, Option<ColumnId>)],
-    target: &SourceColumn,
-) -> Option<Vec<PathStep>> {
-    let Some(target_id) = index.lookup_column(&target.table, &target.column) else {
-        // An unindexed target is reachable only as a trivial path to an
-        // origin naming the same column.
-        return resolved.iter().any(|(origin, _)| origin == target).then(Vec::new);
-    };
-    let mut predecessor: Vec<u32> = vec![u32::MAX; index.column_count()];
-    let mut pred_kind: Vec<EdgeKind> = vec![EdgeKind::Contribute; index.column_count()];
-    let mut visited: Vec<bool> = vec![false; index.column_count()];
-    let mut queue: VecDeque<(ColumnId, usize)> = VecDeque::new();
-    for (_, id) in resolved {
-        if let Some(id) = *id {
-            if !visited[id.index()] {
-                visited[id.index()] = true;
-                queue.push_back((id, 0));
-            }
-        }
-    }
-    while let Some((current, d)) = queue.pop_front() {
-        if current == target_id {
-            let mut path = Vec::new();
-            let mut cursor = current;
-            while predecessor[cursor.index()] != u32::MAX {
-                path.push(PathStep {
-                    column: index.source_column(cursor),
-                    kind: pred_kind[cursor.index()],
-                });
-                cursor = ColumnId::from_index(predecessor[cursor.index()] as usize);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        if spec.max_depth.is_some_and(|limit| d >= limit) {
-            continue;
-        }
-        let row = match spec.direction {
-            Direction::Downstream => index.out_edges(current),
-            Direction::Upstream => index.in_edges(current),
-        };
-        for &(next, kind) in row {
-            if !spec.allows_edge(kind) {
-                continue;
-            }
-            let next = ColumnId::from_index(next as usize);
-            if visited[next.index()] || !spec.allows_node_id(index, index.column_relation(next)) {
-                continue;
-            }
-            visited[next.index()] = true;
-            predecessor[next.index()] = current.index() as u32;
-            pred_kind[next.index()] = kind;
-            queue.push_back((next, d + 1));
-        }
-    }
-    None
 }
 
 /// Table-granularity execution over the index's relation-level CSR.
-fn run_tables_indexed(index: &GraphIndex, spec: &QuerySpec) -> QueryAnswer {
-    let mut seen = BTreeSet::new();
-    let mut origin_names: Vec<String> = Vec::new();
+fn table_cone<'a>(index: &'a GraphIndex, spec: &QuerySpec) -> Cone<'a> {
+    let mut origins = Vec::new();
+    let mut unknown: Vec<SourceColumn> = Vec::new();
+    let mut visits: Vec<(RelationId, u32)> = Vec::new();
+    let mut visited = IdMap::new();
     for origin in &spec.origins {
         let name = match origin {
-            OriginSpec::Table(name) => name.clone(),
-            OriginSpec::Column(col) => col.table.clone(),
+            OriginSpec::Table(name) => name,
+            OriginSpec::Column(col) => &col.table,
         };
-        if seen.insert(name.clone()) {
-            origin_names.push(name);
+        match index.lookup_relation(name) {
+            Some(rel) if !visited.contains(rel.index() as u32) => {
+                visited.insert(rel.index() as u32, 0);
+                visits.push((rel, 0));
+                origins.push(Origin::Relation(rel));
+            }
+            Some(_) => {}
+            None if !unknown.iter().any(|origin| &origin.table == name) => {
+                origins.push(Origin::Unknown(unknown.len()));
+                unknown.push(SourceColumn::new(name.as_str(), ""));
+            }
+            None => {}
         }
     }
 
-    let mut dist: Vec<u32> = vec![u32::MAX; index.relation_count()];
-    let mut reached: Vec<RelationId> = Vec::new();
-    let mut unknown_relations: Vec<&str> = Vec::new();
-    let mut queue: VecDeque<RelationId> = VecDeque::new();
-    for name in &origin_names {
-        match index.lookup_relation(name) {
-            Some(rel) if dist[rel.index()] == u32::MAX => {
-                dist[rel.index()] = 0;
-                reached.push(rel);
-                queue.push_back(rel);
-            }
-            Some(_) => {}
-            None => unknown_relations.push(name.as_str()),
-        }
-    }
-    while let Some(current) = queue.pop_front() {
-        let d = dist[current.index()];
-        if spec.max_depth.is_some_and(|limit| d as usize >= limit) {
+    let mut next_visit = 0;
+    while let Some(&(current, distance)) = visits.get(next_visit) {
+        next_visit += 1;
+        if spec.max_depth.is_some_and(|limit| distance as usize >= limit) {
             continue;
         }
         let row = match spec.direction {
@@ -1029,127 +1307,59 @@ fn run_tables_indexed(index: &GraphIndex, spec: &QuerySpec) -> QueryAnswer {
             Direction::Upstream => index.table_in(current),
         };
         for &(next, _) in row {
-            let next = RelationId::from_index(next as usize);
-            if dist[next.index()] != u32::MAX || !spec.allows_node_id(index, next) {
+            let rel = RelationId::from_index(next as usize);
+            if visited.contains(next) || !spec.allows_node_id(index, rel) {
                 continue;
             }
-            dist[next.index()] = d + 1;
-            reached.push(next);
-            queue.push_back(next);
+            visited.insert(next, 0);
+            visits.push((rel, distance + 1));
         }
     }
-    query_metrics().bfs_nodes.add(reached.len() as u64);
+    query_metrics().bfs_nodes.add(visits.len() as u64);
 
-    let mut relation_distance: BTreeMap<&str, usize> = BTreeMap::new();
-    for &rel in &reached {
-        relation_distance.insert(index.relation_name(rel), dist[rel.index()] as usize);
-    }
-    for name in &unknown_relations {
-        relation_distance.entry(name).or_insert(0);
-    }
-    let mut relations: Vec<RelationMatch> = relation_distance
-        .into_iter()
-        .map(|(name, distance)| RelationMatch { name: name.to_string(), distance })
+    let mut relations: Vec<(u32, Reached)> = visits
+        .iter()
+        .map(|&(rel, distance)| (distance, Reached::Indexed(rel)))
+        .chain((0..unknown.len()).map(|i| (0, Reached::Unknown(i))))
         .collect();
-    relations.sort_by(|a, b| (a.distance, &a.name).cmp(&(b.distance, &b.name)));
+    sort_by_distance(index, &unknown, &mut relations);
 
     // The cone at table granularity includes every declared column of
     // the touched relations (relations without a node contribute none).
-    // Deduplicate as we go: same-named outputs repeat their ColumnId in
-    // the declared list, and the slice must enumerate each column's
-    // edges exactly once.
-    let mut col_dist: Vec<u32> = vec![u32::MAX; index.column_count()];
-    let mut touched: Vec<ColumnId> = Vec::new();
-    for &rel in &reached {
-        for &col in index.declared_columns(rel) {
-            if col_dist[col.index()] == u32::MAX {
-                col_dist[col.index()] = 0;
-                touched.push(col);
+    // Same-named outputs repeat their ColumnId in the declared list, and
+    // the slice must enumerate each column's edges exactly once. The
+    // edge-kind filter is a column-granularity concept: table-level
+    // cones keep every edge between their relations (see the
+    // string-walk twin for the rationale).
+    let mut touched = IdMap::new();
+    let mut columns = Vec::new();
+    let mut nodes = Vec::new();
+    for &(rel, _) in &visits {
+        let declared = index.declared_columns(rel);
+        if !declared.is_empty() {
+            nodes.push(rel);
+        }
+        for &col in declared {
+            if !touched.contains(col.index() as u32) {
+                touched.insert(col.index() as u32, 0);
+                columns.push(col);
             }
         }
     }
-    let subgraph = slice_subgraph_indexed(index, spec, &col_dist, &touched, &[]);
-    QueryAnswer {
+    nodes.sort_unstable();
+    let edges = slice_edges(index, columns.into_iter(), &touched, |_| true);
+    Cone {
+        index,
         direction: spec.direction,
-        origins: origin_names.into_iter().map(|name| SourceColumn::new(name, "")).collect(),
+        origins,
+        unknown,
         columns: Vec::new(),
         relations,
         path: None,
-        subgraph,
+        nodes: nodes.into_iter().map(Reached::Indexed).collect(),
+        touched,
+        edges,
     }
-}
-
-/// Indexed cone slicing: touched relations with declared-order column
-/// lists restricted to the touched set, plus every kept edge between
-/// touched columns — enumerated straight off the reverse CSR, cost
-/// proportional to the cone.
-fn slice_subgraph_indexed(
-    index: &GraphIndex,
-    spec: &QuerySpec,
-    dist: &[u32],
-    touched: &[ColumnId],
-    unknown: &[&SourceColumn],
-) -> Subgraph {
-    let mut by_table: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for &id in touched {
-        by_table
-            .entry(index.relation_name(index.column_relation(id)))
-            .or_default()
-            .insert(index.column_name(id));
-    }
-    for col in unknown {
-        by_table.entry(col.table.as_str()).or_default().insert(col.column.as_str());
-    }
-    let mut nodes = BTreeMap::new();
-    for (table, columns) in &by_table {
-        let indexed_node = index
-            .lookup_relation(table)
-            .and_then(|rel| index.relation_kind(rel).map(|kind| (rel, kind)));
-        let node = match indexed_node {
-            Some((rel, kind)) => Node {
-                name: (*table).to_string(),
-                kind,
-                columns: index
-                    .declared_columns(rel)
-                    .iter()
-                    .map(|&c| index.column_name(c))
-                    .filter(|c| columns.contains(c))
-                    .map(str::to_string)
-                    .collect(),
-            },
-            None => Node {
-                name: (*table).to_string(),
-                kind: NodeKind::External,
-                columns: columns.iter().map(|c| (*c).to_string()).collect(),
-            },
-        };
-        nodes.insert((*table).to_string(), node);
-    }
-    // The edge-kind filter is a column-granularity concept; table-level
-    // cones keep every edge between their relations (see the string-walk
-    // twin for the rationale).
-    let keep = |kind: EdgeKind| match spec.granularity {
-        Granularity::Column => spec.allows_edge(kind),
-        Granularity::Table => true,
-    };
-    let mut edge_ids: Vec<(u32, ColumnId, EdgeKind)> = Vec::new();
-    for &id in touched {
-        for &(from, kind) in index.in_edges(id) {
-            if dist[from as usize] != u32::MAX && keep(kind) {
-                edge_ids.push((from, id, kind));
-            }
-        }
-    }
-    edge_ids.sort_unstable_by_key(|&(from, to, _)| (from, to));
-    let edges = edge_ids
-        .into_iter()
-        .map(|(from, to, kind)| Edge {
-            from: index.source_column(ColumnId::from_index(from as usize)),
-            to: index.source_column(to),
-            kind,
-        })
-        .collect();
-    Subgraph { nodes, edges }
 }
 
 /// The fluent query builder returned by [`crate::LineageView::query`]:
@@ -1430,6 +1640,9 @@ mod tests {
             QuerySpec::new().from("base.ghost"),
             QuerySpec::new().from_table("ghost_table").table_level(),
             QuerySpec::new().from("mid.b").upstream().edge_kind(EdgeKind::Reference),
+            QuerySpec::new().from("ghost.a").from("ghost.b").from("base.a").from("ghost.a"),
+            QuerySpec::new().from("base.").from("ghost."),
+            QuerySpec::new().from_table("ghost_table").from_table("base").table_level(),
         ]
     }
 
@@ -1445,6 +1658,17 @@ mod tests {
                 serde_json::to_string(&indexed).unwrap(),
                 serde_json::to_string(&legacy).unwrap(),
                 "spec #{i} serialisation diverged"
+            );
+            let reference = crate::QueryReport::from_answer(&legacy).with_context(&g, &[]);
+            assert_eq!(
+                serde_json::to_string(&crate::ConeReport::new(&spec, &index).with_context(
+                    &g,
+                    g.queries.values().filter(|q| q.partial).count(),
+                    &[]
+                ))
+                .unwrap(),
+                serde_json::to_string(&reference).unwrap(),
+                "spec #{i} cone report diverged"
             );
         }
     }
@@ -1510,6 +1734,28 @@ mod tests {
         assert_eq!(a.kind, EdgeKind::Contribute);
         let b = up.columns.iter().find(|m| m.column.column == "b").unwrap();
         assert_eq!(b.kind, EdgeKind::Both, "b contributes and is referenced by the WHERE");
+    }
+
+    #[test]
+    fn id_map_agrees_with_a_btree_map() {
+        // Clustered ids, like a cone's, mixed with far outliers and
+        // repeats, through several growths.
+        let mut map = IdMap::new();
+        let mut reference = BTreeMap::new();
+        for step in 0..5_000u32 {
+            let id = if step % 7 == 0 {
+                step.wrapping_mul(2_654_435_761) >> 3
+            } else {
+                40_000 + step % 1_300
+            };
+            map.insert(id, step);
+            reference.insert(id, step);
+            assert_eq!(map.get(id), Some(step));
+        }
+        for id in (0..60_000).chain(reference.keys().copied().collect::<Vec<_>>()) {
+            assert_eq!(map.get(id), reference.get(&id).copied(), "id {id}");
+        }
+        assert_eq!(map.len, reference.len());
     }
 
     #[test]

@@ -17,14 +17,16 @@
 //!
 //! [`QueryReport`] is the schema-version-2 envelope for one
 //! [`QueryAnswer`] (the `lineagex query`
-//! subcommand's `--format json`).
+//! subcommand's `--format json`). [`ConeReport`] writes the same
+//! document from a traversal's id-level cone, borrowing every name from
+//! the index: what `lineagex serve` answers a `query` with.
 
 use crate::diagnostics::Diagnostic;
 use crate::graph::{ColumnId, GraphIndex};
 use crate::model::{
     EdgeKind, GraphStats, LineageGraph, NodeKind, QueryKind, QueryLineage, SourceColumn,
 };
-use crate::query::QueryAnswer;
+use crate::query::{Cone, QueryAnswer, QuerySpec};
 use serde::{Serialize, Serializer};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -456,6 +458,134 @@ impl QueryReport {
     /// Serialise to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialises")
+    }
+}
+
+/// The [`QueryReport`] document of one query, written straight from the
+/// traversal's id-level cone: every name is borrowed from the
+/// [`GraphIndex`] while the document serialises, and no
+/// [`QueryAnswer`] or [`QueryReport`] is built. Its bytes equal
+/// `QueryReport::from_answer(&spec.run_with(index))` with the same
+/// context. This is how `lineagex serve` answers `query`.
+#[derive(Debug, Clone)]
+pub struct ConeReport<'a> {
+    cone: Cone<'a>,
+    graph: Option<&'a LineageGraph>,
+    partial_queries: usize,
+    diagnostics: &'a [Diagnostic],
+}
+
+impl<'a> ConeReport<'a> {
+    /// Run `spec` over `index`, keeping the cone it reaches.
+    pub fn new(spec: &QuerySpec, index: &'a GraphIndex) -> Self {
+        ConeReport { cone: spec.cone(index), graph: None, partial_queries: 0, diagnostics: &[] }
+    }
+
+    /// Attach the extraction context, as [`QueryReport::with_context`]
+    /// does: `graph` must be the graph `index` was built from, and
+    /// `partial_queries` the number of its queries whose lineage is
+    /// partial (a session engine publishes it as
+    /// `EngineSnapshot::partial_queries`). At zero, `partial_relations`
+    /// is written without looking any relation up.
+    pub fn with_context(
+        mut self,
+        graph: &'a LineageGraph,
+        partial_queries: usize,
+        run_diagnostics: &'a [Diagnostic],
+    ) -> Self {
+        self.graph = Some(graph);
+        self.partial_queries = partial_queries;
+        self.diagnostics = run_diagnostics;
+        self
+    }
+}
+
+impl Serialize for ConeReport<'_> {
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        let cone = &self.cone;
+        s.begin_map();
+        s.field("schema_version", &SCHEMA_VERSION);
+        s.field("direction", cone.direction().as_str());
+        s.key("origins");
+        s.begin_seq();
+        for (table, column) in cone.origins() {
+            s.element();
+            if column.is_empty() {
+                s.str(table);
+            } else {
+                Dotted(table, column).serialize(s);
+            }
+        }
+        s.end_seq();
+        s.key("columns");
+        s.begin_seq();
+        for ((table, column), kind, distance) in cone.columns() {
+            s.element();
+            s.begin_map();
+            s.field("column", &Dotted(table, column));
+            s.field("kind", edge_kind_label(kind));
+            s.field("distance", &distance);
+            s.end_map();
+        }
+        s.end_seq();
+        s.key("relations");
+        s.begin_seq();
+        for (name, distance) in cone.relations() {
+            s.element();
+            s.begin_map();
+            s.field("name", name);
+            s.field("distance", &distance);
+            s.end_map();
+        }
+        s.end_seq();
+        s.key("path");
+        match cone.path() {
+            None => s.null(),
+            Some(hops) => {
+                s.begin_seq();
+                for ((table, column), kind) in hops {
+                    s.element();
+                    s.begin_map();
+                    s.field("column", &Dotted(table, column));
+                    s.field("kind", edge_kind_label(kind));
+                    s.end_map();
+                }
+                s.end_seq();
+            }
+        }
+        s.key("partial_relations");
+        s.begin_seq();
+        if let Some(graph) = self.graph.filter(|_| self.partial_queries > 0) {
+            for (name, _) in cone.relations() {
+                if graph.queries.get(name).is_some_and(|q| q.partial) {
+                    s.element();
+                    s.str(name);
+                }
+            }
+        }
+        s.end_seq();
+        s.field("diagnostics", self.diagnostics);
+        s.key("subgraph");
+        s.begin_map();
+        s.key("relations");
+        s.begin_map();
+        for (name, kind, columns) in cone.nodes() {
+            s.key(name);
+            s.begin_map();
+            s.field("kind", node_kind_label(kind));
+            s.key("columns");
+            s.seq(columns);
+            s.end_map();
+        }
+        s.end_map();
+        s.key("edges");
+        s.begin_seq();
+        for (from, to, kind) in cone.edges() {
+            write_edge(s, from, to, kind);
+        }
+        s.end_seq();
+        s.end_map();
+        s.end_map();
     }
 }
 

@@ -169,6 +169,10 @@ pub struct EngineSnapshot {
     pub stats: EngineStats,
     /// Live Query-Dictionary entries at publish time.
     pub entries: usize,
+    /// How many of `graph`'s queries are partial (lenient mode degraded
+    /// their lineage). At zero, a query reply lists no partial relation
+    /// without looking any up.
+    pub partial_queries: usize,
 }
 
 /// An incremental, parallel lineage engine for long-lived sessions.
@@ -284,6 +288,9 @@ pub struct Engine {
     /// [`Engine::retract_lineage`] so diagnostic accounting never walks
     /// the whole query map.
     graph_diag_count: u64,
+    /// Running count of partial queries on the settled graph, kept the
+    /// same way and published with each snapshot.
+    partial_queries: usize,
     /// Whether `graph.nodes` is up to date enough for *incremental*
     /// resettling. Starts `false` (the first refresh always assembles in
     /// full) and drops back to `false` on the rare mutations whose node
@@ -747,6 +754,11 @@ impl Engine {
             self.graph.queries.values().map(|q| q.diagnostics.len() as u64).sum::<u64>(),
             "running diagnostic count must match a recount"
         );
+        debug_assert_eq!(
+            self.partial_queries,
+            self.graph.queries.values().filter(|q| q.partial).count(),
+            "running partial-query count must match a recount"
+        );
         self.stats.extractions += extracted;
         self.stats.last_refresh_extractions = extracted;
         self.stats.refreshes += 1;
@@ -986,6 +998,7 @@ impl Engine {
             diagnostics: Arc::clone(&self.session_diagnostics),
             stats: self.stats.clone(),
             entries: self.entries.len(),
+            partial_queries: self.partial_queries,
         })
     }
 
@@ -1126,8 +1139,10 @@ impl Engine {
         for (name, value) in snapshot.counters {
             engine.restore_counter(&name, value);
         }
-        engine.graph_diag_count =
-            engine.graph.queries.values().map(|q| q.diagnostics.len() as u64).sum();
+        for query in engine.graph.queries.values() {
+            engine.graph_diag_count += query.diagnostics.len() as u64;
+            engine.partial_queries += usize::from(query.partial);
+        }
         engine.settle_diagnostic_count();
         engine.metrics.snapshot_load_us.set(start.elapsed().as_micros() as i64);
         Ok(engine)
@@ -1291,18 +1306,21 @@ impl Engine {
     }
 
     /// Merge per-query lineage into the settled graph, keeping the
-    /// running diagnostic total current.
+    /// running diagnostic and partial-query totals current.
     fn merge_lineage(&mut self, lineage: impl Into<Arc<QueryLineage>>) {
         let lineage = lineage.into();
         self.graph_diag_count += lineage.diagnostics.len() as u64;
+        self.partial_queries += usize::from(lineage.partial);
         self.graph_mut().merge_query(lineage);
     }
 
     /// Retract the lineage of every query in `ids` from the settled
-    /// graph, keeping the running diagnostic total current.
+    /// graph, keeping the running diagnostic and partial-query totals
+    /// current.
     fn retract_lineage(&mut self, ids: &BTreeSet<String>) {
         for old in self.graph_mut().retract_queries(ids) {
             self.graph_diag_count -= old.diagnostics.len() as u64;
+            self.partial_queries -= usize::from(old.partial);
         }
     }
 

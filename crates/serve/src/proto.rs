@@ -19,7 +19,7 @@
 //! structs so field order is declaration order, never map order.
 
 use lineagex_core::{
-    Diagnostic, DiagnosticCode, EdgeKind, GraphStats, QueryReport, QuerySpec, ReportV2,
+    ConeReport, Diagnostic, DiagnosticCode, EdgeKind, GraphStats, QueryReport, QuerySpec, ReportV2,
 };
 use lineagex_engine::{EngineStats, IngestAction, StmtId};
 use lineagex_obs::MetricsSnapshot;
@@ -459,6 +459,10 @@ impl Serialize for StatsBody {
 pub enum Payload<'a> {
     /// A [`QueryReport`] (`schema_version: 2`).
     Query(Box<QueryReport>),
+    /// The same document written from the traversal's cone, every name
+    /// borrowed from the index it ran over: how the server answers
+    /// `query`.
+    Cone(Box<ConeReport<'a>>),
     /// The full [`ReportV2`] document (`schema_version: 2`), rendered
     /// from the graph it borrows.
     Report(Box<ReportV2<'a>>),
@@ -483,6 +487,7 @@ impl Serialize for Payload<'_> {
     fn serialize(&self, s: &mut Serializer<'_>) {
         match self {
             Payload::Query(report) => report.serialize(s),
+            Payload::Cone(report) => report.serialize(s),
             Payload::Report(report) => report.serialize(s),
             Payload::Encoded(body) => s.raw(body),
             Payload::Stats(stats) => stats.serialize(s),

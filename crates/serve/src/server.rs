@@ -19,6 +19,11 @@
 //!   and joins every connection thread before exiting (in-flight
 //!   requests drain; no response is ever cut off mid-line).
 //!
+//! A `query` reply is written from the traversal's id-level cone with
+//! every name borrowed from the snapshot's index ([`ConeReport`]): no
+//! owned answer is built. A reply send that moves no byte for 5 s (the
+//! fixed write timeout) closes its connection.
+//!
 //! Failed writes publish nothing: the previous snapshot stays current
 //! and the error reply carries its revision. One malformed request gets
 //! one typed error reply and the connection (and every other client)
@@ -29,10 +34,10 @@ use crate::proto::{
     Incoming, Payload, ReceiptRecord, Request, Response, StatsBody, WireError, WriteReceipt,
 };
 use lineagex_catalog::Catalog;
-use lineagex_core::{DiagnosticCode, LineageError, QueryReport, ReportV2};
+use lineagex_core::{ConeReport, DiagnosticCode, LineageError, ReportV2};
 use lineagex_engine::{Engine, EngineOptions, EngineSnapshot};
 use lineagex_obs::{Counter, Gauge, Histogram};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -42,6 +47,13 @@ use std::time::{Duration, Instant};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// How long one send of a reply waits for the client to take bytes. A
+/// send that moves none in this time fails the write and closes the
+/// connection, so a client that stops reading holds its connection
+/// thread, and a shutdown that joins it, for a bounded time: a few of
+/// these, as a send that moved some bytes first returns them.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default [`ServeOptions::slow_ms`]: requests slower than this enter
 /// the registry's slow-op ring (and the `--verbose` event log).
@@ -451,7 +463,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, write_tx: mpsc::Sende
 /// Reads poll with a timeout so an idle connection notices shutdown;
 /// a partially received line is kept across polls, never dropped. A
 /// line that reaches [`MAX_REQUEST_BYTES`] without its newline is
-/// answered with an `invalid-request` error, and the connection closes.
+/// answered with an `invalid-request` error, and the connection closes,
+/// as it does when a reply write times out ([`WRITE_TIMEOUT`]).
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sender<WriteJob>) {
     // The stream inherits the listener's non-blocking mode on some
     // platforms; switch to blocking reads with a poll timeout.
@@ -460,6 +473,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
     }
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let reader = match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -494,8 +508,8 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
                     false
                 } else {
                     shared.requests.fetch_add(1, Ordering::Relaxed);
-                    let (response, stop) = dispatch(text.trim(), &shared, &write_tx);
-                    !write_response(&shared, &mut writer, &response) || stop
+                    let (written, stop) = dispatch(text.trim(), &shared, &write_tx, &mut writer);
+                    !written || stop
                 };
                 line.clear();
                 if stop {
@@ -525,18 +539,24 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
     }
 }
 
-/// Write one response line; returns whether the write succeeded. A
-/// reused `report` body goes to the connection as it is, between the
-/// parts of the line around it, never copied into a line.
-fn write_response(shared: &Shared, writer: &mut TcpStream, response: &Response<'_>) -> bool {
-    let (head, body, tail) = response.line_parts();
-    let parts = [head.as_str(), body, tail, "\n"];
+/// Write one response line from its [`Response::line_parts`], all parts
+/// and the newline in one vectored write; returns whether the write
+/// succeeded. A reused `report` body goes to the connection as it is,
+/// between the parts of the line around it, never copied into a line.
+fn write_line(shared: &Shared, writer: &mut TcpStream, line: (String, &str, &str)) -> bool {
+    let (head, body, tail) = line;
+    let mut parts = [head.as_str(), body, tail, "\n"].map(|part| IoSlice::new(part.as_bytes()));
     shared.metrics.bytes_out.add(parts.iter().map(|part| part.len() as u64).sum());
-    parts
-        .iter()
-        .try_for_each(|part| writer.write_all(part.as_bytes()))
-        .and_then(|()| writer.flush())
-        .is_ok()
+    let mut unsent = &mut parts[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => return false,
+            Ok(sent) => IoSlice::advance_slices(&mut unsent, sent),
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+    true
 }
 
 /// Answer a line that reached [`MAX_REQUEST_BYTES`] without a newline:
@@ -553,24 +573,27 @@ fn reject_oversize(shared: &Shared, reader: &mut BufReader<TcpStream>, writer: &
         DiagnosticCode::InvalidRequest,
         format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
     );
-    if write_response(shared, writer, &Response::error(None, shared.revision(), error)) {
+    if write_line(shared, writer, Response::error(None, shared.revision(), error).line_parts()) {
         let _ = writer.shutdown(Shutdown::Write);
         let _ = io::copy(&mut reader.take(MAX_REQUEST_BYTES as u64), &mut io::sink());
     }
 }
 
-/// Answer one request line. Returns the response plus whether this
-/// connection should stop serving (after acknowledging `shutdown`).
+/// Answer one request line and write the reply. Returns whether the
+/// reply was written and whether this connection should stop serving
+/// (after acknowledging `shutdown`).
 ///
-/// Accounting wraps the whole exchange: per-op latency histograms (the
-/// `invalid` pseudo-op for unparsable lines), error counters by
+/// Accounting wraps the exchange up to the reply's rendered text, not
+/// its write to the connection: per-op latency histograms (the `invalid`
+/// pseudo-op for unparsable lines), error counters by
 /// [`DiagnosticCode`], and the slow-op ring for requests over the
 /// configured threshold.
 fn dispatch(
     line: &str,
     shared: &Shared,
     write_tx: &mpsc::Sender<WriteJob>,
-) -> (Response<'static>, bool) {
+    writer: &mut TcpStream,
+) -> (bool, bool) {
     let start = Instant::now();
     let Incoming { id, request } = Request::parse_line(line);
     let (op, origins) = match &request {
@@ -578,10 +601,12 @@ fn dispatch(
         Ok(request) => (request.op(), 0),
         Err(_) => ("invalid", 0),
     };
+    let published = shared.current();
     let (response, stop) = match request {
-        Ok(request) => handle(id, request, shared, write_tx),
+        Ok(request) => handle(id, request, &published, shared, write_tx),
         Err(error) => (Response::error(id, shared.revision(), error), false),
     };
+    let line = response.line_parts();
     let elapsed = start.elapsed();
     shared.metrics.requests.inc();
     shared.metrics.op_histogram(op).record_duration(elapsed);
@@ -598,26 +623,28 @@ fn dispatch(
             );
         }
     }
-    (response, stop)
+    (write_line(shared, writer, line), stop)
 }
 
-/// Execute one parsed request.
-fn handle(
+/// Execute one parsed request, answering reads from `published`.
+fn handle<'a>(
     id: Option<u64>,
     request: Request,
+    published: &'a Published,
     shared: &Shared,
     write_tx: &mpsc::Sender<WriteJob>,
-) -> (Response<'static>, bool) {
+) -> (Response<'a>, bool) {
+    let Published { snapshot, report } = published;
     match request {
         Request::Query(params) => {
-            let snapshot = shared.current().snapshot;
-            let answer = params.spec().run_with(&snapshot.index);
-            let report = QueryReport::from_answer(&answer)
-                .with_context(&snapshot.graph, &snapshot.diagnostics);
-            (Response::ok(id, snapshot.revision, Payload::Query(Box::new(report))), false)
+            let reply = ConeReport::new(&params.spec(), &snapshot.index).with_context(
+                &snapshot.graph,
+                snapshot.partial_queries,
+                &snapshot.diagnostics,
+            );
+            (Response::ok(id, snapshot.revision, Payload::Cone(Box::new(reply))), false)
         }
         Request::Report => {
-            let Published { snapshot, report } = shared.current();
             if report.get().is_some() {
                 shared.metrics.report_cache_hits.inc();
             }
@@ -629,7 +656,6 @@ fn handle(
             (Response::ok(id, snapshot.revision, Payload::Encoded(Arc::clone(body))), false)
         }
         Request::Stats => {
-            let snapshot = shared.current().snapshot;
             let stats = StatsBody {
                 graph: snapshot.graph.stats(),
                 engine: snapshot.stats.clone(),
@@ -640,7 +666,6 @@ fn handle(
             (Response::ok(id, snapshot.revision, Payload::Stats(Box::new(stats))), false)
         }
         Request::Diagnostics => {
-            let snapshot = shared.current().snapshot;
             let diagnostics = snapshot.diagnostics.as_ref().clone();
             (Response::ok(id, snapshot.revision, Payload::Diagnostics(diagnostics)), false)
         }

@@ -20,14 +20,22 @@
 //! * a published revision's `report` body is encoded once and reused
 //!   byte for byte, and a write starts a fresh one;
 //! * a request line of [`MAX_REQUEST_BYTES`] without a newline is an
-//!   `invalid-request` reply, and the connection closes.
+//!   `invalid-request` reply, and the connection closes;
+//! * in a lenient session where a write makes a view partial and a later
+//!   write makes it clean again, every query reply is byte-identical to
+//!   the owned reference an in-process engine builds at its revision;
+//! * a client that pipelines requests and never reads the replies does
+//!   not keep a shut-down server from stopping.
 
-use lineagex::datasets::example1;
+use lineagex::core::ExtractOptions;
+use lineagex::datasets::{example1, generator, GeneratorConfig};
 use lineagex::prelude::*;
-use lineagex::serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
+use lineagex::serve::proto::{Payload, QueryParams, Request, Response, PROTOCOL_VERSION};
 use lineagex::serve::{Client, ServeOptions, Server, MAX_REQUEST_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const GOLDEN: &str = "tests/golden/serve_proto.txt";
 
@@ -343,4 +351,99 @@ fn oversized_request_line_is_rejected_and_the_connection_closes() {
     let mut client = Client::connect(server.local_addr()).expect("client connects");
     assert!(client.request(&Request::Ping).expect("ping succeeds").ok());
     server.shutdown();
+}
+
+/// The `query` reply line an engine at `snapshot` answers, built the
+/// owned way: `QueryReport::from_answer(..).with_context(..)`.
+fn reference_query_line(snapshot: &EngineSnapshot, id: u64, params: &QueryParams) -> String {
+    let answer = params.spec().run_with(&snapshot.index);
+    let report =
+        QueryReport::from_answer(&answer).with_context(&snapshot.graph, &snapshot.diagnostics);
+    Response::ok(Some(id), snapshot.revision, Payload::Query(Box::new(report))).to_line()
+}
+
+#[test]
+fn lenient_query_replies_match_the_reference_while_a_view_turns_partial_and_back() {
+    let engine = EngineOptions {
+        extract: ExtractOptions { lenient: true, ..Default::default() },
+        ..Default::default()
+    };
+    let options = ServeOptions { engine: engine.clone(), ..Default::default() };
+    let server = Server::start("127.0.0.1:0", options).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("client connects");
+    let mut mirror = Engine::with_options(engine);
+    let writes = [
+        PIPELINE_SQL,
+        // An unresolvable column makes `webinfo` partial ...
+        "CREATE VIEW webinfo AS SELECT cid AS wcid, page AS wpage, ghost FROM web WHERE reg;",
+        // ... and the original definition makes it clean again.
+        "CREATE VIEW webinfo AS SELECT cid AS wcid, page AS wpage FROM web WHERE reg;",
+    ];
+    let queries = [
+        QueryParams { origins: vec!["web.page".into()], ..Default::default() },
+        QueryParams { origins: vec!["info.wpage".into()], upstream: true, ..Default::default() },
+        QueryParams { origins: vec!["web".into()], table_level: true, ..Default::default() },
+        QueryParams {
+            origins: vec!["web.reg".into(), "web.page".into(), "ghost.col".into()],
+            to: Some("info.wpage".into()),
+            ..Default::default()
+        },
+    ];
+    let mut partial = Vec::new();
+    for (w, write) in writes.iter().enumerate() {
+        let reply = client.ingest(write).expect("ingest succeeds");
+        assert!(reply.ok(), "ingest failed: {}", reply.line);
+        mirror.ingest(write).expect("the mirror ingests");
+        let snapshot = mirror.publish().expect("the mirror publishes");
+        assert_eq!(snapshot.revision, reply.revision(), "the mirror tracks the server");
+        for (q, params) in queries.iter().enumerate() {
+            let id = (100 * w + q) as u64;
+            let served = client
+                .send_line(&Request::Query(params.clone()).to_line(Some(id)))
+                .expect("query succeeds");
+            assert_eq!(served.line, reference_query_line(&snapshot, id, params), "write {w}");
+        }
+        let downstream = client.query(queries[0].clone()).expect("query succeeds");
+        let listed = downstream.result().expect("a result")["partial_relations"].clone();
+        partial.push((snapshot.partial_queries, listed.as_array().expect("a list").len()));
+    }
+    assert_eq!(partial, [(0, 0), (1, 1), (0, 0)], "webinfo turns partial, then clean again");
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_does_not_keep_the_server_from_stopping() {
+    let server = start(1);
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).expect("client connects");
+    let log = generator::generate(&GeneratorConfig { views: 120, ..GeneratorConfig::seeded(5) });
+    assert!(client.ingest(&log.full_sql()).expect("ingest succeeds").ok());
+    let body = client.report().expect("report succeeds").line.len();
+
+    // A connection the server serves (its ping is answered) pipelines
+    // far more reply bytes than any socket buffers hold, and never reads
+    // them: the server answers every request it has read, so its writes
+    // block once the buffers fill.
+    let requests = 1_000;
+    assert!(requests * body > 64 << 20, "{requests} replies of {body} bytes fill the buffers");
+    let mut stuck = TcpStream::connect(addr).expect("client connects");
+    writeln!(stuck, "{}", Request::Ping.to_line(None)).expect("ping is sent");
+    let mut pong = String::new();
+    BufReader::new(stuck.try_clone().expect("clones")).read_line(&mut pong).expect("pong");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    let line = format!("{}\n", Request::Report.to_line(None));
+    stuck.write_all(line.repeat(requests).as_bytes()).expect("the requests fit the buffers");
+
+    assert!(client.shutdown().expect("shutdown is acknowledged").ok());
+    let (stopped, wait) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.wait();
+        let _ = stopped.send(());
+    });
+    let bound = Duration::from_secs(60);
+    assert!(
+        wait.recv_timeout(bound).is_ok(),
+        "the server was still running {bound:?} after acknowledging shutdown"
+    );
+    drop(stuck);
 }
