@@ -90,8 +90,9 @@ cargo test -q --test dialect_corpus
 # --jobs parity, gated explicitly like the corpora above: extract --json,
 # query --format json and strict error text must be byte-identical at
 # --jobs 2 and 4 (the engine's parallel scheduler over the log's Query
-# Dictionary) and at the default (the auto-inference stack), on every
-# corpus under tests/corpus/, strict and lenient.
+# Dictionary; extract also under --save-snapshot) and at the default
+# (the auto-inference stack), on every corpus under tests/corpus/,
+# strict and lenient, a cycle log and the --no-auto-inference ablation.
 step "cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics (--jobs output parity)"
 cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics
 

@@ -916,9 +916,22 @@ mod tests {
         SELECT p FROM w;
     ";
 
+    /// A dependency cycle entered at `c`, not at its alphabetically first
+    /// member: the stack closes it at `b`.
+    const CYCLE: &str = "CREATE TABLE t (x int); CREATE VIEW c AS SELECT x FROM a; \
+                         CREATE VIEW b AS SELECT x FROM c; CREATE VIEW a AS SELECT x FROM b; \
+                         CREATE VIEW z AS SELECT x FROM a;";
+
+    /// A view scanning a later one: under `--no-auto-inference` the later
+    /// view is an unknown external to it, as in log order.
+    const ABLATION: &str = "CREATE TABLE t (x int, y int); \
+                            CREATE VIEW top AS SELECT x FROM mid; \
+                            CREATE VIEW mid AS SELECT x, y FROM t WHERE y > 0;";
+
     /// The `--jobs` parity inputs, each with the origin to query: the
     /// messy-log corpus and every dialect corpus under its own dialect,
-    /// strict and lenient, and the one-shot-rules log, lenient.
+    /// strict and lenient, the one-shot-rules log and the cycle log,
+    /// lenient, and the ablation log under `--no-auto-inference`.
     fn parity_inputs() -> Vec<(String, Vec<String>, &'static str)> {
         let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
         let mut logs = vec![(format!("{corpus}/messy_log.sql"), vec![], "web")];
@@ -938,6 +951,10 @@ mod tests {
         }
         let rules = write_temp("parity_one_shot_rules.sql", ONE_SHOT_RULES);
         inputs.push((rules, vec!["--lenient".to_string()], "web"));
+        let cycle = write_temp("parity_cycle.sql", CYCLE);
+        inputs.push((cycle, vec!["--lenient".to_string()], "a"));
+        let ablation = write_temp("parity_ablation.sql", ABLATION);
+        inputs.push((ablation, vec!["--no-auto-inference".to_string()], "t"));
         inputs
     }
 
@@ -977,9 +994,12 @@ mod tests {
             // --diagnostics-json entries as a multiset: their order
             // follows each executor's processing order, like
             // `processing_order` in --json-v1.
-            let run = |jobs: &str| {
-                let json = write_temp(&format!("v2_jobs_{n}_{jobs}.json"), "");
-                let diagnostics = write_temp(&format!("v2_jobs_{n}_{jobs}.diag.json"), "");
+            let snapshot = write_temp(&format!("v2_jobs_{n}.lxsn"), "");
+            let paths =
+                [&[][..], &["--jobs", "2"], &["--jobs", "4"], &["--save-snapshot", &snapshot]];
+            let run = |path: usize| {
+                let json = write_temp(&format!("v2_jobs_{n}_{path}.json"), "");
+                let diagnostics = write_temp(&format!("v2_jobs_{n}_{path}.diag.json"), "");
                 let mut argv = vec![
                     "extract".to_string(),
                     file.clone(),
@@ -989,9 +1009,7 @@ mod tests {
                     diagnostics.clone(),
                 ];
                 argv.extend(flags.iter().cloned());
-                if !jobs.is_empty() {
-                    argv.extend(["--jobs".to_string(), jobs.to_string()]);
-                }
+                argv.extend(paths[path].iter().map(|s| s.to_string()));
                 let result = execute_to_string(&Command::parse(&argv).unwrap()).0;
                 let diagnostics = std::fs::read_to_string(&diagnostics).unwrap();
                 let mut entries: Vec<String> = match diagnostics.as_str() {
@@ -1007,12 +1025,12 @@ mod tests {
                 entries.sort();
                 (result, std::fs::read_to_string(&json).unwrap(), entries)
             };
-            let sequential = run("");
+            let sequential = run(0);
             // Only the strict messy log fails; every other input extracts.
             let extracts = !file.ends_with("messy_log.sql") || flags.contains(&"--lenient".into());
             assert_eq!(sequential.0.is_ok(), extracts, "{file} {flags:?}: {:?}", sequential.0);
-            for jobs in ["2", "4"] {
-                assert_eq!(run(jobs), sequential, "{file} {flags:?} --jobs {jobs}");
+            for (path, engine) in paths.iter().enumerate().skip(1) {
+                assert_eq!(run(path), sequential, "{file} {flags:?} {engine:?}");
             }
             if n == 0 {
                 let value: serde_json::Value = serde_json::from_str(&sequential.1).unwrap();
@@ -1111,7 +1129,7 @@ mod tests {
         seq_result.unwrap();
         par_result.unwrap();
         // Identical summary apart from the processing-order line (the
-        // scheduler's topological order vs the one-shot deferral order).
+        // engine's component order vs the one-shot log order).
         let strip = |text: &str| -> Vec<String> {
             text.lines().filter(|l| !l.contains("processing order")).map(String::from).collect()
         };
@@ -1135,15 +1153,18 @@ mod tests {
         assert!(seq_text.contains("diagnostics       : 1"), "{seq_text}");
         assert!(par_text.contains("diagnostics       : 1"), "{par_text}");
         // Strict errors read the same on every path: a duplicate query
-        // id, a SQL parse error, and a --ddl file that does not parse.
+        // id, a dependency cycle, a SQL parse error, and a --ddl file
+        // that does not parse.
         let dup =
             write_temp("jobs_dup.sql", "CREATE VIEW v AS SELECT 1; CREATE VIEW v AS SELECT 2;");
         let bad_sql = write_temp("jobs_bad.sql", "CREATE TABLE t (a int);\nSELECT FROM oops;\n");
         let log = write_temp("jobs_log.sql", LOG);
         let bad_ddl = write_temp("jobs_bad_ddl.sql", "CREATE TABLE t (a int;");
+        let cycle = write_temp("jobs_cycle.sql", CYCLE);
         let snapshot = write_temp("jobs_errors.lxsn", "");
         for (args, expected) in [
             (vec![dup], "duplicate query identifier \"v\""),
+            (vec![cycle], "dependency cycle: c -> a -> b -> c"),
             (
                 vec![bad_sql],
                 "parse error: parse error at line 2, column 8: expected identifier, found \

@@ -12,7 +12,7 @@
 //! catalog-complete workloads, which the integration tests assert.
 
 use crate::error::LineageError;
-use crate::infer::LineageResult;
+use crate::infer::{run_deferral_stack, LineageResult, StackExtraction};
 use crate::model::{LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryLineage};
 use crate::preprocess::{QueryDict, QueryEntry};
 use lineagex_catalog::{DbError, PlanNode, SimulatedDatabase, SourceColumn};
@@ -50,12 +50,11 @@ impl ExplainPathExtractor {
         }
     }
 
-    /// Run extraction over every entry.
+    /// Run extraction over every entry, in log order, on the deferral
+    /// stack ([`run_deferral_stack`]).
     pub fn run(mut self) -> Result<LineageResult, LineageError> {
         let ids: Vec<String> = self.qd.ids().map(String::from).collect();
-        for id in &ids {
-            self.process(id)?;
-        }
+        run_deferral_stack(&mut self, ids)?;
 
         let mut graph = LineageGraph::default();
         for schema in self.db.catalog().relations() {
@@ -98,45 +97,6 @@ impl ExplainPathExtractor {
         })
     }
 
-    /// Iterative LIFO deferral stack, mirroring
-    /// [`crate::infer::InferenceEngine`]: on `UndefinedTable`, the current
-    /// query stays deferred while the dependency's view is created first.
-    fn process(&mut self, root: &str) -> Result<(), LineageError> {
-        let mut stack: Vec<String> = vec![root.to_string()];
-        while let Some(id) = stack.last().cloned() {
-            if self.processed.contains_key(&id) {
-                stack.pop();
-                continue;
-            }
-            let entry = self.qd.get(&id).expect("id from dictionary").clone();
-            match self.try_bind(&entry) {
-                Ok(lineage) => {
-                    // Create the view so downstream EXPLAINs can see it —
-                    // the paper's create-first step.
-                    self.create_if_needed(&entry)?;
-                    self.processed.insert(id.clone(), Arc::new(lineage));
-                    self.order.push(id.clone());
-                    stack.pop();
-                }
-                Err(DbError::UndefinedTable(dep))
-                    if self.qd.contains(&dep)
-                        && dep != id
-                        && !self.processed.contains_key(&dep) =>
-                {
-                    if let Some(pos) = stack.iter().position(|x| x == &dep) {
-                        let mut path: Vec<String> = stack[pos..].to_vec();
-                        path.push(dep);
-                        return Err(LineageError::DependencyCycle(path));
-                    }
-                    self.deferrals.push((id, dep.clone()));
-                    stack.push(dep);
-                }
-                Err(other) => return Err(LineageError::Database(other.to_string())),
-            }
-        }
-        Ok(())
-    }
-
     fn try_bind(&self, entry: &QueryEntry) -> Result<QueryLineage, DbError> {
         // Bind the entry's defining query (the synthesised SELECT for
         // UPDATE) — equivalent to EXPLAINing it on the connection.
@@ -176,17 +136,54 @@ impl ExplainPathExtractor {
             partial: false,
         })
     }
+}
 
-    fn create_if_needed(&mut self, entry: &QueryEntry) -> Result<(), LineageError> {
-        match &entry.statement {
-            Statement::CreateView { .. } | Statement::CreateTable { .. } => {
-                self.db
-                    .execute_statement(&entry.statement)
-                    .map_err(|e| LineageError::Database(e.to_string()))?;
+/// The log on the deferral stack, where the database's binder finds the
+/// gaps: an `UndefinedTable` naming an unprocessed dictionary entry
+/// defers the current query while the dependency's view is created
+/// first. A cycle stays a strict error.
+impl StackExtraction for ExplainPathExtractor {
+    fn is_done(&self, id: &str) -> bool {
+        self.processed.contains_key(id)
+    }
+
+    fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
+        let entry = self.qd.get(id).expect("id from dictionary");
+        match self.try_bind(entry) {
+            Ok(lineage) => {
+                // Create the view so downstream EXPLAINs can see it —
+                // the paper's create-first step.
+                create_if_needed(&mut self.db, entry)?;
+                self.processed.insert(id.to_string(), Arc::new(lineage));
+                self.order.push(id.to_string());
                 Ok(())
             }
-            _ => Ok(()),
+            Err(DbError::UndefinedTable(dependency))
+                if self.qd.contains(&dependency)
+                    && dependency != id
+                    && !self.processed.contains_key(&dependency) =>
+            {
+                Err(LineageError::MissingDependency { query: id.to_string(), dependency })
+            }
+            Err(other) => Err(LineageError::Database(other.to_string())),
         }
+    }
+
+    fn defer(&mut self, id: &str, dependency: &str) -> Result<(), LineageError> {
+        self.deferrals.push((id.to_string(), dependency.to_string()));
+        Ok(())
+    }
+}
+
+/// Execute a view or table definition on the connection.
+fn create_if_needed(db: &mut SimulatedDatabase, entry: &QueryEntry) -> Result<(), LineageError> {
+    match &entry.statement {
+        Statement::CreateView { .. } | Statement::CreateTable { .. } => {
+            db.execute_statement(&entry.statement)
+                .map_err(|e| LineageError::Database(e.to_string()))?;
+            Ok(())
+        }
+        _ => Ok(()),
     }
 }
 

@@ -7,9 +7,12 @@
 //! deferral stack: the current traversal is pushed, the missing dependency
 //! is processed first, then the deferred query is popped and resumed.
 //!
-//! [`InferenceEngine::run`] implements exactly that protocol (the deferral
-//! log is exposed for inspection) with cycle detection on top. The result
-//! is order-independent: shuffling the input statements never changes the
+//! [`run_deferral_stack`] implements exactly that protocol, with cycle
+//! detection on top, for every extraction in the workspace:
+//! [`InferenceEngine::run`] runs it over the whole log (the deferral log
+//! is exposed for inspection), the session engine over each dirty
+//! component, and connected mode over the log it binds. The result is
+//! order-independent: shuffling the input statements never changes the
 //! extracted lineage, which the property tests assert.
 
 use crate::diagnostics::{Diagnostic, DiagnosticCode};
@@ -107,72 +110,12 @@ impl<'a> InferenceEngine<'a> {
         }
     }
 
-    /// Process every entry (deferring as needed) and assemble the graph.
+    /// Process every entry, in log order, on the deferral stack
+    /// ([`run_deferral_stack`]) and assemble the graph.
     pub fn run(mut self) -> Result<LineageResult, LineageError> {
         let ids: Vec<String> = self.qd.ids().map(String::from).collect();
-        for id in &ids {
-            self.process(id)?;
-        }
+        run_deferral_stack(&mut self, ids)?;
         Ok(self.assemble())
-    }
-
-    /// Process one entry with the paper's explicit LIFO stack: a query
-    /// whose extraction hits an unprocessed dependency stays on the stack
-    /// (deferred) while the dependency is pushed on top; once extracted,
-    /// the deferred query is popped back and resumed. Iterative, so even
-    /// pathologically deep view chains cannot overflow the call stack.
-    ///
-    /// Each attempt borrows its dictionary entry: `qd` is only read while
-    /// the fields extraction writes (`processed`, `inferred`, `traces`)
-    /// are disjoint from it.
-    fn process(&mut self, root: &str) -> Result<(), LineageError> {
-        let mut stack: Vec<String> = vec![root.to_string()];
-        while let Some(id) = stack.last().cloned() {
-            if self.processed.contains_key(&id) {
-                stack.pop();
-                continue;
-            }
-            let entry = self.qd.get(&id).expect("id comes from the dictionary");
-            let extracted = extract_entry(
-                entry,
-                &self.qd_ids,
-                &self.processed,
-                self.catalog.as_ref(),
-                &self.options,
-                &mut self.inferred,
-            );
-            match extracted {
-                Ok((lineage, trace)) => {
-                    if let Some(trace) = trace {
-                        self.traces.insert(id.clone(), trace);
-                    }
-                    self.processed.insert(id.clone(), Arc::new(lineage));
-                    self.order.push(id.clone());
-                    stack.pop();
-                }
-                Err(LineageError::MissingDependency { dependency, .. }) => {
-                    if let Some(pos) = stack.iter().position(|x| x == &dependency) {
-                        let mut path: Vec<String> = stack[pos..].to_vec();
-                        path.push(dependency);
-                        if !self.options.lenient {
-                            return Err(LineageError::DependencyCycle(path));
-                        }
-                        // Lenient: break the cycle by stubbing the entry
-                        // that closed it; the rest of the cycle then
-                        // resolves against the stub (empty outputs).
-                        let stub = cycle_stub(entry, &path);
-                        self.processed.insert(id.clone(), Arc::new(stub));
-                        self.order.push(id.clone());
-                        stack.pop();
-                        continue;
-                    }
-                    self.deferrals.push((id, dependency.clone()));
-                    stack.push(dependency);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(())
     }
 
     fn assemble(self) -> LineageResult {
@@ -187,6 +130,117 @@ impl<'a> InferenceEngine<'a> {
             index: Default::default(),
         }
     }
+}
+
+/// The whole log on the stack: each attempt borrows its dictionary
+/// entry, since `qd` is only read while the fields extraction writes
+/// (`processed`, `inferred`, `traces`) are disjoint from it.
+impl StackExtraction for InferenceEngine<'_> {
+    fn is_done(&self, id: &str) -> bool {
+        self.processed.contains_key(id)
+    }
+
+    fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
+        let entry = self.qd.get(id).expect("id comes from the dictionary");
+        let (lineage, trace) = extract_entry(
+            entry,
+            &self.qd_ids,
+            &self.processed,
+            self.catalog.as_ref(),
+            &self.options,
+            &mut self.inferred,
+        )?;
+        if let Some(trace) = trace {
+            self.traces.insert(id.to_string(), trace);
+        }
+        self.processed.insert(id.to_string(), Arc::new(lineage));
+        self.order.push(id.to_string());
+        Ok(())
+    }
+
+    fn defer(&mut self, id: &str, dependency: &str) -> Result<(), LineageError> {
+        self.deferrals.push((id.to_string(), dependency.to_string()));
+        Ok(())
+    }
+
+    fn break_cycle(&mut self, id: &str, path: Vec<String>) -> Result<(), LineageError> {
+        if !self.options.lenient {
+            return Err(LineageError::DependencyCycle(path));
+        }
+        let stub = cycle_stub(self.qd.get(id).expect("id comes from the dictionary"), &path);
+        self.processed.insert(id.to_string(), Arc::new(stub));
+        self.order.push(id.to_string());
+        Ok(())
+    }
+}
+
+/// An extraction driven by [`run_deferral_stack`]: the stack chooses
+/// the order, the implementor extracts and records. The batch pipeline
+/// ([`InferenceEngine`]), the session engine's per-component refresh
+/// and connected mode ([`crate::ExplainPathExtractor`]) implement it.
+pub trait StackExtraction {
+    /// Whether `id` is already extracted (or stubbed).
+    fn is_done(&self, id: &str) -> bool;
+
+    /// Extract `id` and record the result. A
+    /// [`LineageError::MissingDependency`] naming an unprocessed entry
+    /// defers `id`; any other error ends the run.
+    fn attempt(&mut self, id: &str) -> Result<(), LineageError>;
+
+    /// `id` waits behind `dependency`, which the stack pushes next. An
+    /// error refuses the push and ends the run.
+    fn defer(&mut self, id: &str, dependency: &str) -> Result<(), LineageError>;
+
+    /// `id` closed the dependency cycle `path` (`[a, .., id, a]`): record
+    /// a stub for it, or refuse with an error. By default a cycle is the
+    /// strict [`LineageError::DependencyCycle`].
+    fn break_cycle(&mut self, _id: &str, path: Vec<String>) -> Result<(), LineageError> {
+        Err(LineageError::DependencyCycle(path))
+    }
+}
+
+/// The Table/View Auto-Inference stack (paper §III), the one extraction
+/// order of the workspace: each root, in the order given, is pushed
+/// and attempted; an attempt that hits an unprocessed dependency stays
+/// on the stack (deferred) while the dependency is pushed on top, and
+/// is popped back and resumed once the dependency is extracted. A
+/// dependency already on the stack closes a cycle, broken at the entry
+/// that closed it (the top of the stack). Iterative, so even
+/// pathologically deep view chains cannot overflow the call stack.
+pub fn run_deferral_stack(
+    extraction: &mut impl StackExtraction,
+    roots: impl IntoIterator<Item = String>,
+) -> Result<(), LineageError> {
+    for root in roots {
+        let mut stack = vec![root];
+        while let Some(id) = stack.last() {
+            if extraction.is_done(id) {
+                stack.pop();
+                continue;
+            }
+            match extraction.attempt(id) {
+                Ok(()) => {
+                    stack.pop();
+                }
+                Err(LineageError::MissingDependency { dependency, .. }) => {
+                    match stack.iter().position(|x| *x == dependency) {
+                        Some(start) => {
+                            let mut path = stack[start..].to_vec();
+                            path.push(dependency);
+                            let id = stack.pop().expect("the stack holds the attempted id");
+                            extraction.break_cycle(&id, path)?;
+                        }
+                        None => {
+                            extraction.defer(id, &dependency)?;
+                            stack.push(dependency);
+                        }
+                    }
+                }
+                Err(other) => return Err(other),
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The lineage stub recorded for an entry whose extraction lenient mode
@@ -211,9 +265,8 @@ fn failure_stub(entry: &QueryEntry, diagnostic: Diagnostic) -> QueryLineage {
 /// The stub breaking a dependency cycle in lenient mode: declared output
 /// names with no sources, marked partial, carrying a
 /// [`DiagnosticCode::DependencyCycle`] diagnostic with the cycle path.
-/// The batch pipeline stubs the entry that *closed* the cycle (the top
-/// of the deferral stack); the session engine mirrors that choice by
-/// stubbing the second-to-last member of the detected cycle path.
+/// Both the batch pipeline and the session engine stub the entry that
+/// *closed* the cycle, the top of [`run_deferral_stack`]'s stack.
 pub fn cycle_stub(entry: &QueryEntry, path: &[String]) -> QueryLineage {
     failure_stub(
         entry,

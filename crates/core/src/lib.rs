@@ -71,7 +71,8 @@ pub use explain_path::ExplainPathExtractor;
 pub use graph::{ColumnId, GraphIndex, GraphIndexCache, Interner, RelationId, Symbol};
 pub use impact::ImpactReport;
 pub use infer::{
-    assemble_graph, assemble_nodes, cycle_stub, extract_entry, InferenceEngine, LineageResult,
+    assemble_graph, assemble_nodes, cycle_stub, extract_entry, run_deferral_stack, InferenceEngine,
+    LineageResult, StackExtraction,
 };
 pub use lineagex_sqlparse::DialectKind;
 pub use model::{

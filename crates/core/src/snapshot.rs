@@ -28,9 +28,10 @@
 //! ```
 //!
 //! All integers are little-endian; strings are `u32` length-prefixed
-//! UTF-8; collections are `u32` count-prefixed and written in their
-//! deterministic (sorted) iteration order, so the same session always
-//! produces byte-identical snapshots.
+//! UTF-8; collections are `u32` count-prefixed and written in a
+//! deterministic order (sorted, except the entry table, which the
+//! engine writes in ingest order), so the same session always produces
+//! byte-identical snapshots.
 //!
 //! ## Invalidation
 //!
@@ -132,7 +133,8 @@ pub struct GraphSnapshot {
     pub diagnostics: Vec<Diagnostic>,
     /// Per-query inferred external schemas (`query id → table → columns`).
     pub inferred: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
-    /// The engine's entry table.
+    /// The engine's entry table, in ingest order (a load numbers the
+    /// entries by position).
     pub entries: Vec<SnapshotEntry>,
     /// The settled graph revision at save time.
     pub revision: u64,

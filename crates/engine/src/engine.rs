@@ -1,15 +1,15 @@
 //! The long-lived session [`Engine`].
 
 use crate::deps::referenced_relations;
-use crate::schedule::{components, run_tasks, topo_levels};
+use crate::schedule::{components, run_tasks};
 use crate::stats::{EngineStats, IngestAction, PublishSplit, StmtId};
 use lineagex_catalog::Catalog;
 use lineagex_core::{
-    assemble_nodes, cycle_stub, extract_entry, preprocess_statement, Diagnostic, DiagnosticCode,
-    ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot, ImpactReport, LineageError,
-    LineageGraph, LineageResult, LineageView, Node, NodeKind, PreprocessedStatement, QueryDict,
-    QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2, SharedMap, SnapshotEntry,
-    SourceColumn, TraceLog,
+    assemble_nodes, cycle_stub, extract_entry, preprocess_statement, run_deferral_stack,
+    Diagnostic, DiagnosticCode, ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot,
+    ImpactReport, LineageError, LineageGraph, LineageResult, LineageView, Node, NodeKind,
+    PreprocessedStatement, QueryDict, QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2,
+    SharedMap, SnapshotEntry, SourceColumn, StackExtraction, TraceLog,
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
 use lineagex_sqlparse::ast::{SpannedStatement, Statement};
@@ -28,8 +28,6 @@ struct EngineMetrics {
     ingest_us: Histogram,
     /// Non-empty [`Engine::refresh`] wall time, µs.
     refresh_us: Histogram,
-    /// Wall time per topological level inside a refresh, µs.
-    refresh_level_us: Histogram,
     /// [`Engine::publish`] wall time (refresh + index + snapshot), µs.
     publish_us: Histogram,
     /// Copy-on-write copies of the settled graph (the first mutation
@@ -58,7 +56,6 @@ impl Default for EngineMetrics {
         EngineMetrics {
             ingest_us: registry.histogram("engine.ingest_us"),
             refresh_us: registry.histogram("engine.refresh_us"),
-            refresh_level_us: registry.histogram("engine.refresh_level_us"),
             publish_us: registry.histogram("engine.publish_us"),
             graph_clone_us: registry.histogram("engine.graph_clone_us"),
             index_update_us: registry.histogram("engine.index_update_us"),
@@ -76,8 +73,8 @@ impl Default for EngineMetrics {
 pub struct EngineOptions {
     /// Worker threads for [`Engine::refresh`]. `0`/`1` extract on the
     /// calling thread. Higher values extract unrelated components of the
-    /// dirty cone in parallel, or, when the cone is one component, the
-    /// independent views inside each of its dependency levels.
+    /// dirty cone in parallel; a cone of one component extracts on the
+    /// calling thread whatever the value.
     pub jobs: usize,
     /// Per-query extraction options (ambiguity policy, tracing, ...).
     pub extract: ExtractOptions,
@@ -94,6 +91,10 @@ impl Default for EngineOptions {
 #[derive(Debug, Clone)]
 struct EntryState {
     slot: EntrySlot,
+    /// The entry's ingest position: where its first definition arrived.
+    /// A redefinition keeps it, like the one-shot dictionary's slot, so
+    /// the deferral stack roots each component in log order.
+    pos: u64,
     /// Relations the defining query scans, as written (matches
     /// dictionary ids case-sensitively, like the extractor).
     deps: BTreeSet<String>,
@@ -186,9 +187,10 @@ pub struct EngineSnapshot {
 ///   maintaining the catalog and a view dependency DAG with dirty
 ///   tracking: redefining or dropping one view marks only its downstream
 ///   cone for re-extraction;
-/// * [`Engine::refresh`] settles the dirty set, topologically levelling
-///   it and extracting independent views concurrently on up to
-///   `jobs` scoped worker threads;
+/// * [`Engine::refresh`] settles the dirty set: each connected component
+///   of it extracts on the paper's deferral stack, rooted in ingest
+///   order, and unrelated components run concurrently on up to `jobs`
+///   scoped worker threads;
 /// * [`Engine::graph`], [`Engine::lineage_of`], and [`Engine::impact_of`]
 ///   answer lineage questions between ingests (refreshing lazily).
 ///
@@ -197,8 +199,9 @@ pub struct EngineSnapshot {
 /// are identical to a one-shot [`lineagex_core::LineageX::run`] over the
 /// same statements, and parallel extraction is byte-identical to
 /// sequential — the workspace property tests assert both invariants. The
-/// graph's `order` is a dependency-consistent processing order but not
-/// necessarily the one-shot deferral order. Two deliberate semantic
+/// graph's `order` is a dependency-consistent processing order: the
+/// one-shot deferral order within each component, but components need
+/// not interleave as the log does. Two deliberate semantic
 /// differences from the one-shot pipeline: re-defining an existing view
 /// *replaces* it (the batch dictionary rejects duplicate ids), and `DROP`
 /// *retracts* (the batch pipeline records it as skipped).
@@ -294,12 +297,14 @@ pub struct Engine {
     /// Whether `graph.nodes` is up to date enough for *incremental*
     /// resettling. Starts `false` (the first refresh always assembles in
     /// full) and drops back to `false` on the rare mutations whose node
-    /// fallout isn't cone-shaped: catalog changes, `DROP` retractions,
-    /// and cycle stubs. Steady-state view churn keeps it `true`, so a
+    /// fallout isn't cone-shaped: catalog changes and `DROP`
+    /// retractions. Steady-state view churn keeps it `true`, so a
     /// refresh only touches nodes in the dirty cone.
     nodes_settled: bool,
     anon_counter: usize,
     seq: u64,
+    /// The ingest position the next new entry takes.
+    next_pos: u64,
 }
 
 impl Engine {
@@ -548,18 +553,19 @@ impl Engine {
     /// its dependency edges, for the next refresh.
     fn define(&mut self, entry: Box<QueryEntry>) -> IngestAction {
         let id = entry.id.clone();
-        let action = match self.entries.get(&id) {
+        let (action, pos) = match self.entries.get(&id) {
             Some(old) if old.same_statement(&entry.statement) => {
                 self.stats.unchanged += 1;
                 return IngestAction::Unchanged;
             }
-            Some(_) => {
+            Some(old) => {
                 self.stats.redefinitions += 1;
-                IngestAction::Redefined
+                (IngestAction::Redefined, old.pos)
             }
             None => {
                 self.stats.defined += 1;
-                IngestAction::Defined
+                self.next_pos += 1;
+                (IngestAction::Defined, self.next_pos - 1)
             }
         };
         let mut deps = referenced_relations(entry.query());
@@ -570,7 +576,7 @@ impl Engine {
             deps.insert(id.split('#').next().unwrap_or(&id).to_string());
         }
         let deps_norm: BTreeSet<String> = deps.iter().map(|d| normalize(d)).collect();
-        let state = EntryState { slot: EntrySlot::Parsed(entry), deps, deps_norm };
+        let state = EntryState { slot: EntrySlot::Parsed(entry), pos, deps, deps_norm };
         self.link_entry(id.clone(), state);
         self.dirty_relations.insert(normalize(&id));
         self.dirty_entries.insert(id);
@@ -580,17 +586,18 @@ impl Engine {
     /// Settle all pending invalidations: close the dirty set over the
     /// reverse-dependency index (downstream cones of every changed
     /// relation), partition it into connected components of the
-    /// dependency DAG, and (re-)extract — unrelated components in
-    /// parallel when `jobs > 1`. Returns the number of extractions
-    /// performed.
+    /// dependency DAG, and (re-)extract each component on the deferral
+    /// stack ([`run_deferral_stack`]), rooted in ingest order —
+    /// unrelated components in parallel when `jobs > 1`. Returns the
+    /// number of extractions performed; deferred attempts do not count.
     ///
     /// Every step is proportional to the touched cone, never the whole
-    /// catalog: closure walks the reverse-dependency index, scheduling
-    /// levels only the cone, and node settling re-derives only nodes the
+    /// catalog: closure walks the reverse-dependency index, the stack
+    /// walks only the cone, and node settling re-derives only nodes the
     /// cone (or its inferred-schema fallout) could have changed.
     ///
     /// On error, successfully extracted entries are kept and the failing
-    /// ones (plus anything scheduled behind them) stay dirty, so a
+    /// ones (plus anything the stack had not reached) stay dirty, so a
     /// correcting ingest can retry.
     pub fn refresh(&mut self) -> Result<usize, LineageError> {
         if self.dirty_entries.is_empty() && self.dirty_relations.is_empty() {
@@ -606,11 +613,12 @@ impl Engine {
 
         // 1. Close the dirty set: an entry is dirty when marked directly
         //    or when any (transitive) upstream relation changed.
-        let mut dirty = self.close_over_dependents(self.dirty_entries.clone(), {
+        let dirty = self.close_over_dependents(self.dirty_entries.clone(), {
             let mut changed = self.dirty_relations.clone();
             changed.extend(self.dirty_entries.iter().map(|id| normalize(id)));
             changed
         });
+        self.metrics.dirty_cone_size.record(dirty.len() as u64);
 
         // 2. Hydrate snapshot-loaded entries on first dirt: cold slots
         //    re-parse their stored definition here, and only here, so a
@@ -625,46 +633,7 @@ impl Engine {
             self.hydrate(id)?;
         }
 
-        // 3. Partition the cone into connected components and level each
-        //    one topologically; clean upstreams are already settled in
-        //    the graph and don't constrain the schedule. In lenient mode
-        //    a dependency cycle is broken like the batch deferral stack
-        //    breaks it: the member that closes the cycle (the
-        //    second-to-last element of the `[a, .., x, a]` path) gets an
-        //    empty partial stub carrying the cycle path, and the rest of
-        //    the cone extracts against the stub.
-        let comps = components(&dirty, |id| self.entries[id].deps.clone());
-        let mut plans: Vec<ComponentPlan> = Vec::with_capacity(comps.len());
-        for mut members in comps {
-            let levels = loop {
-                match topo_levels(&members, |id| self.entries[id].deps.clone()) {
-                    Ok(levels) => break levels,
-                    Err(cycle) => {
-                        if !self.options.extract.lenient {
-                            return Err(LineageError::DependencyCycle(cycle));
-                        }
-                        let id = cycle[cycle.len() - 2].clone();
-                        self.retract_lineage(&BTreeSet::from([id.clone()]));
-                        self.traces.remove(&id);
-                        self.inferred_by_query.remove(&id);
-                        let stub = cycle_stub(self.entries[&id].parsed(), &cycle);
-                        self.merge_lineage(stub);
-                        self.nodes_settled = false;
-                        self.stats.extractions += 1;
-                        self.last_refresh_ids.push(id.clone());
-                        members.remove(&id);
-                        dirty.remove(&id);
-                        self.dirty_entries.remove(&id);
-                    }
-                }
-            };
-            if !members.is_empty() {
-                plans.push(ComponentPlan { members, levels });
-            }
-        }
-        self.metrics.dirty_cone_size.record(dirty.len() as u64);
-
-        // 4. Retract everything about to be re-extracted so stale lineage
+        // 3. Retract everything about to be re-extracted so stale lineage
         //    can never leak into a dependent's extraction (one pass over
         //    the processing order for the whole cone). Inferred-schema
         //    keys the retractions touched feed the node resettle below.
@@ -677,66 +646,61 @@ impl Engine {
             }
         }
 
-        // 5. Extract component by component. Multiple components put the
-        //    workers *across* components (one task per component), so no
-        //    level barrier spans the catalog; a single component puts them
-        //    *inside* each of its levels instead, the only parallelism a
-        //    one-cone write has. The mode depends only on the component
-        //    count, never on `jobs`, so results stay `jobs`-independent.
+        // 4. Partition the cone into connected components and extract
+        //    each on the deferral stack; clean upstreams are already
+        //    settled in the graph. Components share nothing, so the
+        //    workers run across components, one task each.
+        let comps = components(&dirty, |id| self.entries[id].deps.clone());
         let base_inferred = self.merged_inferred();
-        let jobs = self.options.jobs.max(1);
-        let outer_jobs = jobs.min(plans.len().max(1));
-        let inner_jobs = if plans.len() <= 1 { jobs } else { 1 };
         let outcomes = {
-            let plans = &plans;
+            let comps = &comps;
             let entries = &self.entries;
             let settled = &self.graph.queries;
             let qd_ids = &self.qd_ids;
             let catalog = &self.catalog;
             let options = &self.options.extract;
             let base_inferred = &base_inferred;
-            let level_us = &self.metrics.refresh_level_us;
-            run_tasks(plans.len(), outer_jobs, move |ci| {
-                extract_component(
-                    &plans[ci],
+            run_tasks(comps.len(), self.options.jobs, move |ci| {
+                let mut run = ComponentRun::new(
+                    &comps[ci],
                     entries,
                     settled,
                     qd_ids,
                     catalog,
                     options,
                     base_inferred,
-                    inner_jobs,
-                    level_us,
-                )
+                );
+                let mut roots: Vec<&String> = comps[ci].iter().collect();
+                roots.sort_by_key(|id| entries[id.as_str()].pos);
+                let failure = run_deferral_stack(&mut run, roots.into_iter().cloned()).err();
+                (run.extracted, failure)
             })
         };
         let mut extracted = 0u64;
         let mut failure: Option<LineageError> = None;
-        for (id, result) in outcomes.into_iter().flatten() {
-            match result {
-                Ok((lineage, trace, delta)) => {
-                    extracted += 1;
-                    self.dirty_entries.remove(&id);
-                    self.last_refresh_ids.push(id.clone());
-                    self.merge_lineage(lineage);
-                    if let Some(trace) = trace {
-                        self.traces.insert(id.clone(), trace);
-                    }
-                    if !delta.is_empty() {
-                        inferred_touched.extend(delta.keys().cloned());
-                        self.inferred_by_query.insert(id, delta);
-                    }
+        for (done, error) in outcomes {
+            for Extracted { id, lineage, trace, delta } in done {
+                extracted += 1;
+                self.dirty_entries.remove(&id);
+                self.merge_lineage(lineage);
+                if let Some(trace) = trace {
+                    self.traces.insert(id.clone(), trace);
                 }
-                Err(error) => {
-                    failure.get_or_insert(error);
+                if !delta.is_empty() {
+                    inferred_touched.extend(delta.keys().cloned());
+                    self.inferred_by_query.insert(id.clone(), delta);
                 }
+                self.last_refresh_ids.push(id);
+            }
+            if let Some(error) = error {
+                failure.get_or_insert(error);
             }
         }
 
-        // 6. Settle the node map (catalog / query / external shadowing).
+        // 5. Settle the node map (catalog / query / external shadowing).
         //    Steady-state view churn resettles only the touched keys;
-        //    catalog changes, drops, and cycle stubs fall back to one
-        //    full assembly (and re-arm the incremental path).
+        //    catalog changes and drops fall back to one full assembly
+        //    (and re-arm the incremental path).
         if self.nodes_settled {
             self.resettle_nodes(&dirty, inferred_touched);
         } else {
@@ -1024,9 +988,11 @@ impl Engine {
     pub fn save_snapshot(&mut self, path: &Path) -> Result<(), LineageError> {
         self.refresh()?;
         let index = self.settle_index();
-        let entries = self
-            .entries
-            .iter()
+        // Entries go out in ingest order, which a load renumbers from.
+        let mut states: Vec<(&String, &EntryState)> = self.entries.iter().collect();
+        states.sort_by_key(|(_, state)| state.pos);
+        let entries = states
+            .into_iter()
             .map(|(id, state)| SnapshotEntry {
                 id: id.clone(),
                 sql: state.sql_text(),
@@ -1106,14 +1072,16 @@ impl Engine {
         engine.session_diagnostics = Arc::new(snapshot.diagnostics);
         engine.inferred_by_query = snapshot.inferred;
         // Bulk-build the dictionary and its reverse-dependency index:
-        // snapshot entries arrive sorted by id, so collecting pairs and
-        // building each tree once beats 10k+ `link_entry` rebalances.
+        // collecting pairs and building each tree once beats 10k+
+        // `link_entry` rebalances. Entries arrive in ingest order, so
+        // their list positions are their ingest positions.
         let mut rdep_pairs: Vec<(String, String)> = Vec::new();
         let mut states: Vec<(String, EntryState)> = Vec::with_capacity(snapshot.entries.len());
-        for entry in snapshot.entries {
+        for (pos, entry) in snapshot.entries.into_iter().enumerate() {
             let SnapshotEntry { id, sql, deps, deps_norm } = entry;
             let state = EntryState {
                 slot: EntrySlot::Cold { sql },
+                pos: pos as u64,
                 deps: deps.into_iter().collect(),
                 deps_norm: deps_norm.into_iter().collect(),
             };
@@ -1122,6 +1090,7 @@ impl Engine {
             }
             states.push((id, state));
         }
+        engine.next_pos = states.len() as u64;
         engine.qd_ids = states.iter().map(|(id, _)| id.clone()).collect();
         engine.entries = states.into_iter().collect();
         rdep_pairs.sort();
@@ -1216,7 +1185,8 @@ impl Engine {
     }
 
     /// Package the session state as a one-shot-style [`LineageResult`]
-    /// (empty deferral log: the scheduler replaces the deferral stack).
+    /// (with an empty deferral log: the stack runs per component, and
+    /// component order is not log order).
     pub fn result(&mut self) -> Result<LineageResult, LineageError> {
         self.refresh()?;
         Ok(LineageResult {
@@ -1429,116 +1399,141 @@ impl LineageView for Engine {
     }
 }
 
-/// One scheduled connected component of a refresh's dirty cone: its
-/// member set plus its topological levels.
-struct ComponentPlan {
-    members: BTreeSet<String>,
-    levels: Vec<Vec<String>>,
+/// Inferred-schema additions of one extraction, by relation.
+type Delta = BTreeMap<String, BTreeSet<String>>;
+
+/// One entry a refresh extracted (or stubbed): its settled lineage, the
+/// optional trace, and the inferred-schema delta the extraction added.
+struct Extracted {
+    id: String,
+    lineage: Arc<QueryLineage>,
+    trace: Option<TraceLog>,
+    delta: Delta,
 }
 
-/// Per-entry extraction outcome inside a component: the settled lineage,
-/// the optional trace, and the inferred-schema delta the extraction
-/// contributed.
-type ExtractOutcome = (
-    String,
-    Result<(Arc<QueryLineage>, Option<TraceLog>, BTreeMap<String, BTreeSet<String>>), LineageError>,
-);
+/// One connected component of a refresh's dirty cone on the deferral
+/// stack, against an immutable slice of engine state. `processed` is
+/// seeded with the members' already-settled direct dependencies
+/// (extraction only ever looks up a query's direct dependencies, so the
+/// thin slice is equivalent to the full map); under the
+/// `auto_inference` ablation only those ingested before the member
+/// scanning them, as the one-shot log would have processed them.
+/// Inferred schemas accumulate in `inferred` across the component, like
+/// the batch run's; a deferred attempt's additions are dropped with it.
+struct ComponentRun<'a> {
+    members: &'a BTreeSet<String>,
+    entries: &'a BTreeMap<String, EntryState>,
+    qd_ids: &'a BTreeSet<String>,
+    catalog: &'a Catalog,
+    options: &'a ExtractOptions,
+    processed: BTreeMap<String, Arc<QueryLineage>>,
+    inferred: BTreeMap<String, BTreeSet<String>>,
+    extracted: Vec<Extracted>,
+}
 
-/// Extract one component level by level against an immutable slice of
-/// engine state, accumulating inferred-schema deltas locally. The
-/// settled-lineage view is seeded with the members' already-settled
-/// direct dependencies — extraction only ever looks up a query's direct
-/// dependencies, so the thin slice is equivalent to the full map. A
-/// failing level records its results and skips the component's remaining
-/// levels (they could only see stale upstreams), leaving other
-/// components untouched.
-#[allow(clippy::too_many_arguments)]
-fn extract_component(
-    plan: &ComponentPlan,
-    entries: &BTreeMap<String, EntryState>,
-    settled: &SharedMap<String, Arc<QueryLineage>>,
-    qd_ids: &BTreeSet<String>,
-    catalog: &Catalog,
-    options: &ExtractOptions,
-    base_inferred: &BTreeMap<String, BTreeSet<String>>,
-    inner_jobs: usize,
-    level_us: &Histogram,
-) -> Vec<ExtractOutcome> {
-    let mut processed: BTreeMap<String, Arc<QueryLineage>> = BTreeMap::new();
-    for member in &plan.members {
-        for dep in &entries[member].deps {
-            if !plan.members.contains(dep) {
-                if let Some(lineage) = settled.get(dep) {
+impl<'a> ComponentRun<'a> {
+    fn new(
+        members: &'a BTreeSet<String>,
+        entries: &'a BTreeMap<String, EntryState>,
+        settled: &SharedMap<String, Arc<QueryLineage>>,
+        qd_ids: &'a BTreeSet<String>,
+        catalog: &'a Catalog,
+        options: &'a ExtractOptions,
+        base_inferred: &BTreeMap<String, BTreeSet<String>>,
+    ) -> Self {
+        let mut processed: BTreeMap<String, Arc<QueryLineage>> = BTreeMap::new();
+        for member in members {
+            let state = &entries[member];
+            for dep in &state.deps {
+                if members.contains(dep) {
+                    continue;
+                }
+                let Some(lineage) = settled.get(dep) else { continue };
+                if options.auto_inference || entries.get(dep).is_some_and(|d| d.pos < state.pos) {
                     processed.entry(dep.clone()).or_insert_with(|| Arc::clone(lineage));
                 }
             }
         }
-    }
-    let mut extra: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut outcomes: Vec<ExtractOutcome> = Vec::new();
-    let mut failed = false;
-    for level in &plan.levels {
-        if failed {
-            break;
-        }
-        let _timer = level_us.time();
-        // Within a level every entry sees the same frozen snapshot
-        // (settled lineage + inferred schemas), so parallel and
-        // sequential execution produce identical results.
-        let mut snapshot = base_inferred.clone();
-        for (table, columns) in &extra {
-            snapshot.entry(table.clone()).or_default().extend(columns.iter().cloned());
-        }
-        let results = {
-            let processed = &processed;
-            let snapshot = &snapshot;
-            run_tasks(level.len(), inner_jobs, move |i| {
-                let mut inferred = snapshot.clone();
-                extract_entry(
-                    entries[&level[i]].parsed(),
-                    qd_ids,
-                    processed,
-                    catalog,
-                    options,
-                    &mut inferred,
-                )
-                .map(|(lineage, trace)| {
-                    (Arc::new(lineage), trace, inferred_delta(snapshot, inferred))
-                })
-            })
-        };
-        for (id, result) in level.iter().cloned().zip(results) {
-            if let Ok((lineage, _, delta)) = &result {
-                processed.insert(id.clone(), Arc::clone(lineage));
-                for (table, columns) in delta {
-                    extra.entry(table.clone()).or_default().extend(columns.iter().cloned());
-                }
-            } else {
-                failed = true;
-            }
-            outcomes.push((id, result));
+        ComponentRun {
+            members,
+            entries,
+            qd_ids,
+            catalog,
+            options,
+            processed,
+            inferred: base_inferred.clone(),
+            extracted: Vec::new(),
         }
     }
-    outcomes
+
+    fn record(&mut self, id: &str, lineage: QueryLineage, trace: Option<TraceLog>, delta: Delta) {
+        let lineage = Arc::new(lineage);
+        self.processed.insert(id.to_string(), Arc::clone(&lineage));
+        self.extracted.push(Extracted { id: id.to_string(), lineage, trace, delta });
+    }
 }
 
-/// What one extraction added to the inferred-schema snapshot it started
+impl StackExtraction for ComponentRun<'_> {
+    fn is_done(&self, id: &str) -> bool {
+        self.processed.contains_key(id)
+    }
+
+    fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
+        let mut inferred = self.inferred.clone();
+        let (lineage, trace) = extract_entry(
+            self.entries[id].parsed(),
+            self.qd_ids,
+            &self.processed,
+            self.catalog,
+            self.options,
+            &mut inferred,
+        )?;
+        let delta = inferred_delta(&self.inferred, &inferred);
+        self.inferred = inferred;
+        self.record(id, lineage, trace, delta);
+        Ok(())
+    }
+
+    /// Only a member of the component can be pushed: anything else the
+    /// extractor finds missing has no settled lineage to wait for.
+    fn defer(&mut self, id: &str, dependency: &str) -> Result<(), LineageError> {
+        if self.members.contains(dependency) {
+            Ok(())
+        } else {
+            Err(LineageError::MissingDependency {
+                query: id.to_string(),
+                dependency: dependency.to_string(),
+            })
+        }
+    }
+
+    fn break_cycle(&mut self, id: &str, path: Vec<String>) -> Result<(), LineageError> {
+        if !self.options.lenient {
+            return Err(LineageError::DependencyCycle(path));
+        }
+        let stub = cycle_stub(self.entries[id].parsed(), &path);
+        self.record(id, stub, None, Delta::new());
+        Ok(())
+    }
+}
+
+/// What one extraction added to the inferred-schema map it started
 /// from. A table key with an empty column set still counts (it records
 /// the relation's existence as an external).
 fn inferred_delta(
-    snapshot: &BTreeMap<String, BTreeSet<String>>,
-    local: BTreeMap<String, BTreeSet<String>>,
-) -> BTreeMap<String, BTreeSet<String>> {
-    let mut delta = BTreeMap::new();
-    for (table, columns) in local {
-        match snapshot.get(&table) {
+    before: &BTreeMap<String, BTreeSet<String>>,
+    after: &BTreeMap<String, BTreeSet<String>>,
+) -> Delta {
+    let mut delta = Delta::new();
+    for (table, columns) in after {
+        match before.get(table) {
             None => {
-                delta.insert(table, columns);
+                delta.insert(table.clone(), columns.clone());
             }
             Some(seen) => {
                 let fresh: BTreeSet<String> = columns.difference(seen).cloned().collect();
                 if !fresh.is_empty() {
-                    delta.insert(table, fresh);
+                    delta.insert(table.clone(), fresh);
                 }
             }
         }
@@ -1565,4 +1560,43 @@ fn catalog_node(catalog: &Catalog, name: &str) -> Option<Node> {
 /// name normalisation.
 fn normalize(name: &str) -> String {
     name.rsplit('.').next().unwrap_or(name).to_lowercase()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_component_defers_only_on_its_own_members() {
+        let state = |sql: &str| EntryState {
+            slot: EntrySlot::Cold { sql: sql.to_string() },
+            pos: 0,
+            deps: BTreeSet::new(),
+            deps_norm: BTreeSet::new(),
+        };
+        let entries = BTreeMap::from([
+            ("a".to_string(), state("CREATE VIEW a AS SELECT x FROM b")),
+            ("b".to_string(), state("CREATE VIEW b AS SELECT 1 AS x")),
+            ("cold".to_string(), state("CREATE VIEW cold AS SELECT 1 AS x")),
+        ]);
+        let members = BTreeSet::from(["a".to_string(), "b".to_string()]);
+        let qd_ids = entries.keys().cloned().collect();
+        let (catalog, options) = (Catalog::new(), ExtractOptions::default());
+        let mut run = ComponentRun::new(
+            &members,
+            &entries,
+            &SharedMap::new(),
+            &qd_ids,
+            &catalog,
+            &options,
+            &BTreeMap::new(),
+        );
+        assert_eq!(run.defer("a", "b"), Ok(()));
+        // A snapshot entry outside the component is never pushed: the
+        // refresh fails with a typed error instead.
+        assert_eq!(
+            run.defer("a", "cold"),
+            Err(LineageError::MissingDependency { query: "a".into(), dependency: "cold".into() })
+        );
+    }
 }

@@ -16,10 +16,10 @@
 //!   unchanged re-ingest is a no-op;
 //! * [`Engine::refresh`] — the **parallel extraction scheduler**:
 //!   [`schedule::components`] splits the dirty cone into independent
-//!   components, [`schedule::topo_levels`] levels each one, and
-//!   [`schedule::run_tasks`] extracts them on a `std::thread::scope`
-//!   work-queue pool (`jobs` option) — across components when there are
-//!   several, across each level's independent views when there is one;
+//!   components, each extracts on the paper's deferral stack
+//!   ([`lineagex_core::run_deferral_stack`], rooted in ingest order),
+//!   and [`schedule::run_tasks`] runs the components on a
+//!   `std::thread::scope` work-queue pool (`jobs` option);
 //! * [`Engine::graph`] / [`Engine::lineage_of`] / [`Engine::impact_of`] —
 //!   lineage queries between ingests, over a lazily-settled graph;
 //! * [`Engine::ingest_dict`] — a one-shot log's Query Dictionary in one
@@ -33,8 +33,8 @@
 //!    the same graph (nodes and per-query lineage) as a one-shot
 //!    `LineageX::run` over the same log;
 //! 2. **parallel ≡ sequential** — `jobs > 1` produces byte-identical
-//!    results to `jobs = 1`, because levels freeze their inputs and merge
-//!    deterministically.
+//!    results to `jobs = 1`, because components share nothing and merge
+//!    in a fixed order.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -358,6 +358,86 @@ mod tests {
         let graph = engine.graph().unwrap();
         assert_eq!(graph.queries["a"].output_names(), vec!["x"]);
         assert!(!graph.queries["a"].partial);
+    }
+
+    /// Per-query lineage with diagnostic spans cleared: a statement
+    /// ingested on its own is located within its own script, not the log.
+    fn unspanned(graph: &lineagex_core::LineageGraph) -> Vec<lineagex_core::QueryLineage> {
+        let mut queries: Vec<lineagex_core::QueryLineage> =
+            graph.queries.values().map(|q| (**q).clone()).collect();
+        for diagnostic in queries.iter_mut().flat_map(|q| q.diagnostics.iter_mut()) {
+            diagnostic.span = None;
+        }
+        queries
+    }
+
+    /// A cycle entered at `c`, not at its alphabetically first member.
+    const CYCLE_LOG: &str = "CREATE TABLE t (x int); CREATE VIEW c AS SELECT x FROM a; \
+                             CREATE VIEW b AS SELECT x FROM c; CREATE VIEW a AS SELECT x FROM b; \
+                             CREATE VIEW z AS SELECT x FROM a;";
+
+    #[test]
+    fn statement_at_a_time_cycle_stubs_the_member_the_batch_run_stubs() {
+        let batch = lineagex_core::LineageX::new().lenient().run(CYCLE_LOG).unwrap();
+        let mut engine = lenient_engine();
+        for stmt in CYCLE_LOG.split(';').filter(|s| !s.trim().is_empty()) {
+            engine.ingest(stmt).unwrap();
+            engine.refresh().unwrap();
+        }
+        let graph = engine.graph().unwrap();
+        // `b` closes c -> a -> b -> c on the stack rooted at `c`.
+        assert!(graph.queries["b"].partial);
+        assert!(!graph.queries["c"].partial);
+        assert_eq!(unspanned(graph), unspanned(&batch.graph));
+        assert_eq!(graph.nodes, batch.graph.nodes);
+    }
+
+    #[test]
+    fn a_restored_session_roots_the_stack_in_ingest_order() {
+        use lineagex_core::{ExtractOptions, LineageX};
+        let mut engine = lenient_engine();
+        engine.ingest(CYCLE_LOG).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("lineagex_engine_ingest_order_{}.lxsn", std::process::id()));
+        engine.save_snapshot(&path).unwrap();
+        let options = EngineOptions { jobs: 1, extract: ExtractOptions::new().with_lenient() };
+        let mut restored = Engine::load_snapshot(&path, options).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        // Redefining `a` dirties the whole cycle again: rooted in ingest
+        // order (c, b, a, z), not id order, the stack still stubs `b`.
+        let a = "CREATE VIEW a AS SELECT x FROM b WHERE x > 0";
+        restored.ingest(a).unwrap();
+        let edited = CYCLE_LOG.replace("CREATE VIEW a AS SELECT x FROM b", a);
+        let batch = LineageX::new().lenient().run(&edited).unwrap();
+        let graph = restored.graph().unwrap();
+        assert!(graph.queries["b"].partial);
+        assert_eq!(unspanned(graph), unspanned(&batch.graph));
+    }
+
+    #[test]
+    fn the_ablation_never_lets_a_view_see_a_later_one() {
+        use lineagex_core::{ExtractOptions, LineageX};
+        let log = "CREATE TABLE t (x int, y int); CREATE VIEW top AS SELECT x FROM mid; \
+                   CREATE VIEW mid AS SELECT x, y FROM t WHERE y > 0;";
+        let mut engine = Engine::with_options(EngineOptions {
+            jobs: 1,
+            extract: ExtractOptions::new().without_auto_inference(),
+        });
+        for stmt in log.split(';').filter(|s| !s.trim().is_empty()) {
+            engine.ingest(stmt).unwrap();
+            engine.refresh().unwrap();
+        }
+        let batch = LineageX::new().without_auto_inference().run(log).unwrap();
+        assert!(batch.graph.queries["top"].tables.contains("mid"));
+        assert_eq!(unspanned(engine.graph().unwrap()), unspanned(&batch.graph));
+        // Redefining `top` alone keeps its log slot, ahead of `mid`.
+        let top = "CREATE VIEW top AS SELECT x FROM mid WHERE x > 0";
+        engine.ingest(top).unwrap();
+        let edited = log.replace("CREATE VIEW top AS SELECT x FROM mid", top);
+        let batch = LineageX::new().without_auto_inference().run(&edited).unwrap();
+        let graph = engine.graph().unwrap();
+        assert_eq!(unspanned(graph), unspanned(&batch.graph));
+        assert_eq!(graph.nodes, batch.graph.nodes);
     }
 
     #[test]

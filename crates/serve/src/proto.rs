@@ -25,7 +25,6 @@ use lineagex_engine::{EngineStats, IngestAction, StmtId};
 use lineagex_obs::MetricsSnapshot;
 use serde::{Serialize, Serializer};
 use serde_json::Value;
-use std::sync::Arc;
 
 /// The protocol envelope version this crate speaks.
 ///
@@ -43,8 +42,12 @@ use std::sync::Arc;
 /// histograms; `6` — the server encodes each published revision's
 /// `report` body once and rejects oversized request lines, so the
 /// `metrics` op gains the `serve.report_cache.hits` and
-/// `serve.rejected.oversize` counters.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// `serve.rejected.oversize` counters; `7` — a refresh extracts each
+/// dirty component on the deferral stack instead of in topological
+/// levels, so the `metrics` op drops the `engine.refresh_level_us`
+/// histogram, and gains the `serve.rejected.write_timeout` counter of
+/// replies whose send timed out.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// A typed service error: a [`DiagnosticCode`] plus a human message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -467,8 +470,9 @@ pub enum Payload<'a> {
     /// from the graph it borrows.
     Report(Box<ReportV2<'a>>),
     /// A body encoded earlier as compact JSON, written as it is: the
-    /// server's once-per-revision `report` body.
-    Encoded(Arc<str>),
+    /// server's once-per-revision `report` body, borrowed from where the
+    /// server keeps it.
+    Encoded(&'a str),
     /// Graph/engine/server statistics.
     Stats(Box<StatsBody>),
     /// Session-level diagnostics.
@@ -642,11 +646,11 @@ mod tests {
 
     #[test]
     fn an_encoded_body_splits_the_line_around_itself() {
-        let body: Arc<str> = r#"{"schema_version":2,"nodes":[]}"#.into();
-        let response = Response::ok(Some(3), 9, Payload::Encoded(Arc::clone(&body)));
+        let body = r#"{"schema_version":2,"nodes":[]}"#;
+        let response = Response::ok(Some(3), 9, Payload::Encoded(body));
         let (head, parts_body, tail) = response.line_parts();
         assert_eq!(format!("{head}{parts_body}{tail}"), response.to_line());
-        assert_eq!(parts_body, &*body);
+        assert_eq!(parts_body, body);
         let pong = Response::ok(Some(3), 9, Payload::Pong);
         assert_eq!(pong.line_parts(), (pong.to_line(), "", ""));
     }

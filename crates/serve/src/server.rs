@@ -154,6 +154,9 @@ struct ServerMetrics {
     report_cache_hits: Counter,
     /// Request lines rejected for exceeding [`MAX_REQUEST_BYTES`].
     rejected_oversize: Counter,
+    /// Replies whose send moved no byte within [`WRITE_TIMEOUT`],
+    /// closing their connection.
+    rejected_write_timeout: Counter,
 }
 
 impl ServerMetrics {
@@ -175,6 +178,7 @@ impl ServerMetrics {
                 .collect(),
             report_cache_hits: registry.counter("serve.report_cache.hits"),
             rejected_oversize: registry.counter("serve.rejected.oversize"),
+            rejected_write_timeout: registry.counter("serve.rejected.write_timeout"),
         }
     }
 
@@ -194,12 +198,12 @@ impl ServerMetrics {
 }
 
 /// The published snapshot and its `report` body, encoded by the first
-/// reader that asks for it and shared by every later reply at the same
+/// reader that asks for it and borrowed by every later reply at the same
 /// snapshot.
 #[derive(Clone)]
 struct Published {
     snapshot: EngineSnapshot,
-    report: Arc<OnceLock<Arc<str>>>,
+    report: Arc<OnceLock<String>>,
 }
 
 impl Published {
@@ -543,6 +547,8 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, write_tx: mpsc::Sende
 /// and the newline in one vectored write; returns whether the write
 /// succeeded. A reused `report` body goes to the connection as it is,
 /// between the parts of the line around it, never copied into a line.
+/// A send that times out ([`WRITE_TIMEOUT`]) counts in
+/// `serve.rejected.write_timeout`.
 fn write_line(shared: &Shared, writer: &mut TcpStream, line: (String, &str, &str)) -> bool {
     let (head, body, tail) = line;
     let mut parts = [head.as_str(), body, tail, "\n"].map(|part| IoSlice::new(part.as_bytes()));
@@ -553,7 +559,12 @@ fn write_line(shared: &Shared, writer: &mut TcpStream, line: (String, &str, &str
             Ok(0) => return false,
             Ok(sent) => IoSlice::advance_slices(&mut unsent, sent),
             Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
+            Err(error) => {
+                if matches!(error.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+                    shared.metrics.rejected_write_timeout.inc();
+                }
+                return false;
+            }
         }
     }
     true
@@ -648,12 +659,16 @@ fn handle<'a>(
             if report.get().is_some() {
                 shared.metrics.report_cache_hits.inc();
             }
+            // The encoded `String` itself is kept, shrunk to its length:
+            // copying it into another buffer would hold the body twice.
             let body = report.get_or_init(|| {
                 let report = ReportV2::from_graph(&snapshot.graph, &snapshot.diagnostics)
                     .with_index(&snapshot.index);
-                serde_json::to_string(&report).expect("reports serialize").into()
+                let mut body = serde_json::to_string(&report).expect("reports serialize");
+                body.shrink_to_fit();
+                body
             });
-            (Response::ok(id, snapshot.revision, Payload::Encoded(Arc::clone(body))), false)
+            (Response::ok(id, snapshot.revision, Payload::Encoded(body)), false)
         }
         Request::Stats => {
             let stats = StatsBody {

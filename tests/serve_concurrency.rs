@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::thread;
 
 use lineagex::prelude::*;
-use lineagex::serve::proto::{QueryParams, Request};
+use lineagex::serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
 use lineagex::serve::{Client, Reply, ServeOptions, Server};
 use proptest::prelude::*;
 
@@ -198,7 +198,7 @@ proptest! {
         let garbage = match garbage_kind {
             0 => "{\"id\":99,\"op\":\"no-such-op\"}".to_string(),
             1 => "not even json".to_string(),
-            2 => "{\"schema_version\":7,\"id\":99,\"op\":\"ping\"}".to_string(),
+            2 => format!("{{\"schema_version\":{},\"id\":99,\"op\":\"ping\"}}", PROTOCOL_VERSION + 1),
             _ => "[\"an\",\"array\"]".to_string(),
         };
 

@@ -413,6 +413,8 @@ fn lenient_query_replies_match_the_reference_while_a_view_turns_partial_and_back
 
 #[test]
 fn a_client_that_stops_reading_does_not_keep_the_server_from_stopping() {
+    let timed_out = || lineagex::obs::registry().counter("serve.rejected.write_timeout").get();
+    let before = timed_out();
     let server = start(1);
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("client connects");
@@ -445,5 +447,7 @@ fn a_client_that_stops_reading_does_not_keep_the_server_from_stopping() {
         wait.recv_timeout(bound).is_ok(),
         "the server was still running {bound:?} after acknowledging shutdown"
     );
+    // The stuck connection closed on a timed-out reply send.
+    assert!(timed_out() > before, "no reply send was counted as timed out");
     drop(stuck);
 }
