@@ -92,7 +92,9 @@ cargo test -q --test dialect_corpus
 # --jobs 2 and 4 (the engine's parallel scheduler over the log's Query
 # Dictionary; extract also under --save-snapshot) and at the default
 # (the auto-inference stack), on every corpus under tests/corpus/,
-# strict and lenient, a cycle log and the --no-auto-inference ablation.
+# strict and lenient, a cycle log, the --no-auto-inference ablation and
+# a view deferred behind an unknown external; strict error text also
+# when two components each hold a cycle.
 step "cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics (--jobs output parity)"
 cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics
 
@@ -105,7 +107,8 @@ cargo test -q --test api_surface
 # The structurally shared graph containers: the core crate's proptests
 # drive random edits against BTreeMap/Vec reference models (clones must
 # never change), and a one-view write on a 10-component engine must
-# publish a revision sharing every leaf outside the written component.
+# publish a revision sharing every leaf outside the written component
+# (a CREATE TABLE or a DROP VIEW: every node leaf outside its key).
 step "cargo test -q -p lineagex-core shared --test shared_graph (structurally shared graph)"
 cargo test -q -p lineagex-core shared
 cargo test -q --test shared_graph

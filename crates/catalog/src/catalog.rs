@@ -72,17 +72,20 @@ impl Catalog {
         Ok(())
     }
 
-    /// Register a relation, replacing any existing one with the same name.
-    pub fn add_or_replace(&mut self, schema: TableSchema) {
-        self.tables.insert(schema.name.to_lowercase(), schema);
+    /// Register a relation, replacing any existing one with the same name
+    /// (compared case-insensitively); returns the replaced schema.
+    pub fn add_or_replace(&mut self, schema: TableSchema) -> Option<TableSchema> {
+        self.tables.insert(schema.name.to_lowercase(), schema)
     }
 
     /// Apply one statement's schema effect incrementally: plain
     /// `CREATE TABLE` adds or replaces a base table, `DROP` removes each
     /// named relation that exists. Every other statement kind (views,
     /// CTAS, DML, queries) carries lineage rather than schema and leaves
-    /// the catalog untouched. Returns the changes made, so a long-lived
-    /// session can invalidate whatever depended on them.
+    /// the catalog untouched. Returns the changes made, by exact name, so
+    /// a long-lived session can invalidate whatever depended on them: a
+    /// replacement spelled in a different case removes the old spelling
+    /// and adds the new one.
     pub fn apply_statement(&mut self, stmt: &Statement) -> Vec<CatalogChange> {
         match stmt {
             Statement::CreateTable { name, columns, query: None, .. } => {
@@ -90,13 +93,12 @@ impl Catalog {
                     name.base_name().to_string(),
                     columns.iter().map(column_from_def).collect(),
                 );
-                let change = if self.contains(&schema.name) {
-                    CatalogChange::Replaced(schema.name.clone())
-                } else {
-                    CatalogChange::Added(schema.name.clone())
-                };
-                self.add_or_replace(schema);
-                vec![change]
+                let name = schema.name.clone();
+                match self.add_or_replace(schema) {
+                    None => vec![CatalogChange::Added(name)],
+                    Some(old) if old.name == name => vec![CatalogChange::Replaced(name)],
+                    Some(old) => vec![CatalogChange::Removed(old.name), CatalogChange::Added(name)],
+                }
             }
             Statement::Drop { names, .. } => names
                 .iter()
@@ -256,6 +258,18 @@ mod tests {
             vec![CatalogChange::Removed("t".into())]
         );
         assert!(catalog.is_empty());
+    }
+
+    #[test]
+    fn a_replacement_in_another_case_reports_both_spellings() {
+        let mut catalog = Catalog::new();
+        assert_eq!(catalog.add_or_replace(TableSchema::base_table("Web", vec![])), None);
+        let changes = catalog.apply_ddl("CREATE TABLE web (x int)").unwrap();
+        assert_eq!(
+            changes,
+            vec![CatalogChange::Removed("Web".into()), CatalogChange::Added("web".into())]
+        );
+        assert_eq!(catalog.get("WEB").unwrap().name, "web");
     }
 
     #[test]

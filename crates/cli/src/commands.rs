@@ -928,10 +928,29 @@ mod tests {
                             CREATE VIEW top AS SELECT x FROM mid; \
                             CREATE VIEW mid AS SELECT x, y FROM t WHERE y > 0;";
 
+    /// A view that scans an unknown external and a later view: its
+    /// deferred attempt gives the external back, so the retry reports it.
+    const DEFERRED_EXTERNAL: &str =
+        "CREATE VIEW b AS SELECT w.page, a.x FROM web w JOIN a ON w.cid = a.x; \
+         CREATE VIEW a AS SELECT 1 AS x;";
+
+    /// Two strict cycles in two components, the later-ingested one in the
+    /// component with the smaller member.
+    const TWO_CYCLES: &str = "CREATE VIEW y1 AS SELECT x FROM y2; CREATE VIEW y2 AS SELECT x FROM y1; \
+                              CREATE VIEW a1 AS SELECT x FROM a2; CREATE VIEW a2 AS SELECT x FROM a1;";
+
+    /// A cycle met after its component's first root extracted, behind a
+    /// cycle in another component whose first root comes later.
+    const LATE_CYCLE: &str = "CREATE VIEW a0 AS SELECT 1 AS x; \
+                              CREATE VIEW y1 AS SELECT x FROM y2; CREATE VIEW y2 AS SELECT x FROM y1; \
+                              CREATE VIEW a3 AS SELECT a0.x FROM a0 JOIN a4 ON a0.x = a4.x; \
+                              CREATE VIEW a4 AS SELECT x FROM a3;";
+
     /// The `--jobs` parity inputs, each with the origin to query: the
     /// messy-log corpus and every dialect corpus under its own dialect,
     /// strict and lenient, the one-shot-rules log and the cycle log,
-    /// lenient, and the ablation log under `--no-auto-inference`.
+    /// lenient, the ablation log under `--no-auto-inference`, and the
+    /// deferred-external log.
     fn parity_inputs() -> Vec<(String, Vec<String>, &'static str)> {
         let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
         let mut logs = vec![(format!("{corpus}/messy_log.sql"), vec![], "web")];
@@ -955,6 +974,8 @@ mod tests {
         inputs.push((cycle, vec!["--lenient".to_string()], "a"));
         let ablation = write_temp("parity_ablation.sql", ABLATION);
         inputs.push((ablation, vec!["--no-auto-inference".to_string()], "t"));
+        let deferred = write_temp("parity_deferred_external.sql", DEFERRED_EXTERNAL);
+        inputs.push((deferred, vec![], "web"));
         inputs
     }
 
@@ -1153,18 +1174,22 @@ mod tests {
         assert!(seq_text.contains("diagnostics       : 1"), "{seq_text}");
         assert!(par_text.contains("diagnostics       : 1"), "{par_text}");
         // Strict errors read the same on every path: a duplicate query
-        // id, a dependency cycle, a SQL parse error, and a --ddl file
-        // that does not parse.
+        // id, a dependency cycle, the first of two cycles in log order,
+        // a SQL parse error, and a --ddl file that does not parse.
         let dup =
             write_temp("jobs_dup.sql", "CREATE VIEW v AS SELECT 1; CREATE VIEW v AS SELECT 2;");
         let bad_sql = write_temp("jobs_bad.sql", "CREATE TABLE t (a int);\nSELECT FROM oops;\n");
         let log = write_temp("jobs_log.sql", LOG);
         let bad_ddl = write_temp("jobs_bad_ddl.sql", "CREATE TABLE t (a int;");
         let cycle = write_temp("jobs_cycle.sql", CYCLE);
+        let two_cycles = write_temp("jobs_two_cycles.sql", TWO_CYCLES);
+        let late_cycle = write_temp("jobs_late_cycle.sql", LATE_CYCLE);
         let snapshot = write_temp("jobs_errors.lxsn", "");
         for (args, expected) in [
             (vec![dup], "duplicate query identifier \"v\""),
             (vec![cycle], "dependency cycle: c -> a -> b -> c"),
+            (vec![two_cycles], "dependency cycle: y1 -> y2 -> y1"),
+            (vec![late_cycle], "dependency cycle: y1 -> y2 -> y1"),
             (
                 vec![bad_sql],
                 "parse error: parse error at line 2, column 8: expected identifier, found \

@@ -12,8 +12,8 @@
 //! catalog-complete workloads, which the integration tests assert.
 
 use crate::error::LineageError;
-use crate::infer::{run_deferral_stack, LineageResult, StackExtraction};
-use crate::model::{LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryLineage};
+use crate::infer::{assemble_graph, run_deferral_stack, LineageResult, StackExtraction};
+use crate::model::{OutputColumn, QueryKind, QueryLineage};
 use crate::preprocess::{QueryDict, QueryEntry};
 use lineagex_catalog::{DbError, PlanNode, SimulatedDatabase, SourceColumn};
 use lineagex_sqlparse::ast::{Ident, Statement};
@@ -51,47 +51,19 @@ impl ExplainPathExtractor {
     }
 
     /// Run extraction over every entry, in log order, on the deferral
-    /// stack ([`run_deferral_stack`]).
+    /// stack ([`run_deferral_stack`]), and assemble the graph: every
+    /// relation the connection knows, views the log created included,
+    /// settles under the node rule ([`assemble_graph`]).
     pub fn run(mut self) -> Result<LineageResult, LineageError> {
         let ids: Vec<String> = self.qd.ids().map(String::from).collect();
         run_deferral_stack(&mut self, ids)?;
-
-        let mut graph = LineageGraph::default();
-        for schema in self.db.catalog().relations() {
-            // Every relation the connection knows becomes a node; views
-            // created from QD entries are replaced below with richer kinds.
-            let kind = if schema.is_view() { NodeKind::View } else { NodeKind::BaseTable };
-            graph.nodes.insert(
-                schema.name.clone(),
-                Arc::new(Node {
-                    name: schema.name.clone(),
-                    kind,
-                    columns: schema.column_names().map(String::from).collect(),
-                }),
-            );
-        }
-        for (id, lineage) in &self.processed {
-            let kind = match lineage.kind {
-                QueryKind::View { .. } => NodeKind::View,
-                QueryKind::TableAs | QueryKind::Insert | QueryKind::Update => NodeKind::Table,
-                QueryKind::Select => NodeKind::QueryResult,
-            };
-            graph.nodes.insert(
-                id.clone(),
-                Arc::new(Node {
-                    name: id.clone(),
-                    kind,
-                    columns: lineage.outputs.iter().map(|o| o.name.clone()).collect(),
-                }),
-            );
-        }
-        graph.queries = self.processed.into();
-        graph.order = self.order.into();
+        let inferred = BTreeMap::new();
+        let graph = assemble_graph(self.db.catalog(), self.processed.into(), &inferred, self.order);
         Ok(LineageResult {
             graph,
             traces: BTreeMap::new(),
             deferrals: self.deferrals,
-            inferred: BTreeMap::new(),
+            inferred,
             diagnostics: self.qd.diagnostics,
             index: Default::default(),
         })

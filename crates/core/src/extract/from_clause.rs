@@ -189,8 +189,7 @@ impl Extractor<'_> {
 
                 // Unknown external table: schema inferred from usage.
                 self.tables.insert(base.clone());
-                if !self.inferred.contains_key(&base) {
-                    self.inferred.insert(base.clone(), BTreeSet::new());
+                if self.record_inferred(&base, None) {
                     self.diagnostics.push(
                         Diagnostic::new(
                             DiagnosticCode::UnknownRelation,

@@ -55,6 +55,9 @@ pub(crate) struct Extractor<'e> {
     pub options: &'e ExtractOptions,
     /// Engine-level usage-inferred schemas of external tables.
     pub inferred: &'e mut BTreeMap<String, BTreeSet<String>>,
+    /// What this extraction added to `inferred`, in order: a relation
+    /// key it created (`None`) or a column it added to one.
+    pub inferred_added: Vec<(String, Option<String>)>,
     /// `C_ref` accumulator for this query.
     pub cref: BTreeSet<SourceColumn>,
     /// Table lineage `T` accumulator.
@@ -87,6 +90,7 @@ impl<'e> Extractor<'e> {
             catalog,
             options,
             inferred,
+            inferred_added: Vec::new(),
             cref: BTreeSet::new(),
             tables: BTreeSet::new(),
             ctes: Vec::new(),

@@ -278,6 +278,23 @@ impl Extractor<'_> {
         );
     }
 
+    /// Add `relation`, and `column` when given, to the usage-inferred
+    /// schemas, logging each addition in `inferred_added` so a deferred
+    /// attempt can give it back. Returns whether anything was new.
+    pub(crate) fn record_inferred(&mut self, relation: &str, column: Option<&str>) -> bool {
+        let created = !self.inferred.contains_key(relation);
+        if created {
+            self.inferred.insert(relation.to_string(), BTreeSet::new());
+            self.inferred_added.push((relation.to_string(), None));
+        }
+        let Some(column) = column else { return created };
+        let added = self.inferred.get_mut(relation).is_some_and(|set| set.insert(column.into()));
+        if added {
+            self.inferred_added.push((relation.to_string(), Some(column.to_string())));
+        }
+        added
+    }
+
     /// Record a usage-inferred column on an external relation.
     pub(crate) fn infer_column(
         &mut self,
@@ -285,8 +302,7 @@ impl Extractor<'_> {
         column: &str,
         span: Option<Span>,
     ) -> BTreeSet<SourceColumn> {
-        let set = self.inferred.entry(relation.to_string()).or_default();
-        if set.insert(column.to_string()) {
+        if self.record_inferred(relation, Some(column)) {
             let mut diagnostic = Diagnostic::new(
                 DiagnosticCode::InferredColumn,
                 format!("inferred column {relation}.{column} from usage"),

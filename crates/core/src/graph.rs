@@ -1346,8 +1346,12 @@ mod tests {
         let first = cache.get_or_build(&g);
         let second = cache.get_or_build(&g);
         assert!(Arc::ptr_eq(&first, &second), "unchanged graph must reuse the index");
-        // A structural change (retract one query) rebuilds.
+        // A structural change (retract one query, settle its node)
+        // rebuilds.
         assert_eq!(g.retract_queries(&BTreeSet::from(["top".to_string()])).len(), 1);
+        let LineageGraph { nodes, queries, .. } = &mut g;
+        let no_catalog = lineagex_catalog::Catalog::new();
+        crate::infer::assemble_nodes(nodes, ["top"], &no_catalog, queries, &Default::default());
         let third = cache.get_or_build(&g);
         assert!(!Arc::ptr_eq(&first, &third), "changed graph must rebuild");
         assert_eq!(third.lookup_relation("top"), None);

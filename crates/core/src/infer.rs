@@ -142,7 +142,7 @@ impl StackExtraction for InferenceEngine<'_> {
 
     fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
         let entry = self.qd.get(id).expect("id comes from the dictionary");
-        let (lineage, trace) = extract_entry(
+        let (lineage, trace, _) = extract_entry(
             entry,
             &self.qd_ids,
             &self.processed,
@@ -279,6 +279,10 @@ pub fn cycle_stub(entry: &QueryEntry, path: &[String]) -> QueryLineage {
     )
 }
 
+/// Usage-inferred schemas of external relations: each relation with the
+/// columns its scans showed.
+pub type InferredSchemas = BTreeMap<String, BTreeSet<String>>;
+
 /// Extract one Query-Dictionary entry in isolation.
 ///
 /// This is the unit of work the [`InferenceEngine`] drives via its
@@ -286,18 +290,37 @@ pub fn cycle_stub(entry: &QueryEntry, path: &[String]) -> QueryLineage {
 /// (`lineagex-engine`) can re-extract a single view without re-running
 /// the whole log. `processed` must already contain the lineage of every
 /// dictionary entry this one scans, or the call returns
-/// [`LineageError::MissingDependency`]; `inferred` accumulates
-/// usage-inferred schemas of external relations.
+/// [`LineageError::MissingDependency`]. `inferred` accumulates
+/// usage-inferred schemas of external relations: an extraction returns
+/// what it added there (the relations it created, each with the columns
+/// it added) as the third item, and an attempt that fails, a deferred
+/// one included, takes its additions back out, so its retry reports
+/// them again.
 pub fn extract_entry(
     entry: &QueryEntry,
     qd_ids: &BTreeSet<String>,
     processed: &BTreeMap<String, Arc<QueryLineage>>,
     catalog: &Catalog,
     options: &ExtractOptions,
-    inferred: &mut BTreeMap<String, BTreeSet<String>>,
-) -> Result<(QueryLineage, Option<TraceLog>), LineageError> {
-    match try_extract_entry(entry, qd_ids, processed, catalog, options, inferred) {
-        Ok(done) => Ok(done),
+    inferred: &mut InferredSchemas,
+) -> Result<(QueryLineage, Option<TraceLog>, InferredSchemas), LineageError> {
+    let mut extractor =
+        Extractor::new(entry.id.clone(), qd_ids, processed, catalog, options, inferred);
+    let extracted = extractor.extract(entry.query()).and_then(|outputs| {
+        Ok(QueryLineage {
+            id: entry.id.clone(),
+            kind: entry.kind.clone(),
+            outputs: apply_output_names(entry, outputs, catalog)?,
+            cref: std::mem::take(&mut extractor.cref),
+            tables: std::mem::take(&mut extractor.tables),
+            diagnostics: std::mem::take(&mut extractor.diagnostics),
+            partial: extractor.partial,
+        })
+    });
+    let (trace, added) = (extractor.trace.take(), std::mem::take(&mut extractor.inferred_added));
+    drop(extractor); // release &mut inferred
+    let extracted = match extracted {
+        Ok(lineage) => Ok((lineage, trace)),
         // The deferral/scheduling machinery consumes this one; it must
         // propagate even in lenient mode.
         Err(error @ LineageError::MissingDependency { .. }) => Err(error),
@@ -313,37 +336,29 @@ pub fn extract_entry(
             Ok((failure_stub(entry, diagnostic), None))
         }
         Err(error) => Err(error),
-    }
-}
-
-fn try_extract_entry(
-    entry: &QueryEntry,
-    qd_ids: &BTreeSet<String>,
-    processed: &BTreeMap<String, Arc<QueryLineage>>,
-    catalog: &Catalog,
-    options: &ExtractOptions,
-    inferred: &mut BTreeMap<String, BTreeSet<String>>,
-) -> Result<(QueryLineage, Option<TraceLog>), LineageError> {
-    let mut extractor =
-        Extractor::new(entry.id.clone(), qd_ids, processed, catalog, options, inferred);
-    let outputs = extractor.extract(entry.query())?;
-    let trace = extractor.trace.take();
-    let cref = std::mem::take(&mut extractor.cref);
-    let tables = std::mem::take(&mut extractor.tables);
-    let diagnostics = std::mem::take(&mut extractor.diagnostics);
-    let partial = extractor.partial;
-    drop(extractor); // release &mut inferred
-    let outputs = apply_output_names(entry, outputs, catalog)?;
-    let lineage = QueryLineage {
-        id: entry.id.clone(),
-        kind: entry.kind.clone(),
-        outputs,
-        cref,
-        tables,
-        diagnostics,
-        partial,
     };
-    Ok((lineage, trace))
+    match extracted {
+        Ok((lineage, trace)) => {
+            let mut delta = InferredSchemas::new();
+            for (relation, column) in added {
+                delta.entry(relation).or_default().extend(column);
+            }
+            Ok((lineage, trace, delta))
+        }
+        Err(error) => {
+            for (relation, column) in added.into_iter().rev() {
+                match column {
+                    Some(column) => {
+                        inferred.get_mut(&relation).map(|columns| columns.remove(&column));
+                    }
+                    None => {
+                        inferred.remove(&relation);
+                    }
+                }
+            }
+            Err(error)
+        }
+    }
 }
 
 /// Rename outputs by the declared column list (`CREATE VIEW v(a, b)`,
@@ -371,60 +386,122 @@ fn apply_output_names(
     Ok(outputs)
 }
 
-/// Build the relation-node map of a lineage graph from its three sources:
-/// catalog relations, extracted query lineage (which shadows catalog
-/// entries of the same name — the dictionary definition is fresher), and
-/// usage-inferred externals (which never shadow anything).
-pub fn assemble_nodes(
+/// The node rule of every lineage graph: settle the relation node of
+/// each key in `keys`, and of its base relation and the base's `base#N`
+/// writers, on `nodes`. A key's node comes from the first source that
+/// has it:
+///
+/// 1. its query in `queries`: the query's node kind and output columns.
+///    An INSERT/UPDATE touches a subset of its target's columns, so its
+///    node extends the base's columns (the base's query node, else the
+///    base's catalog relation) with its own;
+/// 2. a catalog relation of exactly that name: a base-table or view node;
+/// 3. a usage-inferred external in `inferred`: an external node;
+///
+/// and a key none of them has loses its node. Settling every key
+/// (catalog relations, queries and inferred externals) on an empty map
+/// assembles a graph's node map ([`assemble_graph`]); a session settles
+/// only the keys its writes touched.
+pub fn assemble_nodes<'a>(
+    nodes: &mut SharedMap<String, Arc<Node>>,
+    keys: impl IntoIterator<Item = &'a str>,
     catalog: &Catalog,
-    processed: &SharedMap<String, Arc<QueryLineage>>,
+    queries: &'a SharedMap<String, Arc<QueryLineage>>,
     inferred: &BTreeMap<String, BTreeSet<String>>,
-) -> SharedMap<String, Arc<Node>> {
-    let mut nodes: SharedMap<String, Arc<Node>> = SharedMap::new();
-
-    // Catalog relations become base-table / view nodes.
-    for schema in catalog.relations() {
-        let kind = if schema.is_view() { NodeKind::View } else { NodeKind::BaseTable };
-        nodes.insert(
-            schema.name.clone(),
-            Arc::new(Node {
-                name: schema.name.clone(),
-                kind,
-                columns: schema.column_names().map(String::from).collect(),
-            }),
-        );
+) {
+    let base_of = |key: &'a str| key.split('#').next().unwrap_or(key);
+    let mut settle: Vec<&str> = Vec::new();
+    for key in keys {
+        settle.push(key);
+        if base_of(key) != key {
+            settle.push(base_of(key));
+        }
     }
-    // Query results become view/table/query nodes.
-    for (id, lineage) in processed {
-        let mut columns: Vec<String> = lineage.outputs.iter().map(|o| o.name.clone()).collect();
-        // INSERT/UPDATE touch a subset of the target's columns; keep
-        // the full schema on the node when the catalog knows it.
-        if matches!(lineage.kind, QueryKind::Insert | QueryKind::Update) {
-            if let Some(existing) = nodes.get(id.split('#').next().unwrap_or(id)) {
-                let mut merged = existing.columns.clone();
-                for c in columns {
-                    if !merged.contains(&c) {
-                        merged.push(c);
-                    }
-                }
-                columns = merged;
+    settle.sort_unstable();
+    settle.dedup();
+    for key in settle {
+        // One lookup finds the key's query and, right after it, its
+        // writers: the ids that continue `key` with `#` (ids continuing
+        // it with a lower byte sort in between).
+        let mut following = queries.range_from(key).peekable();
+        let query = following.next_if(|(id, _)| id.as_str() == key).map(|(_, lineage)| lineage);
+        if base_of(key) != key {
+            // A writer's query settles with its base, below.
+            if query.is_none() {
+                settle_node(nodes, key, None, catalog, queries, inferred);
             }
+            continue;
         }
-        let kind = NodeKind::for_query(&lineage.kind);
-        nodes.insert(id.clone(), Arc::new(Node { name: id.clone(), kind, columns }));
-    }
-    // Usage-inferred externals.
-    for (name, columns) in inferred {
-        if !nodes.contains_key(name) {
-            let columns = columns.iter().cloned().collect();
-            let node = Node { name: name.clone(), kind: NodeKind::External, columns };
-            nodes.insert(name.clone(), Arc::new(node));
+        settle_node(nodes, key, query, catalog, queries, inferred);
+        let writers = following
+            .take_while(|(id, _)| {
+                id.strip_prefix(key).and_then(|rest| rest.bytes().next()).is_some_and(|b| b <= b'#')
+            })
+            .filter(|(id, _)| id.as_bytes()[key.len()] == b'#');
+        for (writer, lineage) in writers {
+            settle_node(nodes, writer, Some(lineage), catalog, queries, inferred);
         }
     }
-    nodes
 }
 
-/// Assemble a full [`LineageGraph`] from extracted per-query lineage.
+/// Settle one key's node under [`assemble_nodes`]' rule; a writer's base
+/// must be settled first.
+fn settle_node(
+    nodes: &mut SharedMap<String, Arc<Node>>,
+    key: &str,
+    query: Option<&Arc<QueryLineage>>,
+    catalog: &Catalog,
+    queries: &SharedMap<String, Arc<QueryLineage>>,
+    inferred: &BTreeMap<String, BTreeSet<String>>,
+) {
+    let catalog_relation = |name: &str| catalog.get(name).filter(|schema| schema.name == name);
+    let node = if let Some(lineage) = query {
+        let mut columns: Vec<String> = lineage.outputs.iter().map(|o| o.name.clone()).collect();
+        if matches!(lineage.kind, QueryKind::Insert | QueryKind::Update) {
+            let base = key.split('#').next().unwrap_or(key);
+            let target = if base != key && queries.contains_key(base) {
+                nodes.get(base).map(|node| node.columns.clone())
+            } else {
+                catalog_relation(base)
+                    .map(|schema| schema.column_names().map(String::from).collect())
+            };
+            if let Some(mut target) = target {
+                for column in columns {
+                    if !target.contains(&column) {
+                        target.push(column);
+                    }
+                }
+                columns = target;
+            }
+        }
+        Some(Node { name: key.to_string(), kind: NodeKind::for_query(&lineage.kind), columns })
+    } else if let Some(schema) = catalog_relation(key) {
+        let kind = if schema.is_view() { NodeKind::View } else { NodeKind::BaseTable };
+        Some(Node {
+            name: schema.name.clone(),
+            kind,
+            columns: schema.column_names().map(String::from).collect(),
+        })
+    } else {
+        inferred.get(key).map(|columns| Node {
+            name: key.to_string(),
+            kind: NodeKind::External,
+            columns: columns.iter().cloned().collect(),
+        })
+    };
+    match node {
+        Some(node) => {
+            nodes.insert(key.to_string(), Arc::new(node));
+        }
+        None => {
+            nodes.remove(key);
+        }
+    }
+}
+
+/// Assemble a full [`LineageGraph`] from extracted per-query lineage,
+/// settling the node of every catalog relation, query and inferred
+/// external ([`assemble_nodes`]).
 ///
 /// `order` must list the keys of `processed` in a dependency-consistent
 /// order (upstream before downstream); both the one-shot pipeline and the
@@ -435,7 +512,16 @@ pub fn assemble_graph(
     inferred: &BTreeMap<String, BTreeSet<String>>,
     order: Vec<String>,
 ) -> LineageGraph {
-    let nodes = assemble_nodes(catalog, &processed, inferred);
+    let mut nodes = SharedMap::new();
+    let keys = catalog.relations().map(|schema| schema.name.as_str());
+    let keys = keys.chain(processed.keys().map(String::as_str));
+    assemble_nodes(
+        &mut nodes,
+        keys.chain(inferred.keys().map(String::as_str)),
+        catalog,
+        &processed,
+        inferred,
+    );
     LineageGraph { nodes, queries: processed, order: order.into() }
 }
 

@@ -72,7 +72,7 @@ pub use graph::{ColumnId, GraphIndex, GraphIndexCache, Interner, RelationId, Sym
 pub use impact::ImpactReport;
 pub use infer::{
     assemble_graph, assemble_nodes, cycle_stub, extract_entry, run_deferral_stack, InferenceEngine,
-    LineageResult, StackExtraction,
+    InferredSchemas, LineageResult, StackExtraction,
 };
 pub use lineagex_sqlparse::DialectKind;
 pub use model::{

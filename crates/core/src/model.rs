@@ -242,18 +242,13 @@ pub struct LineageGraph {
 
 impl LineageGraph {
     /// Merge one query's lineage into the graph: upsert its lineage record
-    /// and relation node, and append it to the processing order if new.
+    /// and append it to the processing order if new.
     ///
-    /// The node carries the query's direct output columns; the
-    /// INSERT/UPDATE full-schema merge and catalog/external shadowing
-    /// rules live in [`crate::infer::assemble_nodes`], which incremental
-    /// callers run once per batch of merges to settle the node map.
+    /// The node map is left alone: the node rule
+    /// ([`crate::infer::assemble_nodes`]) settles it, and incremental
+    /// callers run it once over the keys a batch of merges touched.
     pub fn merge_query(&mut self, lineage: impl Into<Arc<QueryLineage>>) {
         let lineage = lineage.into();
-        let kind = NodeKind::for_query(&lineage.kind);
-        let columns = lineage.outputs.iter().map(|o| o.name.clone()).collect();
-        self.nodes
-            .insert(lineage.id.clone(), Arc::new(Node { name: lineage.id.clone(), kind, columns }));
         // A query has an `order` slot exactly when it has a lineage
         // record (merge, retract and assembly keep the two in step), so
         // the map answers "is it new?" without scanning the order.
@@ -264,19 +259,14 @@ impl LineageGraph {
     }
 
     /// Retract every query in `ids` from the graph: remove its lineage
-    /// record, its relation node, and its slot in the processing order,
-    /// with one pass over the order for the whole set. Returns the
-    /// removed lineages in id order; ids that were not queries are
-    /// skipped.
+    /// record and its slot in the processing order, with one pass over
+    /// the order for the whole set. Returns the removed lineages in id
+    /// order; ids that were not queries are skipped. Like
+    /// [`LineageGraph::merge_query`], it leaves the node map to
+    /// [`crate::infer::assemble_nodes`].
     pub fn retract_queries(&mut self, ids: &BTreeSet<String>) -> Vec<Arc<QueryLineage>> {
-        let removed: Vec<Arc<QueryLineage>> = ids
-            .iter()
-            .filter_map(|id| {
-                let lineage = self.queries.remove(id)?;
-                self.nodes.remove(id);
-                Some(lineage)
-            })
-            .collect();
+        let removed: Vec<Arc<QueryLineage>> =
+            ids.iter().filter_map(|id| self.queries.remove(id)).collect();
         if !removed.is_empty() {
             // Only queries hold an order slot, so matching against the
             // whole set drops exactly the removed ones.
@@ -776,7 +766,6 @@ pub(crate) mod tests {
         let v = BTreeSet::from(["v".to_string()]);
         let retracted = g.retract_queries(&v).pop().unwrap();
         assert!(g.queries.is_empty());
-        assert!(!g.nodes.contains_key("v"));
         assert!(g.order.is_empty());
         assert!(g.retract_queries(&v).is_empty());
         g.merge_query(retracted);
@@ -816,8 +805,8 @@ pub(crate) mod tests {
         assert_eq!(at_once.order, kept);
         assert!(kept.iter().all(|id| at_once.queries[id] == graph.queries[id]));
         assert_eq!(at_once.queries.len(), kept.len());
-        assert_eq!(at_once.nodes.len(), graph.nodes.len() - removed.len());
-        assert!(removed.iter().all(|q| !at_once.nodes.contains_key(&q.id)));
+        // The node map is the node rule's to settle.
+        assert_eq!(at_once.nodes, graph.nodes);
         assert!(at_once.retract_queries(&ids).is_empty(), "a second pass finds nothing");
     }
 

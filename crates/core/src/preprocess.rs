@@ -366,7 +366,9 @@ impl QueryDict {
             };
             match preprocessed {
                 PreprocessedStatement::Entry(entry) => dict.push(*entry, lenient)?,
-                PreprocessedStatement::Schema(schema) => dict.ddl_catalog.add_or_replace(schema),
+                PreprocessedStatement::Schema(schema) => {
+                    dict.ddl_catalog.add_or_replace(schema);
+                }
                 PreprocessedStatement::Drop(names, span) => dict.diagnostics.push(
                     Diagnostic::new(
                         DiagnosticCode::SkippedStatement,

@@ -5,11 +5,11 @@ use crate::schedule::{components, run_tasks};
 use crate::stats::{EngineStats, IngestAction, PublishSplit, StmtId};
 use lineagex_catalog::Catalog;
 use lineagex_core::{
-    assemble_nodes, cycle_stub, extract_entry, preprocess_statement, run_deferral_stack,
-    Diagnostic, DiagnosticCode, ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot,
-    ImpactReport, LineageError, LineageGraph, LineageResult, LineageView, Node, NodeKind,
-    PreprocessedStatement, QueryDict, QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2,
-    SharedMap, SnapshotEntry, SourceColumn, StackExtraction, TraceLog,
+    assemble_graph, assemble_nodes, cycle_stub, extract_entry, preprocess_statement,
+    run_deferral_stack, Diagnostic, DiagnosticCode, ExtractOptions, GraphIndex, GraphIndexCache,
+    GraphSnapshot, ImpactReport, InferredSchemas, LineageError, LineageGraph, LineageResult,
+    LineageView, PreprocessedStatement, QueryDict, QueryEntry, QueryKind, QueryLineage, QuerySpec,
+    ReportV2, SharedMap, SnapshotEntry, SourceColumn, StackExtraction, TraceLog,
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
 use lineagex_sqlparse::ast::{SpannedStatement, Statement};
@@ -294,13 +294,12 @@ pub struct Engine {
     /// Running count of partial queries on the settled graph, kept the
     /// same way and published with each snapshot.
     partial_queries: usize,
-    /// Whether `graph.nodes` is up to date enough for *incremental*
-    /// resettling. Starts `false` (the first refresh always assembles in
-    /// full) and drops back to `false` on the rare mutations whose node
-    /// fallout isn't cone-shaped: catalog changes and `DROP`
-    /// retractions. Steady-state view churn keeps it `true`, so a
-    /// refresh only touches nodes in the dirty cone.
-    nodes_settled: bool,
+    /// Node-map keys a write changed outside the dirty cone: catalog
+    /// relations added, replaced or removed (both spellings of a
+    /// replacement that differs only in case), `DROP`ped entries and the
+    /// externals they inferred. The next refresh settles them with the
+    /// cone and the inferred-schema keys it touched ([`assemble_nodes`]).
+    dirty_nodes: BTreeSet<String>,
     anon_counter: usize,
     seq: u64,
     /// The ingest position the next new entry takes.
@@ -327,7 +326,9 @@ impl Engine {
 
     /// Provide base-table schemas up front.
     pub fn with_catalog(mut self, catalog: Catalog) -> Self {
-        self.catalog = catalog;
+        let old = std::mem::replace(&mut self.catalog, catalog);
+        let names = old.relations().chain(self.catalog.relations()).map(|s| s.name.clone());
+        self.dirty_nodes.extend(names);
         self
     }
 
@@ -339,8 +340,10 @@ impl Engine {
     pub fn merge_catalog(&mut self, catalog: Catalog) {
         for schema in catalog.relations() {
             self.dirty_relations.insert(normalize(&schema.name));
-            self.catalog.add_or_replace(schema.clone());
-            self.nodes_settled = false;
+            self.dirty_nodes.insert(schema.name.clone());
+            if let Some(old) = self.catalog.add_or_replace(schema.clone()) {
+                self.dirty_nodes.insert(old.name);
+            }
         }
     }
 
@@ -457,15 +460,11 @@ impl Engine {
     ) -> (String, IngestAction, Vec<Diagnostic>) {
         // Catalog effects first (plain DDL adds/replaces, DROP removes),
         // via the catalog's own incremental API; every reported change
-        // seeds relation-level dirt.
+        // seeds relation-level dirt and dirties its node.
         let catalog_changes = self.catalog.apply_statement(&stmt.statement);
         for change in &catalog_changes {
             self.dirty_relations.insert(normalize(change.relation()));
-        }
-        if !catalog_changes.is_empty() {
-            // Catalog fallout isn't cone-shaped (a schema can shadow or
-            // unshadow any node), so the next refresh assembles in full.
-            self.nodes_settled = false;
+            self.dirty_nodes.insert(change.relation().to_string());
         }
         let preprocessed = {
             let entries = &self.entries;
@@ -509,9 +508,11 @@ impl Engine {
                         // directly (no refresh will run unless something
                         // is dirty): a new revision.
                         self.graph_revision += 1;
-                        self.nodes_settled = false;
+                        self.dirty_nodes.insert(name.clone());
                         self.traces.remove(name);
-                        self.inferred_by_query.remove(name);
+                        if let Some(delta) = self.inferred_by_query.remove(name) {
+                            self.dirty_nodes.extend(delta.into_keys());
+                        }
                         self.dirty_entries.remove(name);
                         self.dirty_relations.insert(normalize(name));
                         dropped.insert(name.clone());
@@ -593,14 +594,15 @@ impl Engine {
     ///
     /// Every step is proportional to the touched cone, never the whole
     /// catalog: closure walks the reverse-dependency index, the stack
-    /// walks only the cone, and node settling re-derives only nodes the
-    /// cone (or its inferred-schema fallout) could have changed.
+    /// walks only the cone, and node settling re-derives only the nodes
+    /// of the cone, of the inferred-schema keys it touched, and of the
+    /// keys catalog changes and drops dirtied.
     ///
     /// On error, successfully extracted entries are kept and the failing
     /// ones (plus anything the stack had not reached) stay dirty, so a
     /// correcting ingest can retry.
     pub fn refresh(&mut self) -> Result<usize, LineageError> {
-        if self.dirty_entries.is_empty() && self.dirty_relations.is_empty() {
+        if !self.has_pending_work() {
             return Ok(0);
         }
         let _timer = self.metrics.refresh_us.time();
@@ -636,7 +638,7 @@ impl Engine {
         // 3. Retract everything about to be re-extracted so stale lineage
         //    can never leak into a dependent's extraction (one pass over
         //    the processing order for the whole cone). Inferred-schema
-        //    keys the retractions touched feed the node resettle below.
+        //    keys the retractions touched feed the node settle below.
         self.retract_lineage(&dirty);
         let mut inferred_touched: BTreeSet<String> = BTreeSet::new();
         for id in &dirty {
@@ -648,10 +650,11 @@ impl Engine {
 
         // 4. Partition the cone into connected components and extract
         //    each on the deferral stack; clean upstreams are already
-        //    settled in the graph. Components share nothing, so the
+        //    settled in the graph. A component reads only settled
+        //    lineage and its own copy of the inferred schemas, so the
         //    workers run across components, one task each.
         let comps = components(&dirty, |id| self.entries[id].deps.clone());
-        let base_inferred = self.merged_inferred();
+        let mut inferred = self.merged_inferred();
         let outcomes = {
             let comps = &comps;
             let entries = &self.entries;
@@ -659,7 +662,7 @@ impl Engine {
             let qd_ids = &self.qd_ids;
             let catalog = &self.catalog;
             let options = &self.options.extract;
-            let base_inferred = &base_inferred;
+            let base_inferred = &inferred;
             run_tasks(comps.len(), self.options.jobs, move |ci| {
                 let mut run = ComponentRun::new(
                     &comps[ci],
@@ -672,12 +675,21 @@ impl Engine {
                 );
                 let mut roots: Vec<&String> = comps[ci].iter().collect();
                 roots.sort_by_key(|id| entries[id.as_str()].pos);
-                let failure = run_deferral_stack(&mut run, roots.into_iter().cloned()).err();
+                let failure = run_deferral_stack(&mut run, roots.iter().map(|id| (*id).clone()))
+                    .err()
+                    .map(|error| {
+                        // Where the stack stopped: the first root, in
+                        // ingest order, it did not finish.
+                        let root = roots.iter().find(|id| !run.is_done(id));
+                        (root.map_or(u64::MAX, |id| entries[id.as_str()].pos), error)
+                    });
                 (run.extracted, failure)
             })
         };
         let mut extracted = 0u64;
-        let mut failure: Option<LineageError> = None;
+        // The failure a log-order run meets first: the one whose
+        // failing root comes first in ingest order.
+        let mut failure: Option<(u64, LineageError)> = None;
         for (done, error) in outcomes {
             for Extracted { id, lineage, trace, delta } in done {
                 extracted += 1;
@@ -687,31 +699,41 @@ impl Engine {
                     self.traces.insert(id.clone(), trace);
                 }
                 if !delta.is_empty() {
-                    inferred_touched.extend(delta.keys().cloned());
+                    for (relation, columns) in &delta {
+                        inferred_touched.insert(relation.clone());
+                        inferred
+                            .entry(relation.clone())
+                            .or_default()
+                            .extend(columns.iter().cloned());
+                    }
                     self.inferred_by_query.insert(id.clone(), delta);
                 }
                 self.last_refresh_ids.push(id);
             }
-            if let Some(error) = error {
-                failure.get_or_insert(error);
+            if let Some((pos, error)) = error {
+                if failure.as_ref().is_none_or(|(first, _)| pos < *first) {
+                    failure = Some((pos, error));
+                }
             }
         }
 
-        // 5. Settle the node map (catalog / query / external shadowing).
-        //    Steady-state view churn resettles only the touched keys;
-        //    catalog changes and drops fall back to one full assembly
-        //    (and re-arm the incremental path).
-        if self.nodes_settled {
-            self.resettle_nodes(&dirty, inferred_touched);
-        } else {
-            let nodes = assemble_nodes(&self.catalog, &self.graph.queries, &self.merged_inferred());
-            self.graph_mut().nodes = nodes;
-            self.nodes_settled = true;
-        }
+        // 5. Settle the nodes this refresh and the writes before it could
+        //    have changed (`inferred` is now the merged inferred schemas).
+        let dirty_nodes = std::mem::take(&mut self.dirty_nodes);
+        self.unshare_graph();
+        let graph = Arc::get_mut(&mut self.graph).expect("unshared above");
+        let keys = dirty.iter().chain(&inferred_touched).chain(&dirty_nodes);
+        assemble_nodes(
+            &mut graph.nodes,
+            keys.map(String::as_str),
+            &self.catalog,
+            &graph.queries,
+            &inferred,
+        );
         debug_assert_eq!(
             self.graph.nodes,
-            assemble_nodes(&self.catalog, &self.graph.queries, &self.merged_inferred()),
-            "incremental node settle must match full assembly"
+            assemble_graph(&self.catalog, self.graph.queries.clone(), &inferred, Vec::new()).nodes,
+            "the maintained node map must match a settle of every key"
         );
         debug_assert_eq!(
             self.graph_diag_count,
@@ -734,7 +756,7 @@ impl Engine {
                 self.dirty_relations.clear();
                 Ok(extracted as usize)
             }
-            Some(error) => {
+            Some((_, error)) => {
                 self.dirty_entries =
                     dirty.into_iter().filter(|id| !self.graph.queries.contains_key(id)).collect();
                 self.dirty_relations.clear();
@@ -775,81 +797,6 @@ impl Engine {
             _ => Err(LineageError::Snapshot(format!(
                 "snapshot entry \"{id}\" is not a lineage query"
             ))),
-        }
-    }
-
-    /// Re-derive the node-map keys this refresh could have changed: the
-    /// dirty ids themselves, their `table#N` write clusters (a write's
-    /// node merges the base node's columns), and every relation whose
-    /// usage-inferred schema was touched. Mirrors [`assemble_nodes`]'s
-    /// shadowing rules key by key; the refresh `debug_assert` checks the
-    /// mirror against a full assembly.
-    fn resettle_nodes(&mut self, dirty: &BTreeSet<String>, inferred_touched: BTreeSet<String>) {
-        let mut touched = inferred_touched;
-        for id in dirty {
-            touched.insert(id.clone());
-            let base = id.split('#').next().unwrap_or(id).to_string();
-            let prefix = format!("{base}#");
-            for key in self
-                .graph
-                .queries
-                .range_from(base.as_str())
-                .map(|(key, _)| key)
-                .take_while(|key| **key == base || key.starts_with(&prefix))
-            {
-                touched.insert(key.clone());
-            }
-            touched.insert(base);
-        }
-        let merged = self.merged_inferred();
-        self.unshare_graph();
-        let catalog = &self.catalog;
-        let graph = Arc::get_mut(&mut self.graph).expect("unshared above");
-        for key in &touched {
-            let node = if let Some(lineage) = graph.queries.get(key) {
-                let mut columns: Vec<String> =
-                    lineage.outputs.iter().map(|o| o.name.clone()).collect();
-                if matches!(lineage.kind, QueryKind::Insert | QueryKind::Update) {
-                    // Mirror full assembly's insertion order: when the
-                    // write's base is itself a settled query it was
-                    // (re)derived before this `base#N` key (`base` sorts
-                    // first and `touched` is iterated in order);
-                    // otherwise the node the full pass consulted at that
-                    // point is the catalog's.
-                    let base = key.split('#').next().unwrap_or(key);
-                    let existing = if base != key && graph.queries.contains_key(base) {
-                        graph.nodes.get(base).map(|node| node.columns.clone())
-                    } else {
-                        catalog_node(catalog, base).map(|node| node.columns)
-                    };
-                    if let Some(existing) = existing {
-                        let mut merged_columns = existing;
-                        for column in columns {
-                            if !merged_columns.contains(&column) {
-                                merged_columns.push(column);
-                            }
-                        }
-                        columns = merged_columns;
-                    }
-                }
-                Some(Node { name: key.clone(), kind: NodeKind::for_query(&lineage.kind), columns })
-            } else if let Some(node) = catalog_node(catalog, key) {
-                Some(node)
-            } else {
-                merged.get(key).map(|columns| Node {
-                    name: key.clone(),
-                    kind: NodeKind::External,
-                    columns: columns.iter().cloned().collect(),
-                })
-            };
-            match node {
-                Some(node) => {
-                    graph.nodes.insert(key.clone(), Arc::new(node));
-                }
-                None => {
-                    graph.nodes.remove(key);
-                }
-            }
         }
     }
 
@@ -1340,7 +1287,9 @@ impl Engine {
 
     /// Whether the next refresh has work to do.
     pub fn has_pending_work(&self) -> bool {
-        !self.dirty_entries.is_empty() || !self.dirty_relations.is_empty()
+        !self.dirty_entries.is_empty()
+            || !self.dirty_relations.is_empty()
+            || !self.dirty_nodes.is_empty()
     }
 
     /// Merge the per-query inferred-schema deltas into one map.
@@ -1399,16 +1348,13 @@ impl LineageView for Engine {
     }
 }
 
-/// Inferred-schema additions of one extraction, by relation.
-type Delta = BTreeMap<String, BTreeSet<String>>;
-
 /// One entry a refresh extracted (or stubbed): its settled lineage, the
 /// optional trace, and the inferred-schema delta the extraction added.
 struct Extracted {
     id: String,
     lineage: Arc<QueryLineage>,
     trace: Option<TraceLog>,
-    delta: Delta,
+    delta: InferredSchemas,
 }
 
 /// One connected component of a refresh's dirty cone on the deferral
@@ -1419,7 +1365,8 @@ struct Extracted {
 /// `auto_inference` ablation only those ingested before the member
 /// scanning them, as the one-shot log would have processed them.
 /// Inferred schemas accumulate in `inferred` across the component, like
-/// the batch run's; a deferred attempt's additions are dropped with it.
+/// the batch run's; a deferred attempt gives its additions back
+/// ([`extract_entry`]).
 struct ComponentRun<'a> {
     members: &'a BTreeSet<String>,
     entries: &'a BTreeMap<String, EntryState>,
@@ -1466,7 +1413,13 @@ impl<'a> ComponentRun<'a> {
         }
     }
 
-    fn record(&mut self, id: &str, lineage: QueryLineage, trace: Option<TraceLog>, delta: Delta) {
+    fn record(
+        &mut self,
+        id: &str,
+        lineage: QueryLineage,
+        trace: Option<TraceLog>,
+        delta: InferredSchemas,
+    ) {
         let lineage = Arc::new(lineage);
         self.processed.insert(id.to_string(), Arc::clone(&lineage));
         self.extracted.push(Extracted { id: id.to_string(), lineage, trace, delta });
@@ -1479,17 +1432,14 @@ impl StackExtraction for ComponentRun<'_> {
     }
 
     fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
-        let mut inferred = self.inferred.clone();
-        let (lineage, trace) = extract_entry(
+        let (lineage, trace, delta) = extract_entry(
             self.entries[id].parsed(),
             self.qd_ids,
             &self.processed,
             self.catalog,
             self.options,
-            &mut inferred,
+            &mut self.inferred,
         )?;
-        let delta = inferred_delta(&self.inferred, &inferred);
-        self.inferred = inferred;
         self.record(id, lineage, trace, delta);
         Ok(())
     }
@@ -1512,48 +1462,9 @@ impl StackExtraction for ComponentRun<'_> {
             return Err(LineageError::DependencyCycle(path));
         }
         let stub = cycle_stub(self.entries[id].parsed(), &path);
-        self.record(id, stub, None, Delta::new());
+        self.record(id, stub, None, InferredSchemas::new());
         Ok(())
     }
-}
-
-/// What one extraction added to the inferred-schema map it started
-/// from. A table key with an empty column set still counts (it records
-/// the relation's existence as an external).
-fn inferred_delta(
-    before: &BTreeMap<String, BTreeSet<String>>,
-    after: &BTreeMap<String, BTreeSet<String>>,
-) -> Delta {
-    let mut delta = Delta::new();
-    for (table, columns) in after {
-        match before.get(table) {
-            None => {
-                delta.insert(table.clone(), columns.clone());
-            }
-            Some(seen) => {
-                let fresh: BTreeSet<String> = columns.difference(seen).cloned().collect();
-                if !fresh.is_empty() {
-                    delta.insert(table.clone(), fresh);
-                }
-            }
-        }
-    }
-    delta
-}
-
-/// The node a catalog relation contributes to the graph's node map,
-/// `None` when `name` is not an exact catalog key.
-fn catalog_node(catalog: &Catalog, name: &str) -> Option<Node> {
-    let schema = catalog.get(name)?;
-    if schema.name != name {
-        return None;
-    }
-    let kind = if schema.is_view() { NodeKind::View } else { NodeKind::BaseTable };
-    Some(Node {
-        name: schema.name.clone(),
-        kind,
-        columns: schema.column_names().map(String::from).collect(),
-    })
 }
 
 /// Strip any schema qualifier and lower-case, mirroring the catalog's
@@ -1565,6 +1476,41 @@ fn normalize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The settled node map, checked against a settle of every key on an
+    /// empty map.
+    fn settled_nodes(engine: &mut Engine) -> SharedMap<String, Arc<lineagex_core::Node>> {
+        let nodes = engine.graph().unwrap().nodes.clone();
+        let (queries, inferred) = (engine.graph.queries.clone(), engine.merged_inferred());
+        assert_eq!(nodes, assemble_graph(&engine.catalog, queries, &inferred, Vec::new()).nodes);
+        nodes
+    }
+
+    #[test]
+    fn a_catalog_table_respelled_in_another_case_moves_its_node() {
+        let mut engine = Engine::new();
+        engine.ingest(r#"CREATE TABLE "Web" (cid int, page text);"#).unwrap();
+        engine.ingest("CREATE VIEW v AS SELECT page FROM web;").unwrap();
+        assert_eq!(settled_nodes(&mut engine)["Web"].columns, vec!["cid", "page"]);
+        engine.ingest("CREATE TABLE web (cid int, page text, reg boolean);").unwrap();
+        let nodes = settled_nodes(&mut engine);
+        assert!(!nodes.contains_key("Web"));
+        assert_eq!(nodes["web"].kind, lineagex_core::NodeKind::BaseTable);
+        assert_eq!(nodes["web"].columns, vec!["cid", "page", "reg"]);
+    }
+
+    #[test]
+    fn dropping_a_scanned_table_leaves_an_external_node() {
+        let mut engine = Engine::new();
+        engine.ingest("CREATE TABLE web (cid int, page text);").unwrap();
+        engine.ingest("CREATE VIEW v AS SELECT w.page FROM web w;").unwrap();
+        assert_eq!(settled_nodes(&mut engine)["web"].kind, lineagex_core::NodeKind::BaseTable);
+        engine.ingest("DROP TABLE web;").unwrap();
+        let nodes = settled_nodes(&mut engine);
+        assert_eq!(nodes["web"].kind, lineagex_core::NodeKind::External);
+        assert_eq!(nodes["web"].columns, vec!["page"]);
+        assert_eq!(engine.stats().last_refresh_extractions, 1);
+    }
 
     #[test]
     fn a_component_defers_only_on_its_own_members() {

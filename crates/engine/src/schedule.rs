@@ -2,14 +2,19 @@
 //! scoped work-queue pool.
 //!
 //! Extraction of one view needs the finished lineage of everything it
-//! scans, and nothing else. [`components`] splits a refresh's dirty cone
-//! into connected components of the dependency DAG, which share nothing
-//! and extract independently; within a component the engine orders
-//! extraction with the paper's deferral stack
-//! ([`lineagex_core::run_deferral_stack`]), rooted in ingest order, on
-//! one thread. [`run_tasks`] runs the components on up to `jobs`
-//! threads, one task per component, so a one-component refresh runs on
-//! the calling thread.
+//! scans, plus the usage-inferred schemas of the unknown externals it
+//! scans. [`components`] splits a refresh's dirty cone into connected
+//! components of the dependency DAG, which extract independently;
+//! within a component the engine orders extraction with the paper's
+//! deferral stack ([`lineagex_core::run_deferral_stack`]), rooted in
+//! ingest order, on one thread. [`run_tasks`] runs the components on up
+//! to `jobs` threads, one task per component, so a one-component
+//! refresh runs on the calling thread.
+//!
+//! Components share the settled lineage they read, but each extracts
+//! against its own copy of the inferred schemas. So an unknown external
+//! that two components scan is reported (`unknown-relation`) in each,
+//! where a log-order run over the same log reports it once.
 //!
 //! Both execution modes run the exact same algorithm — `jobs <= 1` just
 //! skips the thread spawns — so parallel output is byte-identical to
@@ -24,9 +29,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// produces the same merge order no matter how they executed.
 ///
 /// Two nodes sharing only an *out-of-set* dependency (say, a base table)
-/// are **not** connected: nothing about one's extraction can influence
-/// the other, which is exactly the independence component-sharded
-/// extraction exploits.
+/// are **not** connected: neither reads the other's lineage, which is
+/// the independence component-sharded extraction exploits. One thing
+/// still crosses components: when the shared dependency is an unknown
+/// external, each component infers its schema on its own, so each
+/// reports it (see the module docs).
 pub fn components(
     nodes: &BTreeSet<String>,
     mut deps_of: impl FnMut(&str) -> BTreeSet<String>,

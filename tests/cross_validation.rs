@@ -21,6 +21,10 @@ fn assert_paths_agree(static_result: &LineageResult, connected: &LineageResult) 
         assert_eq!(qs.cref, qc.cref, "{id}: C_ref disagrees");
         assert_eq!(qs.tables, qc.tables, "{id}: table lineage disagrees");
     }
+    assert_eq!(static_result.graph.nodes.len(), connected.graph.nodes.len());
+    for (key, ns) in &static_result.graph.nodes {
+        assert_eq!(Some(ns), connected.graph.nodes.get(key), "{key}: nodes disagree");
+    }
 }
 
 #[test]

@@ -95,6 +95,8 @@ fn explain_path_agrees_on_update() {
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.cref, b.cref);
     assert_eq!(a.tables, b.tables);
+    // Both paths keep the target's full schema on the UPDATE's node.
+    assert_eq!(static_result.graph.nodes, connected.graph.nodes);
 }
 
 #[test]

@@ -5,9 +5,11 @@
 //! that re-extracts one component's cone must publish a revision that
 //! copies only the leaves holding that component's keys: every other
 //! leaf of the query map, the node map and the processing order is the
-//! previous revision's own, pointer for pointer. The containers'
-//! behaviour against `BTreeMap`/`Vec` is proptested in the core crate
-//! (`cargo test -p lineagex-core shared`).
+//! previous revision's own, pointer for pointer. A write that changes
+//! the catalog or drops a view settles only the nodes of the keys it
+//! touched, so it copies only the node leaves around those keys. The
+//! containers' behaviour against `BTreeMap`/`Vec` is proptested in the
+//! core crate (`cargo test -p lineagex-core shared`).
 
 use lineagex::core::SharedMap;
 use lineagex::datasets::{generate_scaled, ScaleConfig};
@@ -37,12 +39,37 @@ fn copied<V>(old: &SharedMap<String, V>, new: &SharedMap<String, V>) -> usize {
     new.leaves().filter(|leaf| !old.leaves().any(|o| o.as_ptr() == leaf.as_ptr())).count()
 }
 
-#[test]
-fn a_one_view_write_shares_every_leaf_outside_its_component() {
-    // 10 components of 200 views each.
+/// Leaves of `old` whose key range (from their first key up to the next
+/// leaf's first key) holds none of `keys` must be leaves of `new`;
+/// returns how many there are.
+fn kept_outside<V>(old: &SharedMap<String, V>, new: &SharedMap<String, V>, keys: &[&str]) -> usize {
+    let leaves: Vec<&[(String, V)]> = old.leaves().filter(|leaf| !leaf.is_empty()).collect();
+    let mut kept = 0;
+    for (j, leaf) in leaves.iter().enumerate() {
+        let low = (j > 0).then(|| leaf[0].0.as_str());
+        let high = leaves.get(j + 1).map(|next| next[0].0.as_str());
+        let covers =
+            |key: &&str| low.is_none_or(|low| low <= *key) && high.is_none_or(|h| *key < h);
+        if !keys.iter().any(covers) {
+            let shared = new.leaves().any(|l| l.as_ptr() == leaf.as_ptr());
+            assert!(shared, "a leaf outside the written keys was copied");
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// 10 components of 200 views each, settled and published.
+fn ten_components() -> Engine {
     let workload = generate_scaled(&ScaleConfig::new(21, 10, 50, 50));
     let mut engine = Engine::new();
     engine.ingest(&workload.full_sql()).unwrap();
+    engine
+}
+
+#[test]
+fn a_one_view_write_shares_every_leaf_outside_its_component() {
+    let mut engine = ten_components();
     let before = engine.publish().unwrap();
 
     // Redefine one view deep in component 3: its cone is 124 views.
@@ -81,4 +108,40 @@ fn a_one_view_write_shares_every_leaf_outside_its_component() {
         assert!(new_order.contains(&leaf), "an order leaf without the component's ids was copied");
     }
     assert!(new.order.iter().skip(new.order.len() - 124).all(|id| inside(id)));
+}
+
+#[test]
+fn a_ddl_write_shares_every_node_leaf_outside_its_key() {
+    let mut engine = ten_components();
+    let before = engine.publish().unwrap();
+
+    // A new base table that nothing scans: one node, no extraction.
+    engine.ingest("CREATE TABLE extra (id int, v0 int)").unwrap();
+    let after = engine.publish().unwrap();
+    assert_eq!(after.revision, before.revision + 1);
+    assert_eq!(engine.stats().last_refresh_extractions, 0);
+    assert_eq!(after.graph.nodes["extra"].columns, vec!["id", "v0"]);
+    let (old, new) = (&before.graph, &after.graph);
+    assert_eq!(copied(&old.queries, &new.queries), 0);
+    assert_eq!(kept_outside(&old.nodes, &new.nodes, &["extra"]), old.nodes.leaves().count() - 1);
+    assert!((1..=2).contains(&copied(&old.nodes, &new.nodes)));
+}
+
+#[test]
+fn a_drop_shares_every_node_leaf_outside_its_key() {
+    let mut engine = ten_components();
+    let before = engine.publish().unwrap();
+
+    // Dropping a view nothing scans retracts its query and its node.
+    engine.ingest("DROP VIEW c9_leaf49").unwrap();
+    let after = engine.publish().unwrap();
+    assert!(after.revision > before.revision);
+    assert_eq!(engine.stats().last_refresh_extractions, 0);
+    let (old, new) = (&before.graph, &after.graph);
+    assert!(!new.queries.contains_key("c9_leaf49"));
+    assert!(!new.nodes.contains_key("c9_leaf49"));
+    let leaves = old.nodes.leaves().count();
+    assert_eq!(kept_outside(&old.nodes, &new.nodes, &["c9_leaf49"]), leaves - 1);
+    assert_eq!(copied(&old.nodes, &new.nodes), 1);
+    assert_eq!(copied(&old.queries, &new.queries), 1);
 }
