@@ -87,16 +87,22 @@ cargo test -q --test resilience
 step "cargo test -q --test dialect_corpus (per-dialect corpus runner)"
 cargo test -q --test dialect_corpus
 
-# --jobs parity, gated explicitly like the corpora above: extract --json,
-# query --format json and strict error text must be byte-identical at
-# --jobs 2 and 4 (the engine's parallel scheduler over the log's Query
-# Dictionary; extract also under --save-snapshot) and at the default
-# (the auto-inference stack), on every corpus under tests/corpus/,
-# strict and lenient, a cycle log, the --no-auto-inference ablation and
-# a view deferred behind an unknown external; strict error text also
-# when two components each hold a cycle.
-step "cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics (--jobs output parity)"
-cargo test -q -p lineagex-cli -- across_jobs one_shot_log_semantics
+# --jobs parity, gated explicitly like the corpora above. One-shot
+# extraction runs the deferral stack once per connected component on a
+# pool, and merges the components by the log position of each stack's
+# root: extract --json, --diagnostics-json, the processing order and
+# deferral lines, query --format json and strict error text must be
+# byte-identical at --jobs 1 (one stack), the default and --jobs 4, on
+# every corpus under tests/corpus/, strict and lenient, a cycle log, the
+# --no-auto-inference ablation, a view deferred behind an unknown
+# external and an external scanned from two components; --save-snapshot
+# (the engine) must write the same --json. The core proptest holds the
+# whole LineageResult of InferenceEngine at jobs 2 and 4 to jobs 1 on
+# generated logs, in and out of order, with cycles, shared externals and
+# repeat writers, strict and lenient, with and without the stack and
+# tracing.
+step "cargo test -q -p lineagex-cli -p lineagex-core -- across_jobs one_shot_log_semantics (--jobs output parity)"
+cargo test -q -p lineagex-cli -p lineagex-core -- across_jobs one_shot_log_semantics
 
 # Public-API snapshot guard: the lineagex::prelude export list and the
 # Example 1 ReportV2 document are golden files (./ci.sh regen

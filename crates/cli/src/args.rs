@@ -14,10 +14,11 @@ usage:
                      --json-v1 keeps the legacy output.json; --timings prints a
                      phase/metrics summary to stderr; --save-snapshot persists
                      the settled session in the binary snapshot format for
-                     `serve --load-snapshot`; the log's Query Dictionary is
-                     extracted by the auto-inference stack, or by the engine's
-                     parallel scheduler under --jobs N > 1 or --save-snapshot,
-                     with the same --json bytes)
+                     `serve --load-snapshot`; the auto-inference stack runs
+                     once per connected component of the log on --jobs N
+                     threads, default the available parallelism, with the
+                     same output at every N; --save-snapshot extracts
+                     through the engine, with the same --json bytes)
   lineagex query    <origin>[,<origin>...] <queries.sql> [--ddl <schema.sql>]
                     [--direction down|up] [--depth <N>]
                     [--edge-kind contribute|reference|both]... [--table-level]
@@ -85,10 +86,13 @@ pub struct CommonOptions {
     pub no_auto_inference: bool,
     /// Record traversal traces.
     pub trace: bool,
-    /// Worker threads. One-shot commands extract the log's Query
-    /// Dictionary with the auto-inference stack at 0/1 and hand it whole
-    /// to the engine's parallel scheduler above that, with the same
-    /// `--json` bytes; `session` and `serve` size their refresh pool.
+    /// Worker threads (`--jobs`; 0 when the flag is not given). One-shot
+    /// commands run the auto-inference stack once per connected
+    /// component of the log on this many threads (0: the available
+    /// parallelism; 1: one stack over the whole log), with the same
+    /// output at every value; `session`, `serve` and `extract
+    /// --save-snapshot` size the engine's refresh pool (0 and 1: the
+    /// calling thread).
     pub jobs: usize,
     /// Lenient mode: corrupt statements, duplicate ids, and unresolvable
     /// columns degrade into diagnostics instead of aborting.
@@ -122,8 +126,7 @@ pub enum Command {
         /// `--timings`: print a phase/metrics summary to stderr.
         timings: bool,
         /// `--save-snapshot` output path: persist the settled session in
-        /// the binary snapshot format (the engine extracts the log even
-        /// at `--jobs 1`).
+        /// the binary snapshot format (the engine extracts the log).
         save_snapshot: Option<String>,
         /// Shared options.
         common: CommonOptions,

@@ -36,8 +36,12 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
             let started = std::time::Instant::now();
             let sql = read_file(file)?;
             // --save-snapshot needs the settled session, so it runs the
-            // engine even at jobs = 1.
+            // engine.
             let (result, engine) = extract_log(&sql, common, save_snapshot.is_some())?;
+            // The report computes the stats while it renders (on a second
+            // thread when there is one), and the summary reads them there.
+            let report = ReportV2::from_graph(&result.graph, &result.diagnostics);
+            let rendered = json.as_ref().map(|_| report.to_json());
             if *timings {
                 // Stderr so piped stdout artifacts stay clean.
                 eprintln!(
@@ -45,9 +49,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
                     timings_summary(started.elapsed(), &lineagex_obs::registry().snapshot())
                 );
             }
-            // One stats pass serves the summary and the report.
-            let stats = result.graph.stats();
-            summarize(&result, &stats, file, &sql, out)?;
+            summarize(&result, report.stats(), file, &sql, out)?;
             if let Some(path) = diagnostics_json {
                 let diagnostics: Vec<Diagnostic> = collect_diagnostics(&result)
                     .into_iter()
@@ -58,12 +60,10 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
                 write_file(path, &(rendered + "\n"))?;
                 wln(out, &format!("wrote {path}"))?;
             }
-            if let Some(path) = json {
+            if let (Some(path), Some(rendered)) = (json, rendered) {
                 // The versioned v2 document: graph + per-query lineage +
                 // run diagnostics + stats, deterministic across backends.
-                let report =
-                    ReportV2::from_graph(&result.graph, &result.diagnostics).with_stats(&stats);
-                write_file(path, &report.to_json())?;
+                write_file(path, &rendered)?;
                 wln(out, &format!("wrote {path}"))?;
             }
             if let Some(path) = json_v1 {
@@ -408,9 +408,10 @@ fn collect_diagnostics(result: &LineageResult) -> Vec<Diagnostic> {
 /// log's Query Dictionary are built here, once, and the dictionary alone
 /// applies the one-shot rules (`DROP` skipped, strict duplicates
 /// rejected, lenient last definition wins, noise skipped). The
-/// auto-inference stack extracts it by default; under `--jobs N > 1`, or
-/// when the settled session is wanted (`keep_engine`), the engine's
-/// parallel scheduler takes it whole.
+/// auto-inference stack extracts it, one stack per connected component
+/// on `--jobs` threads (default: the available parallelism); when the
+/// settled session is wanted (`keep_engine`, for `--save-snapshot`), the
+/// engine takes it whole instead.
 fn extract_log(
     sql: &str,
     common: &CommonOptions,
@@ -420,17 +421,17 @@ fn extract_log(
     let catalog = ddl_catalog(common)?.unwrap_or_default();
     let dict = QueryDict::from_sql_dialect(sql, options.lenient, options.dialect)
         .map_err(|e| e.to_string())?;
-    if common.jobs <= 1 && !keep_engine {
-        let result =
-            InferenceEngine::over(dict, &catalog, options).run().map_err(|e| e.to_string())?;
-        return Ok((result, None));
+    if !keep_engine {
+        let mut run = InferenceEngine::over(dict, &catalog, options);
+        if common.jobs > 0 {
+            run = run.jobs(common.jobs);
+        }
+        return Ok((run.run().map_err(|e| e.to_string())?, None));
     }
     let mut engine = build_engine(common, catalog);
     engine.ingest_dict(dict);
     let result = engine.result().map_err(|e| e.to_string())?;
-    // Free the session (its parsed entries) before the caller renders,
-    // unless it is wanted.
-    Ok((result, keep_engine.then_some(engine)))
+    Ok((result, Some(engine)))
 }
 
 /// The extraction options the shared flags select.
@@ -684,13 +685,14 @@ fn summarize(
 }
 
 /// The `extract --timings` stderr summary: total wall time plus every
-/// engine/query histogram that actually recorded something. The batch
-/// path (jobs = 1) never touches the engine, so a sequential run prints
-/// just the wall-time line — the histograms light up under `--jobs N`.
+/// batch-pipeline (`core.`), engine and query histogram that recorded
+/// something: the dictionary build, inference, its component count and
+/// the report render on the default path, the engine's stages under
+/// `--save-snapshot`.
 fn timings_summary(total: std::time::Duration, snapshot: &lineagex_obs::MetricsSnapshot) -> String {
     let mut out = format!("[timings] total: {:.1} ms", total.as_secs_f64() * 1e3);
     for (name, h) in &snapshot.histograms {
-        let relevant = name.starts_with("engine.") || name.starts_with("query.");
+        let relevant = ["core.", "engine.", "query."].iter().any(|layer| name.starts_with(layer));
         if !relevant || h.count == 0 {
             continue;
         }
@@ -934,6 +936,17 @@ mod tests {
         "CREATE VIEW b AS SELECT w.page, a.x FROM web w JOIN a ON w.cid = a.x; \
          CREATE VIEW a AS SELECT 1 AS x;";
 
+    /// Two views in two components that scan one unknown external: the
+    /// first in log order reports it, on every path.
+    const SHARED_EXTERNAL: &str =
+        "CREATE VIEW v1 AS SELECT page FROM web; CREATE VIEW v2 AS SELECT page FROM web;";
+
+    /// A view whose `QUALIFY` subquery scans a later view: the partition
+    /// must see the dependency, or its component fails to extract.
+    const QUALIFY_DEPENDENCY: &str = "CREATE TABLE t (x int); \
+        CREATE VIEW a AS SELECT x FROM t QUALIFY x IN (SELECT y FROM b); \
+        CREATE VIEW b AS SELECT 1 AS y;";
+
     /// Two strict cycles in two components, the later-ingested one in the
     /// component with the smaller member.
     const TWO_CYCLES: &str = "CREATE VIEW y1 AS SELECT x FROM y2; CREATE VIEW y2 AS SELECT x FROM y1; \
@@ -949,8 +962,9 @@ mod tests {
     /// The `--jobs` parity inputs, each with the origin to query: the
     /// messy-log corpus and every dialect corpus under its own dialect,
     /// strict and lenient, the one-shot-rules log and the cycle log,
-    /// lenient, the ablation log under `--no-auto-inference`, and the
-    /// deferred-external log.
+    /// lenient, the ablation log under `--no-auto-inference`, the
+    /// deferred-external log, the shared-external log and the
+    /// `QUALIFY`-dependency log.
     fn parity_inputs() -> Vec<(String, Vec<String>, &'static str)> {
         let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
         let mut logs = vec![(format!("{corpus}/messy_log.sql"), vec![], "web")];
@@ -976,14 +990,18 @@ mod tests {
         inputs.push((ablation, vec!["--no-auto-inference".to_string()], "t"));
         let deferred = write_temp("parity_deferred_external.sql", DEFERRED_EXTERNAL);
         inputs.push((deferred, vec![], "web"));
+        let shared = write_temp("parity_shared_external.sql", SHARED_EXTERNAL);
+        inputs.push((shared, vec![], "web"));
+        let qualify = write_temp("parity_qualify_dependency.sql", QUALIFY_DEPENDENCY);
+        inputs.push((qualify, vec!["--dialect".to_string(), "snowflake".to_string()], "t"));
         inputs
     }
 
     #[test]
-    fn query_json_is_byte_identical_across_jobs_and_backends() {
+    fn query_json_is_byte_identical_across_jobs() {
         // The acceptance gate: schema_version-2 documents (or the error)
-        // from the batch path and the engine path (--jobs > 1) are
-        // byte-identical on every input.
+        // from one stack (--jobs 1) and from components on the pool (the
+        // default, --jobs 4) are byte-identical on every input.
         let chain = write_temp("query_jobs.sql", CHAIN);
         let inputs = [(chain, Vec::new(), "web.page")].into_iter().chain(parity_inputs());
         for (file, flags, origin) in inputs {
@@ -999,9 +1017,9 @@ mod tests {
                 argv.extend(jobs.iter().map(|s| s.to_string()));
                 execute_to_string(&Command::parse(&argv).unwrap())
             };
-            let sequential = run(&[]);
-            for jobs in ["2", "4"] {
-                assert_eq!(run(&["--jobs", jobs]), sequential, "{file} {flags:?} --jobs {jobs}");
+            let default = run(&[]);
+            for jobs in ["1", "4"] {
+                assert_eq!(run(&["--jobs", jobs]), default, "{file} {flags:?} --jobs {jobs}");
             }
         }
     }
@@ -1011,13 +1029,11 @@ mod tests {
         let chain = write_temp("extract_v2_jobs.sql", CHAIN);
         let inputs = [(chain, Vec::new(), "")].into_iter().chain(parity_inputs());
         for (n, (file, flags, _)) in inputs.enumerate() {
-            // The run's result, its --json bytes, and its
-            // --diagnostics-json entries as a multiset: their order
-            // follows each executor's processing order, like
-            // `processing_order` in --json-v1.
+            // The run's result, its --json and --diagnostics-json bytes,
+            // and its processing order and deferral log on stdout.
             let snapshot = write_temp(&format!("v2_jobs_{n}.lxsn"), "");
             let paths =
-                [&[][..], &["--jobs", "2"], &["--jobs", "4"], &["--save-snapshot", &snapshot]];
+                [&[][..], &["--jobs", "1"], &["--jobs", "4"], &["--save-snapshot", &snapshot]];
             let run = |path: usize| {
                 let json = write_temp(&format!("v2_jobs_{n}_{path}.json"), "");
                 let diagnostics = write_temp(&format!("v2_jobs_{n}_{path}.diag.json"), "");
@@ -1031,9 +1047,29 @@ mod tests {
                 ];
                 argv.extend(flags.iter().cloned());
                 argv.extend(paths[path].iter().map(|s| s.to_string()));
-                let result = execute_to_string(&Command::parse(&argv).unwrap()).0;
-                let diagnostics = std::fs::read_to_string(&diagnostics).unwrap();
-                let mut entries: Vec<String> = match diagnostics.as_str() {
+                let (result, stdout) = execute_to_string(&Command::parse(&argv).unwrap());
+                let order: Vec<String> = stdout
+                    .lines()
+                    .filter(|l| {
+                        l.starts_with("processing order") || l.starts_with("stack deferrals")
+                    })
+                    .map(String::from)
+                    .collect();
+                let json = std::fs::read_to_string(&json).unwrap();
+                (result, json, std::fs::read_to_string(&diagnostics).unwrap(), order)
+            };
+            let default = run(0);
+            // Only the strict messy log fails; every other input extracts.
+            let extracts = !file.ends_with("messy_log.sql") || flags.contains(&"--lenient".into());
+            assert_eq!(default.0.is_ok(), extracts, "{file} {flags:?}: {:?}", default.0);
+            for (path, jobs) in paths.iter().enumerate().take(3).skip(1) {
+                assert_eq!(run(path), default, "{file} {flags:?} {jobs:?}");
+            }
+            // The engine keeps its own processing order (component by
+            // component), so its --diagnostics-json entries match as a
+            // multiset.
+            let entries = |text: &str| -> Vec<String> {
+                let mut entries: Vec<String> = match text {
                     "" => Vec::new(),
                     text => serde_json::from_str::<serde_json::Value>(text)
                         .unwrap()
@@ -1044,17 +1080,16 @@ mod tests {
                         .collect(),
                 };
                 entries.sort();
-                (result, std::fs::read_to_string(&json).unwrap(), entries)
+                entries
             };
-            let sequential = run(0);
-            // Only the strict messy log fails; every other input extracts.
-            let extracts = !file.ends_with("messy_log.sql") || flags.contains(&"--lenient".into());
-            assert_eq!(sequential.0.is_ok(), extracts, "{file} {flags:?}: {:?}", sequential.0);
-            for (path, engine) in paths.iter().enumerate().skip(1) {
-                assert_eq!(run(path), sequential, "{file} {flags:?} {engine:?}");
-            }
+            let engine = run(3);
+            assert_eq!(
+                (&engine.0, &engine.1, entries(&engine.2)),
+                (&default.0, &default.1, entries(&default.2)),
+                "{file} {flags:?} --save-snapshot"
+            );
             if n == 0 {
-                let value: serde_json::Value = serde_json::from_str(&sequential.1).unwrap();
+                let value: serde_json::Value = serde_json::from_str(&default.1).unwrap();
                 assert_eq!(value["schema_version"], 2);
                 assert_eq!(value["stats"]["queries"], 2);
             }
@@ -1141,7 +1176,9 @@ mod tests {
     #[test]
     fn extract_with_jobs_matches_sequential() {
         let file = write_temp("jobs.sql", LOG);
-        let sequential = Command::parse(&["extract".to_string(), file.clone()]).unwrap();
+        let sequential =
+            Command::parse(&["extract".to_string(), file.clone(), "--jobs".into(), "1".into()])
+                .unwrap();
         let parallel =
             Command::parse(&["extract".to_string(), file, "--jobs".to_string(), "4".to_string()])
                 .unwrap();
@@ -1149,21 +1186,19 @@ mod tests {
         let (par_result, par_text) = execute_to_string(&parallel);
         seq_result.unwrap();
         par_result.unwrap();
-        // Identical summary apart from the processing-order line (the
-        // engine's component order vs the one-shot log order).
-        let strip = |text: &str| -> Vec<String> {
-            text.lines().filter(|l| !l.contains("processing order")).map(String::from).collect()
-        };
-        assert_eq!(strip(&seq_text), strip(&par_text));
+        // The whole summary, processing order included.
+        assert_eq!(seq_text, par_text);
     }
 
     #[test]
     fn extract_with_jobs_keeps_one_shot_log_semantics() {
         // A DROP in the file is skipped with a warning in both modes.
         let file = write_temp("jobs_drop.sql", &format!("{LOG}\nDROP VIEW v;"));
-        let sequential = Command::parse(&["extract".to_string(), file.clone()]).unwrap();
+        let sequential =
+            Command::parse(&["extract".to_string(), file.clone(), "--jobs".into(), "1".into()])
+                .unwrap();
         let parallel =
-            Command::parse(&["extract".to_string(), file, "--jobs".to_string(), "2".to_string()])
+            Command::parse(&["extract".to_string(), file, "--jobs".to_string(), "4".to_string()])
                 .unwrap();
         let (seq_result, seq_text) = execute_to_string(&sequential);
         let (par_result, par_text) = execute_to_string(&parallel);
@@ -1201,7 +1236,7 @@ mod tests {
             ),
         ] {
             for extra in
-                [&[][..], &["--jobs", "2"], &["--jobs", "4"], &["--save-snapshot", &snapshot]]
+                [&[][..], &["--jobs", "1"], &["--jobs", "4"], &["--save-snapshot", &snapshot]]
             {
                 let mut argv = vec!["extract".to_string()];
                 argv.extend(args.iter().cloned());
@@ -1442,6 +1477,10 @@ mod tests {
         // The summary goes to stderr; stdout stays the normal report.
         assert!(text.contains("queries processed : 1"), "{text}");
         assert!(!text.contains("[timings]"), "{text}");
+        // The batch stages recorded into the registry the summary reads.
+        let summary =
+            timings_summary(std::time::Duration::ZERO, &lineagex_obs::registry().snapshot());
+        assert!(summary.contains("\n[timings] core.infer_us: count="), "{summary}");
     }
 
     #[test]
@@ -1480,9 +1519,12 @@ mod tests {
         // Under the default (ANSI-permissive) grammar TOP is a parse error.
         let cmd = Command::parse(&["extract".to_string(), file.clone()]).unwrap();
         assert!(execute_to_string(&cmd).0.is_err());
-        // Under --dialect tsql the same file extracts cleanly — on the
-        // batch path and the engine path alike.
-        for extra in [vec![], vec!["--jobs".to_string(), "2".to_string()]] {
+        // Under --dialect tsql the same file extracts cleanly — on one
+        // stack, on the pool and through the engine alike.
+        let snapshot = write_temp("dialect_extract.lxsn", "");
+        for extra in [vec!["--jobs", "1"], vec!["--jobs", "2"], vec!["--save-snapshot", &snapshot]]
+        {
+            let extra: Vec<String> = extra.into_iter().map(String::from).collect();
             let mut argv =
                 vec!["extract".to_string(), file.clone(), "--dialect".to_string(), "tsql".into()];
             argv.extend(extra);

@@ -18,12 +18,14 @@
 //! lineagex compare  queries.sql [--ddl schema.sql]
 //! ```
 //!
-//! `extract --jobs N` (N > 1) hands the log's Query Dictionary whole to
-//! `lineagex-engine`'s parallel scheduler (`Engine::ingest_dict`), for
-//! the same `--json` bytes as the default auto-inference run. `session`
-//! is the incremental REPL over the same engine — SQL statements stream
-//! in over stdin, `\`-commands (`\impact`, `\lineage`, `\stats`, ...)
-//! answer lineage questions between ingests.
+//! `extract` runs the auto-inference stack once per connected component
+//! of the log on `--jobs N` threads (default: the available
+//! parallelism), with the same output at every `N`; `--save-snapshot`
+//! hands the log's Query Dictionary to `lineagex-engine`
+//! (`Engine::ingest_dict`) to persist the settled session. `session` is
+//! the incremental REPL over the engine — SQL statements stream in over
+//! stdin, `\`-commands (`\impact`, `\lineage`, `\stats`, ...) answer
+//! lineage questions between ingests.
 //! `serve` exposes the same engine as a long-lived JSON-lines TCP
 //! service (`lineagex-serve`), and `client` scripts one request against
 //! it, printing the server's raw response line.

@@ -13,10 +13,10 @@
 
 use crate::error::LineageError;
 use crate::infer::{assemble_graph, run_deferral_stack, LineageResult, StackExtraction};
-use crate::model::{OutputColumn, QueryKind, QueryLineage};
+use crate::model::{OutputColumn, QueryLineage};
 use crate::preprocess::{QueryDict, QueryEntry};
 use lineagex_catalog::{DbError, PlanNode, SimulatedDatabase, SourceColumn};
-use lineagex_sqlparse::ast::{Ident, Statement};
+use lineagex_sqlparse::ast::Statement;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -74,24 +74,10 @@ impl ExplainPathExtractor {
         // UPDATE) — equivalent to EXPLAINing it on the connection.
         let bound = lineagex_catalog::Binder::new(self.db.catalog()).bind(entry.query())?;
 
-        let mut outputs: Vec<OutputColumn> =
+        let outputs: Vec<OutputColumn> =
             bound.output.iter().map(|c| OutputColumn::new(&c.name, c.sources.clone())).collect();
-        if !entry.declared_columns.is_empty() {
-            let idents: Vec<Ident> = entry.declared_columns.iter().map(Ident::new).collect();
-            outputs = crate::extract::rename_outputs(outputs, &idents, &entry.id)
-                .map_err(|e| DbError::Unsupported(e.to_string()))?;
-        } else if matches!(entry.kind, QueryKind::Insert) {
-            let target = entry.id.split('#').next().unwrap_or(&entry.id);
-            if let Some(schema) = self.db.catalog().get(target) {
-                if schema.columns.len() == outputs.len() {
-                    outputs = outputs
-                        .into_iter()
-                        .zip(schema.columns.iter())
-                        .map(|(o, c)| OutputColumn::new(&c.name, o.ccon))
-                        .collect();
-                }
-            }
-        }
+        let outputs = crate::infer::apply_output_names(entry, outputs, self.db.catalog())
+            .map_err(|e| DbError::Unsupported(e.to_string()))?;
 
         // LineageX semantics on top of database semantics: set-operation
         // branch projections are referenced columns (Table I).

@@ -9,8 +9,9 @@
 //!
 //! [`run_deferral_stack`] implements exactly that protocol, with cycle
 //! detection on top, for every extraction in the workspace:
-//! [`InferenceEngine::run`] runs it over the whole log (the deferral log
-//! is exposed for inspection), the session engine over each dirty
+//! [`InferenceEngine::run`] runs it over each connected component of the
+//! log and merges the components into the one-stack result (the deferral
+//! log is exposed for inspection), the session engine over each dirty
 //! component, and connected mode over the log it binds. The result is
 //! order-independent: shuffling the input statements never changes the
 //! extracted lineage, which the property tests assert.
@@ -21,13 +22,15 @@ use crate::extract::{rename_outputs, Extractor};
 use crate::model::{LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryLineage};
 use crate::options::ExtractOptions;
 use crate::preprocess::{QueryDict, QueryEntry};
+use crate::schedule::{ComponentRun, Extracted};
 use crate::shared::SharedMap;
 use crate::trace::TraceLog;
 use lineagex_catalog::Catalog;
+use lineagex_obs::Histogram;
 use lineagex_sqlparse::ast::Ident;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The outcome of a full extraction run.
 #[derive(Debug, Clone, Default)]
@@ -60,16 +63,16 @@ pub struct LineageResult {
 /// without ever deep-copying the caller's — possibly very large —
 /// catalog. Only a log that actually carries `CREATE TABLE` statements
 /// pays a clone, when the DDL schemas are merged in.
+///
+/// [`InferenceEngine::run`] splits the dictionary into the connected
+/// components whose stacks share nothing ([`crate::schedule::components`])
+/// and runs them on up to [`InferenceEngine::jobs`] threads; the merged
+/// result is the one-stack result, whatever the setting.
 pub struct InferenceEngine<'a> {
     qd: QueryDict,
-    qd_ids: BTreeSet<String>,
     catalog: Cow<'a, Catalog>,
     options: ExtractOptions,
-    processed: BTreeMap<String, Arc<QueryLineage>>,
-    order: Vec<String>,
-    inferred: BTreeMap<String, BTreeSet<String>>,
-    deferrals: Vec<(String, String)>,
-    traces: BTreeMap<String, TraceLog>,
+    jobs: usize,
 }
 
 impl InferenceEngine<'static> {
@@ -96,88 +99,155 @@ impl<'a> InferenceEngine<'a> {
                 merged.add_or_replace(schema.clone());
             }
         }
-        let qd_ids = qd.ids().map(String::from).collect();
-        InferenceEngine {
-            qd,
-            qd_ids,
-            catalog,
-            options,
-            processed: BTreeMap::new(),
-            order: Vec::new(),
-            inferred: BTreeMap::new(),
-            deferrals: Vec::new(),
-            traces: BTreeMap::new(),
+        let jobs = std::thread::available_parallelism().map_or(1, usize::from);
+        InferenceEngine { qd, catalog, options, jobs }
+    }
+
+    /// Extract on up to `jobs` threads (default: the available
+    /// parallelism). At `0`/`1` one stack runs over the whole log on the
+    /// calling thread; above, the log's components run on a scoped pool.
+    /// Every setting gives the same result.
+    pub fn jobs(mut self, jobs: usize) -> Self {
+        self.jobs = jobs;
+        self
+    }
+
+    /// Process every entry on the deferral stack ([`run_deferral_stack`]),
+    /// each connected component on its own stack rooted in log order, and
+    /// assemble the graph. The components' extractions and deferrals are
+    /// merged by the log position of the root whose stack made them,
+    /// which gives one stack's processing order, deferral log, traces,
+    /// inferred schemas and first strict error.
+    pub fn run(self) -> Result<LineageResult, LineageError> {
+        let metrics = batch_metrics();
+        let _timer = metrics.infer_us.time();
+        let InferenceEngine { mut qd, catalog, options, jobs } = self;
+        let diagnostics = std::mem::take(&mut qd.diagnostics);
+        let entries = qd.into_entries();
+        let qd_ids: BTreeSet<String> = entries.iter().map(|e| e.id.clone()).collect();
+        let catalog = catalog.as_ref();
+        let comps = if jobs > 1 {
+            let ids: Vec<&str> = entries.iter().map(|e| e.id.as_str()).collect();
+            let mut comps = crate::schedule::components(
+                &ids,
+                |i, visit| crate::deps::for_each_relation(entries[i].query(), visit),
+                |_| false,
+                catalog,
+            );
+            // The largest first, for the calling thread; the merge below
+            // restores log order.
+            comps.sort_by_key(|members| std::cmp::Reverse(members.len()));
+            comps
+        } else {
+            vec![(0..entries.len()).collect()]
+        };
+        metrics.components.record(comps.len() as u64);
+        // Each component owns its members' entries, with their log
+        // positions, so the worker that extracts them also frees them.
+        let mut component_of = vec![0; entries.len()];
+        for (c, members) in comps.iter().enumerate() {
+            members.iter().for_each(|&i| component_of[i] = c);
         }
-    }
-
-    /// Process every entry, in log order, on the deferral stack
-    /// ([`run_deferral_stack`]) and assemble the graph.
-    pub fn run(mut self) -> Result<LineageResult, LineageError> {
-        let ids: Vec<String> = self.qd.ids().map(String::from).collect();
-        run_deferral_stack(&mut self, ids)?;
-        Ok(self.assemble())
-    }
-
-    fn assemble(self) -> LineageResult {
-        let queries = SharedMap::from(self.processed);
-        let graph = assemble_graph(self.catalog.as_ref(), queries, &self.inferred, self.order);
-        LineageResult {
+        let mut owned: Vec<Vec<(u64, QueryEntry)>> =
+            comps.iter().map(|members| Vec::with_capacity(members.len())).collect();
+        let count = entries.len();
+        for (i, entry) in entries.into_iter().enumerate() {
+            owned[component_of[i]].push((i as u64, entry));
+        }
+        let owned: Vec<Mutex<Vec<(u64, QueryEntry)>>> = owned.into_iter().map(Mutex::new).collect();
+        let runs = crate::schedule::run_tasks(owned.len(), jobs, |c| {
+            let members = std::mem::take(&mut *owned[c].lock().expect("each task takes its own"));
+            let members_iter = members.iter().map(|(pos, entry)| (*pos, entry));
+            let mut run = ComponentRun::new(
+                members_iter,
+                &qd_ids,
+                catalog,
+                &options,
+                BTreeMap::new(),
+                BTreeMap::new(),
+            );
+            let failure = run.run().err();
+            let ComponentRun { processed, inferred, extracted, deferrals, .. } = run;
+            ((processed, inferred, extracted, deferrals), failure)
+        });
+        // The first failure one stack would meet: the earliest failing root.
+        let failure = runs.iter().filter_map(|(_, failure)| failure.as_ref()).min_by_key(|f| f.0);
+        if let Some((_, error)) = failure {
+            return Err(error.clone());
+        }
+        let (mut queries, mut extracted) = (Vec::with_capacity(count), Vec::new());
+        let (mut deferrals, mut inferred) = (Vec::new(), InferredSchemas::new());
+        for ((processed, run_inferred, run_extracted, run_deferrals), _) in runs {
+            // A batch run seeds nothing: its lineage is its members'.
+            queries.extend(processed);
+            extracted.extend(run_extracted);
+            deferrals.extend(run_deferrals);
+            for (relation, columns) in run_inferred {
+                inferred.entry(relation).or_default().extend(columns);
+            }
+        }
+        // Each run lists its events in root order: a stable sort by root
+        // interleaves the components as one stack would have.
+        extracted.sort_by_key(|e| e.root);
+        deferrals.sort_by_key(|d| d.0);
+        let mut traces = BTreeMap::new();
+        let order = extracted.into_iter().map(|Extracted { id, trace, .. }| {
+            if let Some(trace) = trace {
+                traces.insert(id.clone(), trace);
+            }
+            id
+        });
+        let order = order.collect();
+        let graph = assemble_graph(catalog, queries.into_iter().collect(), &inferred, order);
+        Ok(LineageResult {
             graph,
-            traces: self.traces,
-            deferrals: self.deferrals,
-            inferred: self.inferred,
-            diagnostics: self.qd.diagnostics,
+            traces,
+            deferrals: deferrals.into_iter().map(|(_, id, dependency)| (id, dependency)).collect(),
+            inferred,
+            diagnostics,
             index: Default::default(),
-        }
+        })
     }
 }
 
-/// The whole log on the stack: each attempt borrows its dictionary
-/// entry, since `qd` is only read while the fields extraction writes
-/// (`processed`, `inferred`, `traces`) are disjoint from it.
-impl StackExtraction for InferenceEngine<'_> {
-    fn is_done(&self, id: &str) -> bool {
-        self.processed.contains_key(id)
-    }
+/// Batch-pipeline handles into the process-wide metrics registry.
+pub(crate) struct BatchMetrics {
+    /// [`QueryDict::from_sql_dialect`] wall time, µs.
+    pub(crate) dict_us: Histogram,
+    /// [`InferenceEngine::run`] wall time, µs.
+    pub(crate) infer_us: Histogram,
+    /// Components per [`InferenceEngine::run`] (1 when one stack ran).
+    pub(crate) components: Histogram,
+    /// One whole [`crate::ReportV2`] render, µs.
+    pub(crate) serialize_us: Histogram,
+}
 
-    fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
-        let entry = self.qd.get(id).expect("id comes from the dictionary");
-        let (lineage, trace, _) = extract_entry(
-            entry,
-            &self.qd_ids,
-            &self.processed,
-            self.catalog.as_ref(),
-            &self.options,
-            &mut self.inferred,
-        )?;
-        if let Some(trace) = trace {
-            self.traces.insert(id.to_string(), trace);
+pub(crate) fn batch_metrics() -> &'static BatchMetrics {
+    static METRICS: OnceLock<BatchMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = lineagex_obs::registry();
+        BatchMetrics {
+            dict_us: registry.histogram("core.dict_us"),
+            infer_us: registry.histogram("core.infer_us"),
+            components: registry.histogram("core.components"),
+            serialize_us: registry.histogram("core.serialize_us"),
         }
-        self.processed.insert(id.to_string(), Arc::new(lineage));
-        self.order.push(id.to_string());
-        Ok(())
-    }
+    })
+}
 
-    fn defer(&mut self, id: &str, dependency: &str) -> Result<(), LineageError> {
-        self.deferrals.push((id.to_string(), dependency.to_string()));
-        Ok(())
-    }
-
-    fn break_cycle(&mut self, id: &str, path: Vec<String>) -> Result<(), LineageError> {
-        if !self.options.lenient {
-            return Err(LineageError::DependencyCycle(path));
-        }
-        let stub = cycle_stub(self.qd.get(id).expect("id comes from the dictionary"), &path);
-        self.processed.insert(id.to_string(), Arc::new(stub));
-        self.order.push(id.to_string());
-        Ok(())
-    }
+/// Idempotently register the batch pipeline's metric names
+/// (`core.dict_us`, `core.infer_us`, `core.components`,
+/// `core.serialize_us`), so metric snapshots have a stable shape before
+/// the first batch run. A session engine registers them at construction.
+pub fn register_metrics() {
+    let _ = batch_metrics();
 }
 
 /// An extraction driven by [`run_deferral_stack`]: the stack chooses
-/// the order, the implementor extracts and records. The batch pipeline
-/// ([`InferenceEngine`]), the session engine's per-component refresh
-/// and connected mode ([`crate::ExplainPathExtractor`]) implement it.
+/// the order, the implementor extracts and records. One connected
+/// component of the batch run or of a session refresh
+/// ([`crate::schedule::ComponentRun`]) and connected mode
+/// ([`crate::ExplainPathExtractor`]) implement it.
 pub trait StackExtraction {
     /// Whether `id` is already extracted (or stubbed).
     fn is_done(&self, id: &str) -> bool;
@@ -363,22 +433,23 @@ pub fn extract_entry(
 
 /// Rename outputs by the declared column list (`CREATE VIEW v(a, b)`,
 /// `INSERT INTO t (a, b)`); an INSERT without a list takes the target
-/// table's column names when the catalog knows them.
-fn apply_output_names(
+/// table's column names when the catalog knows them. Both kinds of name
+/// are taken as stored: the parser already folded the unquoted ones.
+pub(crate) fn apply_output_names(
     entry: &QueryEntry,
     outputs: Vec<OutputColumn>,
     catalog: &Catalog,
 ) -> Result<Vec<OutputColumn>, LineageError> {
+    let verbatim = |name: &String| Ident::quoted(name.as_str());
     if !entry.declared_columns.is_empty() {
-        let idents: Vec<Ident> = entry.declared_columns.iter().map(Ident::new).collect();
+        let idents: Vec<Ident> = entry.declared_columns.iter().map(verbatim).collect();
         return rename_outputs(outputs, &idents, &entry.id);
     }
     if matches!(entry.kind, QueryKind::Insert) {
         let target = entry.id.split('#').next().unwrap_or(&entry.id);
         if let Some(schema) = catalog.get(target) {
             if schema.columns.len() == outputs.len() {
-                let idents: Vec<Ident> =
-                    schema.columns.iter().map(|c| Ident::new(&c.name)).collect();
+                let idents: Vec<Ident> = schema.columns.iter().map(|c| verbatim(&c.name)).collect();
                 return rename_outputs(outputs, &idents, &entry.id);
             }
         }
@@ -631,6 +702,149 @@ mod tests {
         );
         assert_eq!(forward.graph.queries, shuffled.graph.queries);
         assert_eq!(forward.graph.nodes, shuffled.graph.nodes);
+    }
+
+    #[test]
+    fn an_insert_takes_its_targets_quoted_column_names_as_declared() {
+        let result = run_sql(
+            r#"CREATE TABLE dst ("Page" int, cid int); CREATE TABLE src (x int, y int);
+               INSERT INTO dst SELECT x, y FROM src;"#,
+        );
+        assert_eq!(result.graph.queries["dst"].output_names(), vec!["Page", "cid"]);
+        assert_eq!(result.graph.nodes["dst"].columns, vec!["Page", "cid"]);
+    }
+
+    #[test]
+    fn a_declared_quoted_view_column_keeps_its_spelling() {
+        let result = run_sql(
+            r#"CREATE TABLE t (x int, y int); CREATE VIEW v("Page", y) AS SELECT x, y FROM t;
+               CREATE VIEW w AS SELECT "Page" FROM v;"#,
+        );
+        assert_eq!(result.graph.queries["v"].output_names(), vec!["Page", "y"]);
+        let w = &result.graph.queries["w"];
+        assert_eq!(w.outputs[0].ccon, BTreeSet::from([SourceColumn::new("v", "Page")]));
+        assert!(!w.partial);
+    }
+
+    /// A batch run's graph, deferrals, traces, inferred schemas and run
+    /// diagnostics, or its strict error's text.
+    type Outcome = Result<
+        (
+            LineageGraph,
+            Vec<(String, String)>,
+            BTreeMap<String, TraceLog>,
+            InferredSchemas,
+            Vec<Diagnostic>,
+        ),
+        String,
+    >;
+
+    fn outcome(sql: &str, options: ExtractOptions, jobs: usize) -> Outcome {
+        let qd = QueryDict::from_sql_with(sql, options.lenient).map_err(|e| e.to_string())?;
+        let result = InferenceEngine::new(qd, Catalog::new(), options)
+            .jobs(jobs)
+            .run()
+            .map_err(|e| e.to_string())?;
+        Ok((result.graph, result.deferrals, result.traces, result.inferred, result.diagnostics))
+    }
+
+    /// Statements the generator never writes, each picked by one bit: a
+    /// cycle, an unknown external scanned from three components, repeat
+    /// writers of one table (`sink#2`, `sink#3`), and a view deferred
+    /// behind a later one while it scans the external too.
+    const PARITY_EXTRAS: [&str; 4] = [
+        "CREATE VIEW cyc_a AS SELECT x FROM cyc_b; CREATE VIEW cyc_b AS SELECT x FROM cyc_a;",
+        "CREATE VIEW ext_1 AS SELECT page FROM web_ext; \
+         CREATE VIEW ext_2 AS SELECT w.page, w.cid FROM web_ext w; \
+         CREATE VIEW ext_3 AS SELECT cid FROM web_ext WHERE reg;",
+        "CREATE TABLE sink (x int, y int); CREATE TABLE src_t (a int, b int); \
+         INSERT INTO sink SELECT a, b FROM src_t; INSERT INTO sink SELECT b, a FROM src_t; \
+         UPDATE sink SET y = s.b FROM src_t s WHERE sink.x = s.a;",
+        "CREATE VIEW late_reader AS SELECT e.page, l.x FROM web_ext e JOIN late_src l ON e.cid = l.x; \
+         CREATE VIEW late_src AS SELECT 1 AS x;",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Components on a pool give one stack's result: the graph with
+        /// its processing order, the deferral log, traces, inferred
+        /// schemas and diagnostics, or the same strict error.
+        #[test]
+        fn batch_run_is_identical_across_jobs(
+            seed in 0u64..10_000,
+            shuffled in proptest::prelude::any::<bool>(),
+            extras in 0u8..16,
+            extras_first in proptest::prelude::any::<bool>(),
+            lenient in proptest::prelude::any::<bool>(),
+            auto_inference in proptest::prelude::any::<bool>(),
+            trace in proptest::prelude::any::<bool>(),
+        ) {
+            use lineagex_datasets::{generator::generate, GeneratorConfig};
+            let workload = generate(&GeneratorConfig {
+                views: 30,
+                shuffle_statements: shuffled,
+                ..GeneratorConfig::seeded(seed)
+            });
+            let picked: Vec<&str> = PARITY_EXTRAS
+                .iter()
+                .enumerate()
+                .filter(|(bit, _)| extras & (1 << bit) != 0)
+                .map(|(_, extra)| *extra)
+                .collect();
+            let (generated, extra) = (workload.full_sql(), picked.join("\n"));
+            let sql = if extras_first {
+                format!("{extra}\n{generated}")
+            } else {
+                format!("{generated}\n{extra}")
+            };
+            let options = ExtractOptions { lenient, auto_inference, trace, ..ExtractOptions::default() };
+            let one_stack = outcome(&sql, options, 1);
+            for jobs in [2, 4] {
+                proptest::prop_assert_eq!(&outcome(&sql, options, jobs), &one_stack, "jobs {}", jobs);
+            }
+        }
+    }
+
+    /// Nested `depth` levels deep: derived tables in `FROM`, or
+    /// parentheses around an expression.
+    fn nested_from(depth: usize) -> String {
+        let mut query = "SELECT x FROM t".to_string();
+        for _ in 0..depth {
+            query = format!("SELECT x FROM ({query}) AS d");
+        }
+        format!("CREATE VIEW deep AS {query};")
+    }
+
+    fn nested_expression(depth: usize) -> String {
+        format!(
+            "CREATE VIEW deep AS SELECT {}x{} AS y FROM t;",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn pool_workers_extract_the_deepest_queries_the_parser_accepts() {
+        // Parsing (and dropping) these trees needs a main thread's stack;
+        // the extraction runs on a pool worker.
+        let main_sized = std::thread::Builder::new().stack_size(8 << 20);
+        let body = || {
+            for deep in [nested_from(98), nested_expression(95)] {
+                // A larger second component, which the calling thread
+                // takes, so the deep view goes to a worker.
+                let sql = format!(
+                    "CREATE TABLE t (x int); {deep} CREATE VIEW a AS SELECT x FROM t; \
+                     CREATE VIEW b AS SELECT x FROM a;"
+                );
+                let qd = QueryDict::from_sql(&sql).unwrap();
+                let result = InferenceEngine::new(qd, Catalog::new(), ExtractOptions::default())
+                    .jobs(2)
+                    .run();
+                assert_eq!(result.unwrap().graph.order, vec!["deep", "a", "b"]);
+            }
+        };
+        main_sized.spawn(body).unwrap().join().unwrap();
     }
 
     #[test]

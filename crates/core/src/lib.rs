@@ -47,6 +47,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod api;
+pub mod deps;
 pub mod diagnostics;
 pub mod error;
 pub mod explain_path;
@@ -59,12 +60,14 @@ pub mod options;
 pub mod preprocess;
 pub mod query;
 pub mod report;
+pub mod schedule;
 pub mod shared;
 pub mod snapshot;
 pub mod trace;
 pub mod view;
 
 pub use api::{lineagex, lineagex_lenient, LineageX};
+pub use deps::referenced_relations;
 pub use diagnostics::{Diagnostic, DiagnosticCode, DiagnosticSpan, Severity};
 pub use error::LineageError;
 pub use explain_path::ExplainPathExtractor;

@@ -217,6 +217,47 @@ pub(crate) struct EdgeRef<'g> {
     pub(crate) kind: EdgeKind,
 }
 
+/// An empty buffer with room for every edge of `queries` before the
+/// merge, so [`sorted_edges`] never grows it: the thread that allocates
+/// it owns the memory, whichever thread fills it.
+pub(crate) fn edge_buffer<'g>(queries: impl Iterator<Item = &'g QueryLineage>) -> Vec<EdgeRef<'g>> {
+    let unmerged = queries.map(|q| {
+        q.outputs.iter().map(|out| out.ccon.len()).sum::<usize>() + q.outputs.len() * q.cref.len()
+    });
+    Vec::with_capacity(unmerged.sum())
+}
+
+/// [`LineageGraph::edge_refs`] of `queries` alone, written into `edges`,
+/// an empty buffer from [`edge_buffer`]. Every edge ends at an output
+/// of its own query, so the edges of disjoint sets of queries are
+/// disjoint: sorted apart, they merge by order alone.
+pub(crate) fn sorted_edges<'g>(
+    queries: impl Iterator<Item = &'g QueryLineage>,
+    mut edges: Vec<EdgeRef<'g>>,
+) -> Vec<EdgeRef<'g>> {
+    for q in queries {
+        for out in &q.outputs {
+            let to = (q.id.as_str(), out.name.as_str());
+            let sources = out.ccon.iter().map(|src| (src, EdgeKind::Contribute));
+            let sources = sources.chain(q.cref.iter().map(|src| (src, EdgeKind::Reference)));
+            edges.extend(sources.map(|(src, kind)| EdgeRef {
+                from: (src.table.as_str(), src.column.as_str()),
+                to,
+                kind,
+            }));
+        }
+    }
+    edges.sort_unstable_by(|a, b| (a.from, a.to).cmp(&(b.from, b.to)));
+    edges.dedup_by(|next, kept| {
+        let same = (next.from, next.to) == (kept.from, kept.to);
+        if same && next.kind != kept.kind {
+            kept.kind = EdgeKind::Both;
+        }
+        same
+    });
+    edges
+}
+
 /// The combined table- and column-level lineage graph over a set of
 /// queries, as visualised by the paper's UI (Fig. 2/5).
 ///
@@ -316,28 +357,8 @@ impl LineageGraph {
     /// (`SELECT a AS x, b AS x`) are one graph column, so their edges
     /// merge too; a pair holding both kinds becomes [`EdgeKind::Both`].
     pub(crate) fn edge_refs(&self) -> Vec<EdgeRef<'_>> {
-        let mut edges = Vec::new();
-        for q in self.queries.values() {
-            for out in &q.outputs {
-                let to = (q.id.as_str(), out.name.as_str());
-                let sources = out.ccon.iter().map(|src| (src, EdgeKind::Contribute));
-                let sources = sources.chain(q.cref.iter().map(|src| (src, EdgeKind::Reference)));
-                edges.extend(sources.map(|(src, kind)| EdgeRef {
-                    from: (src.table.as_str(), src.column.as_str()),
-                    to,
-                    kind,
-                }));
-            }
-        }
-        edges.sort_unstable_by(|a, b| (a.from, a.to).cmp(&(b.from, b.to)));
-        edges.dedup_by(|next, kept| {
-            let same = (next.from, next.to) == (kept.from, kept.to);
-            if same && next.kind != kept.kind {
-                kept.kind = EdgeKind::Both;
-            }
-            same
-        });
-        edges
+        let lineages = || self.queries.values().map(|q| &**q);
+        sorted_edges(lineages(), edge_buffer(lineages()))
     }
 
     /// Table-level edges: `(source relation, derived relation)` pairs,

@@ -275,6 +275,7 @@ impl QueryDict {
         lenient: bool,
         dialect: DialectKind,
     ) -> Result<Self, LineageError> {
+        let _timer = crate::infer::batch_metrics().dict_us.time();
         if lenient {
             let script = parse_statements_recovering_with(sql, dialect);
             let mut dict =

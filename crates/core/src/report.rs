@@ -24,12 +24,14 @@
 use crate::diagnostics::Diagnostic;
 use crate::graph::{ColumnId, GraphIndex};
 use crate::model::{
-    EdgeKind, GraphStats, LineageGraph, NodeKind, QueryKind, QueryLineage, SourceColumn,
+    edge_buffer, sorted_edges, EdgeKind, EdgeRef, GraphStats, LineageGraph, NodeKind, QueryKind,
+    QueryLineage, SourceColumn,
 };
 use crate::query::{Cone, QueryAnswer, QuerySpec};
 use serde::{Serialize, Serializer};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// The wire schema version emitted by [`ReportV2`] and [`QueryReport`].
 pub const SCHEMA_VERSION: u32 = 2;
@@ -148,13 +150,20 @@ impl JsonReport {
 /// per-query lineage (outputs in projection order, each query's
 /// diagnostics and partial flag embedded), every column-level edge
 /// sorted by `(from, to)`, the run diagnostics, and the graph's stats.
-/// Nothing is copied before rendering.
+/// Nothing is copied before rendering. When the process may run on more
+/// than one CPU, a second scoped thread sorts the first half of the
+/// queries' edges (unless an index lists them) and computes the stats
+/// (unless they were given) while the rendering thread writes the
+/// relations and queries and then sorts the other half; on one CPU the
+/// rendering thread does all of it. The bytes are the same either way.
 #[derive(Debug, Clone)]
 pub struct ReportV2<'a> {
     graph: &'a LineageGraph,
     diagnostics: Cow<'a, [Diagnostic]>,
     index: Option<&'a GraphIndex>,
     stats: Option<&'a GraphStats>,
+    /// The stats a render computed, when none were given.
+    computed_stats: OnceLock<GraphStats>,
 }
 
 impl<'a> ReportV2<'a> {
@@ -166,7 +175,7 @@ impl<'a> ReportV2<'a> {
     /// The report over run diagnostics that are borrowed or, for a view
     /// that can only hand out a copy, owned.
     pub(crate) fn new(graph: &'a LineageGraph, diagnostics: Cow<'a, [Diagnostic]>) -> Self {
-        ReportV2 { graph, diagnostics, index: None, stats: None }
+        ReportV2 { graph, diagnostics, index: None, stats: None, computed_stats: OnceLock::new() }
     }
 
     /// Take the edges from `index`, which must be the traversal index of
@@ -184,20 +193,71 @@ impl<'a> ReportV2<'a> {
         self
     }
 
+    /// The document's stats: those given to [`ReportV2::with_stats`],
+    /// else those a render of this report computed, else computed now.
+    pub fn stats(&self) -> &GraphStats {
+        match self.stats {
+            Some(stats) => stats,
+            None => self.computed_stats.get_or_init(|| self.graph.stats()),
+        }
+    }
+
     /// Serialise to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialises")
     }
-}
 
-impl Serialize for ReportV2<'_> {
-    fn serialize(&self, s: &mut Serializer<'_>) {
+    /// Write the document; with `helper`, a second scoped thread sorts
+    /// the first half of the queries' edges and computes the stats the
+    /// report lacks, while this one writes the relations and queries and
+    /// sorts the second half.
+    fn render(&self, s: &mut Serializer<'_>, helper: bool) {
         let graph = self.graph;
+        let sort_edges = self.index.is_none();
+        let compute_stats = self.stats.is_none() && self.computed_stats.get().is_none();
+        if !helper || !(sort_edges || compute_stats) {
+            self.write_sections(s);
+            self.write_edges(s, sort_edges.then(|| graph.edge_refs().into_iter()));
+            self.write_end(s);
+            return;
+        }
+        let lineages = || graph.queries.values().map(|q| &**q);
+        let half = graph.queries.len() / 2;
+        // Both edge buffers are allocated here, where the allocator holds
+        // the memory the extraction run freed; the threads only fill them.
+        let buffers = sort_edges
+            .then(|| (edge_buffer(lineages().take(half)), edge_buffer(lineages().skip(half))));
+        let (first, second) = buffers.map_or((None, None), |(a, b)| (Some(a), Some(b)));
+        std::thread::scope(|scope| {
+            let (send, sorted) = std::sync::mpsc::sync_channel(1);
+            let helper = scope.spawn(move || {
+                if let Some(buffer) = first {
+                    let edges = sorted_edges(lineages().take(half), buffer);
+                    send.send(edges).expect("the renderer waits for the edges");
+                }
+                compute_stats.then(|| graph.stats())
+            });
+            self.write_sections(s);
+            let edges = second.map(|buffer| {
+                let second = sorted_edges(lineages().skip(half), buffer);
+                let first = sorted.recv().expect("the report helper sorts the edges");
+                merge_sorted(first, second)
+            });
+            self.write_edges(s, edges);
+            if let Some(stats) = helper.join().expect("report helper panicked") {
+                let _ = self.computed_stats.set(stats);
+            }
+            self.write_end(s);
+        });
+    }
+
+    /// The document's opening: its version, relations and queries.
+    fn write_sections(&self, s: &mut Serializer<'_>) {
         s.begin_map();
         s.field("schema_version", &SCHEMA_VERSION);
         s.key("relations");
         s.begin_map();
-        for (name, node) in &graph.nodes {
+        for (name, node) in &self.graph.nodes {
             s.key(name);
             s.begin_map();
             s.field("kind", node_kind_label(node.kind));
@@ -207,15 +267,28 @@ impl Serialize for ReportV2<'_> {
         s.end_map();
         s.key("queries");
         s.begin_map();
-        for (id, q) in &graph.queries {
+        for (id, q) in &self.graph.queries {
             s.key(id);
             write_query(s, q);
         }
         s.end_map();
+    }
+
+    /// The edges: `sorted`, or the index's rows.
+    fn write_edges<'g>(
+        &self,
+        s: &mut Serializer<'_>,
+        sorted: Option<impl Iterator<Item = EdgeRef<'g>>>,
+    ) {
         s.key("edges");
         s.begin_seq();
-        match self.index {
-            Some(index) => {
+        match (self.index, sorted) {
+            (_, Some(edges)) => {
+                for e in edges {
+                    write_edge(s, e.from, e.to, e.kind);
+                }
+            }
+            (Some(index), None) => {
                 let name = |c: u32| {
                     let c = ColumnId::from_index(c as usize);
                     (index.relation_name(index.column_relation(c)), index.column_name(c))
@@ -226,20 +299,39 @@ impl Serialize for ReportV2<'_> {
                     }
                 }
             }
-            None => {
-                for e in graph.edge_refs() {
-                    write_edge(s, e.from, e.to, e.kind);
-                }
-            }
+            (None, None) => unreachable!("a report without an index sorts its edges"),
         }
         s.end_seq();
+    }
+
+    /// The run diagnostics and the stats, closing the document.
+    fn write_end(&self, s: &mut Serializer<'_>) {
         s.field("diagnostics", &*self.diagnostics);
-        match self.stats {
-            Some(stats) => s.field("stats", stats),
-            None => s.field("stats", &graph.stats()),
-        }
+        s.field("stats", self.stats());
         s.end_map();
     }
+}
+
+impl Serialize for ReportV2<'_> {
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        let _timer = crate::infer::batch_metrics().serialize_us.time();
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        self.render(s, cpus > 1);
+    }
+}
+
+/// Two edge lists, each sorted by `(from, to)` and sharing no pair (see
+/// [`sorted_edges`]), as one sorted sequence.
+fn merge_sorted<'g>(
+    first: Vec<EdgeRef<'g>>,
+    second: Vec<EdgeRef<'g>>,
+) -> impl Iterator<Item = EdgeRef<'g>> {
+    let (mut first, mut second) = (first.into_iter().peekable(), second.into_iter().peekable());
+    std::iter::from_fn(move || match (first.peek(), second.peek()) {
+        (Some(a), Some(b)) if (b.from, b.to) < (a.from, a.to) => second.next(),
+        (Some(_), _) => first.next(),
+        (None, _) => second.next(),
+    })
 }
 
 /// A `table.column` name on the wire, written without joining it first.
@@ -849,6 +941,77 @@ mod tests {
                 serde_json::to_string_pretty(&reference).unwrap()
             );
         }
+    }
+
+    /// A report rendered with (`true`) or without the helper thread.
+    struct Rendered<'r, 'a>(&'r ReportV2<'a>, bool);
+
+    impl Serialize for Rendered<'_, '_> {
+        fn serialize(&self, s: &mut Serializer<'_>) {
+            self.0.render(s, self.1);
+        }
+    }
+
+    #[test]
+    fn the_helper_thread_writes_the_one_thread_bytes() {
+        use lineagex_sqlparse::DialectKind;
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        let read = |path: String| std::fs::read_to_string(path).unwrap();
+        let mut logs = vec![(read(format!("{corpus}/messy_log.sql")), DialectKind::Ansi)];
+        for dialect in DialectKind::ALL {
+            logs.push((read(format!("{corpus}/dialects/{}.sql", dialect.name())), dialect));
+        }
+        let generated = generate(&GeneratorConfig {
+            views: 2_000,
+            shuffle_statements: true,
+            ..GeneratorConfig::seeded(5)
+        });
+        logs.push((generated.full_sql(), DialectKind::Ansi));
+        for (sql, dialect) in &logs {
+            for lenient in [false, true] {
+                let extractor = crate::LineageX::new().dialect(*dialect);
+                let extractor = if lenient { extractor.lenient() } else { extractor };
+                // The strict messy log does not extract.
+                let Ok(result) = extractor.run(sql) else { continue };
+                let (graph, diagnostics) = (&result.graph, &result.diagnostics);
+                let (index, stats) = (GraphIndex::build(graph), graph.stats());
+                for (with_index, with_stats) in [(false, false), (false, true), (true, false)] {
+                    let report = || {
+                        let report = ReportV2::from_graph(graph, diagnostics);
+                        let report = if with_index { report.with_index(&index) } else { report };
+                        if with_stats {
+                            report.with_stats(&stats)
+                        } else {
+                            report
+                        }
+                    };
+                    let (one, two) = (report(), report());
+                    let (one, two) = (Rendered(&one, false), Rendered(&two, true));
+                    let case = format!("{dialect:?} lenient {lenient} index {with_index}");
+                    assert_eq!(
+                        serde_json::to_string_pretty(&one).unwrap(),
+                        serde_json::to_string_pretty(&two).unwrap(),
+                        "{case}"
+                    );
+                    let (one, two) = (report(), report());
+                    let (one, two) = (Rendered(&one, false), Rendered(&two, true));
+                    assert_eq!(
+                        serde_json::to_string(&one).unwrap(),
+                        serde_json::to_string(&two).unwrap(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rendered_report_keeps_the_stats_it_computed() {
+        let g = graph();
+        let report = ReportV2::from_graph(&g, &[]);
+        let json = report.to_json();
+        assert_eq!(report.stats(), &g.stats());
+        assert!(json.contains("\"max_pipeline_depth\": 1"), "{json}");
     }
 
     #[test]

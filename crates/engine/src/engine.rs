@@ -1,15 +1,14 @@
 //! The long-lived session [`Engine`].
 
-use crate::deps::referenced_relations;
-use crate::schedule::{components, run_tasks};
 use crate::stats::{EngineStats, IngestAction, PublishSplit, StmtId};
 use lineagex_catalog::Catalog;
+use lineagex_core::schedule::{components, run_tasks, ComponentRun, Extracted};
 use lineagex_core::{
-    assemble_graph, assemble_nodes, cycle_stub, extract_entry, preprocess_statement,
-    run_deferral_stack, Diagnostic, DiagnosticCode, ExtractOptions, GraphIndex, GraphIndexCache,
-    GraphSnapshot, ImpactReport, InferredSchemas, LineageError, LineageGraph, LineageResult,
-    LineageView, PreprocessedStatement, QueryDict, QueryEntry, QueryKind, QueryLineage, QuerySpec,
-    ReportV2, SharedMap, SnapshotEntry, SourceColumn, StackExtraction, TraceLog,
+    assemble_graph, assemble_nodes, preprocess_statement, referenced_relations, Diagnostic,
+    DiagnosticCode, ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot, ImpactReport,
+    LineageError, LineageGraph, LineageResult, LineageView, PreprocessedStatement, QueryDict,
+    QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2, SnapshotEntry, SourceColumn,
+    TraceLog,
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
 use lineagex_sqlparse::ast::{SpannedStatement, Statement};
@@ -52,6 +51,9 @@ struct EngineMetrics {
 
 impl Default for EngineMetrics {
     fn default() -> Self {
+        // The batch pipeline's names too: a session that serves metrics
+        // lists them from its first snapshot.
+        lineagex_core::infer::register_metrics();
         let registry = lineagex_obs::registry();
         EngineMetrics {
             ingest_us: registry.histogram("engine.ingest_us"),
@@ -586,10 +588,12 @@ impl Engine {
 
     /// Settle all pending invalidations: close the dirty set over the
     /// reverse-dependency index (downstream cones of every changed
-    /// relation), partition it into connected components of the
-    /// dependency DAG, and (re-)extract each component on the deferral
-    /// stack ([`run_deferral_stack`]), rooted in ingest order —
-    /// unrelated components in parallel when `jobs > 1`. Returns the
+    /// relation), partition it into connected components with the batch
+    /// run's rule ([`components`]: members link to the members they scan
+    /// and to the members that scan the same unknown external), and
+    /// (re-)extract each component on the deferral stack
+    /// ([`ComponentRun`]), rooted in ingest order — unrelated components
+    /// in parallel when `jobs > 1`. Returns the
     /// number of extractions performed; deferred attempts do not count.
     ///
     /// Every step is proportional to the touched cone, never the whole
@@ -651,12 +655,23 @@ impl Engine {
         // 4. Partition the cone into connected components and extract
         //    each on the deferral stack; clean upstreams are already
         //    settled in the graph. A component reads only settled
-        //    lineage and its own copy of the inferred schemas, so the
-        //    workers run across components, one task each.
-        let comps = components(&dirty, |id| self.entries[id].deps.clone());
+        //    lineage, its members' and the inferred schemas of the
+        //    externals only its members scan, so the workers run across
+        //    components, one task each.
+        let members: Vec<&str> = dirty.iter().map(String::as_str).collect();
+        let auto_inference = self.options.extract.auto_inference;
+        let comps = components(
+            &members,
+            |i, visit| self.entries[members[i]].deps.iter().for_each(|dep| visit(dep)),
+            // A clean entry is read as settled lineage, except under the
+            // ablation, where one ingested after its scanner reads as an
+            // unknown external and so links its scanners like one.
+            |dep| auto_inference && self.entries.contains_key(dep),
+            &self.catalog,
+        );
         let mut inferred = self.merged_inferred();
         let outcomes = {
-            let comps = &comps;
+            let (comps, members) = (&comps, &members);
             let entries = &self.entries;
             let settled = &self.graph.queries;
             let qd_ids = &self.qd_ids;
@@ -664,25 +679,37 @@ impl Engine {
             let options = &self.options.extract;
             let base_inferred = &inferred;
             run_tasks(comps.len(), self.options.jobs, move |ci| {
+                // Each member's clean direct dependencies (extraction
+                // only looks up a query's direct dependencies); under the
+                // ablation only those ingested before the member, as the
+                // one-shot log would have processed them.
+                let mut processed = BTreeMap::new();
+                for &i in &comps[ci] {
+                    let state = &entries[members[i]];
+                    for dep in &state.deps {
+                        let Some(lineage) = settled.get(dep) else { continue };
+                        let member = members.binary_search(&dep.as_str()).is_ok();
+                        if !member
+                            && (auto_inference
+                                || entries.get(dep).is_some_and(|d| d.pos < state.pos))
+                        {
+                            processed.entry(dep.clone()).or_insert_with(|| Arc::clone(lineage));
+                        }
+                    }
+                }
+                let mut roots: Vec<&EntryState> =
+                    comps[ci].iter().map(|&i| &entries[members[i]]).collect();
+                roots.sort_by_key(|state| state.pos);
+                let roots = roots.into_iter().map(|state| (state.pos, state.parsed()));
                 let mut run = ComponentRun::new(
-                    &comps[ci],
-                    entries,
-                    settled,
+                    roots,
                     qd_ids,
                     catalog,
                     options,
-                    base_inferred,
+                    processed,
+                    base_inferred.clone(),
                 );
-                let mut roots: Vec<&String> = comps[ci].iter().collect();
-                roots.sort_by_key(|id| entries[id.as_str()].pos);
-                let failure = run_deferral_stack(&mut run, roots.iter().map(|id| (*id).clone()))
-                    .err()
-                    .map(|error| {
-                        // Where the stack stopped: the first root, in
-                        // ingest order, it did not finish.
-                        let root = roots.iter().find(|id| !run.is_done(id));
-                        (root.map_or(u64::MAX, |id| entries[id.as_str()].pos), error)
-                    });
+                let failure = run.run().err();
                 (run.extracted, failure)
             })
         };
@@ -691,7 +718,7 @@ impl Engine {
         // failing root comes first in ingest order.
         let mut failure: Option<(u64, LineageError)> = None;
         for (done, error) in outcomes {
-            for Extracted { id, lineage, trace, delta } in done {
+            for Extracted { id, lineage, trace, delta, .. } in done {
                 extracted += 1;
                 self.dirty_entries.remove(&id);
                 self.merge_lineage(lineage);
@@ -1348,125 +1375,6 @@ impl LineageView for Engine {
     }
 }
 
-/// One entry a refresh extracted (or stubbed): its settled lineage, the
-/// optional trace, and the inferred-schema delta the extraction added.
-struct Extracted {
-    id: String,
-    lineage: Arc<QueryLineage>,
-    trace: Option<TraceLog>,
-    delta: InferredSchemas,
-}
-
-/// One connected component of a refresh's dirty cone on the deferral
-/// stack, against an immutable slice of engine state. `processed` is
-/// seeded with the members' already-settled direct dependencies
-/// (extraction only ever looks up a query's direct dependencies, so the
-/// thin slice is equivalent to the full map); under the
-/// `auto_inference` ablation only those ingested before the member
-/// scanning them, as the one-shot log would have processed them.
-/// Inferred schemas accumulate in `inferred` across the component, like
-/// the batch run's; a deferred attempt gives its additions back
-/// ([`extract_entry`]).
-struct ComponentRun<'a> {
-    members: &'a BTreeSet<String>,
-    entries: &'a BTreeMap<String, EntryState>,
-    qd_ids: &'a BTreeSet<String>,
-    catalog: &'a Catalog,
-    options: &'a ExtractOptions,
-    processed: BTreeMap<String, Arc<QueryLineage>>,
-    inferred: BTreeMap<String, BTreeSet<String>>,
-    extracted: Vec<Extracted>,
-}
-
-impl<'a> ComponentRun<'a> {
-    fn new(
-        members: &'a BTreeSet<String>,
-        entries: &'a BTreeMap<String, EntryState>,
-        settled: &SharedMap<String, Arc<QueryLineage>>,
-        qd_ids: &'a BTreeSet<String>,
-        catalog: &'a Catalog,
-        options: &'a ExtractOptions,
-        base_inferred: &BTreeMap<String, BTreeSet<String>>,
-    ) -> Self {
-        let mut processed: BTreeMap<String, Arc<QueryLineage>> = BTreeMap::new();
-        for member in members {
-            let state = &entries[member];
-            for dep in &state.deps {
-                if members.contains(dep) {
-                    continue;
-                }
-                let Some(lineage) = settled.get(dep) else { continue };
-                if options.auto_inference || entries.get(dep).is_some_and(|d| d.pos < state.pos) {
-                    processed.entry(dep.clone()).or_insert_with(|| Arc::clone(lineage));
-                }
-            }
-        }
-        ComponentRun {
-            members,
-            entries,
-            qd_ids,
-            catalog,
-            options,
-            processed,
-            inferred: base_inferred.clone(),
-            extracted: Vec::new(),
-        }
-    }
-
-    fn record(
-        &mut self,
-        id: &str,
-        lineage: QueryLineage,
-        trace: Option<TraceLog>,
-        delta: InferredSchemas,
-    ) {
-        let lineage = Arc::new(lineage);
-        self.processed.insert(id.to_string(), Arc::clone(&lineage));
-        self.extracted.push(Extracted { id: id.to_string(), lineage, trace, delta });
-    }
-}
-
-impl StackExtraction for ComponentRun<'_> {
-    fn is_done(&self, id: &str) -> bool {
-        self.processed.contains_key(id)
-    }
-
-    fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
-        let (lineage, trace, delta) = extract_entry(
-            self.entries[id].parsed(),
-            self.qd_ids,
-            &self.processed,
-            self.catalog,
-            self.options,
-            &mut self.inferred,
-        )?;
-        self.record(id, lineage, trace, delta);
-        Ok(())
-    }
-
-    /// Only a member of the component can be pushed: anything else the
-    /// extractor finds missing has no settled lineage to wait for.
-    fn defer(&mut self, id: &str, dependency: &str) -> Result<(), LineageError> {
-        if self.members.contains(dependency) {
-            Ok(())
-        } else {
-            Err(LineageError::MissingDependency {
-                query: id.to_string(),
-                dependency: dependency.to_string(),
-            })
-        }
-    }
-
-    fn break_cycle(&mut self, id: &str, path: Vec<String>) -> Result<(), LineageError> {
-        if !self.options.lenient {
-            return Err(LineageError::DependencyCycle(path));
-        }
-        let stub = cycle_stub(self.entries[id].parsed(), &path);
-        self.record(id, stub, None, InferredSchemas::new());
-        Ok(())
-    }
-}
-
 /// Strip any schema qualifier and lower-case, mirroring the catalog's
 /// name normalisation.
 fn normalize(name: &str) -> String {
@@ -1479,7 +1387,9 @@ mod tests {
 
     /// The settled node map, checked against a settle of every key on an
     /// empty map.
-    fn settled_nodes(engine: &mut Engine) -> SharedMap<String, Arc<lineagex_core::Node>> {
+    fn settled_nodes(
+        engine: &mut Engine,
+    ) -> lineagex_core::SharedMap<String, Arc<lineagex_core::Node>> {
         let nodes = engine.graph().unwrap().nodes.clone();
         let (queries, inferred) = (engine.graph.queries.clone(), engine.merged_inferred());
         assert_eq!(nodes, assemble_graph(&engine.catalog, queries, &inferred, Vec::new()).nodes);
@@ -1510,39 +1420,5 @@ mod tests {
         assert_eq!(nodes["web"].kind, lineagex_core::NodeKind::External);
         assert_eq!(nodes["web"].columns, vec!["page"]);
         assert_eq!(engine.stats().last_refresh_extractions, 1);
-    }
-
-    #[test]
-    fn a_component_defers_only_on_its_own_members() {
-        let state = |sql: &str| EntryState {
-            slot: EntrySlot::Cold { sql: sql.to_string() },
-            pos: 0,
-            deps: BTreeSet::new(),
-            deps_norm: BTreeSet::new(),
-        };
-        let entries = BTreeMap::from([
-            ("a".to_string(), state("CREATE VIEW a AS SELECT x FROM b")),
-            ("b".to_string(), state("CREATE VIEW b AS SELECT 1 AS x")),
-            ("cold".to_string(), state("CREATE VIEW cold AS SELECT 1 AS x")),
-        ]);
-        let members = BTreeSet::from(["a".to_string(), "b".to_string()]);
-        let qd_ids = entries.keys().cloned().collect();
-        let (catalog, options) = (Catalog::new(), ExtractOptions::default());
-        let mut run = ComponentRun::new(
-            &members,
-            &entries,
-            &SharedMap::new(),
-            &qd_ids,
-            &catalog,
-            &options,
-            &BTreeMap::new(),
-        );
-        assert_eq!(run.defer("a", "b"), Ok(()));
-        // A snapshot entry outside the component is never pushed: the
-        // refresh fails with a typed error instead.
-        assert_eq!(
-            run.defer("a", "cold"),
-            Err(LineageError::MissingDependency { query: "a".into(), dependency: "cold".into() })
-        );
     }
 }

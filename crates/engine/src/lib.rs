@@ -11,20 +11,22 @@
 //! * [`Engine::ingest`] — streaming preprocessing: statements parse
 //!   under the session's pinned dialect, update the catalog
 //!   incrementally, and maintain a **view dependency DAG** (edges from
-//!   [`deps::referenced_relations`]) with dirty tracking, so redefining
-//!   or dropping one view invalidates only its downstream cone, and an
-//!   unchanged re-ingest is a no-op;
-//! * [`Engine::refresh`] — the **parallel extraction scheduler**:
-//!   [`schedule::components`] splits the dirty cone into independent
-//!   components, each extracts on the paper's deferral stack
-//!   ([`lineagex_core::run_deferral_stack`], rooted in ingest order),
-//!   and [`schedule::run_tasks`] runs the components on a
+//!   [`lineagex_core::referenced_relations`]) with dirty tracking, so
+//!   redefining or dropping one view invalidates only its downstream
+//!   cone, and an unchanged re-ingest is a no-op;
+//! * [`Engine::refresh`] — the **parallel extraction scheduler**: the
+//!   core scheduler's partition ([`lineagex_core::schedule::components`],
+//!   the rule the batch run uses) splits the dirty cone into components
+//!   that share nothing, not even an unknown external's inferred schema,
+//!   each extracts on the paper's deferral stack
+//!   ([`lineagex_core::schedule::ComponentRun`], rooted in ingest order),
+//!   and [`lineagex_core::schedule::run_tasks`] runs the components on a
 //!   `std::thread::scope` work-queue pool (`jobs` option);
 //! * [`Engine::graph`] / [`Engine::lineage_of`] / [`Engine::impact_of`] —
 //!   lineage queries between ingests, over a lazily-settled graph;
 //! * [`Engine::ingest_dict`] — a one-shot log's Query Dictionary in one
 //!   bulk write, keeping the batch pipeline's one-shot rules (what
-//!   `lineagex extract --jobs N` runs).
+//!   `lineagex extract --save-snapshot` runs, to persist the session).
 //!
 //! Two invariants tie the engine back to the paper's semantics, asserted
 //! by the workspace property tests over generator workloads:
@@ -38,12 +40,9 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod deps;
 mod engine;
-pub mod schedule;
 mod stats;
 
-pub use deps::referenced_relations;
 pub use engine::{Engine, EngineOptions, EngineSnapshot};
 pub use stats::{EngineStats, IngestAction, PublishSplit, StmtId};
 

@@ -46,8 +46,11 @@ use serde_json::Value;
 /// dirty component on the deferral stack instead of in topological
 /// levels, so the `metrics` op drops the `engine.refresh_level_us`
 /// histogram, and gains the `serve.rejected.write_timeout` counter of
-/// replies whose send timed out.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// replies whose send timed out; `8` — the batch pipeline records its
+/// stages, so the `metrics` op gains the `core.dict_us`,
+/// `core.infer_us`, `core.components` and `core.serialize_us`
+/// histograms.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// A typed service error: a [`DiagnosticCode`] plus a human message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]

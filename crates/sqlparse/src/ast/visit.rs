@@ -2,8 +2,9 @@
 //!
 //! The lineage extractor needs two things from an expression: the column
 //! references that occur *directly* in it, and the subqueries nested in it
-//! (which must be resolved against their own scopes). [`ExprRefs`] gathers
-//! both in a single walk without descending into subqueries.
+//! (which must be resolved against their own scopes). [`walk_expr`] meets
+//! both in a single walk without descending into subqueries, and
+//! [`ExprRefs`] collects what it meets.
 
 use super::expr::{Expr, Function, FunctionArg};
 use super::ident::{Ident, ObjectName};
@@ -59,111 +60,138 @@ impl<'a> ExprRefs<'a> {
 
     /// Walk one more expression, accumulating into `self`.
     pub fn walk(&mut self, expr: &'a Expr) {
-        match expr {
-            Expr::Identifier(ident) => {
-                self.columns.push(ColumnRef { qualifier: &[], column: ident });
+        walk_expr(expr, &mut |item| match item {
+            ExprItem::Column(column) => self.columns.push(column),
+            ExprItem::Wildcard => self.has_wildcard = true,
+            ExprItem::QualifiedWildcard(name) => self.qualified_wildcards.push(name),
+            ExprItem::Subquery(query) => self.subqueries.push(query),
+        });
+    }
+}
+
+/// One thing an expression walk ([`walk_expr`]) meets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ExprItem<'a> {
+    /// A column reference.
+    Column(ColumnRef<'a>),
+    /// A bare `*` function argument (`COUNT(*)`).
+    Wildcard,
+    /// A `t.*` function argument (`COUNT(t.*)`).
+    QualifiedWildcard(&'a ObjectName),
+    /// An immediate subquery (scalar, `IN`, `EXISTS`, quantified); the
+    /// walk does not descend into it.
+    Subquery(&'a Query),
+}
+
+/// Walk `expr` and its sub-expressions, outside nested subqueries,
+/// handing every [`ExprItem`] to `visit` in source order. It allocates
+/// nothing: a caller that wants only some items (the subqueries, say)
+/// pays for no others.
+pub fn walk_expr<'a>(expr: &'a Expr, visit: &mut impl FnMut(ExprItem<'a>)) {
+    match expr {
+        Expr::Identifier(ident) => {
+            visit(ExprItem::Column(ColumnRef { qualifier: &[], column: ident }));
+        }
+        Expr::CompoundIdentifier(parts) => {
+            if let Some((column, qualifier)) = parts.split_last() {
+                visit(ExprItem::Column(ColumnRef { qualifier, column }));
             }
-            Expr::CompoundIdentifier(parts) => {
-                if let Some((column, qualifier)) = parts.split_last() {
-                    self.columns.push(ColumnRef { qualifier, column });
-                }
+        }
+        Expr::Literal(_) | Expr::Placeholder(_) => {}
+        Expr::BinaryOp { left, right, .. } => {
+            walk_expr(left, visit);
+            walk_expr(right, visit);
+        }
+        Expr::UnaryOp { expr, .. } | Expr::Nested(expr) => walk_expr(expr, visit),
+        Expr::IsNull { expr, .. } => walk_expr(expr, visit),
+        Expr::IsDistinctFrom { left, right, .. } => {
+            walk_expr(left, visit);
+            walk_expr(right, visit);
+        }
+        Expr::InList { expr, list, .. } => {
+            walk_expr(expr, visit);
+            for e in list {
+                walk_expr(e, visit);
             }
-            Expr::Literal(_) | Expr::Placeholder(_) => {}
-            Expr::BinaryOp { left, right, .. } => {
-                self.walk(left);
-                self.walk(right);
+        }
+        Expr::InSubquery { expr, subquery, .. } => {
+            walk_expr(expr, visit);
+            visit(ExprItem::Subquery(subquery));
+        }
+        Expr::Between { expr, low, high, .. } => {
+            walk_expr(expr, visit);
+            walk_expr(low, visit);
+            walk_expr(high, visit);
+        }
+        Expr::Like { expr, pattern, .. } => {
+            walk_expr(expr, visit);
+            walk_expr(pattern, visit);
+        }
+        Expr::Case { operand, conditions, results, else_result } => {
+            if let Some(op) = operand {
+                walk_expr(op, visit);
             }
-            Expr::UnaryOp { expr, .. } | Expr::Nested(expr) => self.walk(expr),
-            Expr::IsNull { expr, .. } => self.walk(expr),
-            Expr::IsDistinctFrom { left, right, .. } => {
-                self.walk(left);
-                self.walk(right);
+            for e in conditions.iter().chain(results.iter()) {
+                walk_expr(e, visit);
             }
-            Expr::InList { expr, list, .. } => {
-                self.walk(expr);
-                for e in list {
-                    self.walk(e);
-                }
+            if let Some(e) = else_result {
+                walk_expr(e, visit);
             }
-            Expr::InSubquery { expr, subquery, .. } => {
-                self.walk(expr);
-                self.subqueries.push(subquery);
+        }
+        Expr::Cast { expr, .. } => walk_expr(expr, visit),
+        Expr::Extract { expr, .. } => walk_expr(expr, visit),
+        Expr::Substring { expr, from, for_len } => {
+            walk_expr(expr, visit);
+            if let Some(e) = from {
+                walk_expr(e, visit);
             }
-            Expr::Between { expr, low, high, .. } => {
-                self.walk(expr);
-                self.walk(low);
-                self.walk(high);
+            if let Some(e) = for_len {
+                walk_expr(e, visit);
             }
-            Expr::Like { expr, pattern, .. } => {
-                self.walk(expr);
-                self.walk(pattern);
+        }
+        Expr::Trim { expr, what, .. } => {
+            walk_expr(expr, visit);
+            if let Some(e) = what {
+                walk_expr(e, visit);
             }
-            Expr::Case { operand, conditions, results, else_result } => {
-                if let Some(op) = operand {
-                    self.walk(op);
-                }
-                for e in conditions.iter().chain(results.iter()) {
-                    self.walk(e);
-                }
-                if let Some(e) = else_result {
-                    self.walk(e);
-                }
-            }
-            Expr::Cast { expr, .. } => self.walk(expr),
-            Expr::Extract { expr, .. } => self.walk(expr),
-            Expr::Substring { expr, from, for_len } => {
-                self.walk(expr);
-                if let Some(e) = from {
-                    self.walk(e);
-                }
-                if let Some(e) = for_len {
-                    self.walk(e);
-                }
-            }
-            Expr::Trim { expr, what, .. } => {
-                self.walk(expr);
-                if let Some(e) = what {
-                    self.walk(e);
-                }
-            }
-            Expr::Position { expr, in_expr } => {
-                self.walk(expr);
-                self.walk(in_expr);
-            }
-            Expr::Interval { value, .. } => self.walk(value),
-            Expr::Function(func) => self.walk_function(func),
-            Expr::Exists { subquery, .. } => self.subqueries.push(subquery),
-            Expr::Subquery(q) => self.subqueries.push(q),
-            Expr::QuantifiedComparison { expr, subquery, .. } => {
-                self.walk(expr);
-                self.subqueries.push(subquery);
-            }
-            Expr::Tuple(items) => {
-                for e in items {
-                    self.walk(e);
-                }
+        }
+        Expr::Position { expr, in_expr } => {
+            walk_expr(expr, visit);
+            walk_expr(in_expr, visit);
+        }
+        Expr::Interval { value, .. } => walk_expr(value, visit),
+        Expr::Function(func) => walk_function(func, visit),
+        Expr::Exists { subquery, .. } => visit(ExprItem::Subquery(subquery)),
+        Expr::Subquery(q) => visit(ExprItem::Subquery(q)),
+        Expr::QuantifiedComparison { expr, subquery, .. } => {
+            walk_expr(expr, visit);
+            visit(ExprItem::Subquery(subquery));
+        }
+        Expr::Tuple(items) => {
+            for e in items {
+                walk_expr(e, visit);
             }
         }
     }
+}
 
-    fn walk_function(&mut self, func: &'a Function) {
-        for arg in &func.args {
-            match arg {
-                FunctionArg::Expr(e) => self.walk(e),
-                FunctionArg::Wildcard => self.has_wildcard = true,
-                FunctionArg::QualifiedWildcard(name) => self.qualified_wildcards.push(name),
-            }
+fn walk_function<'a>(func: &'a Function, visit: &mut impl FnMut(ExprItem<'a>)) {
+    for arg in &func.args {
+        match arg {
+            FunctionArg::Expr(e) => walk_expr(e, visit),
+            FunctionArg::Wildcard => visit(ExprItem::Wildcard),
+            FunctionArg::QualifiedWildcard(name) => visit(ExprItem::QualifiedWildcard(name)),
         }
-        if let Some(filter) = &func.filter {
-            self.walk(filter);
+    }
+    if let Some(filter) = &func.filter {
+        walk_expr(filter, visit);
+    }
+    if let Some(over) = &func.over {
+        for e in &over.partition_by {
+            walk_expr(e, visit);
         }
-        if let Some(over) = &func.over {
-            for e in &over.partition_by {
-                self.walk(e);
-            }
-            for ob in &over.order_by {
-                self.walk(&ob.expr);
-            }
+        for ob in &over.order_by {
+            walk_expr(&ob.expr, visit);
         }
     }
 }

@@ -83,3 +83,29 @@ fn connected_mode_is_strict_about_metadata() {
     let err = ExplainPathExtractor::new(qd, db).run().unwrap_err();
     assert!(matches!(err, LineageError::Database(_)));
 }
+
+#[test]
+fn paths_agree_on_quoted_declared_and_insert_target_names() {
+    // An INSERT without a column list takes its target's column names,
+    // and a view its declared ones, as spelled: the parser already
+    // folded the unquoted ones, so a quoted mixed-case name stays.
+    let insert_ddl = r#"CREATE TABLE dst ("Page" int, cid int); CREATE TABLE src (x int, y int);"#;
+    let insert = "INSERT INTO dst SELECT x, y FROM src;";
+    let view_ddl = "CREATE TABLE t (x int, y int);";
+    let views =
+        r#"CREATE VIEW v("Page", y) AS SELECT x, y FROM t; CREATE VIEW w AS SELECT "Page" FROM v;"#;
+    for (ddl, log, id, names) in
+        [(insert_ddl, insert, "dst", ["Page", "cid"]), (view_ddl, views, "v", ["Page", "y"])]
+    {
+        let static_result = lineagex(&format!("{ddl}\n{log}")).unwrap();
+        let connected = explain_extract(ddl, log);
+        for result in [&static_result, &connected] {
+            assert_eq!(result.graph.queries[id].output_names(), names, "{log}");
+            assert_eq!(result.graph.nodes[id].columns, names, "{log}");
+        }
+        assert_paths_agree(&static_result, &connected);
+    }
+    let w = &lineagex(&format!("{view_ddl}\n{views}")).unwrap().graph.queries["w"];
+    assert_eq!(w.outputs[0].ccon, [SourceColumn::new("v", "Page")].into());
+    assert!(!w.partial);
+}
