@@ -104,6 +104,12 @@ cargo test -q --test dialect_corpus
 step "cargo test -q -p lineagex-cli -p lineagex-core -- across_jobs one_shot_log_semantics (--jobs output parity)"
 cargo test -q -p lineagex-cli -p lineagex-core -- across_jobs one_shot_log_semantics
 
+# Connected mode's paper artefact: the explain_path bin must keep
+# Example 1's create-first order and find no static/connected mismatch
+# on Example 1 and MIMIC. Its tests run in the workspace test steps.
+step "cargo run -q -p lineagex-bench --bin explain_path (connected mode)"
+cargo run -q -p lineagex-bench --bin explain_path
+
 # Public-API snapshot guard: the lineagex::prelude export list and the
 # Example 1 ReportV2 document are golden files (./ci.sh regen
 # regenerates) — accidental API or wire-format breaks fail the build.

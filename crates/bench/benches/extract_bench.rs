@@ -1,10 +1,10 @@
 //! PERF — end-to-end lineage extraction: LineageX static path, the
-//! EXPLAIN-based connected path, and the SQLLineage-like baseline on the
-//! same workloads, plus downstream artefact rendering.
+//! connected mode, and the SQLLineage-like baseline on the same
+//! workloads, plus downstream artefact rendering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lineagex_baseline::SqlLineageLike;
-use lineagex_catalog::{Catalog, SimulatedDatabase};
+use lineagex_catalog::Catalog;
 use lineagex_core::{lineagex, ExplainPathExtractor, QueryDict};
 use lineagex_datasets::{example1, mimic};
 use lineagex_viz::{to_dot, to_html, to_output_json};
@@ -29,14 +29,13 @@ fn bench_extract(c: &mut Criterion) {
         b.iter(|| SqlLineageLike::new().extract(std::hint::black_box(&mimic_sql)).unwrap())
     });
 
-    // Connected mode: bind + create views through the simulated database.
+    // Connected mode: the create-views-first stack over the DDL catalog.
     let workload = mimic::workload();
     let views_sql: String = workload.view_statements.iter().map(|s| format!("{s};")).collect();
     group.bench_function("explain_path/mimic_70_views", |b| {
         b.iter(|| {
             let qd = QueryDict::from_sql(std::hint::black_box(&views_sql)).unwrap();
-            let db = SimulatedDatabase::with_catalog(Catalog::from_ddl(&workload.ddl).unwrap());
-            ExplainPathExtractor::new(qd, db).run().unwrap()
+            ExplainPathExtractor::new(qd, Catalog::from_ddl(&workload.ddl).unwrap()).run().unwrap()
         })
     });
     group.finish();

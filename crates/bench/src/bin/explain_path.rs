@@ -1,48 +1,41 @@
 //! EXPL — "when the database connection is available" (§III): run the
-//! EXPLAIN-based extraction against the simulated database, show the
-//! create-views-first stack firing on missing dependencies, and verify
-//! the static and connected paths agree.
+//! connected mode, whose names resolve against full metadata like the
+//! database's EXPLAIN, show the create-views-first stack firing on
+//! missing dependencies and the traversal trace it explains Q3 with, and
+//! verify the static and connected paths agree.
 
 use lineagex_bench::section;
-use lineagex_catalog::{Catalog, SimulatedDatabase};
+use lineagex_catalog::Catalog;
 use lineagex_core::{lineagex, ExplainPathExtractor, QueryDict};
 use lineagex_datasets::{example1, mimic};
 
 fn main() {
-    section("EXPLAIN path on Example 1");
-    let db = SimulatedDatabase::with_catalog(Catalog::from_ddl(example1::DDL).expect("DDL parses"));
-    // Show what the oracle produces for Q3.
-    let bound = db
-        .explain(
-            "SELECT c.cid AS wcid, w.date AS wdate, w.page AS wpage, w.reg AS wreg
-             FROM customers c JOIN web w ON c.cid = w.cid
-             WHERE EXTRACT(YEAR FROM w.date) = 2022",
-        )
-        .expect("explain succeeds");
-    println!("simulated EXPLAIN of Q3:\n{}", bound.plan);
-
+    section("Connected mode on Example 1");
+    let catalog = Catalog::from_ddl(example1::DDL).expect("DDL parses");
     let qd = QueryDict::from_sql(example1::QUERIES).expect("queries parse");
-    let connected = ExplainPathExtractor::new(qd, db).run().expect("connected path succeeds");
+    let connected = ExplainPathExtractor::new(qd, catalog).run().expect("connected path succeeds");
     println!("create-first deferrals: {:?}", connected.deferrals);
     println!("processing order:       {:?}", connected.graph.order);
     assert_eq!(connected.graph.order, vec!["webinfo", "webact", "info"]);
+    // Show how Q3 (webinfo) resolves its names.
+    println!("\ntrace of webinfo (Q3):\n{}", connected.traces["webinfo"]);
 
-    section("Static vs EXPLAIN agreement (Example 1)");
+    section("Static vs connected agreement (Example 1)");
     let static_result = lineagex(&example1::full_log()).expect("static path succeeds");
     compare(&static_result.graph, &connected.graph);
 
-    section("Static vs EXPLAIN agreement (MIMIC-like, 70 views)");
+    section("Static vs connected agreement (MIMIC-like, 70 views)");
     let workload = mimic::workload();
     let static_mimic = lineagex(&workload.full_sql()).expect("static path succeeds");
     let qd = QueryDict::from_sql(
         &workload.view_statements.iter().map(|s| format!("{s};")).collect::<String>(),
     )
     .expect("views parse");
-    let db = SimulatedDatabase::with_catalog(Catalog::from_ddl(&workload.ddl).unwrap());
-    let connected_mimic = ExplainPathExtractor::new(qd, db).run().expect("connected path");
+    let catalog = Catalog::from_ddl(&workload.ddl).unwrap();
+    let connected_mimic = ExplainPathExtractor::new(qd, catalog).run().expect("connected path");
     compare(&static_mimic.graph, &connected_mimic.graph);
 
-    println!("\n✔ the static and EXPLAIN-based paths agree on catalog-complete workloads");
+    println!("\n✔ the static and connected paths agree on catalog-complete workloads");
 }
 
 fn compare(a: &lineagex_core::LineageGraph, b: &lineagex_core::LineageGraph) {
@@ -64,5 +57,5 @@ fn compare(a: &lineagex_core::LineageGraph, b: &lineagex_core::LineageGraph) {
         }
     }
     println!("  queries compared: {}, mismatches: {mismatches}", a.queries.len());
-    assert_eq!(mismatches, 0, "static and EXPLAIN paths must agree");
+    assert_eq!(mismatches, 0, "static and connected paths must agree");
 }

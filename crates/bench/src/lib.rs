@@ -12,7 +12,7 @@
 //! | `fig5_impact` | Fig. 5 / §IV steps 1–4 — impact analysis walkthrough |
 //! | `mimic_coverage` | §IV workload statistics + accuracy on MIMIC-like data |
 //! | `llm_compare` | §IV — LLM-style vs full impact analysis |
-//! | `explain_path` | §III connected mode — static vs EXPLAIN agreement |
+//! | `explain_path` | §III connected mode — create-first order, Q3's trace, static vs connected agreement |
 //! | `accuracy_sweep` | extension — F1 vs SQL-feature mix, ours vs baseline |
 //! | `engine_bench` | extension — session engine: batch vs incremental vs parallel (`BENCH_engine.json`) |
 //! | `query_bench` | extension — GraphQuery traversal throughput on the 200-view workload (`BENCH_query.json`) |

@@ -1,87 +1,21 @@
-//! Postgres-style database errors raised by the binder and the simulated
-//! connection.
+//! Errors from loading DDL into a [`crate::Catalog`].
 
 use std::fmt;
 
-/// Errors from binding or executing statements against the
-/// [`crate::SimulatedDatabase`]. The variants mirror the PostgreSQL error
-/// conditions LineageX's connected mode reacts to.
+/// Errors from building or extending a [`crate::Catalog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
-    /// `relation "<name>" does not exist` — drives the create-first stack.
-    UndefinedTable(String),
-    /// `column "<column>" does not exist` (optionally with the relation the
-    /// lookup was scoped to).
-    UndefinedColumn {
-        /// The unresolved column name.
-        column: String,
-        /// The relation it was looked up in, when qualified.
-        relation: Option<String>,
-    },
-    /// `column reference "<column>" is ambiguous`.
-    AmbiguousColumn {
-        /// The ambiguous column name.
-        column: String,
-        /// Relations that all expose the column.
-        candidates: Vec<String>,
-    },
-    /// `table name "<name>" specified more than once` in one FROM clause.
-    DuplicateAlias(String),
     /// `relation "<name>" already exists`.
     DuplicateTable(String),
-    /// Set-operation branches project different numbers of columns.
-    SetOperationArityMismatch {
-        /// Column count on the left branch.
-        left: usize,
-        /// Column count on the right branch.
-        right: usize,
-    },
-    /// A view's explicit column list does not match its query output arity.
-    ViewColumnCountMismatch {
-        /// The view name.
-        view: String,
-        /// Declared column-list length.
-        declared: usize,
-        /// Query output arity.
-        actual: usize,
-    },
     /// The SQL failed to parse.
     Parse(String),
-    /// The statement kind is not supported by the simulated engine.
-    Unsupported(String),
 }
 
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DbError::UndefinedTable(name) => {
-                write!(f, "relation \"{name}\" does not exist")
-            }
-            DbError::UndefinedColumn { column, relation: Some(rel) } => {
-                write!(f, "column {rel}.{column} does not exist")
-            }
-            DbError::UndefinedColumn { column, relation: None } => {
-                write!(f, "column \"{column}\" does not exist")
-            }
-            DbError::AmbiguousColumn { column, candidates } => write!(
-                f,
-                "column reference \"{column}\" is ambiguous (candidates: {})",
-                candidates.join(", ")
-            ),
-            DbError::DuplicateAlias(name) => {
-                write!(f, "table name \"{name}\" specified more than once")
-            }
             DbError::DuplicateTable(name) => write!(f, "relation \"{name}\" already exists"),
-            DbError::SetOperationArityMismatch { left, right } => write!(
-                f,
-                "each branch of a set operation must have the same number of columns ({left} vs {right})"
-            ),
-            DbError::ViewColumnCountMismatch { view, declared, actual } => write!(
-                f,
-                "view \"{view}\" declares {declared} column names but its query returns {actual} columns"
-            ),
             DbError::Parse(msg) => write!(f, "syntax error: {msg}"),
-            DbError::Unsupported(what) => write!(f, "unsupported statement: {what}"),
         }
     }
 }
@@ -101,18 +35,9 @@ mod tests {
     #[test]
     fn display_matches_postgres_phrasing() {
         assert_eq!(
-            DbError::UndefinedTable("webact".into()).to_string(),
-            "relation \"webact\" does not exist"
+            DbError::DuplicateTable("web".into()).to_string(),
+            "relation \"web\" already exists"
         );
-        assert_eq!(
-            DbError::UndefinedColumn { column: "wpage".into(), relation: None }.to_string(),
-            "column \"wpage\" does not exist"
-        );
-        let e = DbError::AmbiguousColumn {
-            column: "cid".into(),
-            candidates: vec!["customers".into(), "orders".into()],
-        };
-        assert!(e.to_string().contains("ambiguous"));
     }
 
     #[test]

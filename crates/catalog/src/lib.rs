@@ -1,45 +1,24 @@
 //! # lineagex-catalog
 //!
-//! Schema metadata and the *simulated database connection* for LineageX.
-//!
-//! The LineageX paper describes an optional mode where, given a live
-//! PostgreSQL connection, the system runs `EXPLAIN` to obtain a resolved
-//! query plan and uses it as a metadata oracle: every table and column
-//! reference is unambiguously bound, and missing dependencies surface as
-//! Postgres errors (`UndefinedTable` and friends) that drive the paper's
-//! create-views-first stack mechanism.
-//!
-//! This crate provides that oracle without a server:
+//! Schema metadata for LineageX: the relations a log scans but does not
+//! define.
 //!
 //! * [`schema`] — column/table schema model;
 //! * [`Catalog`] — an in-memory namespace of base tables and views,
-//!   loadable from `CREATE TABLE` DDL;
-//! * [`binder`] — a name-resolution pass that turns a parsed query into a
-//!   fully-bound [`plan::PlanNode`], raising Postgres-style
-//!   [`DbError`]s on undefined/ambiguous references;
-//! * [`SimulatedDatabase`] — the connection facade: `execute_ddl` mutates
-//!   the catalog (views must bind successfully, exactly like Postgres view
-//!   creation) and `explain` returns the bound plan for a query.
+//!   loadable from `CREATE TABLE` DDL and updated statement by statement
+//!   ([`Catalog::apply_statement`]).
 //!
-//! One deliberate difference from Postgres is documented in DESIGN.md:
-//! `EXPLAIN` on Postgres inlines view definitions into the plan, whereas
-//! our oracle keeps views as scannable relations. LineageX only consumes
-//! the plan for *name resolution of the query's direct inputs*, so keeping
-//! views opaque preserves exactly the behaviour the paper relies on while
-//! matching the lineage graph's view-level nodes.
+//! Every lineage path reads the catalog; none resolves names here. The
+//! paper's connected mode, which uses a live database's `EXPLAIN` as a
+//! metadata oracle, resolves names through the static extractor with the
+//! catalog as its full metadata (`lineagex_core::ExplainPathExtractor`).
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod binder;
 pub mod catalog;
-pub mod database;
 pub mod error;
-pub mod plan;
 pub mod schema;
 
-pub use binder::Binder;
 pub use catalog::{Catalog, CatalogChange};
-pub use database::SimulatedDatabase;
 pub use error::DbError;
-pub use plan::{BoundQuery, PlanColumn, PlanNode, SourceColumn};
 pub use schema::{Column, RelationKind, TableSchema};

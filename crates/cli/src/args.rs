@@ -49,7 +49,11 @@ usage:
                      rendering with --pretty)
   lineagex impact   <table.column> <queries.sql> [--ddl <schema.sql>]
   lineagex path     <from.column> <to.column> <queries.sql> [--ddl <schema.sql>]
-  lineagex explain  <queries.sql> --ddl <schema.sql>
+  lineagex explain  <queries.sql> --ddl <schema.sql> [--dialect <name>]
+                    (connected mode: names resolve against the schema and the
+                     log's own DDL like a database's EXPLAIN, views the log
+                     defines later are created first; prints the stack
+                     deferrals and each query's trace in processing order)
   lineagex compare  <queries.sql> [--ddl <schema.sql>]
 
   --dialect <name> picks the SQL dialect front end:
@@ -173,7 +177,7 @@ pub enum Command {
         /// Shared options.
         common: CommonOptions,
     },
-    /// `explain` through the simulated database.
+    /// `explain`: connected mode, with traces.
     Explain {
         /// The SQL file.
         file: String,

@@ -3,10 +3,10 @@
 use crate::args::{parse_column, ClientOp, Command, CommonOptions, QueryFormat};
 use lineagex_baseline::metrics::{graph_contribute_edges, score_edges};
 use lineagex_baseline::SqlLineageLike;
-use lineagex_catalog::{Catalog, SimulatedDatabase};
+use lineagex_catalog::Catalog;
 use lineagex_core::{
-    Diagnostic, EdgeKind, ExtractOptions, GraphStats, InferenceEngine, LineageError, LineageResult,
-    LineageView, QueryDict, QueryReport, ReportV2, SourceColumn,
+    Diagnostic, EdgeKind, ExplainPathExtractor, ExtractOptions, GraphStats, InferenceEngine,
+    LineageError, LineageResult, LineageView, QueryDict, QueryReport, ReportV2, SourceColumn,
 };
 use lineagex_engine::{Engine, EngineOptions};
 use lineagex_serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
@@ -246,20 +246,19 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
             }
         }
         Command::Explain { file, common } => {
+            // Connected mode: names resolve against the `--ddl` catalog and
+            // the log's own DDL like the database's EXPLAIN, on the
+            // create-views-first stack. It is strict, so a statement that
+            // does not parse fails the run even under `--lenient`.
             let sql = read_file(file)?;
             let catalog = ddl_catalog(common)?.expect("validated by parser");
-            let db = SimulatedDatabase::with_catalog(catalog);
-            let statements = lineagex_sqlparse::parse_sql(&sql).map_err(|e| e.to_string())?;
-            let mut db = db;
-            for stmt in &statements {
-                if stmt.defining_query().is_none() && stmt.update_as_query().is_none() {
-                    continue;
-                }
-                wln(out, &format!("-- {stmt}"))?;
-                let bound = db.explain(&stmt.to_string()).map_err(|e| e.to_string())?;
-                wln(out, &bound.plan.to_string())?;
-                // Create views so later statements can reference them.
-                db.execute_statement(stmt).map_err(|e| e.to_string())?;
+            let dict = QueryDict::from_sql_dialect(&sql, false, extract_options(common).dialect)
+                .map_err(|e| e.to_string())?;
+            let result =
+                ExplainPathExtractor::new(dict, catalog).run().map_err(|e| e.to_string())?;
+            wln(out, &format!("stack deferrals   : {:?}", result.deferrals))?;
+            for id in &result.graph.order {
+                wln(out, &format!("\ntrace of {id}:\n{}", result.traces[id]))?;
             }
             Ok(())
         }
@@ -1153,15 +1152,68 @@ mod tests {
         assert!(path("web.ghost", "v.p").0.unwrap_err().contains("web.ghost does not exist"));
     }
 
+    /// The `--ddl` of the `explain` tests, the connection's metadata.
+    const WEB_DDL: &str = "CREATE TABLE web (cid int, page text);";
+
+    /// `explain <log> --ddl <WEB_DDL> <flags>`; `tag` names the schema
+    /// file, one per test.
+    fn explain(tag: &str, log: &str, flags: &[&str]) -> (CmdResult, String) {
+        let ddl = write_temp(&format!("explain_{tag}_schema.sql"), WEB_DDL);
+        let mut argv = vec!["explain".to_string(), log.to_string(), "--ddl".to_string(), ddl];
+        argv.extend(flags.iter().map(|f| f.to_string()));
+        execute_to_string(&Command::parse(&argv).unwrap())
+    }
+
     #[test]
-    fn explain_prints_plans() {
-        let ddl = write_temp("schema.sql", "CREATE TABLE web (cid int, page text);");
-        let queries = write_temp("explain.sql", "CREATE VIEW v AS SELECT page FROM web;");
-        let cmd =
-            Command::parse(&["explain".to_string(), queries, "--ddl".to_string(), ddl]).unwrap();
-        let (result, text) = execute_to_string(&cmd);
+    fn explain_creates_a_forward_reference_first() {
+        let log = write_temp(
+            "explain_forward.sql",
+            "CREATE VIEW second AS SELECT wcid FROM first;
+             CREATE VIEW first AS SELECT cid AS wcid FROM web;",
+        );
+        let (result, text) = explain("forward", &log, &[]);
         result.unwrap();
-        assert!(text.contains("Seq Scan on web"), "{text}");
+        assert!(text.starts_with("stack deferrals   : [(\"second\", \"first\")]\n"), "{text}");
+        // Each query's trace, in processing order.
+        let first = text.find("trace of first:").expect(&text);
+        let second = text.find("trace of second:").expect(&text);
+        assert!(first < second, "{text}");
+        assert!(text.contains("scan view first"), "{text}");
+    }
+
+    #[test]
+    fn explain_reads_the_log_ddl() {
+        let log = write_temp(
+            "explain_log_ddl.sql",
+            "CREATE TABLE c (cid int, x int); CREATE TABLE o (cid int, y int);
+             CREATE VIEW amb AS SELECT cid FROM c, o;",
+        );
+        let (result, _) = explain("log_ddl", &log, &[]);
+        let error = result.unwrap_err();
+        assert!(error.contains("column reference \"cid\" is ambiguous"), "{error}");
+        let log = write_temp("explain_unknown.sql", "CREATE VIEW v AS SELECT x FROM nope;");
+        let (result, _) = explain("unknown", &log, &[]);
+        assert_eq!(result.unwrap_err(), "database error: relation \"nope\" does not exist");
+    }
+
+    #[test]
+    fn explain_is_strict_under_lenient() {
+        let log = write_temp(
+            "explain_lenient.sql",
+            "CREATE VIEW v AS SELECT cid FROM web; CREATE VIEW broken AS SELEC;",
+        );
+        let (result, text) = explain("lenient", &log, &["--lenient"]);
+        assert!(result.unwrap_err().starts_with("parse error"), "{text}");
+        assert!(text.is_empty(), "{text}");
+    }
+
+    #[test]
+    fn explain_parses_under_the_dialect() {
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/dialects/tsql.sql");
+        assert!(explain("ansi", fixture, &[]).0.is_err());
+        let (result, text) = explain("tsql", fixture, &["--dialect", "tsql"]);
+        result.unwrap();
+        assert!(text.contains("trace of "), "{text}");
     }
 
     #[test]

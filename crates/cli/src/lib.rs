@@ -1,7 +1,7 @@
 //! # lineagex-cli
 //!
 //! The `lineagex` command-line tool: extract column lineage from SQL
-//! files, run impact analyses, inspect simulated `EXPLAIN` plans, and
+//! files, run impact analyses, explain a log in connected mode, and
 //! compare against the SQLLineage-like baseline.
 //!
 //! ```text
@@ -14,7 +14,7 @@
 //! lineagex client   <host:port> <op> [args]
 //! lineagex impact   <table.column> queries.sql [--ddl schema.sql]
 //! lineagex path     <from.column> <to.column> queries.sql [--ddl schema.sql]
-//! lineagex explain  queries.sql --ddl schema.sql
+//! lineagex explain  queries.sql --ddl schema.sql [--dialect name]
 //! lineagex compare  queries.sql [--ddl schema.sql]
 //! ```
 //!
@@ -28,7 +28,9 @@
 //! lineage questions between ingests.
 //! `serve` exposes the same engine as a long-lived JSON-lines TCP
 //! service (`lineagex-serve`), and `client` scripts one request against
-//! it, printing the server's raw response line.
+//! it, printing the server's raw response line. `explain` runs the
+//! paper's connected mode (`lineagex_core::ExplainPathExtractor`) and
+//! prints the stack deferrals and each query's traversal trace.
 //!
 //! The command logic lives in this library (driven by string arguments
 //! and an output writer) so it is fully unit-testable; `main.rs` is a

@@ -73,8 +73,9 @@ pub enum LineageError {
     },
     /// A statement kind the extractor does not handle.
     Unsupported(String),
-    /// An error reported by the (simulated) database connection in
-    /// EXPLAIN-based extraction.
+    /// Connected mode's closed-world check: a query scans a relation
+    /// that neither the catalog nor the log defines, which a database
+    /// connection reports as `relation "x" does not exist`.
     Database(String),
     /// A binary snapshot could not be written or read back (I/O failure,
     /// wrong magic, unsupported version, truncation, checksum mismatch).

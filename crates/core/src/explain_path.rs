@@ -1,67 +1,90 @@
-//! EXPLAIN-based extraction — "when the database connection is available"
-//! (paper §III).
+//! Connected mode — "when the database connection is available" (paper
+//! §III).
 //!
-//! Instead of traversing the raw AST, this path asks the (simulated)
-//! database to bind each query, obtaining a plan whose column references
-//! are resolved against real metadata. Missing views raise
-//! `UndefinedTable` exactly like Postgres; the same LIFO stack defers the
-//! current query, **creates the dependency's view first**, and resumes —
-//! the paper's "additional step to create the views".
+//! The paper's connected mode uses a live database's `EXPLAIN` only as a
+//! metadata oracle: each query's names resolve against full metadata,
+//! and an `UndefinedTable` error for a view the log defines later drives
+//! the same create-views-first stack, whose deferral defers the current
+//! query, **creates the dependency's view first**, and resumes. The
+//! Table I rules then give the lineage the static path gives.
 //!
-//! The resulting lineage is convertible 1:1 with the static path's on
-//! catalog-complete workloads, which the integration tests assert.
+//! So connected mode resolves names through the static extractor
+//! ([`extract_entry`]) under Postgres's rules: strict, with
+//! [`AmbiguityPolicy::Error`], on the deferral stack
+//! ([`run_deferral_stack`]), where an extracted view or
+//! `CREATE TABLE … AS` is the created relation the next extraction reads.
+//! A writer (`INSERT`, `UPDATE`) or a bare `SELECT` creates nothing, so a
+//! reader of its target reads the catalog's table, and a view or table
+//! the catalog already holds is created only by `OR REPLACE`. One
+//! closed-world check stands in for full metadata: a query that scans a
+//! relation neither the catalog nor the log defines fails with the
+//! database's `relation "x" does not exist` ([`LineageError::Database`])
+//! instead of inferring it. Every query's traversal trace is recorded,
+//! since this is the mode that explains.
 
 use crate::error::LineageError;
-use crate::infer::{assemble_graph, run_deferral_stack, LineageResult, StackExtraction};
-use crate::model::{OutputColumn, QueryLineage};
+use crate::infer::{
+    assemble_graph, extract_entry, merge_log_ddl, run_deferral_stack, InferredSchemas,
+    LineageResult, StackExtraction,
+};
+use crate::model::QueryLineage;
+use crate::options::{AmbiguityPolicy, ExtractOptions};
 use crate::preprocess::{QueryDict, QueryEntry};
-use lineagex_catalog::{DbError, PlanNode, SimulatedDatabase, SourceColumn};
+use crate::trace::TraceLog;
+use lineagex_catalog::{Catalog, DbError};
 use lineagex_sqlparse::ast::Statement;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Extract lineage through a simulated database connection.
+/// Extract lineage the way a database connection resolves names.
 pub struct ExplainPathExtractor {
-    db: SimulatedDatabase,
     qd: QueryDict,
+    qd_ids: BTreeSet<String>,
+    catalog: Catalog,
+    options: ExtractOptions,
+    /// Every extracted entry, for the graph.
     processed: BTreeMap<String, Arc<QueryLineage>>,
+    /// The relations the log has created so far: what the next
+    /// extraction reads.
+    created: BTreeMap<String, Arc<QueryLineage>>,
     order: Vec<String>,
+    traces: BTreeMap<String, TraceLog>,
     deferrals: Vec<(String, String)>,
 }
 
 impl ExplainPathExtractor {
-    /// Create an extractor over a dictionary and a database whose catalog
-    /// holds the base tables. DDL in the log is loaded into the database.
-    pub fn new(qd: QueryDict, mut db: SimulatedDatabase) -> Self {
-        // One merged copy of the catalog for the whole log's DDL.
-        if qd.ddl_catalog.relations().next().is_some() {
-            let mut catalog = db.catalog().clone();
-            for schema in qd.ddl_catalog.relations() {
-                catalog.add_or_replace(schema.clone());
-            }
-            db = SimulatedDatabase::with_catalog(catalog);
-        }
+    /// Create an extractor over a dictionary and the connection's
+    /// metadata: a catalog holding the base tables. Schemas the log
+    /// defines as DDL are merged in, as in every other extraction.
+    pub fn new(qd: QueryDict, catalog: Catalog) -> Self {
+        let catalog = merge_log_ddl(&qd, Cow::Owned(catalog)).into_owned();
+        let qd_ids = qd.ids().map(String::from).collect();
         ExplainPathExtractor {
-            db,
             qd,
+            qd_ids,
+            catalog,
+            options: ExtractOptions::new().with_ambiguity(AmbiguityPolicy::Error).with_trace(),
             processed: BTreeMap::new(),
+            created: BTreeMap::new(),
             order: Vec::new(),
+            traces: BTreeMap::new(),
             deferrals: Vec::new(),
         }
     }
 
     /// Run extraction over every entry, in log order, on the deferral
     /// stack ([`run_deferral_stack`]), and assemble the graph: every
-    /// relation the connection knows, views the log created included,
-    /// settles under the node rule ([`assemble_graph`]).
+    /// catalog relation and every query settles under the node rule
+    /// ([`assemble_graph`]).
     pub fn run(mut self) -> Result<LineageResult, LineageError> {
         let ids: Vec<String> = self.qd.ids().map(String::from).collect();
         run_deferral_stack(&mut self, ids)?;
-        let inferred = BTreeMap::new();
-        let graph = assemble_graph(self.db.catalog(), self.processed.into(), &inferred, self.order);
+        let inferred = InferredSchemas::new();
+        let graph = assemble_graph(&self.catalog, self.processed.into(), &inferred, self.order);
         Ok(LineageResult {
             graph,
-            traces: BTreeMap::new(),
+            traces: self.traces,
             deferrals: self.deferrals,
             inferred,
             diagnostics: self.qd.diagnostics,
@@ -69,37 +92,57 @@ impl ExplainPathExtractor {
         })
     }
 
-    fn try_bind(&self, entry: &QueryEntry) -> Result<QueryLineage, DbError> {
-        // Bind the entry's defining query (the synthesised SELECT for
-        // UPDATE) — equivalent to EXPLAINing it on the connection.
-        let bound = lineagex_catalog::Binder::new(self.db.catalog()).bind(entry.query())?;
+    /// Resolve the entry's defining query (the synthesised `SELECT` for
+    /// an `UPDATE`) against the catalog and the relations created so far,
+    /// like `EXPLAIN` on the connection.
+    fn try_bind(&self, entry: &QueryEntry) -> Result<(QueryLineage, TraceLog), LineageError> {
+        let missing = |relation: &str| {
+            LineageError::Database(format!("relation \"{relation}\" does not exist"))
+        };
+        let mut inferred = InferredSchemas::new();
+        let (lineage, trace, delta) = match extract_entry(
+            entry,
+            &self.qd_ids,
+            &self.created,
+            &self.catalog,
+            &self.options,
+            &mut inferred,
+        ) {
+            // An entry already extracted that created no relation.
+            Err(LineageError::MissingDependency { dependency, .. })
+                if self.processed.contains_key(&dependency) =>
+            {
+                return Err(missing(&dependency));
+            }
+            extracted => extracted?,
+        };
+        match delta.into_keys().next() {
+            Some(relation) => Err(missing(&relation)),
+            None => Ok((lineage, trace.expect("connected mode traces"))),
+        }
+    }
 
-        let outputs: Vec<OutputColumn> =
-            bound.output.iter().map(|c| OutputColumn::new(&c.name, c.sources.clone())).collect();
-        let outputs = crate::infer::apply_output_names(entry, outputs, self.db.catalog())
-            .map_err(|e| DbError::Unsupported(e.to_string()))?;
-
-        // LineageX semantics on top of database semantics: set-operation
-        // branch projections are referenced columns (Table I).
-        let mut cref = bound.referenced.clone();
-        collect_setop_refs(&bound.plan, &mut cref);
-
-        Ok(QueryLineage {
-            id: entry.id.clone(),
-            kind: entry.kind.clone(),
-            outputs,
-            cref,
-            tables: bound.tables,
-            diagnostics: Vec::new(),
-            partial: false,
-        })
+    /// Whether the entry creates a relation, failing as the database does
+    /// when the name is taken and `OR REPLACE` is not given.
+    fn creates(&self, entry: &QueryEntry) -> Result<bool, LineageError> {
+        let (Statement::CreateView { or_replace, .. } | Statement::CreateTable { or_replace, .. }) =
+            &entry.statement
+        else {
+            return Ok(false);
+        };
+        if !or_replace && self.catalog.contains(&entry.id) {
+            let taken = DbError::DuplicateTable(entry.id.to_lowercase());
+            return Err(LineageError::Database(taken.to_string()));
+        }
+        Ok(true)
     }
 }
 
-/// The log on the deferral stack, where the database's binder finds the
-/// gaps: an `UndefinedTable` naming an unprocessed dictionary entry
-/// defers the current query while the dependency's view is created
-/// first. A cycle stays a strict error.
+/// The log on the deferral stack: the extractor's
+/// [`LineageError::MissingDependency`] for an unprocessed dictionary
+/// entry is the database's `UndefinedTable`, and defers the current query
+/// while the dependency's view is created first. A cycle stays a strict
+/// error.
 impl StackExtraction for ExplainPathExtractor {
     fn is_done(&self, id: &str) -> bool {
         self.processed.contains_key(id)
@@ -107,24 +150,15 @@ impl StackExtraction for ExplainPathExtractor {
 
     fn attempt(&mut self, id: &str) -> Result<(), LineageError> {
         let entry = self.qd.get(id).expect("id from dictionary");
-        match self.try_bind(entry) {
-            Ok(lineage) => {
-                // Create the view so downstream EXPLAINs can see it —
-                // the paper's create-first step.
-                create_if_needed(&mut self.db, entry)?;
-                self.processed.insert(id.to_string(), Arc::new(lineage));
-                self.order.push(id.to_string());
-                Ok(())
-            }
-            Err(DbError::UndefinedTable(dependency))
-                if self.qd.contains(&dependency)
-                    && dependency != id
-                    && !self.processed.contains_key(&dependency) =>
-            {
-                Err(LineageError::MissingDependency { query: id.to_string(), dependency })
-            }
-            Err(other) => Err(LineageError::Database(other.to_string())),
+        let (lineage, trace) = self.try_bind(entry)?;
+        let lineage = Arc::new(lineage);
+        if self.creates(entry)? {
+            self.created.insert(id.to_string(), Arc::clone(&lineage));
         }
+        self.processed.insert(id.to_string(), lineage);
+        self.traces.insert(id.to_string(), trace);
+        self.order.push(id.to_string());
+        Ok(())
     }
 
     fn defer(&mut self, id: &str, dependency: &str) -> Result<(), LineageError> {
@@ -133,61 +167,20 @@ impl StackExtraction for ExplainPathExtractor {
     }
 }
 
-/// Execute a view or table definition on the connection.
-fn create_if_needed(db: &mut SimulatedDatabase, entry: &QueryEntry) -> Result<(), LineageError> {
-    match &entry.statement {
-        Statement::CreateView { .. } | Statement::CreateTable { .. } => {
-            db.execute_statement(&entry.statement)
-                .map_err(|e| LineageError::Database(e.to_string()))?;
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
-/// Walk a plan and add every set-operation branch's projected sources to
-/// `cref` (the paper's Set Operation rule).
-fn collect_setop_refs(plan: &PlanNode, cref: &mut BTreeSet<SourceColumn>) {
-    match plan {
-        PlanNode::SetOp { left, right, .. } => {
-            for col in left.output().iter().chain(right.output()) {
-                cref.extend(col.sources.iter().cloned());
-            }
-            collect_setop_refs(left, cref);
-            collect_setop_refs(right, cref);
-        }
-        PlanNode::SubqueryScan { input, .. }
-        | PlanNode::Filter { input, .. }
-        | PlanNode::Aggregate { input, .. }
-        | PlanNode::Sort { input, .. }
-        | PlanNode::Limit { input } => collect_setop_refs(input, cref),
-        PlanNode::Join { left, right, .. } => {
-            collect_setop_refs(left, cref);
-            collect_setop_refs(right, cref);
-        }
-        PlanNode::Project { input, .. } => {
-            if let Some(input) = input {
-                collect_setop_refs(input, cref);
-            }
-        }
-        PlanNode::Scan { .. } | PlanNode::Values { .. } => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lineagex_catalog::Catalog;
+    use crate::model::SourceColumn;
 
     const DDL: &str = "
         CREATE TABLE customers (cid int, name text, age int);
+        CREATE TABLE orders (oid int, cid int, amount numeric);
         CREATE TABLE web (cid int, date date, page text, reg boolean);
     ";
 
     fn run(sql: &str) -> Result<LineageResult, LineageError> {
         let qd = QueryDict::from_sql(sql).unwrap();
-        let db = SimulatedDatabase::with_catalog(Catalog::from_ddl(DDL).unwrap());
-        ExplainPathExtractor::new(qd, db).run()
+        ExplainPathExtractor::new(qd, Catalog::from_ddl(DDL).unwrap()).run()
     }
 
     #[test]
@@ -199,6 +192,10 @@ mod tests {
         assert_eq!(result.deferrals, vec![("second".into(), "first".into())]);
         let second = &result.graph.queries["second"];
         assert_eq!(second.outputs[0].ccon, BTreeSet::from([SourceColumn::new("first", "wcid")]));
+        // Every query is traced, in the one rendering `extract --trace`
+        // prints.
+        assert_eq!(result.traces.keys().collect::<Vec<_>>(), ["first", "second"]);
+        assert!(result.traces["second"].to_string().contains("scan view first"));
     }
 
     #[test]
@@ -206,7 +203,7 @@ mod tests {
         // Connected mode has full metadata; unknown relations are errors,
         // not inference targets.
         let err = run("CREATE VIEW v AS SELECT x FROM nope").unwrap_err();
-        assert!(matches!(err, LineageError::Database(msg) if msg.contains("nope")));
+        assert_eq!(err, LineageError::Database("relation \"nope\" does not exist".into()));
     }
 
     #[test]
@@ -224,5 +221,233 @@ mod tests {
         let err =
             run("CREATE VIEW a AS SELECT * FROM b; CREATE VIEW b AS SELECT * FROM a;").unwrap_err();
         assert!(matches!(err, LineageError::DependencyCycle(_)));
+    }
+
+    /// What a connected-mode run of one row's log gives.
+    enum Expect {
+        /// View `v`'s outputs, each with its sorted `C_con`, and its
+        /// sorted `C_ref`.
+        Lineage(&'static [(&'static str, &'static [&'static str])], &'static [&'static str]),
+        /// The typed error the run fails with.
+        Error(fn(&LineageError) -> bool),
+    }
+
+    /// Name resolution under Postgres's rules, one row per case: the SQL
+    /// in, the lineage or the typed error out.
+    #[test]
+    fn resolution_cases() {
+        use Expect::{Error, Lineage};
+        let rows: &[(&str, &str, Expect)] = &[
+            (
+                "ambiguous column",
+                "CREATE VIEW v AS SELECT cid FROM customers, orders",
+                Error(
+                    |e| matches!(e, LineageError::AmbiguousColumn { column, .. } if column == "cid"),
+                ),
+            ),
+            (
+                "ambiguous column over tables the log's own DDL defines",
+                "CREATE TABLE c (cid int, x int); CREATE TABLE o (cid int, y int);
+                 CREATE VIEW v AS SELECT cid FROM c, o",
+                Error(|e| {
+                    matches!(e, LineageError::AmbiguousColumn { candidates, .. }
+                        if candidates == &["c", "o"])
+                }),
+            ),
+            (
+                "duplicate alias",
+                "CREATE VIEW v AS SELECT 1 FROM customers, customers",
+                Error(|e| {
+                    matches!(e, LineageError::DuplicateBinding { binding, .. }
+                        if binding == "customers")
+                }),
+            ),
+            (
+                "unknown qualifier",
+                "CREATE VIEW v AS SELECT z.name FROM customers",
+                Error(
+                    |e| matches!(e, LineageError::UnknownQualifier { qualifier, .. } if qualifier == "z"),
+                ),
+            ),
+            (
+                "unknown bare column",
+                "CREATE VIEW v AS SELECT missing FROM customers",
+                Error(|e| {
+                    matches!(e, LineageError::ColumnNotFound { column, relation: None, .. }
+                        if column == "missing")
+                }),
+            ),
+            (
+                "unknown qualified column",
+                "CREATE VIEW v AS SELECT customers.missing FROM customers",
+                Error(|e| {
+                    matches!(e, LineageError::ColumnNotFound { column, relation: Some(r), .. }
+                        if column == "missing" && r == "customers")
+                }),
+            ),
+            (
+                "set-operation arity mismatch",
+                "CREATE VIEW v AS SELECT cid FROM customers UNION SELECT cid, page FROM web",
+                Error(|e| {
+                    matches!(e, LineageError::SetOperationArityMismatch { left: 1, right: 2, .. })
+                }),
+            ),
+            (
+                "derived table without an alias",
+                "CREATE VIEW v AS SELECT 1 FROM (SELECT name FROM customers)",
+                Error(|e| matches!(e, LineageError::Unsupported(what) if what.contains("alias"))),
+            ),
+            (
+                "alias column-count mismatch",
+                "CREATE VIEW v AS SELECT x FROM customers AS c(x, y)",
+                Error(|e| {
+                    matches!(e, LineageError::ColumnCountMismatch { declared: 2, actual: 3, .. })
+                }),
+            ),
+            (
+                "sibling reference without LATERAL",
+                "CREATE VIEW v AS SELECT top FROM customers c, (SELECT c.age AS top) AS l",
+                Error(
+                    |e| matches!(e, LineageError::UnknownQualifier { qualifier, .. } if qualifier == "c"),
+                ),
+            ),
+            (
+                "sibling reference with LATERAL",
+                "CREATE VIEW v AS SELECT top FROM customers c, LATERAL (SELECT c.age AS top) AS l",
+                Lineage(&[("top", &["customers.age"])], &[]),
+            ),
+            (
+                "CTE shadowing a catalog table",
+                "CREATE VIEW v AS WITH web AS (SELECT cid AS c2 FROM customers) SELECT c2 FROM web",
+                Lineage(&[("c2", &["customers.cid"])], &[]),
+            ),
+            (
+                "recursive CTE",
+                "CREATE VIEW v AS WITH RECURSIVE r AS (
+                     SELECT cid AS n FROM customers UNION ALL SELECT n FROM r WHERE n < 10)
+                 SELECT n FROM r",
+                Lineage(&[("n", &["customers.cid"])], &["customers.cid"]),
+            ),
+            (
+                "VALUES",
+                "CREATE VIEW v AS VALUES (1, 'a'), (2, 'b')",
+                Lineage(&[("column1", &[]), ("column2", &[])], &[]),
+            ),
+            (
+                "ORDER BY a position",
+                "CREATE VIEW v AS SELECT name AS nm FROM customers ORDER BY 1",
+                Lineage(&[("nm", &["customers.name"])], &["customers.name"]),
+            ),
+            (
+                "ORDER BY an alias",
+                "CREATE VIEW v AS SELECT name AS nm FROM customers ORDER BY nm",
+                Lineage(&[("nm", &["customers.name"])], &["customers.name"]),
+            ),
+            (
+                "USING join",
+                "CREATE VIEW v AS SELECT name FROM customers JOIN orders USING (cid)",
+                Lineage(&[("name", &["customers.name"])], &["customers.cid", "orders.cid"]),
+            ),
+            (
+                "NATURAL join",
+                "CREATE VIEW v AS SELECT name FROM customers NATURAL JOIN orders",
+                Lineage(&[("name", &["customers.name"])], &["customers.cid", "orders.cid"]),
+            ),
+            (
+                "nested join",
+                "CREATE VIEW v AS SELECT page
+                 FROM customers c JOIN (orders o JOIN web w ON o.cid = w.cid) ON c.cid = o.cid",
+                Lineage(&[("page", &["web.page"])], &["customers.cid", "orders.cid", "web.cid"]),
+            ),
+            (
+                "t.*",
+                "CREATE VIEW v AS SELECT w.* FROM customers c JOIN web w ON c.cid = w.cid",
+                Lineage(
+                    &[
+                        ("cid", &["web.cid"]),
+                        ("date", &["web.date"]),
+                        ("page", &["web.page"]),
+                        ("reg", &["web.reg"]),
+                    ],
+                    &["customers.cid", "web.cid"],
+                ),
+            ),
+            (
+                "a reader of another column after an UPDATE",
+                "UPDATE web SET page = 'x'; CREATE VIEW v AS SELECT cid FROM web",
+                Lineage(&[("cid", &["web.cid"])], &[]),
+            ),
+            (
+                "SELECT * after a partial INSERT",
+                "INSERT INTO web (cid) SELECT cid FROM customers; CREATE VIEW v AS SELECT * FROM web",
+                Lineage(
+                    &[
+                        ("cid", &["web.cid"]),
+                        ("date", &["web.date"]),
+                        ("page", &["web.page"]),
+                        ("reg", &["web.reg"]),
+                    ],
+                    &[],
+                ),
+            ),
+            (
+                "a reader of an INSERT target the catalog lacks",
+                "INSERT INTO t SELECT cid FROM customers; CREATE VIEW v AS SELECT cid FROM t",
+                Error(|e| *e == LineageError::Database("relation \"t\" does not exist".into())),
+            ),
+            (
+                "a view named like a catalog table",
+                "CREATE VIEW web AS SELECT cid FROM customers; CREATE VIEW v AS SELECT cid FROM web",
+                Error(|e| *e == LineageError::Database("relation \"web\" already exists".into())),
+            ),
+            (
+                "CREATE TABLE AS named like a catalog table",
+                "CREATE TABLE customers AS SELECT cid FROM web",
+                Error(|e| {
+                    *e == LineageError::Database("relation \"customers\" already exists".into())
+                }),
+            ),
+            (
+                "a reader before an OR REPLACE view of a catalog table",
+                "CREATE VIEW v AS SELECT page FROM web;
+                 CREATE OR REPLACE VIEW web AS SELECT name FROM customers",
+                Lineage(&[("page", &["web.page"])], &[]),
+            ),
+            (
+                "a reader after an OR REPLACE view of a catalog table",
+                "CREATE OR REPLACE VIEW web AS SELECT name FROM customers;
+                 CREATE VIEW v AS SELECT name FROM web",
+                Lineage(&[("name", &["web.name"])], &[]),
+            ),
+            (
+                "UPDATE of a missing table",
+                "UPDATE missing SET x = 1",
+                Error(|e| {
+                    *e == LineageError::Database("relation \"missing\" does not exist".into())
+                }),
+            ),
+        ];
+        let names = |sources: &BTreeSet<SourceColumn>| -> Vec<String> {
+            sources.iter().map(SourceColumn::to_string).collect()
+        };
+        for (case, sql, expect) in rows {
+            match (run(sql), expect) {
+                (Ok(result), Lineage(outputs, cref)) => {
+                    let v = &result.graph.queries["v"];
+                    let got: Vec<(&str, Vec<String>)> =
+                        v.outputs.iter().map(|o| (o.name.as_str(), names(&o.ccon))).collect();
+                    let want: Vec<(&str, Vec<String>)> = outputs
+                        .iter()
+                        .map(|(name, sources)| {
+                            (*name, sources.iter().map(|s| s.to_string()).collect())
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{case}: outputs");
+                    assert_eq!(names(&v.cref), *cref, "{case}: C_ref");
+                }
+                (Err(error), Error(is_expected)) => assert!(is_expected(&error), "{case}: {error}"),
+                (got, _) => panic!("{case}: unexpected {got:?}"),
+            }
+        }
     }
 }

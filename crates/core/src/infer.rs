@@ -92,13 +92,8 @@ impl<'a> InferenceEngine<'a> {
         InferenceEngine::build(qd, Cow::Borrowed(user_catalog), options)
     }
 
-    fn build(qd: QueryDict, mut catalog: Cow<'a, Catalog>, options: ExtractOptions) -> Self {
-        if qd.ddl_catalog.relations().next().is_some() {
-            let merged = catalog.to_mut();
-            for schema in qd.ddl_catalog.relations() {
-                merged.add_or_replace(schema.clone());
-            }
-        }
+    fn build(qd: QueryDict, catalog: Cow<'a, Catalog>, options: ExtractOptions) -> Self {
+        let catalog = merge_log_ddl(&qd, catalog);
         let jobs = std::thread::available_parallelism().map_or(1, usize::from);
         InferenceEngine { qd, catalog, options, jobs }
     }
@@ -208,6 +203,19 @@ impl<'a> InferenceEngine<'a> {
             index: Default::default(),
         })
     }
+}
+
+/// `catalog` with the log's own DDL schemas (plain `CREATE TABLE`)
+/// merged in, each replacing a relation of the same name. A log without
+/// DDL leaves a borrowed catalog uncopied.
+pub(crate) fn merge_log_ddl<'a>(qd: &QueryDict, mut catalog: Cow<'a, Catalog>) -> Cow<'a, Catalog> {
+    if qd.ddl_catalog.relations().next().is_some() {
+        let merged = catalog.to_mut();
+        for schema in qd.ddl_catalog.relations() {
+            merged.add_or_replace(schema.clone());
+        }
+    }
+    catalog
 }
 
 /// Batch-pipeline handles into the process-wide metrics registry.
@@ -435,7 +443,7 @@ pub fn extract_entry(
 /// `INSERT INTO t (a, b)`); an INSERT without a list takes the target
 /// table's column names when the catalog knows them. Both kinds of name
 /// are taken as stored: the parser already folded the unquoted ones.
-pub(crate) fn apply_output_names(
+fn apply_output_names(
     entry: &QueryEntry,
     outputs: Vec<OutputColumn>,
     catalog: &Catalog,

@@ -26,8 +26,9 @@
 //! 4. [`infer`] — **Table/View Auto-Inference** reorders processing with a
 //!    LIFO deferral stack so `SELECT *` and prefix-less columns resolve
 //!    even when definitions arrive out of order;
-//! 5. [`explain_path`] — the optional connected mode, using a simulated
-//!    PostgreSQL `EXPLAIN` as a metadata oracle.
+//! 5. [`explain_path`] — the optional connected mode: the same extractor
+//!    under PostgreSQL's name-resolution rules, with the catalog as full
+//!    metadata (the paper's `EXPLAIN` oracle).
 //!
 //! ## Quick start
 //!

@@ -13,10 +13,33 @@
 
 use crate::diagnostics::Diagnostic;
 use crate::shared::{SharedMap, SharedVec};
-pub use lineagex_catalog::SourceColumn;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
 use std::sync::Arc;
+
+/// A fully-resolved reference to a column of a relation: a catalog
+/// table, a view or another query's output, or an inferred external.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+pub struct SourceColumn {
+    /// The owning relation's name.
+    pub table: String,
+    /// The column name within that relation.
+    pub column: String,
+}
+
+impl SourceColumn {
+    /// Build a source column reference.
+    pub fn new(table: impl Into<String>, column: impl Into<String>) -> Self {
+        SourceColumn { table: table.into(), column: column.into() }
+    }
+}
+
+impl fmt::Display for SourceColumn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{}", self.table, self.column)
+    }
+}
 
 /// How an input column participates in an output column's lineage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]

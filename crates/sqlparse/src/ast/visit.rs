@@ -202,8 +202,9 @@ fn walk_function<'a>(func: &'a Function, visit: &mut impl FnMut(ExprItem<'a>)) {
 /// `EXTRACT` yields `extract`, `CASE` yields `case`, and anything else
 /// becomes the anonymous `?column?`.
 ///
-/// Both the lineage extractor and the catalog binder use this single
-/// definition so the static and EXPLAIN-based paths agree on names.
+/// The lineage extractor, in every extraction mode, and the
+/// SQLLineage-like baseline name unaliased projections with this one
+/// definition.
 pub fn output_name(expr: &Expr) -> String {
     match expr {
         Expr::Identifier(i) => i.value.clone(),

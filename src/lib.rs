@@ -3,15 +3,16 @@
 //! A from-scratch Rust reproduction of **"LineageX: A Column Lineage
 //! Extraction System for SQL"** (ICDE 2025): static column-level lineage
 //! extraction from SQL query logs, with table/view auto-inference,
-//! `SELECT *` and ambiguity handling, an optional simulated-database
-//! `EXPLAIN` path, impact analysis, and JSON/DOT/HTML visualisation.
+//! `SELECT *` and ambiguity handling, an optional connected mode that
+//! resolves names like a database's `EXPLAIN`, impact analysis, and
+//! JSON/DOT/HTML visualisation.
 //!
 //! This crate is a façade re-exporting the workspace members:
 //!
 //! | module | crate | role |
 //! |--------|-------|------|
 //! | [`sqlparse`] | `lineagex-sqlparse` | SQL lexer, parser, AST |
-//! | [`catalog`] | `lineagex-catalog` | schemas, binder, simulated database |
+//! | [`catalog`] | `lineagex-catalog` | schema catalog: base tables and views from DDL |
 //! | [`core`] | `lineagex-core` | the lineage extraction engine |
 //! | [`engine`] | `lineagex-engine` | incremental session engine, parallel scheduler |
 //! | [`serve`] | `lineagex-serve` | concurrent JSON-lines lineage service over TCP |
@@ -64,7 +65,7 @@ pub use lineagex_viz as viz;
 /// [`QuerySpec`](lineagex_core::QuerySpec) shapes run on the backend's
 /// cached [`GraphIndex`](lineagex_core::GraphIndex).
 pub mod prelude {
-    pub use lineagex_catalog::{Catalog, SimulatedDatabase};
+    pub use lineagex_catalog::Catalog;
     pub use lineagex_core::{
         lineagex, lineagex_lenient, AmbiguityPolicy, ColumnMatch, Diagnostic, DiagnosticCode,
         DialectKind, Direction, EdgeKind, GraphIndex, GraphIndexCache, GraphQuery, GraphStats,

@@ -1,16 +1,17 @@
-//! Cross-validation: the static AST path and the simulated-EXPLAIN path
-//! are independent implementations of the same semantics; on
-//! catalog-complete workloads they must produce identical lineage.
+//! Cross-validation: connected mode resolves names with the static
+//! extractor, inside its own closed-world check (an unknown relation is
+//! an error), create-views-first deferrals and merge of the log's DDL
+//! into the `--ddl` catalog. On catalog-complete workloads it must give
+//! the static run's lineage, and both modes must match ground truth.
 
-use lineagex::catalog::{Catalog, SimulatedDatabase};
+use lineagex::catalog::Catalog;
 use lineagex::core::{ExplainPathExtractor, QueryDict};
 use lineagex::datasets::{example1, generator, mimic, GeneratorConfig};
 use lineagex::prelude::*;
 
 fn explain_extract(ddl: &str, views_sql: &str) -> LineageResult {
     let qd = QueryDict::from_sql(views_sql).unwrap();
-    let db = SimulatedDatabase::with_catalog(Catalog::from_ddl(ddl).unwrap());
-    ExplainPathExtractor::new(qd, db).run().unwrap()
+    ExplainPathExtractor::new(qd, Catalog::from_ddl(ddl).unwrap()).run().unwrap()
 }
 
 fn assert_paths_agree(static_result: &LineageResult, connected: &LineageResult) {
@@ -79,8 +80,7 @@ fn connected_mode_is_strict_about_metadata() {
     assert!(static_result.inferred.contains_key("missing_table"));
 
     let qd = QueryDict::from_sql(views).unwrap();
-    let db = SimulatedDatabase::new();
-    let err = ExplainPathExtractor::new(qd, db).run().unwrap_err();
+    let err = ExplainPathExtractor::new(qd, Catalog::new()).run().unwrap_err();
     assert!(matches!(err, LineageError::Database(_)));
 }
 
