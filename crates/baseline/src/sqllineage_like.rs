@@ -17,7 +17,7 @@
 //!    dropped.
 
 use lineagex_core::{
-    LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryLineage, SourceColumn,
+    LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryLineage, SortedSet, SourceColumn,
 };
 use lineagex_sqlparse::ast::visit::{output_name, ExprRefs};
 use lineagex_sqlparse::ast::{
@@ -85,8 +85,8 @@ impl SqlLineageLike {
                 id: id.clone(),
                 kind,
                 outputs,
-                cref: BTreeSet::new(), // the tool has no referenced-column concept
-                tables,
+                cref: SortedSet::new(), // the tool has no referenced-column concept
+                tables: tables.into(),
                 diagnostics: Vec::new(),
                 partial: false,
             };

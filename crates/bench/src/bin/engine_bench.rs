@@ -164,7 +164,7 @@ fn ms(elapsed: Duration) -> f64 {
 fn redefinition(original: &str, limit: u64) -> String {
     let mut stmt = lineagex_sqlparse::parse_statement(original).expect("workload SQL parses");
     if let Statement::CreateView { ref mut query, .. } = stmt {
-        query.limit = Some(Expr::Literal(Literal::Number(limit.to_string())));
+        query.limit = Some(Box::new(Expr::Literal(Literal::Number(limit.to_string()))));
     }
     stmt.to_string()
 }

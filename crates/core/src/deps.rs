@@ -84,7 +84,7 @@ impl<'q, F: FnMut(&'q str)> Walker<'q, F> {
                     }
                 }
                 let filters = select.selection.iter().chain(&select.group_by);
-                for e in filters.chain(&select.having).chain(&select.qualify) {
+                for e in filters.chain(select.having.as_deref()).chain(select.qualify.as_deref()) {
                     self.expr(e);
                 }
                 if let Some(Distinct::On(exprs)) = &select.distinct {

@@ -171,6 +171,7 @@ impl StackExtraction for ExplainPathExtractor {
 mod tests {
     use super::*;
     use crate::model::SourceColumn;
+    use crate::shared::SortedSet;
 
     const DDL: &str = "
         CREATE TABLE customers (cid int, name text, age int);
@@ -427,7 +428,7 @@ mod tests {
                 }),
             ),
         ];
-        let names = |sources: &BTreeSet<SourceColumn>| -> Vec<String> {
+        let names = |sources: &SortedSet<SourceColumn>| -> Vec<String> {
             sources.iter().map(SourceColumn::to_string).collect()
         };
         for (case, sql, expect) in rows {

@@ -5,6 +5,7 @@ use super::{rename_outputs, Extractor, Relation, Scope};
 use crate::diagnostics::{Diagnostic, DiagnosticCode};
 use crate::error::LineageError;
 use crate::model::{OutputColumn, SourceColumn};
+use crate::shared::SortedSet;
 use crate::trace::Rule;
 use lineagex_sqlparse::ast::{JoinConstraint, TableFactor, TableWithJoins};
 use lineagex_sqlparse::Span;
@@ -131,7 +132,7 @@ impl Extractor<'_> {
                         .map(|o| {
                             OutputColumn::new(
                                 &o.name,
-                                BTreeSet::from([SourceColumn::new(&base, &o.name)]),
+                                SortedSet::from([SourceColumn::new(&base, &o.name)]),
                             )
                         })
                         .collect();
@@ -156,7 +157,7 @@ impl Extractor<'_> {
                         .map(|c| {
                             OutputColumn::new(
                                 &c.name,
-                                BTreeSet::from([SourceColumn::new(&schema.name, &c.name)]),
+                                SortedSet::from([SourceColumn::new(&schema.name, &c.name)]),
                             )
                         })
                         .collect();

@@ -26,6 +26,7 @@ use crate::diagnostics::Diagnostic;
 use crate::error::LineageError;
 use crate::model::{OutputColumn, QueryLineage, SourceColumn};
 use crate::options::ExtractOptions;
+use crate::shared::SortedSet;
 use crate::trace::{Rule, TraceLog};
 use lineagex_catalog::Catalog;
 use lineagex_sqlparse::ast::{Expr, Ident, Literal, Query, SetExpr};
@@ -195,10 +196,9 @@ impl<'e> Extractor<'e> {
                 let merged: Vec<OutputColumn> = louts
                     .into_iter()
                     .zip(routs)
-                    .map(|(l, r)| {
-                        let mut ccon = l.ccon;
-                        ccon.extend(r.ccon);
-                        OutputColumn { name: l.name, ccon }
+                    .map(|(l, r)| OutputColumn {
+                        name: l.name,
+                        ccon: l.ccon.into_iter().chain(r.ccon).collect(),
                     })
                     .collect();
                 let names: Vec<String> = merged.iter().map(|c| c.name.clone()).collect();
@@ -232,14 +232,14 @@ impl<'e> Extractor<'e> {
             Expr::Literal(Literal::Number(n)) => {
                 if let Ok(idx) = n.parse::<usize>() {
                     if idx >= 1 && idx <= outputs.len() {
-                        return Ok(outputs[idx - 1].ccon.clone());
+                        return Ok(working_set(&outputs[idx - 1].ccon));
                     }
                 }
                 Ok(BTreeSet::new())
             }
             Expr::Identifier(ident) => {
                 if let Some(col) = outputs.iter().find(|c| c.name == ident.value) {
-                    return Ok(col.ccon.clone());
+                    return Ok(working_set(&col.ccon));
                 }
                 self.resolve_expr(expr, Some(scope))
             }
@@ -268,6 +268,14 @@ impl<'e> Extractor<'e> {
             .flat_map(|r| r.columns.iter().map(move |c| format!("{}.{}", r.binding, c.name)))
             .collect()
     }
+}
+
+/// A stored `C_con` set as a working set the resolver can extend. It is
+/// filled by inserts: `collect` would stage the items in a `Vec` first.
+pub(crate) fn working_set(sources: &SortedSet<SourceColumn>) -> BTreeSet<SourceColumn> {
+    let mut set = BTreeSet::new();
+    set.extend(sources.iter().cloned());
+    set
 }
 
 /// Apply an explicit column-name list positionally (CTE/view/table alias).

@@ -8,7 +8,7 @@
 //! contributes no sources, the query is marked partial, and extraction of
 //! everything else continues.
 
-use super::{Extractor, Scope};
+use super::{working_set, Extractor, Scope};
 use crate::diagnostics::{Diagnostic, DiagnosticCode};
 use crate::error::LineageError;
 use crate::model::SourceColumn;
@@ -124,7 +124,7 @@ impl Extractor<'_> {
             return Ok(self.infer_column(&name, column, Some(span)));
         }
         match rel.sources_of(column) {
-            Some(sources) => Ok(sources.clone()),
+            Some(sources) => Ok(working_set(sources)),
             None => {
                 let (qualifier, column) = (qualifier.to_string(), column.to_string());
                 self.unresolved(format!("column {qualifier}.{column} does not exist"), span, || {
@@ -166,7 +166,7 @@ impl Extractor<'_> {
                         open_candidates.push(rel.name.clone());
                     }
                 } else if rel.has_column(column) {
-                    let sources = rel.sources_of(column).expect("checked").clone();
+                    let sources = working_set(rel.sources_of(column).expect("checked"));
                     matches.push((rel.binding.clone(), sources));
                 }
             }

@@ -1,8 +1,8 @@
 //! Extraction-time scopes: the relations visible to a query block.
 
 use crate::model::{OutputColumn, SourceColumn};
+use crate::shared::SortedSet;
 use lineagex_sqlparse::Span;
-use std::collections::BTreeSet;
 
 /// One relation visible in a `FROM` scope.
 ///
@@ -64,7 +64,7 @@ impl Relation {
     }
 
     /// The sources of `column`, if exposed.
-    pub fn sources_of(&self, column: &str) -> Option<&BTreeSet<SourceColumn>> {
+    pub fn sources_of(&self, column: &str) -> Option<&SortedSet<SourceColumn>> {
         self.columns.iter().find(|c| c.name == column).map(|c| &c.ccon)
     }
 }
@@ -99,7 +99,7 @@ mod tests {
             binding,
             binding,
             cols.iter()
-                .map(|c| OutputColumn::new(*c, BTreeSet::from([SourceColumn::new(binding, *c)])))
+                .map(|c| OutputColumn::new(*c, SortedSet::from([SourceColumn::new(binding, *c)])))
                 .collect(),
         )
     }

@@ -5,10 +5,10 @@ use super::{Extractor, Relation, Scope};
 use crate::diagnostics::{Diagnostic, DiagnosticCode};
 use crate::error::LineageError;
 use crate::model::{OutputColumn, SourceColumn};
+use crate::shared::SortedSet;
 use crate::trace::Rule;
 use lineagex_sqlparse::ast::visit::output_name;
 use lineagex_sqlparse::ast::{Distinct, Select, SelectItem};
-use std::collections::BTreeSet;
 
 impl Extractor<'_> {
     /// Extract one `SELECT` block, returning its output columns and the
@@ -111,7 +111,7 @@ impl Extractor<'_> {
             let cols = self.inferred.get(&rel.name).cloned().unwrap_or_default();
             return cols
                 .iter()
-                .map(|c| OutputColumn::new(c, BTreeSet::from([SourceColumn::new(&rel.name, c)])))
+                .map(|c| OutputColumn::new(c, SortedSet::from([SourceColumn::new(&rel.name, c)])))
                 .collect();
         }
         rel.columns.clone()

@@ -1212,6 +1212,7 @@ mod tests {
     use super::*;
     use crate::api::lineagex;
     use crate::model::{Edge, OutputColumn};
+    use crate::shared::SortedSet;
     use std::collections::BTreeSet;
 
     fn graph() -> LineageGraph {
@@ -1373,8 +1374,7 @@ mod tests {
         let mut cache = GraphIndexCache::new();
         let first = cache.get_or_build(&g);
         let out = &mut Arc::make_mut(g.queries.get_mut("mid").unwrap()).outputs[0];
-        out.ccon.clear();
-        out.ccon.insert(SourceColumn::new("base", "a_renamed"));
+        out.ccon = SortedSet::from([SourceColumn::new("base", "a_renamed")]);
         let second = cache.get_or_build(&g);
         assert!(!Arc::ptr_eq(&first, &second), "a length-changing swap must rebuild");
         assert!(second.lookup_column("base", "a_renamed").is_some());
@@ -1543,7 +1543,8 @@ mod tests {
                     let mut query = (**query).clone();
                     let source = SourceColumn::new(&query.id, "fresh");
                     query.outputs.push(OutputColumn::new("mid", BTreeSet::from([source])));
-                    query.tables.insert("zz_new_relation".into());
+                    query.tables =
+                        query.tables.iter().cloned().chain(["zz_new_relation".into()]).collect();
                     out.queries.insert(id.clone(), Arc::new(query));
                 }
                 2 => {
@@ -1593,8 +1594,8 @@ mod tests {
         renamed.nodes.remove("mid");
         let mut top = (*renamed.queries["top"]).clone();
         top.outputs[0].name = "mid".into();
-        top.outputs[0].ccon = BTreeSet::from([SourceColumn::new("base", "a")]);
-        top.tables = BTreeSet::from(["base".to_string(), "c".to_string()]);
+        top.outputs[0].ccon = SortedSet::from([SourceColumn::new("base", "a")]);
+        top.tables = SortedSet::from(["base".to_string(), "c".to_string()]);
         renamed.queries.insert("top".into(), Arc::new(top));
         let steps = [base.clone(), renamed, LineageGraph::default(), base];
         let mut index = GraphIndex::build(&steps[0]);

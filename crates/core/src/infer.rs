@@ -23,7 +23,7 @@ use crate::model::{LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryL
 use crate::options::ExtractOptions;
 use crate::preprocess::{QueryDict, QueryEntry};
 use crate::schedule::{ComponentRun, Extracted};
-use crate::shared::SharedMap;
+use crate::shared::{SharedMap, SortedSet};
 use crate::trace::TraceLog;
 use lineagex_catalog::Catalog;
 use lineagex_obs::Histogram;
@@ -331,10 +331,10 @@ fn failure_stub(entry: &QueryEntry, diagnostic: Diagnostic) -> QueryLineage {
         outputs: entry
             .declared_columns
             .iter()
-            .map(|name| OutputColumn::new(name, BTreeSet::new()))
+            .map(|name| OutputColumn::new(name, SortedSet::new()))
             .collect(),
-        cref: BTreeSet::new(),
-        tables: BTreeSet::new(),
+        cref: SortedSet::new(),
+        tables: SortedSet::new(),
         diagnostics: vec![diagnostic],
         partial: true,
     }
@@ -389,8 +389,8 @@ pub fn extract_entry(
             id: entry.id.clone(),
             kind: entry.kind.clone(),
             outputs: apply_output_names(entry, outputs, catalog)?,
-            cref: std::mem::take(&mut extractor.cref),
-            tables: std::mem::take(&mut extractor.tables),
+            cref: std::mem::take(&mut extractor.cref).into(),
+            tables: std::mem::take(&mut extractor.tables).into(),
             diagnostics: std::mem::take(&mut extractor.diagnostics),
             partial: extractor.partial,
         })

@@ -89,7 +89,7 @@ pub use query::{
     ColumnMatch, Direction, GraphQuery, PathStep, QueryAnswer, QuerySpec, RelationMatch, Subgraph,
 };
 pub use report::{ConeReport, JsonReport, QueryReport, ReportV2, SCHEMA_VERSION};
-pub use shared::{SharedMap, SharedVec};
+pub use shared::{SharedMap, SharedVec, SortedSet};
 pub use snapshot::{
     read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, GraphSnapshot,
     SnapshotEntry, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -12,7 +12,7 @@
 //!   ([`QueryLineage::tables`]).
 
 use crate::diagnostics::Diagnostic;
-use crate::shared::{SharedMap, SharedVec};
+use crate::shared::{SharedMap, SharedVec, SortedSet};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -59,13 +59,14 @@ pub struct OutputColumn {
     /// The output column name.
     pub name: String,
     /// `C_con`: contributing input columns.
-    pub ccon: BTreeSet<SourceColumn>,
+    pub ccon: SortedSet<SourceColumn>,
 }
 
 impl OutputColumn {
-    /// Build an output column.
-    pub fn new(name: impl Into<String>, ccon: BTreeSet<SourceColumn>) -> Self {
-        OutputColumn { name: name.into(), ccon }
+    /// Build an output column from its `C_con` set (a [`SortedSet`] or a
+    /// `BTreeSet`).
+    pub fn new(name: impl Into<String>, ccon: impl Into<SortedSet<SourceColumn>>) -> Self {
+        OutputColumn { name: name.into(), ccon: ccon.into() }
     }
 }
 
@@ -97,9 +98,9 @@ pub struct QueryLineage {
     /// Output columns in projection order, with `C_con` sources.
     pub outputs: Vec<OutputColumn>,
     /// `C_ref`: query-level referenced columns.
-    pub cref: BTreeSet<SourceColumn>,
+    pub cref: SortedSet<SourceColumn>,
     /// Table lineage `T`: the relations this query scans directly.
-    pub tables: BTreeSet<String>,
+    pub tables: SortedSet<String>,
     /// Non-fatal findings, each with a span when the source location is
     /// known.
     pub diagnostics: Vec<Diagnostic>,
@@ -701,8 +702,8 @@ pub(crate) mod tests {
                     "out",
                     BTreeSet::from([SourceColumn::new("web", "page")]),
                 )],
-                cref: BTreeSet::from([SourceColumn::new("web", "cid")]),
-                tables: BTreeSet::from(["web".into()]),
+                cref: SortedSet::from([SourceColumn::new("web", "cid")]),
+                tables: SortedSet::from(["web".into()]),
                 diagnostics: vec![],
                 partial: false,
             }),
@@ -725,9 +726,8 @@ pub(crate) mod tests {
     fn cboth_intersects() {
         let mut g = sample_graph();
         // Make page both contributed and referenced.
-        Arc::make_mut(g.queries.get_mut("v").unwrap())
-            .cref
-            .insert(SourceColumn::new("web", "page"));
+        let v = Arc::make_mut(g.queries.get_mut("v").unwrap());
+        v.cref = v.cref.iter().cloned().chain([SourceColumn::new("web", "page")]).collect();
         let q = &g.queries["v"];
         assert_eq!(q.cboth(), BTreeSet::from([SourceColumn::new("web", "page")]));
     }
@@ -746,9 +746,8 @@ pub(crate) mod tests {
     #[test]
     fn both_kind_when_contributed_and_referenced() {
         let mut g = sample_graph();
-        Arc::make_mut(g.queries.get_mut("v").unwrap())
-            .cref
-            .insert(SourceColumn::new("web", "page"));
+        let v = Arc::make_mut(g.queries.get_mut("v").unwrap());
+        v.cref = v.cref.iter().cloned().chain([SourceColumn::new("web", "page")]).collect();
         let edges = g.all_edges();
         let page_edge = edges.iter().find(|e| e.from == SourceColumn::new("web", "page")).unwrap();
         assert_eq!(page_edge.kind, EdgeKind::Both);
@@ -779,14 +778,14 @@ pub(crate) mod tests {
                     OutputColumn::new("l", BTreeSet::from([SourceColumn::new("web", "page")])),
                     OutputColumn::new("r", BTreeSet::from([SourceColumn::new("web", "cid")])),
                 ],
-                cref: BTreeSet::from([
+                cref: SortedSet::from([
                     SourceColumn::new("web", "page"),
                     SourceColumn::new("web", "cid"),
                 ]),
                 // `tables` is a set, so the double scan collapses before
                 // it ever reaches table_edges — this pins that the edge
                 // list stays a set even if that changes.
-                tables: BTreeSet::from(["web".into()]),
+                tables: SortedSet::from(["web".into()]),
                 diagnostics: vec![],
                 partial: false,
             }),
@@ -900,8 +899,8 @@ pub(crate) mod tests {
                     OutputColumn::new("x", BTreeSet::from([col("b")])),
                     OutputColumn::new("y", BTreeSet::from([col("a")])),
                 ],
-                cref: BTreeSet::from([col("a"), col("c")]),
-                tables: BTreeSet::from(["t".into()]),
+                cref: SortedSet::from([col("a"), col("c")]),
+                tables: SortedSet::from(["t".into()]),
                 diagnostics: vec![],
                 partial: false,
             }),

@@ -17,6 +17,11 @@
 //! of the `BTreeMap` and `Vec` holding the same items; only the leaf
 //! layout, which no output shows, depends on the edit history.
 //!
+//! [`SortedSet`] is the stored form of the sets inside each entry (a
+//! query's `C_con`, `C_ref` and table lineage): its items sit sorted in
+//! one allocation of exactly their size, and it reads like the
+//! `BTreeSet` of the same items, which allocates a whole node for one.
+//!
 //! ```
 //! use lineagex_core::SharedMap;
 //!
@@ -36,7 +41,7 @@
 use serde::{Serialize, Serializer};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Index;
 use std::slice;
@@ -694,6 +699,121 @@ impl<T> From<Vec<T>> for SharedVec<T> {
     }
 }
 
+/// A set of distinct items, sorted, in one allocation of exactly their
+/// size (see the [module docs](self)).
+///
+/// It is built whole, by [`collect`](Iterator::collect) or from a
+/// `BTreeSet`, and never changed in place. Its iteration order, equality,
+/// `Debug` and `Serialize` output are those of the `BTreeSet` of the same
+/// items, and [`contains`](Self::contains) is a binary search.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SortedSet<T> {
+    items: Box<[T]>,
+}
+
+impl<T> SortedSet<T> {
+    /// An empty set (no allocation).
+    pub fn new() -> Self {
+        SortedSet { items: Box::default() }
+    }
+
+    /// The number of items.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether the set has no items.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The items, in ascending order.
+    pub fn iter(&self) -> slice::Iter<'_, T> {
+        self.items.iter()
+    }
+}
+
+impl<T: Ord> SortedSet<T> {
+    /// Whether `item` is in the set.
+    pub fn contains<Q>(&self, item: &Q) -> bool
+    where
+        T: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.items.binary_search_by(|probe| probe.borrow().cmp(item)).is_ok()
+    }
+
+    /// The set of `items`, which must be sorted and distinct.
+    fn from_sorted(items: Vec<T>) -> Self {
+        debug_assert!(items.windows(2).all(|pair| pair[0] < pair[1]));
+        SortedSet { items: items.into_boxed_slice() }
+    }
+}
+
+impl<T> Default for SortedSet<T> {
+    fn default() -> Self {
+        SortedSet::new()
+    }
+}
+
+impl<T: PartialEq> PartialEq<BTreeSet<T>> for SortedSet<T> {
+    fn eq(&self, other: &BTreeSet<T>) -> bool {
+        self.len() == other.len() && self.iter().eq(other)
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SortedSet<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<T: Serialize> Serialize for SortedSet<T> {
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.seq(self.iter());
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SortedSet<T> {
+    type Item = &'a T;
+    type IntoIter = slice::Iter<'a, T>;
+
+    fn into_iter(self) -> slice::Iter<'a, T> {
+        self.iter()
+    }
+}
+
+impl<T> IntoIterator for SortedSet<T> {
+    type Item = T;
+    type IntoIter = std::vec::IntoIter<T>;
+
+    fn into_iter(self) -> std::vec::IntoIter<T> {
+        self.items.into_vec().into_iter()
+    }
+}
+
+impl<T: Ord> FromIterator<T> for SortedSet<T> {
+    /// Sorts the items and drops duplicates.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut items: Vec<T> = iter.into_iter().collect();
+        items.sort();
+        items.dedup();
+        SortedSet::from_sorted(items)
+    }
+}
+
+impl<T: Ord> From<BTreeSet<T>> for SortedSet<T> {
+    fn from(set: BTreeSet<T>) -> Self {
+        SortedSet::from_sorted(set.into_iter().collect())
+    }
+}
+
+impl<T: Ord, const N: usize> From<[T; N]> for SortedSet<T> {
+    fn from(items: [T; N]) -> Self {
+        items.into_iter().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -884,6 +1004,50 @@ mod tests {
             for (clone, frozen) in &clones {
                 prop_assert!(*clone == *frozen, "a clone changed");
             }
+        }
+    }
+
+    /// Unsorted items with many duplicates: 0..64 drawn up to 80 times.
+    fn set_items() -> impl Strategy<Value = Vec<u16>> {
+        proptest::collection::vec(0u16..64, 0..80)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Built from unsorted items with duplicates, a set reads like
+        /// the `BTreeSet` of the same items: the same order, membership,
+        /// equality, `Debug` and `Serialize` bytes.
+        #[test]
+        fn sorted_set_matches_btreeset(
+            items in set_items(),
+            other in set_items(),
+            probes in set_items(),
+        ) {
+            let set: SortedSet<u16> = items.iter().copied().collect();
+            let reference: BTreeSet<u16> = items.iter().copied().collect();
+            prop_assert_eq!(set.len(), reference.len());
+            prop_assert_eq!(set.is_empty(), reference.is_empty());
+            prop_assert!(set.iter().eq(reference.iter()));
+            prop_assert!(set == reference);
+            for p in &probes {
+                prop_assert_eq!(set.contains(p), reference.contains(p));
+            }
+            prop_assert_eq!(format!("{set:?}"), format!("{reference:?}"));
+            prop_assert_eq!(format!("{set:#?}"), format!("{reference:#?}"));
+            prop_assert_eq!(
+                serde_json::to_string(&set).unwrap(),
+                serde_json::to_string(&reference).unwrap()
+            );
+            prop_assert_eq!(
+                serde_json::to_string_pretty(&set).unwrap(),
+                serde_json::to_string_pretty(&reference).unwrap()
+            );
+            let other_set: SortedSet<u16> = other.iter().copied().collect();
+            let other_reference: BTreeSet<u16> = other.iter().copied().collect();
+            prop_assert_eq!(set == other_set, reference == other_reference);
+            prop_assert_eq!(SortedSet::from(reference.clone()), set.clone());
+            prop_assert!(set.clone().into_iter().eq(reference.clone()));
         }
     }
 

@@ -51,6 +51,7 @@ use crate::graph::GraphIndex;
 use crate::model::{
     EdgeKind, LineageGraph, Node, NodeKind, OutputColumn, QueryKind, QueryLineage, SourceColumn,
 };
+use crate::shared::SortedSet;
 use lineagex_catalog::{Catalog, Column, RelationKind, TableSchema};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -464,13 +465,13 @@ fn read_query(r: &mut Reader) -> Result<QueryLineage, SnapshotError> {
     for _ in 0..cref_count {
         cref.push(read_source(r)?);
     }
-    let cref: BTreeSet<SourceColumn> = cref.into_iter().collect();
+    let cref: SortedSet<SourceColumn> = cref.into_iter().collect();
     let table_count = r.count()?;
     let mut tables = Vec::with_capacity(table_count);
     for _ in 0..table_count {
         tables.push(r.str()?);
     }
-    let tables: BTreeSet<String> = tables.into_iter().collect();
+    let tables: SortedSet<String> = tables.into_iter().collect();
     let diag_count = r.count()?;
     let mut diagnostics = Vec::with_capacity(diag_count);
     for _ in 0..diag_count {

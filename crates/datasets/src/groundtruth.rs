@@ -1,6 +1,6 @@
 //! Ground-truth lineage records and scoring helpers.
 
-use lineagex_core::{LineageGraph, SourceColumn};
+use lineagex_core::{LineageGraph, SortedSet, SourceColumn};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -63,7 +63,7 @@ impl GroundTruth {
                 failures.push(format!("missing query {query}"));
                 continue;
             };
-            let actual_cols: BTreeMap<&str, &BTreeSet<SourceColumn>> =
+            let actual_cols: BTreeMap<&str, &SortedSet<SourceColumn>> =
                 actual.outputs.iter().map(|o| (o.name.as_str(), &o.ccon)).collect();
             if actual.outputs.len() != expected_cols.len() {
                 failures.push(format!(

@@ -268,8 +268,9 @@ pub enum Expr {
     Cast {
         /// The expression being cast.
         expr: Box<Expr>,
-        /// Target type.
-        data_type: DataType,
+        /// Target type (boxed: casts are rare, and inline it would
+        /// widen every expression).
+        data_type: Box<DataType>,
         /// Rendered as `expr::type` when true.
         postgres_style: bool,
     },
@@ -312,8 +313,8 @@ pub enum Expr {
         /// Optional trailing unit word (`day`, `month`, ...).
         unit: Option<String>,
     },
-    /// A function call.
-    Function(Function),
+    /// A function call (boxed: inline it would widen every expression).
+    Function(Box<Function>),
     /// `[NOT] EXISTS (SELECT ...)`.
     Exists {
         /// The subquery.

@@ -3,7 +3,8 @@
 use super::expr::Expr;
 use super::ident::{Ident, ObjectName};
 
-/// A full query: optional CTEs, a set-expression body, and trailing clauses.
+/// A full query: optional CTEs, a set-expression body, and trailing clauses
+/// (`LIMIT` and `OFFSET` boxed, as they are rare).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     /// The `WITH` clause, if present.
@@ -13,9 +14,9 @@ pub struct Query {
     /// `ORDER BY` items.
     pub order_by: Vec<OrderByExpr>,
     /// `LIMIT` expression.
-    pub limit: Option<Expr>,
+    pub limit: Option<Box<Expr>>,
     /// `OFFSET` expression.
-    pub offset: Option<Expr>,
+    pub offset: Option<Box<Expr>>,
 }
 
 impl Query {
@@ -104,13 +105,14 @@ pub enum Distinct {
     On(Vec<Expr>),
 }
 
-/// A `SELECT` block.
+/// A `SELECT` block. The rare clauses (`TOP`, `HAVING`, `QUALIFY`) are
+/// boxed, so a block without them does not pay for their width.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Select {
     /// Optional `DISTINCT` / `DISTINCT ON`.
     pub distinct: Option<Distinct>,
     /// T-SQL `TOP n` row limit (dialect-gated at parse time).
-    pub top: Option<Expr>,
+    pub top: Option<Box<Expr>>,
     /// The projection list.
     pub projection: Vec<SelectItem>,
     /// The `FROM` clause: one entry per comma-separated factor.
@@ -120,10 +122,10 @@ pub struct Select {
     /// `GROUP BY` expressions.
     pub group_by: Vec<Expr>,
     /// `HAVING` predicate.
-    pub having: Option<Expr>,
+    pub having: Option<Box<Expr>>,
     /// Snowflake/BigQuery `QUALIFY` predicate (dialect-gated at parse
     /// time).
-    pub qualify: Option<Expr>,
+    pub qualify: Option<Box<Expr>>,
 }
 
 impl Select {

@@ -164,7 +164,11 @@ impl Parser {
             Token::Caret => binop!(BinaryOperator::Caret),
             Token::DoubleColon => {
                 let data_type = self.parse_data_type()?;
-                Ok(Expr::Cast { expr: Box::new(left), data_type, postgres_style: true })
+                Ok(Expr::Cast {
+                    expr: Box::new(left),
+                    data_type: Box::new(data_type),
+                    postgres_style: true,
+                })
             }
             other => Err(self.error_here(format!("unexpected token {other} in expression"))),
         }
@@ -220,18 +224,18 @@ impl Parser {
     }
 
     fn parse_prefix(&mut self) -> Result<Expr, ParseError> {
-        match self.peek_token().clone() {
+        match self.peek_token() {
             Token::Word(w) => match w.keyword {
                 Some(Keyword::TRUE) => {
-                    self.next_token();
+                    self.advance();
                     Ok(Expr::Literal(Literal::Boolean(true)))
                 }
                 Some(Keyword::FALSE) => {
-                    self.next_token();
+                    self.advance();
                     Ok(Expr::Literal(Literal::Boolean(false)))
                 }
                 Some(Keyword::NULL) => {
-                    self.next_token();
+                    self.advance();
                     Ok(Expr::Literal(Literal::Null))
                 }
                 Some(Keyword::CASE) => self.parse_case(),
@@ -242,16 +246,16 @@ impl Parser {
                 Some(Keyword::POSITION) => self.parse_position(),
                 Some(Keyword::INTERVAL) => self.parse_interval(),
                 Some(Keyword::EXISTS) => {
-                    self.next_token();
+                    self.advance();
                     self.expect_token(&Token::LParen)?;
                     let subquery = Box::new(self.parse_query()?);
                     self.expect_token(&Token::RParen)?;
                     Ok(Expr::Exists { subquery, negated: false })
                 }
                 Some(Keyword::NOT) => {
-                    self.next_token();
+                    self.advance();
                     if self.peek_token().is_keyword(Keyword::EXISTS) {
-                        self.next_token();
+                        self.advance();
                         self.expect_token(&Token::LParen)?;
                         let subquery = Box::new(self.parse_query()?);
                         self.expect_token(&Token::RParen)?;
@@ -264,29 +268,32 @@ impl Parser {
                 _ => self.parse_word_prefix(),
             },
             Token::Number(n) => {
-                self.next_token();
-                Ok(Expr::Literal(Literal::Number(n)))
+                let literal = Literal::Number(n.clone());
+                self.advance();
+                Ok(Expr::Literal(literal))
             }
             Token::SingleQuotedString(s) | Token::NationalString(s) => {
-                self.next_token();
-                Ok(Expr::Literal(Literal::String(s)))
+                let literal = Literal::String(s.clone());
+                self.advance();
+                Ok(Expr::Literal(literal))
             }
             Token::Placeholder(p) => {
-                self.next_token();
-                Ok(Expr::Placeholder(p))
+                let placeholder = Expr::Placeholder(p.clone());
+                self.advance();
+                Ok(placeholder)
             }
             Token::Minus => {
-                self.next_token();
+                self.advance();
                 let expr = self.parse_subexpr(BP_PREFIX_SIGN)?;
                 Ok(Expr::UnaryOp { op: UnaryOperator::Minus, expr: Box::new(expr) })
             }
             Token::Plus => {
-                self.next_token();
+                self.advance();
                 let expr = self.parse_subexpr(BP_PREFIX_SIGN)?;
                 Ok(Expr::UnaryOp { op: UnaryOperator::Plus, expr: Box::new(expr) })
             }
             Token::LParen => {
-                self.next_token();
+                self.advance();
                 if matches!(
                     self.peek_token(),
                     t if t.is_keyword(Keyword::SELECT) || t.is_keyword(Keyword::WITH)
@@ -324,9 +331,10 @@ impl Parser {
             if self.peek_nth(1) == &Token::Star {
                 break;
             }
-            self.next_token();
+            self.advance();
             parts.push(self.parse_identifier()?);
         }
+        parts.shrink_to_fit();
         if self.peek_token() == &Token::LParen {
             return self.parse_function(ObjectName(parts));
         }
@@ -367,12 +375,12 @@ impl Parser {
         } else {
             None
         };
-        Ok(Expr::Function(Function { name, args, distinct, filter, over }))
+        Ok(Expr::Function(Box::new(Function { name, args, distinct, filter, over })))
     }
 
     fn parse_function_arg(&mut self) -> Result<FunctionArg, ParseError> {
         if self.peek_token() == &Token::Star {
-            self.next_token();
+            self.advance();
             return Ok(FunctionArg::Wildcard);
         }
         // Attempt `name(.name)*.*`.
@@ -380,8 +388,8 @@ impl Parser {
             let snapshot = self.snapshot();
             if let Ok(name) = self.parse_object_name() {
                 if self.peek_token() == &Token::Period && self.peek_nth(1) == &Token::Star {
-                    self.next_token();
-                    self.next_token();
+                    self.advance();
+                    self.advance();
                     return Ok(FunctionArg::QualifiedWildcard(name));
                 }
             }
@@ -490,7 +498,11 @@ impl Parser {
         self.expect_keyword(Keyword::AS)?;
         let data_type = self.parse_data_type()?;
         self.expect_token(&Token::RParen)?;
-        Ok(Expr::Cast { expr: Box::new(expr), data_type, postgres_style: false })
+        Ok(Expr::Cast {
+            expr: Box::new(expr),
+            data_type: Box::new(data_type),
+            postgres_style: false,
+        })
     }
 
     fn parse_extract(&mut self) -> Result<Expr, ParseError> {
@@ -577,7 +589,7 @@ impl Parser {
                     && INTERVAL_UNITS.contains(&w.value.to_lowercase().as_str()) =>
             {
                 let unit = w.value.to_lowercase();
-                self.next_token();
+                self.advance();
                 Some(unit)
             }
             _ => None,

@@ -152,7 +152,7 @@ impl Parser {
             match self.peek_token() {
                 Token::Semicolon | Token::Eof => return,
                 _ => {
-                    self.next_token();
+                    self.advance();
                 }
             }
         }
@@ -185,12 +185,19 @@ impl Parser {
         }
     }
 
+    /// Consume the next token and return a copy of it. Callers that only
+    /// step past the token use [`Parser::advance`], which copies nothing.
     pub(crate) fn next_token(&mut self) -> Token {
-        let tok = self.tokens.get(self.index).map(|t| t.token.clone()).unwrap_or(Token::Eof);
+        let tok = self.peek_token().clone();
+        self.advance();
+        tok
+    }
+
+    /// Step past the next token (no-op at end of input).
+    pub(crate) fn advance(&mut self) {
         if self.index < self.tokens.len() {
             self.index += 1;
         }
-        tok
     }
 
     pub(crate) fn snapshot(&self) -> usize {
@@ -224,7 +231,7 @@ impl Parser {
     /// Consume the next token if it equals `expected`.
     pub(crate) fn consume_token(&mut self, expected: &Token) -> bool {
         if self.peek_token() == expected {
-            self.next_token();
+            self.advance();
             true
         } else {
             false
@@ -242,7 +249,7 @@ impl Parser {
     /// Consume the next token if it is the keyword `kw`.
     pub(crate) fn parse_keyword(&mut self, kw: Keyword) -> bool {
         if self.peek_token().is_keyword(kw) {
-            self.next_token();
+            self.advance();
             true
         } else {
             false
@@ -282,36 +289,36 @@ impl Parser {
     // ---- identifiers ---------------------------------------------------
 
     fn word_to_ident(word: &Word, span: Span) -> Ident {
-        if let Some(q) = word.quote {
-            let _ = q;
-            Ident::quoted(word.value.clone()).with_span(span)
+        if word.quote.is_some() {
+            Ident::quoted(word.value.as_str()).with_span(span)
         } else {
             Ident::new(&word.value).with_span(span)
         }
     }
 
+    /// The next token as an identifier, built from the borrowed word,
+    /// when it is a word a bare name may be (not reserved for aliases).
+    fn peek_name(&self) -> Option<Ident> {
+        match self.peek_token() {
+            Token::Word(w) if w.keyword.is_none_or(|kw| !kw.is_reserved_for_alias()) => {
+                Some(Self::word_to_ident(w, self.peek_span()))
+            }
+            _ => None,
+        }
+    }
+
     /// Parse one identifier. Non-reserved keywords are accepted as names.
     pub(crate) fn parse_identifier(&mut self) -> Result<Ident, ParseError> {
-        match self.peek_token() {
-            Token::Word(w) => {
-                let acceptable = match w.keyword {
-                    None => true,
-                    Some(kw) => !kw.is_reserved_for_alias(),
-                };
-                if acceptable {
-                    let w = w.clone();
-                    let span = self.peek_span();
-                    self.next_token();
-                    Ok(Self::word_to_ident(&w, span))
-                } else {
-                    Err(self.error_here(format!(
-                        "expected identifier, found reserved keyword {}",
-                        w.value
-                    )))
-                }
-            }
-            other => Err(self.error_here(format!("expected identifier, found {other}"))),
+        if let Some(ident) = self.peek_name() {
+            self.advance();
+            return Ok(ident);
         }
+        Err(match self.peek_token() {
+            Token::Word(w) => {
+                self.error_here(format!("expected identifier, found reserved keyword {}", w.value))
+            }
+            other => self.error_here(format!("expected identifier, found {other}")),
+        })
     }
 
     /// Parse a dotted object name (`a`, `a.b`, `a.b.c`).
@@ -321,9 +328,10 @@ impl Parser {
     pub(crate) fn parse_object_name(&mut self) -> Result<ObjectName, ParseError> {
         let mut parts = vec![self.parse_identifier()?];
         while self.peek_token() == &Token::Period && matches!(self.peek_nth(1), Token::Word(_)) {
-            self.next_token();
+            self.advance();
             parts.push(self.parse_identifier()?);
         }
+        parts.shrink_to_fit();
         Ok(ObjectName(parts))
     }
 
@@ -333,23 +341,11 @@ impl Parser {
         if self.parse_keyword(Keyword::AS) {
             return Ok(Some(self.parse_identifier()?));
         }
-        match self.peek_token() {
-            Token::Word(w) => {
-                let ok = match w.keyword {
-                    None => true,
-                    Some(kw) => !kw.is_reserved_for_alias(),
-                };
-                if ok {
-                    let w = w.clone();
-                    let span = self.peek_span();
-                    self.next_token();
-                    Ok(Some(Self::word_to_ident(&w, span)))
-                } else {
-                    Ok(None)
-                }
-            }
-            _ => Ok(None),
+        let alias = self.peek_name();
+        if alias.is_some() {
+            self.advance();
         }
+        Ok(alias)
     }
 
     /// Parse an optional table alias with an optional column list.
@@ -359,7 +355,7 @@ impl Parser {
         };
         let mut columns = Vec::new();
         if self.peek_token() == &Token::LParen {
-            self.next_token();
+            self.advance();
             loop {
                 columns.push(self.parse_identifier()?);
                 if !self.consume_token(&Token::Comma) {
@@ -427,7 +423,7 @@ impl Parser {
                         text.push(' ');
                     }
                     text.push_str(&token.to_string());
-                    self.next_token();
+                    self.advance();
                 }
             }
         }
@@ -456,7 +452,7 @@ impl Parser {
                         text.push(' ');
                     }
                     text.push_str(&token.to_string());
-                    self.next_token();
+                    self.advance();
                 }
             }
         }
@@ -517,7 +513,7 @@ impl Parser {
         let mut constraints = Vec::new();
         let mut query = None;
         if self.peek_token() == &Token::LParen {
-            self.next_token();
+            self.advance();
             loop {
                 if let Some(constraint) = self.parse_optional_table_constraint()? {
                     constraints.push(constraint);
@@ -560,7 +556,7 @@ impl Parser {
         } else if self.peek_token().is_keyword(Keyword::UNIQUE)
             && self.peek_nth(1) == &Token::LParen
         {
-            self.next_token();
+            self.advance();
             Some(TableConstraint::Unique(self.parse_paren_ident_list()?))
         } else if self.parse_keywords(&[Keyword::FOREIGN, Keyword::KEY]) {
             let columns = self.parse_paren_ident_list()?;
@@ -574,7 +570,7 @@ impl Parser {
             Some(TableConstraint::ForeignKey { columns, foreign_table, referred_columns })
         } else if self.peek_token().is_keyword(Keyword::CHECK) && self.peek_nth(1) == &Token::LParen
         {
-            self.next_token();
+            self.advance();
             self.expect_token(&Token::LParen)?;
             let expr = self.parse_expr()?;
             self.expect_token(&Token::RParen)?;
@@ -606,7 +602,7 @@ impl Parser {
             } else if self.parse_keyword(Keyword::REFERENCES) {
                 let table = self.parse_object_name()?;
                 let column = if self.peek_token() == &Token::LParen {
-                    self.next_token();
+                    self.advance();
                     let c = self.parse_identifier()?;
                     self.expect_token(&Token::RParen)?;
                     Some(c)
@@ -634,7 +630,7 @@ impl Parser {
                 if w.keyword.is_none() || !w.keyword.unwrap().is_reserved_for_alias() =>
             {
                 let v = w.value.to_lowercase();
-                self.next_token();
+                self.advance();
                 v
             }
             other => return Err(self.error_here(format!("expected data type, found {other}"))),
@@ -652,13 +648,13 @@ impl Parser {
             _ => None,
         };
         if let Some(cont) = continuation {
-            self.next_token();
+            self.advance();
             name.push(' ');
             name.push_str(cont);
         }
         let mut params = Vec::new();
         if self.peek_token() == &Token::LParen {
-            self.next_token();
+            self.advance();
             loop {
                 match self.next_token() {
                     Token::Number(n) => {
@@ -686,7 +682,7 @@ impl Parser {
                 Some(true)
             } else if matches!(self.peek_token(), Token::Word(w) if w.value.eq_ignore_ascii_case("without"))
             {
-                self.next_token();
+                self.advance();
                 Some(false)
             } else {
                 None
@@ -694,10 +690,10 @@ impl Parser {
             if let Some(with) = with {
                 let time_ok = matches!(self.peek_token(), Token::Word(w) if w.value.eq_ignore_ascii_case("time"));
                 if time_ok {
-                    self.next_token();
+                    self.advance();
                     let zone_ok = matches!(self.peek_token(), Token::Word(w) if w.value.eq_ignore_ascii_case("zone"));
                     if zone_ok {
-                        self.next_token();
+                        self.advance();
                         suffix = Some(if with {
                             "with time zone".to_string()
                         } else {

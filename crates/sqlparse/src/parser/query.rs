@@ -41,7 +41,7 @@ impl Parser {
             if self.parse_keyword(Keyword::ALL) {
                 None
             } else {
-                Some(self.parse_expr()?)
+                Some(Box::new(self.parse_expr()?))
             }
         } else {
             None
@@ -50,7 +50,7 @@ impl Parser {
             let e = self.parse_expr()?;
             // Optional ROW/ROWS noise word.
             let _ = self.parse_one_of_keywords(&[Keyword::ROW, Keyword::ROWS]);
-            Some(e)
+            Some(Box::new(e))
         } else {
             None
         };
@@ -71,7 +71,7 @@ impl Parser {
                 return Err(self.error_here("expected ROW or ROWS in FETCH clause"));
             }
             self.expect_keyword(Keyword::ONLY)?;
-            Some(count.unwrap_or(Expr::Literal(Literal::Number("1".into()))))
+            Some(Box::new(count.unwrap_or(Expr::Literal(Literal::Number("1".into())))))
         } else {
             limit
         };
@@ -116,7 +116,7 @@ impl Parser {
             if precedence <= min_precedence {
                 break;
             }
-            self.next_token();
+            self.advance();
             let all = self.parse_keyword(Keyword::ALL);
             if !all {
                 // `UNION DISTINCT` is the explicit spelling of the default.
@@ -134,7 +134,7 @@ impl Parser {
                 Ok(SetExpr::Select(Box::new(self.parse_select()?)))
             }
             t if t.is_keyword(Keyword::VALUES) => {
-                self.next_token();
+                self.advance();
                 let mut rows = Vec::new();
                 loop {
                     self.expect_token(&Token::LParen)?;
@@ -154,7 +154,7 @@ impl Parser {
                 Ok(SetExpr::Values(Values(rows)))
             }
             Token::LParen => {
-                self.next_token();
+                self.advance();
                 let query = self.parse_query()?;
                 self.expect_token(&Token::RParen)?;
                 Ok(SetExpr::Query(Box::new(query)))
@@ -195,25 +195,25 @@ impl Parser {
         let mut top = None;
         if self.dialect.supports_top() && self.peek_token().is_keyword(Keyword::TOP) {
             let snapshot = self.snapshot();
-            self.next_token();
-            match self.peek_token().clone() {
-                Token::Number(n) => {
-                    self.next_token();
-                    top = Some(Expr::Literal(Literal::Number(n)));
+            self.advance();
+            match (self.peek_token(), self.peek_nth(1), self.peek_nth(2)) {
+                (Token::Number(n), _, _) => {
+                    top = Some(Box::new(Expr::Literal(Literal::Number(n.clone()))));
+                    self.advance();
                 }
-                Token::LParen
-                    if matches!(self.peek_nth(1), Token::Number(_))
-                        && self.peek_nth(2) == &Token::RParen =>
-                {
-                    self.next_token();
-                    let Token::Number(n) = self.next_token() else { unreachable!() };
-                    self.next_token();
-                    top = Some(Expr::Nested(Box::new(Expr::Literal(Literal::Number(n)))));
+                (Token::LParen, Token::Number(n), Token::RParen) => {
+                    let count = Expr::Literal(Literal::Number(n.clone()));
+                    top = Some(Box::new(Expr::Nested(Box::new(count))));
+                    self.advance();
+                    self.advance();
+                    self.advance();
                 }
                 _ => self.rollback(snapshot),
             }
         }
 
+        // Every list a held view keeps is trimmed to its length once
+        // parsed: a pushed `Vec` keeps room for at least four items.
         let mut projection = Vec::new();
         loop {
             projection.push(self.parse_select_item()?);
@@ -221,6 +221,7 @@ impl Parser {
                 break;
             }
         }
+        projection.shrink_to_fit();
 
         let mut from = Vec::new();
         if self.parse_keyword(Keyword::FROM) {
@@ -231,6 +232,7 @@ impl Parser {
                 }
             }
         }
+        from.shrink_to_fit();
 
         let selection =
             if self.parse_keyword(Keyword::WHERE) { Some(self.parse_expr()?) } else { None };
@@ -244,13 +246,17 @@ impl Parser {
                 }
             }
         }
+        group_by.shrink_to_fit();
 
-        let having =
-            if self.parse_keyword(Keyword::HAVING) { Some(self.parse_expr()?) } else { None };
+        let having = if self.parse_keyword(Keyword::HAVING) {
+            Some(Box::new(self.parse_expr()?))
+        } else {
+            None
+        };
 
         // Snowflake/BigQuery window-filter clause, dialect-gated.
         let qualify = if self.dialect.supports_qualify() && self.parse_keyword(Keyword::QUALIFY) {
-            Some(self.parse_expr()?)
+            Some(Box::new(self.parse_expr()?))
         } else {
             None
         };
@@ -267,8 +273,8 @@ impl Parser {
             let snapshot = self.snapshot();
             if let Ok(name) = self.parse_object_name() {
                 if self.peek_token() == &Token::Period && self.peek_nth(1) == &Token::Star {
-                    self.next_token();
-                    self.next_token();
+                    self.advance();
+                    self.advance();
                     return Ok(SelectItem::QualifiedWildcard(name));
                 }
             }
@@ -377,6 +383,7 @@ impl Parser {
             };
             joins.push(Join { relation, join_operator });
         }
+        joins.shrink_to_fit();
         Ok(TableWithJoins { relation, joins })
     }
 
@@ -402,7 +409,7 @@ impl Parser {
             // Either a derived table `(SELECT ...)` or a nested join
             // `(a JOIN b ON ...)`. Decide by what follows the paren.
             let snapshot = self.snapshot();
-            self.next_token();
+            self.advance();
             let is_query = matches!(
                 self.peek_token(),
                 t if t.is_keyword(Keyword::SELECT) || t.is_keyword(Keyword::WITH) || t.is_keyword(Keyword::VALUES)
@@ -418,13 +425,13 @@ impl Parser {
                 // from the start as a nested join, falling back to a derived
                 // table on failure.
                 self.rollback(snapshot);
-                self.next_token();
+                self.advance();
                 if let Ok(twj) = self.parse_table_with_joins() {
                     self.expect_token(&Token::RParen)?;
                     return Ok(TableFactor::NestedJoin(Box::new(twj)));
                 }
                 self.rollback(snapshot);
-                self.next_token();
+                self.advance();
                 let subquery = Box::new(self.parse_query()?);
                 self.expect_token(&Token::RParen)?;
                 let alias = self.parse_optional_table_alias()?;
@@ -474,11 +481,11 @@ mod tests {
     fn tsql_top_parses_and_roundtrips() {
         use crate::dialect::DialectKind;
         let s = select_of_dialect("SELECT TOP 5 * FROM t", DialectKind::TSql);
-        assert_eq!(s.top, Some(Expr::Literal(Literal::Number("5".into()))));
+        assert_eq!(s.top.as_deref(), Some(&Expr::Literal(Literal::Number("5".into()))));
         assert_eq!(s.to_string(), "SELECT TOP 5 * FROM t");
         // Parenthesised count.
         let s = select_of_dialect("SELECT TOP (10) a FROM t", DialectKind::TSql);
-        assert!(matches!(s.top, Some(Expr::Nested(_))));
+        assert!(matches!(s.top.as_deref(), Some(Expr::Nested(_))));
         // `top` as a plain column survives, even under T-SQL.
         let s = select_of_dialect("SELECT top FROM t", DialectKind::TSql);
         assert!(s.top.is_none());
@@ -678,10 +685,10 @@ mod tests {
     #[test]
     fn fetch_first_normalises_to_limit() {
         let q = parse_query_of("SELECT a FROM t OFFSET 5 FETCH NEXT 10 ROWS ONLY");
-        assert_eq!(q.limit, Some(Expr::Literal(Literal::Number("10".into()))));
+        assert_eq!(q.limit.as_deref(), Some(&Expr::Literal(Literal::Number("10".into()))));
         assert!(q.offset.is_some());
         let q = parse_query_of("SELECT a FROM t FETCH FIRST ROW ONLY");
-        assert_eq!(q.limit, Some(Expr::Literal(Literal::Number("1".into()))));
+        assert_eq!(q.limit.as_deref(), Some(&Expr::Literal(Literal::Number("1".into()))));
     }
 
     #[test]

@@ -184,13 +184,13 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
             wrapped.clone().prop_map(|e| Expr::IsNull { expr: Box::new(e), negated: false }),
             (ident_strategy(), proptest::collection::vec(wrapped.clone(), 0..3)).prop_map(
                 |(name, args)| {
-                    Expr::Function(Function {
+                    Expr::Function(Box::new(Function {
                         name: ObjectName(vec![name]),
                         args: args.into_iter().map(FunctionArg::Expr).collect(),
                         distinct: false,
                         filter: None,
                         over: None,
-                    })
+                    }))
                 }
             ),
             (wrapped.clone(), wrapped.clone(), wrapped.clone()).prop_map(|(c, r, e)| {

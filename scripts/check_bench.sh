@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Bench-regression gate: re-runs engine_bench, query_bench, and
 # serve_bench in quick mode (BENCH_QUICK=1 — same workloads, fewer
-# repetitions) in a scratch directory, then fails if the fresh numbers
-# violate the workspace's perf contracts:
+# repetitions), and alloc_bench, in a scratch directory, then fails if
+# the fresh numbers violate the workspace's perf contracts:
 #
 #   * lenient_overhead_pct  < 5     (lenient mode may not tax clean logs)
 #   * dialect_overhead_pct  < 3     (the dialect front end may not tax
@@ -35,6 +35,18 @@
 #                                    same-process time ratio, so the floor
 #                                    does not scale it)
 #
+# Resident bytes per view (alloc_bench; BENCH_alloc.json): the live heap
+# the Query Dictionary and the settled batch result hold, per view, on the
+# 20k scaled log and the 5k rich log:
+#
+#   * dict_live_bytes_per_view  <= 1.02 * committed
+#   * graph_live_bytes_per_view <= 1.02 * committed
+#
+# alloc_bench counts allocations and extracts on one job, so its numbers
+# repeat exactly on every run; the floor does not scale them, and the 2%
+# covers only standard-library layout changes between toolchains. A change
+# that means to hold more per view regenerates BENCH_alloc.json.
+#
 # The cold-start bound is deliberately below the headline "50x" ambition:
 # on the single-core reference machine the binary decode is string-alloc
 # bound (~60 ms for 10k views vs ~450 ms for the SQL path, i.e. ~7x), and
@@ -57,6 +69,7 @@
 #   cargo run --release -p lineagex-bench --bin engine_bench
 #   cargo run --release -p lineagex-bench --bin query_bench
 #   cargo run --release -p lineagex-bench --bin serve_bench
+#   cargo run --release -p lineagex-bench --bin alloc_bench
 set -euo pipefail
 
 floor=${CHECK_BENCH_FLOOR:-0.7}
@@ -64,12 +77,13 @@ cd "$(dirname "$0")/.."
 root=$(pwd)
 
 echo "building bench binaries (release)"
-cargo build --release -q -p lineagex-bench --bin engine_bench --bin query_bench --bin serve_bench
+cargo build --release -q -p lineagex-bench --bin engine_bench --bin query_bench --bin serve_bench \
+    --bin alloc_bench
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "running engine_bench + query_bench + serve_bench (BENCH_QUICK=1) in $tmp"
+echo "running engine_bench + query_bench + serve_bench (BENCH_QUICK=1) and alloc_bench in $tmp"
 (cd "$tmp" && BENCH_QUICK=1 "$root/target/release/engine_bench" >engine_bench.log) || {
     echo "engine_bench failed:" >&2
     cat "$tmp/engine_bench.log" >&2
@@ -85,6 +99,11 @@ echo "running engine_bench + query_bench + serve_bench (BENCH_QUICK=1) in $tmp"
     cat "$tmp/serve_bench.log" >&2
     exit 1
 }
+(cd "$tmp" && "$root/target/release/alloc_bench" >alloc_bench.log) || {
+    echo "alloc_bench failed:" >&2
+    cat "$tmp/alloc_bench.log" >&2
+    exit 1
+}
 
 # Extract a numeric field from a flat pretty-printed JSON file. The
 # nested incremental object is covered too: its keys ("speedup", ...)
@@ -94,6 +113,19 @@ json_num() {
     value=$(grep -oE "\"$2\": *-?[0-9.eE+-]+" "$1" | head -1 | sed 's/.*: *//')
     if [ -z "$value" ]; then
         echo "missing key \"$2\" in $1" >&2
+        exit 1
+    fi
+    printf '%s\n' "$value"
+}
+
+# The first numeric <key> after the line naming <section>, in a
+# pretty-printed JSON file whose sections repeat the same keys.
+json_section_num() {
+    local value
+    value=$(sed -n "/\"$2\"/,\$p" "$1" | grep -oE "\"$3\": *-?[0-9.eE+-]+" | head -1 |
+        sed 's/.*: *//')
+    if [ -z "$value" ]; then
+        echo "missing key \"$3\" under \"$2\" in $1" >&2
         exit 1
     fi
     printf '%s\n' "$value"
@@ -151,11 +183,19 @@ check "upstream_closure_qps vs committed floor" "$up" ">=" "$up_floor"
 check "serve mixed_qps vs committed floor" "$mixed" ">=" "$mixed_floor"
 check "serve refresh_p99_ratio" "$ratio" "<=" 3
 check "serve obs_overhead_pct" "$obs_overhead" "<" 3
+for log in scaled_20k rich_5k; do
+    for key in dict_live_bytes_per_view graph_live_bytes_per_view; do
+        fresh=$(json_section_num "$tmp/BENCH_alloc.json" "$log" "$key")
+        committed=$(json_section_num "$root/BENCH_alloc.json" "$log" "$key")
+        bound=$(awk -v v="$committed" 'BEGIN { printf "%.2f", 1.02 * v }')
+        check "$log $key vs committed" "$fresh" "<=" "$bound"
+    done
+done
 
 if [ "$failures" -ne 0 ]; then
     echo "bench-regression gate: $failures check(s) failed" >&2
     echo "quick-run artifacts:" >&2
-    cat "$fresh_engine" "$fresh_query" "$fresh_serve" >&2
+    cat "$fresh_engine" "$fresh_query" "$fresh_serve" "$tmp/BENCH_alloc.json" >&2
     exit 1
 fi
 echo "bench-regression gate: all green"

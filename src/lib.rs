@@ -70,8 +70,8 @@ pub mod prelude {
         lineagex, lineagex_lenient, AmbiguityPolicy, ColumnMatch, Diagnostic, DiagnosticCode,
         DialectKind, Direction, EdgeKind, GraphIndex, GraphIndexCache, GraphQuery, GraphStats,
         Interner, LineageError, LineageGraph, LineageResult, LineageView, LineageX, QueryAnswer,
-        QueryLineage, QueryReport, QuerySpec, RelationMatch, ReportV2, Severity, SourceColumn,
-        Subgraph, Symbol, SCHEMA_VERSION,
+        QueryLineage, QueryReport, QuerySpec, RelationMatch, ReportV2, Severity, SortedSet,
+        SourceColumn, Subgraph, Symbol, SCHEMA_VERSION,
     };
     pub use lineagex_engine::{
         Engine, EngineOptions, EngineSnapshot, EngineStats, IngestAction, StmtId,

@@ -106,6 +106,6 @@ fn paths_agree_on_quoted_declared_and_insert_target_names() {
         assert_paths_agree(&static_result, &connected);
     }
     let w = &lineagex(&format!("{view_ddl}\n{views}")).unwrap().graph.queries["w"];
-    assert_eq!(w.outputs[0].ccon, [SourceColumn::new("v", "Page")].into());
+    assert_eq!(w.outputs[0].ccon, SortedSet::from([SourceColumn::new("v", "Page")]));
     assert!(!w.partial);
 }

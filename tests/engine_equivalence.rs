@@ -68,7 +68,7 @@ fn session_write(op: u8, view: usize, source: usize, n: u32) -> String {
 fn with_limit(statement: &str, limit: u64) -> String {
     let mut stmt = lineagex::sqlparse::parse_statement(statement).unwrap();
     if let Statement::CreateView { ref mut query, .. } = stmt {
-        query.limit = Some(Expr::Literal(Literal::Number(limit.to_string())));
+        query.limit = Some(Box::new(Expr::Literal(Literal::Number(limit.to_string()))));
     }
     stmt.to_string()
 }

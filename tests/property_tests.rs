@@ -68,7 +68,8 @@ proptest! {
 
         for q in graph.queries.values() {
             let all_con: BTreeSet<_> = q.outputs.iter().flat_map(|o| o.ccon.iter().cloned()).collect();
-            let expected_both: BTreeSet<_> = all_con.intersection(&q.cref).cloned().collect();
+            let expected_both: BTreeSet<_> =
+                all_con.iter().filter(|c| q.cref.contains(*c)).cloned().collect();
             prop_assert_eq!(q.cboth(), expected_both, "C_both mismatch in {}", q.id);
 
             // Every C_con source must come from a table in T or the

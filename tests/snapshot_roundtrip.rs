@@ -117,7 +117,7 @@ fn loaded_engine_hydrates_cold_entries_and_converges_on_redefinition() {
         .expect("workload defines view_8");
     let mut parsed = lineagex::sqlparse::parse_statement(original_statement).unwrap();
     if let Statement::CreateView { ref mut query, .. } = parsed {
-        query.limit = Some(Expr::Literal(Literal::Number("777".to_string())));
+        query.limit = Some(Box::new(Expr::Literal(Literal::Number("777".to_string()))));
     }
     let redefinition = parsed.to_string();
     let cone = {
