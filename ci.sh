@@ -211,9 +211,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # mixed throughput within 30% of the committed BENCH_serve.json, read
 # p99 under churn within 3x of idle, and obs recording overhead under
 # 3%; alloc_bench's live bytes per held view (dictionary and settled
-# graph, 20k scaled and 5k rich logs) must stay within 2% of the
-# committed BENCH_alloc.json. Needs the release profile, so `fast` skips
-# it.
+# graph, 20k scaled and 5k rich logs) and its peak live heap per view
+# while lexing and parsing and while rendering the report must stay
+# within 2% of the committed BENCH_alloc.json (exact allocation counts,
+# so CHECK_BENCH_FLOOR scales none of these). Needs the release profile,
+# so `fast` skips it.
 if [ "$mode" != "fast" ]; then
     step "scripts/check_bench.sh (bench-regression gate)"
     scripts/check_bench.sh

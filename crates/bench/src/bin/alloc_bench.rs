@@ -8,7 +8,9 @@
 //! * `lex_parse` — parsing the whole log into statements (then dropped);
 //! * `dictionary` — building the Query Dictionary (it parses again);
 //! * `inference` — the batch run over that dictionary;
-//! * `render` — writing the `ReportV2` JSON document.
+//! * `render` — writing the `ReportV2` JSON document the way the CLI
+//!   writes its file (`serde_json::to_writer_pretty`, here into
+//!   `std::io::sink()`), which holds at most about 1 MiB of it at a time.
 //!
 //! Each stage reports its allocation count, the bytes it asked for (a
 //! reallocation counts once, at its new size) and the highest live heap
@@ -21,8 +23,9 @@
 //!
 //! Extraction runs with one job, so the counts repeat exactly from run to
 //! run: `scripts/check_bench.sh` re-runs this binary and holds the live
-//! bytes per view to the committed `BENCH_alloc.json`. Regenerate it from
-//! the repo root:
+//! bytes per view, and the peak live heap per view of lex+parse and of
+//! the render, to the committed `BENCH_alloc.json`. Regenerate it from the
+//! repo root:
 //!
 //! ```sh
 //! cargo run --release -p lineagex-bench --bin alloc_bench
@@ -136,10 +139,12 @@ fn measure(sql: &str, views: usize) -> LogReport {
         counted(|| InferenceEngine::over(dict, &catalog, options).jobs(1).run().expect("runs"));
     let graph_live_bytes = LIVE.load(Relaxed) - before;
 
-    let (json, render) =
-        counted(|| ReportV2::from_graph(&result.graph, &result.diagnostics).to_json());
+    let report = ReportV2::from_graph(&result.graph, &result.diagnostics);
+    let (written, render) = counted(|| serde_json::to_writer_pretty(std::io::sink(), &report));
+    written.expect("a sink takes every byte");
     assert_eq!(result.graph.queries.len(), views, "every view extracted");
-    drop((json, result));
+    drop(report);
+    drop(result);
 
     let allocations = dictionary.allocations + inference.allocations + render.allocations;
     LogReport {

@@ -40,8 +40,13 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
             let (result, engine) = extract_log(&sql, common, save_snapshot.is_some())?;
             // The report computes the stats while it renders (on a second
             // thread when there is one), and the summary reads them there.
+            // It renders straight into its file, so the document is never
+            // held whole; a write error is reported where the file is
+            // named below.
             let report = ReportV2::from_graph(&result.graph, &result.diagnostics);
-            let rendered = json.as_ref().map(|_| report.to_json());
+            let written = json
+                .as_ref()
+                .map(|path| write_json(path, |file| serde_json::to_writer_pretty(file, &report)));
             if *timings {
                 // Stderr so piped stdout artifacts stay clean.
                 eprintln!(
@@ -55,15 +60,16 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
                     .into_iter()
                     .map(|d| d.with_excerpt_from(&sql))
                     .collect();
-                let rendered =
-                    serde_json::to_string_pretty(&diagnostics).map_err(|e| e.to_string())?;
-                write_file(path, &(rendered + "\n"))?;
+                write_json(path, |file| {
+                    serde_json::to_writer_pretty(&mut *file, &diagnostics)?;
+                    Ok(file.write_all(b"\n")?)
+                })?;
                 wln(out, &format!("wrote {path}"))?;
             }
-            if let (Some(path), Some(rendered)) = (json, rendered) {
+            if let (Some(path), Some(written)) = (json, written) {
                 // The versioned v2 document: graph + per-query lineage +
                 // run diagnostics + stats, deterministic across backends.
-                write_file(path, &rendered)?;
+                written?;
                 wln(out, &format!("wrote {path}"))?;
             }
             if let Some(path) = json_v1 {
@@ -716,17 +722,35 @@ fn write_file(path: &str, content: &str) -> CmdResult {
     std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
+/// Create `path` and let `write` stream a JSON document into it.
+fn write_json(
+    path: &str,
+    write: impl FnOnce(&mut std::fs::File) -> Result<(), serde_json::Error>,
+) -> CmdResult {
+    let file = std::fs::File::create(path).map_err(serde_json::Error::from);
+    file.and_then(|mut file| write(&mut file)).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::args::Command;
     use lineagex_core::DialectKind;
 
+    /// Write `content` to `name` in the tests' temp directory. Tests that
+    /// run in parallel rewrite shared inputs while others read them, so
+    /// each write goes to a sibling file of its own and is renamed into
+    /// place: a reader sees the old file or the new one, never a
+    /// truncated one.
     fn write_temp(name: &str, content: &str) -> String {
+        static WRITES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("lineagex_cli_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
-        std::fs::write(&path, content).unwrap();
+        let n = WRITES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let staged = dir.join(format!("{name}.{}.{n}.tmp", std::process::id()));
+        std::fs::write(&staged, content).unwrap();
+        std::fs::rename(&staged, &path).unwrap();
         path.to_string_lossy().into_owned()
     }
 
@@ -778,6 +802,23 @@ mod tests {
         execute_to_string(&cmd).0.unwrap();
         let written = std::fs::read_to_string(&json).unwrap();
         assert!(written.contains("\"queries\""));
+    }
+
+    #[test]
+    fn extract_json_into_a_missing_directory_fails_cleanly() {
+        let file = write_temp("unwritable.sql", LOG);
+        let missing = std::env::temp_dir().join("lineagex_cli_tests/no/such/dir");
+        for flag in ["--json", "--diagnostics-json"] {
+            let path = missing.join("out.json").to_string_lossy().into_owned();
+            let argv: Vec<String> =
+                ["extract", &file, flag, &path].iter().map(|s| s.to_string()).collect();
+            let mut out = Vec::new();
+            assert_eq!(crate::run(&argv, &mut out), 1, "{flag}");
+            let out = String::from_utf8(out).unwrap();
+            assert!(out.contains(&format!("error: cannot write {path}: ")), "{flag}: {out}");
+            // The summary is printed before the error.
+            assert!(out.contains("queries processed : 1"), "{flag}: {out}");
+        }
     }
 
     const CHAIN: &str = "

@@ -1005,6 +1005,73 @@ mod tests {
         }
     }
 
+    /// A writer that keeps the bytes it takes and counts its calls; with
+    /// `fail_after`, a call that would take it past that many bytes fails.
+    #[derive(Default)]
+    struct Recording {
+        bytes: Vec<u8>,
+        writes: usize,
+        fail_after: Option<usize>,
+    }
+
+    impl std::io::Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.fail_after.is_some_and(|limit| self.bytes.len() + buf.len() > limit) {
+                return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full"));
+            }
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_report_written_to_a_writer_has_the_rendered_bytes() {
+        let generated = generate(&GeneratorConfig {
+            views: 3_000,
+            shuffle_statements: true,
+            ..GeneratorConfig::seeded(7)
+        });
+        let result = crate::LineageX::new().run(&generated.full_sql()).unwrap();
+        let (graph, diagnostics) = (&result.graph, &result.diagnostics);
+        let index = GraphIndex::build(graph);
+        for with_index in [false, true] {
+            let report = || {
+                let report = ReportV2::from_graph(graph, diagnostics);
+                if with_index {
+                    report.with_index(&index)
+                } else {
+                    report
+                }
+            };
+            let pretty = report().to_json();
+            let mut written = Recording::default();
+            serde_json::to_writer_pretty(&mut written, &report()).unwrap();
+            // 1 MiB at a time, and then the rest.
+            assert!(written.writes >= 3, "{} writes of {} bytes", written.writes, pretty.len());
+            assert!(written.bytes == pretty.as_bytes(), "index {with_index}");
+            let compact = serde_json::to_string(&report()).unwrap();
+            let mut written = Recording::default();
+            serde_json::to_writer(&mut written, &report()).unwrap();
+            assert!(written.writes >= 2, "{} writes of {} bytes", written.writes, compact.len());
+            assert!(written.bytes == compact.as_bytes(), "index {with_index}");
+            // A writer that fails part way is an error, not a panic, and
+            // takes nothing after its first failure.
+            for limit in [0, 1, 1 << 20, pretty.len() - 1] {
+                let mut failing = Recording { fail_after: Some(limit), ..Recording::default() };
+                let error = serde_json::to_writer_pretty(&mut failing, &report()).unwrap_err();
+                assert_eq!(error.to_string(), "disk full");
+                assert!(
+                    failing.bytes.len() <= limit && pretty.as_bytes().starts_with(&failing.bytes)
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_rendered_report_keeps_the_stats_it_computed() {
         let g = graph();

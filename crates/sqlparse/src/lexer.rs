@@ -1,4 +1,5 @@
-//! The SQL lexer: turns raw text into a vector of [`SpannedToken`]s.
+//! The SQL lexer: turns raw text into [`SpannedToken`]s, one statement at
+//! a time for the parser's statement driver, or a whole script at once.
 //!
 //! Handles `--` line comments, `/* ... */` block comments (nested, as in
 //! Postgres), single-quoted strings with `''` escapes, `E'...'` escape
@@ -44,14 +45,8 @@ impl<'a> Lexer<'a> {
     ) -> Result<Vec<SpannedToken>, ParseError> {
         let mut lexer = Lexer::with_dialect(src, dialect);
         let mut out = Vec::new();
-        loop {
-            let tok = lexer.next_token()?;
-            let eof = tok.token == Token::Eof;
-            out.push(tok);
-            if eof {
-                return Ok(out);
-            }
-        }
+        while !lexer.lex_statement(&mut out, None)? {}
+        Ok(out)
     }
 
     /// Tokenize as much of the input as possible, collecting lex errors
@@ -74,35 +69,46 @@ impl<'a> Lexer<'a> {
         let mut lexer = Lexer::with_dialect(src, dialect);
         let mut out = Vec::new();
         let mut errors = Vec::new();
+        while lexer.lex_statement(&mut out, Some(&mut errors)) == Ok(false) {}
+        (out, errors)
+    }
+
+    /// Lex one statement's tokens onto `out`: everything up to and
+    /// including the next `;` token, or [`Token::Eof`]. Returns whether
+    /// the input is exhausted (the pushed statement ends in `Eof`).
+    ///
+    /// Without `errors` a lex error is returned. With it the error is
+    /// recorded instead: the statement's tokens so far are discarded (a
+    /// truncated prefix must not masquerade as a complete statement), and
+    /// lexing resumes at the next `;` in the raw text, the statement
+    /// separator no token may contain, which is lexed normally. Every
+    /// error path in `next_token` consumes at least one byte, so recovery
+    /// always makes progress.
+    pub(crate) fn lex_statement(
+        &mut self,
+        out: &mut Vec<SpannedToken>,
+        mut errors: Option<&mut Vec<ParseError>>,
+    ) -> Result<bool, ParseError> {
+        let start = out.len();
         loop {
-            match lexer.next_token() {
+            match self.next_token() {
                 Ok(tok) => {
                     let eof = tok.token == Token::Eof;
+                    let end = eof || tok.token == Token::Semicolon;
                     out.push(tok);
-                    if eof {
-                        return (out, errors);
+                    if end {
+                        return Ok(eof);
                     }
                 }
                 Err(error) => {
+                    let Some(errors) = errors.as_deref_mut() else { return Err(error) };
                     errors.push(error);
-                    // The tokens since the last `;` belong to the corrupt
-                    // statement; a truncated prefix must not masquerade as
-                    // a complete statement, so discard them.
-                    let boundary = out
-                        .iter()
-                        .rposition(|t: &SpannedToken| t.token == Token::Semicolon)
-                        .map(|i| i + 1)
-                        .unwrap_or(0);
-                    out.truncate(boundary);
-                    // Skip to the statement separator; the `;` itself is
-                    // lexed normally on the next iteration. Every error
-                    // path in `next_token` consumes at least one byte, so
-                    // this loop always makes progress.
-                    while let Some(b) = lexer.peek() {
+                    out.truncate(start);
+                    while let Some(b) = self.peek() {
                         if b == b';' {
                             break;
                         }
-                        lexer.advance_char();
+                        self.advance_char();
                     }
                 }
             }

@@ -1,9 +1,12 @@
 //! Recursive-descent SQL parser.
 //!
-//! Split across three files: this module holds the token cursor, statement
-//! dispatch, DDL, and shared helpers; `query.rs` parses queries, selects,
-//! and joins; `expr.rs` is the Pratt expression parser.
+//! Split across three files: this module holds the statement driver, the
+//! token cursor, statement dispatch, DDL, and shared helpers; `query.rs`
+//! parses queries, selects, and joins; `expr.rs` is the Pratt expression
+//! parser.
 
+#[cfg(test)]
+mod driver_tests;
 mod expr;
 mod query;
 
@@ -40,12 +43,81 @@ impl RecoveredScript {
     }
 }
 
-/// The parser: a cursor over the token stream.
+/// The parser: a cursor over the tokens of the statement it parses.
 pub struct Parser {
     tokens: Vec<SpannedToken>,
     index: usize,
     depth: usize,
     dialect: &'static dyn Dialect,
+}
+
+/// The statement driver behind every script parse: it lexes the script
+/// one statement at a time into the parser's token buffer, which it
+/// reuses, and parses each statement from there, so no token vector of
+/// the whole script is ever built.
+///
+/// Before a statement is parsed the buffer holds its tokens through its
+/// `;` and the whole statement after that, so the parser sees what it
+/// would see in the token stream of the whole script: a malformed
+/// statement may step onto the token after its `;` (its error points
+/// there), and recovery then skips to the next `;`, but neither reaches
+/// further.
+struct Statements<'a> {
+    lexer: Lexer<'a>,
+    parser: Parser,
+    /// Where a recovering parse records its lex errors; `None` when the
+    /// first lex error fails the parse.
+    lex_errors: Option<Vec<ParseError>>,
+    /// Whether the buffer has reached `Eof`.
+    lexed_all: bool,
+}
+
+impl<'a> Statements<'a> {
+    fn new(sql: &'a str, dialect: DialectKind, recovering: bool) -> Self {
+        Statements {
+            lexer: Lexer::with_dialect(sql, dialect),
+            parser: Parser { tokens: Vec::new(), index: 0, depth: 0, dialect: dialect.behavior() },
+            lex_errors: recovering.then(Vec::new),
+            lexed_all: false,
+        }
+    }
+
+    /// Move the cursor to the start of the next statement, past empty
+    /// ones; `false` at the end of the script. The error is a lex error,
+    /// which only a strict parse returns.
+    fn next_statement(&mut self) -> Result<bool, ParseError> {
+        loop {
+            self.refill()?;
+            if !self.parser.consume_token(&Token::Semicolon) {
+                return Ok(self.parser.peek_token() != &Token::Eof);
+            }
+        }
+    }
+
+    /// Drop the tokens before the cursor, then lex statements until the
+    /// buffer holds two statement ends (`;` or `Eof`) or reaches `Eof`.
+    fn refill(&mut self) -> Result<(), ParseError> {
+        let tokens = &mut self.parser.tokens;
+        tokens.drain(..self.parser.index);
+        self.parser.index = 0;
+        let mut ends =
+            tokens.iter().filter(|t| matches!(t.token, Token::Semicolon | Token::Eof)).count();
+        while ends < 2 && !self.lexed_all {
+            self.lexed_all = self.lexer.lex_statement(tokens, self.lex_errors.as_mut())?;
+            ends += 1;
+        }
+        Ok(())
+    }
+
+    /// Lex the rest of the script without keeping it: its first lex error,
+    /// if it has one.
+    fn lex_rest(&mut self) -> Result<(), ParseError> {
+        while !self.lexed_all {
+            self.parser.tokens.clear();
+            self.lexed_all = self.lexer.lex_statement(&mut self.parser.tokens, None)?;
+        }
+        Ok(())
+    }
 }
 
 impl Parser {
@@ -66,27 +138,20 @@ impl Parser {
     }
 
     /// [`Parser::parse_sql_spanned`] under a specific dialect.
+    ///
+    /// A lex error anywhere in the script fails the parse, ahead of any
+    /// parse error: after the first parse error the rest of the script is
+    /// still lexed, and its first lex error is returned if it has one.
     pub fn parse_sql_spanned_with(
         sql: &str,
         dialect: DialectKind,
     ) -> Result<Vec<SpannedStatement>, ParseError> {
-        let tokens = Lexer::tokenize_with(sql, dialect)?;
-        let mut parser = Parser { tokens, index: 0, depth: 0, dialect: dialect.behavior() };
+        let mut script = Statements::new(sql, dialect, false);
         let mut statements = Vec::new();
-        loop {
-            while parser.consume_token(&Token::Semicolon) {}
-            if parser.peek_token() == &Token::Eof {
-                break;
-            }
-            let start = parser.peek_span();
-            let statement = parser.parse_statement()?;
-            statements.push(statement.with_span(start.union(&parser.prev_span())));
-            match parser.peek_token() {
-                Token::Semicolon | Token::Eof => {}
-                other => {
-                    let msg = format!("expected end of statement, found {other}");
-                    return Err(parser.error_here(msg));
-                }
+        while script.next_statement()? {
+            match script.parser.parse_spanned_statement() {
+                Ok(statement) => statements.push(statement),
+                Err(error) => return Err(script.lex_rest().err().unwrap_or(error)),
             }
         }
         Ok(statements)
@@ -107,42 +172,38 @@ impl Parser {
 
     /// [`Parser::parse_statements_recovering`] under a specific dialect.
     pub fn parse_statements_recovering_with(sql: &str, dialect: DialectKind) -> RecoveredScript {
-        let (tokens, lex_errors) = Lexer::tokenize_recovering_with(sql, dialect);
-        let mut script = RecoveredScript { statements: Vec::new(), errors: lex_errors };
-        let mut parser = Parser { tokens, index: 0, depth: 0, dialect: dialect.behavior() };
-        loop {
-            while parser.consume_token(&Token::Semicolon) {}
-            if parser.peek_token() == &Token::Eof {
-                break;
-            }
-            let start = parser.peek_span();
-            match parser.parse_statement() {
-                Ok(statement) => {
-                    let span = start.union(&parser.prev_span());
-                    match parser.peek_token() {
-                        Token::Semicolon | Token::Eof => {
-                            script.statements.push(statement.with_span(span));
-                        }
-                        other => {
-                            // The statement parsed but trailing garbage
-                            // follows; report the garbage and drop the
-                            // statement (its meaning is suspect).
-                            let msg = format!("expected end of statement, found {other}");
-                            script.errors.push(parser.error_here(msg));
-                            parser.skip_to_statement_boundary();
-                        }
-                    }
-                }
+        let mut script = Statements::new(sql, dialect, true);
+        let (mut statements, mut parse_errors) = (Vec::new(), Vec::new());
+        // A recovering parse records its lex errors instead of failing.
+        while let Ok(true) = script.next_statement() {
+            match script.parser.parse_spanned_statement() {
+                Ok(statement) => statements.push(statement),
+                // A statement followed by trailing garbage is dropped too:
+                // its meaning is suspect.
                 Err(error) => {
-                    script.errors.push(error);
-                    parser.skip_to_statement_boundary();
+                    parse_errors.push(error);
+                    script.parser.skip_to_statement_boundary();
                 }
             }
         }
-        // Lex errors were collected before any parsing; put all errors in
-        // source order so reports read top-to-bottom.
-        script.errors.sort_by_key(|e| e.span.start);
-        script
+        // Every error in source order, so reports read top-to-bottom; a
+        // lex error sorts before a parse error at the same offset.
+        let mut errors = script.lex_errors.unwrap_or_default();
+        errors.append(&mut parse_errors);
+        errors.sort_by_key(|e| e.span.start);
+        RecoveredScript { statements, errors }
+    }
+
+    /// Parse the statement at the cursor, which must end at a `;` or the
+    /// end of the script.
+    fn parse_spanned_statement(&mut self) -> Result<SpannedStatement, ParseError> {
+        let start = self.peek_span();
+        let statement = self.parse_statement()?;
+        let span = start.union(&self.prev_span());
+        match self.peek_token() {
+            Token::Semicolon | Token::Eof => Ok(statement.with_span(span)),
+            other => Err(self.error_here(format!("expected end of statement, found {other}"))),
+        }
     }
 
     /// Advance the cursor to the next `;` (or end of input) so recovery

@@ -42,6 +42,14 @@
 #   * dict_live_bytes_per_view  <= 1.02 * committed
 #   * graph_live_bytes_per_view <= 1.02 * committed
 #
+# and the highest live heap per view while the log is lexed and parsed,
+# and while the report is rendered into its writer (the temporary buffers
+# of one-shot extraction: one statement's tokens, about 1 MiB of pending
+# report), on both logs:
+#
+#   * lex_parse.peak_live_bytes / views <= 1.02 * committed
+#   * render.peak_live_bytes / views    <= 1.02 * committed
+#
 # alloc_bench counts allocations and extracts on one job, so its numbers
 # repeat exactly on every run; the floor does not scale them, and the 2%
 # covers only standard-library layout changes between toolchains. A change
@@ -118,17 +126,30 @@ json_num() {
     printf '%s\n' "$value"
 }
 
-# The first numeric <key> after the line naming <section>, in a
-# pretty-printed JSON file whose sections repeat the same keys.
+# json_section_num <file> <section>... <key>: the first numeric <key>
+# after the line naming each <section> in turn, in a pretty-printed JSON
+# file whose sections repeat the same keys.
 json_section_num() {
-    local value
-    value=$(sed -n "/\"$2\"/,\$p" "$1" | grep -oE "\"$3\": *-?[0-9.eE+-]+" | head -1 |
+    local key=${!#} text value section
+    text=$(cat "$1")
+    for section in "${@:2:$#-2}"; do
+        text=$(printf '%s\n' "$text" | sed -n "/\"$section\"/,\$p")
+    done
+    value=$(printf '%s\n' "$text" | grep -oE "\"$key\": *-?[0-9.eE+-]+" | head -1 |
         sed 's/.*: *//')
     if [ -z "$value" ]; then
-        echo "missing key \"$3\" under \"$2\" in $1" >&2
+        echo "missing key \"$key\" under \"${*:2:$#-2}\" in $1" >&2
         exit 1
     fi
     printf '%s\n' "$value"
+}
+
+# per_view <file> <log> <stage>: the stage's peak live bytes per view.
+per_view() {
+    local peak views
+    peak=$(json_section_num "$1" "$2" "$3" peak_live_bytes) || exit 1
+    views=$(json_section_num "$1" "$2" views) || exit 1
+    awk -v p="$peak" -v n="$views" 'BEGIN { printf "%.2f", p / n }'
 }
 
 failures=0
@@ -189,6 +210,12 @@ for log in scaled_20k rich_5k; do
         committed=$(json_section_num "$root/BENCH_alloc.json" "$log" "$key")
         bound=$(awk -v v="$committed" 'BEGIN { printf "%.2f", 1.02 * v }')
         check "$log $key vs committed" "$fresh" "<=" "$bound"
+    done
+    for stage in lex_parse render; do
+        fresh=$(per_view "$tmp/BENCH_alloc.json" "$log" "$stage")
+        committed=$(per_view "$root/BENCH_alloc.json" "$log" "$stage")
+        bound=$(awk -v v="$committed" 'BEGIN { printf "%.2f", 1.02 * v }')
+        check "$log $stage peak_live_bytes/view vs committed" "$fresh" "<=" "$bound"
     done
 done
 
