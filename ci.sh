@@ -96,7 +96,8 @@ cargo test -q --test dialect_corpus
 # every corpus under tests/corpus/, strict and lenient, a cycle log, the
 # --no-auto-inference ablation, a view deferred behind an unknown
 # external and an external scanned from two components; --save-snapshot
-# (the engine) must write the same --json. The core proptest holds the
+# writes its .lxsn from the same batch run and must change none of
+# those outputs, --json-v1 and the summary included. The core proptest holds the
 # whole LineageResult of InferenceEngine at jobs 2 and 4 to jobs 1 on
 # generated logs, in and out of order, with cycles, shared externals and
 # repeat writers, strict and lenient, with and without the stack and
@@ -150,6 +151,9 @@ cargo test -q --test serve_protocol -- lenient_query_replies a_client_that_stops
 # must show the traffic (non-zero request counters, a populated ingest
 # histogram, the second report served from the first one's body), and
 # a clean wire shutdown that the server process must survive to exit 0.
+# Then the README's snapshot flow: `extract --save-snapshot` writes the
+# batch run as a session, and a second server restored from it
+# (`serve --load-snapshot`) must answer a query with `v.page`.
 step "serve smoke (lineagex serve + client round-trip + metrics scrape + wire shutdown)"
 cargo build -q -p lineagex-cli
 smoke_dir=$(mktemp -d)
@@ -188,6 +192,28 @@ grep -q "server stopped" "$smoke_dir/serve.log"
 # --verbose wrote one structured event line per connection to stderr.
 grep -q "event=conn_open" "$smoke_dir/serve.events.log"
 grep -q "event=publish" "$smoke_dir/serve.events.log"
+target/debug/lineagex extract "$smoke_dir/smoke.sql" --save-snapshot "$smoke_dir/smoke.lxsn"
+target/debug/lineagex serve --addr 127.0.0.1:0 --load-snapshot "$smoke_dir/smoke.lxsn" \
+    >"$smoke_dir/restored.log" 2>&1 &
+serve_pid=$!
+addr=""
+for _ in $(seq 1 100); do
+    addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$smoke_dir/restored.log" | head -1 || true)
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "serve smoke: the restored server never printed its address" >&2
+    cat "$smoke_dir/restored.log" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    rm -rf "$smoke_dir"
+    exit 1
+fi
+target/debug/lineagex client "$addr" query web.page >"$smoke_dir/query.json"
+grep -q '"ok":true' "$smoke_dir/query.json"
+grep -q '"column":"v.page"' "$smoke_dir/query.json"
+target/debug/lineagex client "$addr" shutdown
+wait "$serve_pid"
 rm -rf "$smoke_dir"
 
 # The workspace run above already builds and tests lineagex-engine; the

@@ -6,29 +6,6 @@ use lineagex_sqlparse::ast::{ColumnDef, Statement};
 use lineagex_sqlparse::parse_sql;
 use std::collections::BTreeMap;
 
-/// One incremental catalog mutation, as reported by
-/// [`Catalog::apply_statement`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CatalogChange {
-    /// A new relation was registered.
-    Added(String),
-    /// An existing relation was replaced by a fresh definition.
-    Replaced(String),
-    /// A relation was dropped.
-    Removed(String),
-}
-
-impl CatalogChange {
-    /// The relation the change concerns.
-    pub fn relation(&self) -> &str {
-        match self {
-            CatalogChange::Added(name)
-            | CatalogChange::Replaced(name)
-            | CatalogChange::Removed(name) => name,
-        }
-    }
-}
-
 /// A flat namespace of relations keyed by lower-case base name.
 ///
 /// Schema qualifiers (`public.orders`) are stripped: the paper's workloads
@@ -76,48 +53,6 @@ impl Catalog {
     /// (compared case-insensitively); returns the replaced schema.
     pub fn add_or_replace(&mut self, schema: TableSchema) -> Option<TableSchema> {
         self.tables.insert(schema.name.to_lowercase(), schema)
-    }
-
-    /// Apply one statement's schema effect incrementally: plain
-    /// `CREATE TABLE` adds or replaces a base table, `DROP` removes each
-    /// named relation that exists. Every other statement kind (views,
-    /// CTAS, DML, queries) carries lineage rather than schema and leaves
-    /// the catalog untouched. Returns the changes made, by exact name, so
-    /// a long-lived session can invalidate whatever depended on them: a
-    /// replacement spelled in a different case removes the old spelling
-    /// and adds the new one.
-    pub fn apply_statement(&mut self, stmt: &Statement) -> Vec<CatalogChange> {
-        match stmt {
-            Statement::CreateTable { name, columns, query: None, .. } => {
-                let schema = TableSchema::base_table(
-                    name.base_name().to_string(),
-                    columns.iter().map(column_from_def).collect(),
-                );
-                let name = schema.name.clone();
-                match self.add_or_replace(schema) {
-                    None => vec![CatalogChange::Added(name)],
-                    Some(old) if old.name == name => vec![CatalogChange::Replaced(name)],
-                    Some(old) => vec![CatalogChange::Removed(old.name), CatalogChange::Added(name)],
-                }
-            }
-            Statement::Drop { names, .. } => names
-                .iter()
-                .filter_map(|n| self.remove(n.base_name()))
-                .map(|schema| CatalogChange::Removed(schema.name))
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Apply a DDL script incrementally (the streaming counterpart of
-    /// [`Catalog::from_ddl`]): `CREATE TABLE` replaces rather than errors
-    /// on duplicates, and `DROP` removes. Returns all changes in order.
-    pub fn apply_ddl(&mut self, sql: &str) -> Result<Vec<CatalogChange>, DbError> {
-        let mut changes = Vec::new();
-        for stmt in parse_sql(sql)? {
-            changes.extend(self.apply_statement(&stmt));
-        }
-        Ok(changes)
     }
 
     /// Remove a relation by name; returns the removed schema if present.
@@ -231,65 +166,6 @@ mod tests {
         assert!(catalog.remove("orders").is_some());
         assert!(catalog.remove("orders").is_none());
         assert_eq!(catalog.len(), 2);
-    }
-
-    #[test]
-    fn apply_statement_adds_replaces_and_drops() {
-        let mut catalog = Catalog::new();
-        let apply = |catalog: &mut Catalog, sql: &str| {
-            let stmt = lineagex_sqlparse::parse_statement(sql).unwrap();
-            catalog.apply_statement(&stmt)
-        };
-        assert_eq!(
-            apply(&mut catalog, "CREATE TABLE t (a int)"),
-            vec![CatalogChange::Added("t".into())]
-        );
-        assert_eq!(
-            apply(&mut catalog, "CREATE TABLE t (a int, b int)"),
-            vec![CatalogChange::Replaced("t".into())]
-        );
-        assert_eq!(catalog.get("t").unwrap().columns.len(), 2);
-        // Non-DDL statements change nothing.
-        assert!(apply(&mut catalog, "CREATE VIEW v AS SELECT a FROM t").is_empty());
-        assert!(apply(&mut catalog, "SELECT * FROM t").is_empty());
-        // DROP removes only what exists.
-        assert_eq!(
-            apply(&mut catalog, "DROP TABLE t, ghost"),
-            vec![CatalogChange::Removed("t".into())]
-        );
-        assert!(catalog.is_empty());
-    }
-
-    #[test]
-    fn a_replacement_in_another_case_reports_both_spellings() {
-        let mut catalog = Catalog::new();
-        assert_eq!(catalog.add_or_replace(TableSchema::base_table("Web", vec![])), None);
-        let changes = catalog.apply_ddl("CREATE TABLE web (x int)").unwrap();
-        assert_eq!(
-            changes,
-            vec![CatalogChange::Removed("Web".into()), CatalogChange::Added("web".into())]
-        );
-        assert_eq!(catalog.get("WEB").unwrap().name, "web");
-    }
-
-    #[test]
-    fn apply_ddl_streams_a_script() {
-        let mut catalog = Catalog::from_ddl(DDL).unwrap();
-        let changes = catalog
-            .apply_ddl("CREATE TABLE web (x int); DROP TABLE orders; CREATE TABLE fresh (y int)")
-            .unwrap();
-        assert_eq!(
-            changes,
-            vec![
-                CatalogChange::Replaced("web".into()),
-                CatalogChange::Removed("orders".into()),
-                CatalogChange::Added("fresh".into()),
-            ]
-        );
-        assert_eq!(changes[0].relation(), "web");
-        assert_eq!(catalog.get("web").unwrap().columns.len(), 1);
-        assert!(!catalog.contains("orders"));
-        assert!(catalog.contains("fresh"));
     }
 
     #[test]

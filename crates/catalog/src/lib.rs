@@ -5,8 +5,8 @@
 //!
 //! * [`schema`] — column/table schema model;
 //! * [`Catalog`] — an in-memory namespace of base tables and views,
-//!   loadable from `CREATE TABLE` DDL and updated statement by statement
-//!   ([`Catalog::apply_statement`]).
+//!   loadable from `CREATE TABLE` DDL and updated with the schemas the
+//!   Query Dictionary's classification finds (`lineagex_core`).
 //!
 //! Every lineage path reads the catalog; none resolves names here. The
 //! paper's connected mode, which uses a live database's `EXPLAIN` as a
@@ -19,6 +19,6 @@ pub mod catalog;
 pub mod error;
 pub mod schema;
 
-pub use catalog::{Catalog, CatalogChange};
+pub use catalog::Catalog;
 pub use error::DbError;
 pub use schema::{Column, RelationKind, TableSchema};

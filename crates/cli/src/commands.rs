@@ -8,7 +8,7 @@ use lineagex_core::{
     Diagnostic, EdgeKind, ExplainPathExtractor, ExtractOptions, GraphStats, InferenceEngine,
     LineageError, LineageResult, LineageView, QueryDict, QueryReport, ReportV2, SourceColumn,
 };
-use lineagex_engine::{Engine, EngineOptions};
+use lineagex_engine::{BatchSnapshot, Engine, EngineOptions};
 use lineagex_serve::proto::{QueryParams, Request, PROTOCOL_VERSION};
 use lineagex_serve::{Client, ServeOptions, Server};
 use lineagex_viz::{
@@ -35,9 +35,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
         } => {
             let started = std::time::Instant::now();
             let sql = read_file(file)?;
-            // --save-snapshot needs the settled session, so it runs the
-            // engine.
-            let (result, engine) = extract_log(&sql, common, save_snapshot.is_some())?;
+            let (result, snapshot) = extract_log(&sql, common, save_snapshot.is_some())?;
             // The report computes the stats while it renders (on a second
             // thread when there is one), and the summary reads them there.
             // It renders straight into its file, so the document is never
@@ -88,10 +86,9 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> CmdResult {
                 write_file(path, &to_mermaid(&result.graph))?;
                 wln(out, &format!("wrote {path}"))?;
             }
-            if let Some(path) = save_snapshot {
-                let mut engine = engine.expect("snapshot runs use the engine");
-                engine
-                    .save_snapshot(std::path::Path::new(path))
+            if let (Some(path), Some(snapshot)) = (save_snapshot, snapshot) {
+                snapshot
+                    .save(&result, std::path::Path::new(path))
                     .map_err(|e| format!("cannot write snapshot {path}: {e}"))?;
                 wln(out, &format!("wrote {path}"))?;
             }
@@ -414,29 +411,24 @@ fn collect_diagnostics(result: &LineageResult) -> Vec<Diagnostic> {
 /// applies the one-shot rules (`DROP` skipped, strict duplicates
 /// rejected, lenient last definition wins, noise skipped). The
 /// auto-inference stack extracts it, one stack per connected component
-/// on `--jobs` threads (default: the available parallelism); when the
-/// settled session is wanted (`keep_engine`, for `--save-snapshot`), the
-/// engine takes it whole instead.
+/// on `--jobs` threads (default: the available parallelism). With
+/// `snapshot` (`--save-snapshot`) the dictionary's half of the session
+/// snapshot is captured before the run consumes the dictionary.
 fn extract_log(
     sql: &str,
     common: &CommonOptions,
-    keep_engine: bool,
-) -> Result<(LineageResult, Option<Engine>), String> {
+    snapshot: bool,
+) -> Result<(LineageResult, Option<BatchSnapshot>), String> {
     let options = extract_options(common);
     let catalog = ddl_catalog(common)?.unwrap_or_default();
     let dict = QueryDict::from_sql_dialect(sql, options.lenient, options.dialect)
         .map_err(|e| e.to_string())?;
-    if !keep_engine {
-        let mut run = InferenceEngine::over(dict, &catalog, options);
-        if common.jobs > 0 {
-            run = run.jobs(common.jobs);
-        }
-        return Ok((run.run().map_err(|e| e.to_string())?, None));
+    let snapshot = snapshot.then(|| BatchSnapshot::capture(&dict, &catalog, options.dialect));
+    let mut run = InferenceEngine::over(dict, &catalog, options);
+    if common.jobs > 0 {
+        run = run.jobs(common.jobs);
     }
-    let mut engine = build_engine(common, catalog);
-    engine.ingest_dict(dict);
-    let result = engine.result().map_err(|e| e.to_string())?;
-    Ok((result, Some(engine)))
+    Ok((run.run().map_err(|e| e.to_string())?, snapshot))
 }
 
 /// The extraction options the shared flags select.
@@ -513,13 +505,12 @@ fn session_ingest(engine: &mut Engine, sql: &str, out: &mut dyn Write) -> CmdRes
     match engine.ingest(sql) {
         Err(error) => wln(out, &format!("error: {error}")),
         Ok(receipts) => {
-            // Receipt diagnostics carry spans into the trimmed ingest
-            // buffer; render them against it caret-style.
-            let source = sql.trim();
+            // Receipt diagnostics carry spans into the ingest buffer;
+            // render them against it caret-style.
             for receipt in &receipts {
                 wln(out, &format!("  {receipt}"))?;
                 for diagnostic in &receipt.diagnostics {
-                    for line in diagnostic.render("stdin", source).lines() {
+                    for line in diagnostic.render("stdin", sql).lines() {
                         wln(out, &format!("    {line}"))?;
                     }
                 }
@@ -690,14 +681,13 @@ fn summarize(
 }
 
 /// The `extract --timings` stderr summary: total wall time plus every
-/// batch-pipeline (`core.`), engine and query histogram that recorded
-/// something: the dictionary build, inference, its component count and
-/// the report render on the default path, the engine's stages under
-/// `--save-snapshot`.
+/// batch-pipeline (`core.`) and query histogram that recorded something:
+/// the dictionary build, inference, its component count and the report
+/// render. `--save-snapshot` writes from the same batch run.
 fn timings_summary(total: std::time::Duration, snapshot: &lineagex_obs::MetricsSnapshot) -> String {
     let mut out = format!("[timings] total: {:.1} ms", total.as_secs_f64() * 1e3);
     for (name, h) in &snapshot.histograms {
-        let relevant = ["core.", "engine.", "query."].iter().any(|layer| name.starts_with(layer));
+        let relevant = ["core.", "query."].iter().any(|layer| name.starts_with(layer));
         if !relevant || h.count == 0 {
             continue;
         }
@@ -1069,65 +1059,45 @@ mod tests {
         let chain = write_temp("extract_v2_jobs.sql", CHAIN);
         let inputs = [(chain, Vec::new(), "")].into_iter().chain(parity_inputs());
         for (n, (file, flags, _)) in inputs.enumerate() {
-            // The run's result, its --json and --diagnostics-json bytes,
-            // and its processing order and deferral log on stdout.
+            // The run's result, its --json, --json-v1 and
+            // --diagnostics-json bytes, and its processing order and
+            // deferral log on stdout. --save-snapshot writes from the same
+            // batch run, so it changes none of them.
             let snapshot = write_temp(&format!("v2_jobs_{n}.lxsn"), "");
             let paths =
                 [&[][..], &["--jobs", "1"], &["--jobs", "4"], &["--save-snapshot", &snapshot]];
             let run = |path: usize| {
                 let json = write_temp(&format!("v2_jobs_{n}_{path}.json"), "");
+                let v1 = write_temp(&format!("v2_jobs_{n}_{path}.v1.json"), "");
                 let diagnostics = write_temp(&format!("v2_jobs_{n}_{path}.diag.json"), "");
                 let mut argv = vec![
                     "extract".to_string(),
                     file.clone(),
                     "--json".to_string(),
                     json.clone(),
+                    "--json-v1".to_string(),
+                    v1.clone(),
                     "--diagnostics-json".to_string(),
                     diagnostics.clone(),
                 ];
                 argv.extend(flags.iter().cloned());
                 argv.extend(paths[path].iter().map(|s| s.to_string()));
                 let (result, stdout) = execute_to_string(&Command::parse(&argv).unwrap());
-                let order: Vec<String> = stdout
+                let lines: Vec<String> = stdout
                     .lines()
-                    .filter(|l| {
-                        l.starts_with("processing order") || l.starts_with("stack deferrals")
-                    })
+                    .filter(|l| !l.starts_with("wrote ") && !l.starts_with("extracted "))
                     .map(String::from)
                     .collect();
-                let json = std::fs::read_to_string(&json).unwrap();
-                (result, json, std::fs::read_to_string(&diagnostics).unwrap(), order)
+                let read = |path: &str| std::fs::read_to_string(path).unwrap();
+                (result, read(&json), read(&v1), read(&diagnostics), lines)
             };
             let default = run(0);
             // Only the strict messy log fails; every other input extracts.
             let extracts = !file.ends_with("messy_log.sql") || flags.contains(&"--lenient".into());
             assert_eq!(default.0.is_ok(), extracts, "{file} {flags:?}: {:?}", default.0);
-            for (path, jobs) in paths.iter().enumerate().take(3).skip(1) {
-                assert_eq!(run(path), default, "{file} {flags:?} {jobs:?}");
+            for (path, flags_of_path) in paths.iter().enumerate().skip(1) {
+                assert_eq!(run(path), default, "{file} {flags:?} {flags_of_path:?}");
             }
-            // The engine keeps its own processing order (component by
-            // component), so its --diagnostics-json entries match as a
-            // multiset.
-            let entries = |text: &str| -> Vec<String> {
-                let mut entries: Vec<String> = match text {
-                    "" => Vec::new(),
-                    text => serde_json::from_str::<serde_json::Value>(text)
-                        .unwrap()
-                        .as_array()
-                        .unwrap()
-                        .iter()
-                        .map(|d| d.to_string())
-                        .collect(),
-                };
-                entries.sort();
-                entries
-            };
-            let engine = run(3);
-            assert_eq!(
-                (&engine.0, &engine.1, entries(&engine.2)),
-                (&default.0, &default.1, entries(&default.2)),
-                "{file} {flags:?} --save-snapshot"
-            );
             if n == 0 {
                 let value: serde_json::Value = serde_json::from_str(&default.1).unwrap();
                 assert_eq!(value["schema_version"], 2);
@@ -1537,17 +1507,19 @@ mod tests {
         use std::collections::BTreeMap;
         let mut histograms = BTreeMap::new();
         histograms.insert(
-            "engine.ingest_us".to_string(),
+            "core.dict_us".to_string(),
             HistogramSummary { count: 3, sum: 90, max: 63, p50: 31, p90: 63, p99: 63 },
         );
         histograms.insert(
-            "engine.refresh_us".to_string(),
+            "core.infer_us".to_string(),
             HistogramSummary { count: 0, sum: 0, max: 0, p50: 0, p90: 0, p99: 0 },
         );
-        histograms.insert(
-            "serve.op.ping_us".to_string(),
-            HistogramSummary { count: 9, sum: 9, max: 1, p50: 1, p90: 1, p99: 1 },
-        );
+        for name in ["serve.op.ping_us", "engine.ingest_us"] {
+            histograms.insert(
+                name.to_string(),
+                HistogramSummary { count: 9, sum: 9, max: 1, p50: 1, p90: 1, p99: 1 },
+            );
+        }
         let snapshot = MetricsSnapshot {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
@@ -1556,9 +1528,11 @@ mod tests {
         };
         let text = timings_summary(std::time::Duration::from_millis(12), &snapshot);
         assert!(text.starts_with("[timings] total: 12.0 ms"), "{text}");
-        assert!(text.contains("engine.ingest_us: count=3 p50=31us p99=63us max=63us"), "{text}");
-        assert!(!text.contains("refresh_us"), "empty histograms are omitted: {text}");
-        assert!(!text.contains("serve.op"), "serve metrics are not extract timings: {text}");
+        assert!(text.contains("core.dict_us: count=3 p50=31us p99=63us max=63us"), "{text}");
+        assert!(!text.contains("infer_us"), "empty histograms are omitted: {text}");
+        for layer in ["serve.", "engine."] {
+            assert!(!text.contains(layer), "{layer} metrics are not extract timings: {text}");
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! `extract` runs the auto-inference stack once per connected component
 //! of the log on `--jobs N` threads (default: the available
 //! parallelism), with the same output at every `N`; `--save-snapshot`
-//! hands the log's Query Dictionary to `lineagex-engine`
-//! (`Engine::ingest_dict`) to persist the settled session. `session` is
+//! writes that run as a session snapshot (`lineagex-engine`'s
+//! `BatchSnapshot`) that `serve --load-snapshot` restores. `session` is
 //! the incremental REPL over the engine — SQL statements stream in over
 //! stdin, `\`-commands (`\impact`, `\lineage`, `\stats`, ...) answer
 //! lineage questions between ingests.

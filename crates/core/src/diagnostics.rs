@@ -247,11 +247,8 @@ impl Diagnostic {
 
     /// Capture the source line the span starts on as the stored excerpt.
     pub fn with_excerpt_from(mut self, source: &str) -> Self {
-        if let Some(span) = &self.span {
-            let line_idx = span.line.saturating_sub(1) as usize;
-            if let Some(line) = source.lines().nth(line_idx) {
-                self.excerpt = Some(line.to_string());
-            }
+        if let Some(line) = self.span.and_then(|span| line_at(source, span.start)) {
+            self.excerpt = Some(line.to_string());
         }
         self
     }
@@ -275,13 +272,7 @@ impl Diagnostic {
         }
         head.push_str(&format!(": {}[{}]: {}", self.severity, self.code, self.message));
         let Some(span) = &self.span else { return head };
-        let line_idx = span.line.saturating_sub(1) as usize;
-        let line = source
-            .lines()
-            .nth(line_idx)
-            .map(str::to_string)
-            .or_else(|| self.excerpt.clone())
-            .unwrap_or_default();
+        let line = line_at(source, span.start).or(self.excerpt.as_deref()).unwrap_or_default();
         if line.is_empty() {
             return head;
         }
@@ -293,6 +284,15 @@ impl Diagnostic {
         let tildes = "~".repeat(width.min(avail).saturating_sub(1));
         format!("{head}\n  {line}\n  {}^{tildes}", " ".repeat(col_idx))
     }
+}
+
+/// The line of `source` holding byte `offset`, as [`str::lines`] yields
+/// it, or `None` past the last line. It reads that line alone, so
+/// excerpting every diagnostic of a log stays linear in the log.
+fn line_at(source: &str, offset: usize) -> Option<&str> {
+    let before = source.as_bytes().get(..offset)?;
+    let start = before.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    source[start..].lines().next()
 }
 
 impl fmt::Display for Diagnostic {
@@ -380,6 +380,38 @@ mod tests {
         assert!(json.contains("\"code\":\"parse-error\""), "{json}");
         assert!(json.contains("\"severity\":\"error\""), "{json}");
         assert!(json.contains("\"line\":2"), "{json}");
+    }
+
+    proptest::proptest! {
+        /// The excerpt is the line `str::lines` numbers as the span's
+        /// line, on sources with `\n`, `\r\n`, lone `\r` and multi-byte
+        /// characters, at every offset up to one past the end.
+        #[test]
+        fn the_excerpt_is_the_line_the_old_rule_numbered(
+            pieces in proptest::collection::vec(0usize..6, 0..40),
+            at in 0usize..400,
+        ) {
+            let source: String =
+                pieces.iter().map(|&p| ["a", "\n", "\r\n", "\r", "é", " ;"][p]).collect();
+            let offsets: Vec<usize> = source
+                .char_indices()
+                .map(|(i, _)| i)
+                .chain([source.len()])
+                .collect();
+            let start = offsets[at % offsets.len()];
+            let line = 1 + source[..start].matches('\n').count() as u32;
+            let column = 1 + source[..start].rsplit('\n').next().unwrap().chars().count() as u32;
+            let d = Diagnostic::new(DiagnosticCode::ParseError, "x")
+                .with_span(span(start, start + 1, line, column))
+                .with_excerpt_from(&source);
+            let old_rule = source.lines().nth(line as usize - 1).map(str::to_string);
+            proptest::prop_assert_eq!(&d.excerpt, &old_rule);
+            let rendered = d.render("q.sql", &source);
+            proptest::prop_assert_eq!(
+                rendered.split('\n').nth(1).map(|l| l.strip_prefix("  ").unwrap().to_string()),
+                old_rule.filter(|l| !l.is_empty())
+            );
+        }
     }
 
     #[test]

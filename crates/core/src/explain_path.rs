@@ -88,7 +88,7 @@ impl ExplainPathExtractor {
             deferrals: self.deferrals,
             inferred,
             diagnostics: self.qd.diagnostics,
-            index: Default::default(),
+            ..Default::default()
         })
     }
 

@@ -44,6 +44,9 @@ pub struct LineageResult {
     pub deferrals: Vec<(String, String)>,
     /// Usage-inferred schemas of external tables.
     pub inferred: BTreeMap<String, BTreeSet<String>>,
+    /// What each query's extraction added to `inferred`, when it added
+    /// something; a session retracts them with their query.
+    pub inferred_by_query: BTreeMap<String, InferredSchemas>,
     /// Run-level diagnostics: skipped statements, noise, and — in lenient
     /// mode — parse errors and duplicate ids. Per-query findings live on
     /// each [`QueryLineage::diagnostics`].
@@ -185,10 +188,13 @@ impl<'a> InferenceEngine<'a> {
         // interleaves the components as one stack would have.
         extracted.sort_by_key(|e| e.root);
         deferrals.sort_by_key(|d| d.0);
-        let mut traces = BTreeMap::new();
-        let order = extracted.into_iter().map(|Extracted { id, trace, .. }| {
+        let (mut traces, mut inferred_by_query) = (BTreeMap::new(), BTreeMap::new());
+        let order = extracted.into_iter().map(|Extracted { id, trace, delta, .. }| {
             if let Some(trace) = trace {
                 traces.insert(id.clone(), trace);
+            }
+            if !delta.is_empty() {
+                inferred_by_query.insert(id.clone(), delta);
             }
             id
         });
@@ -199,6 +205,7 @@ impl<'a> InferenceEngine<'a> {
             traces,
             deferrals: deferrals.into_iter().map(|(_, id, dependency)| (id, dependency)).collect(),
             inferred,
+            inferred_by_query,
             diagnostics,
             index: Default::default(),
         })
@@ -208,7 +215,7 @@ impl<'a> InferenceEngine<'a> {
 /// `catalog` with the log's own DDL schemas (plain `CREATE TABLE`)
 /// merged in, each replacing a relation of the same name. A log without
 /// DDL leaves a borrowed catalog uncopied.
-pub(crate) fn merge_log_ddl<'a>(qd: &QueryDict, mut catalog: Cow<'a, Catalog>) -> Cow<'a, Catalog> {
+pub fn merge_log_ddl<'a>(qd: &QueryDict, mut catalog: Cow<'a, Catalog>) -> Cow<'a, Catalog> {
     if qd.ddl_catalog.relations().next().is_some() {
         let merged = catalog.to_mut();
         for schema in qd.ddl_catalog.relations() {

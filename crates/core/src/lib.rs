@@ -84,7 +84,10 @@ pub use model::{
     QueryLineage, SourceColumn,
 };
 pub use options::{AmbiguityPolicy, ExtractOptions};
-pub use preprocess::{preprocess_statement, PreprocessedStatement, QueryDict, QueryEntry};
+pub use preprocess::{
+    preprocess_script, preprocess_statement, PreprocessedStatement, QueryDict, QueryEntry,
+    ScriptItem, ScriptRules,
+};
 pub use query::{
     ColumnMatch, Direction, GraphQuery, PathStep, QueryAnswer, QuerySpec, RelationMatch, Subgraph,
 };

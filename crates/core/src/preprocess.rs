@@ -28,7 +28,7 @@ use crate::model::QueryKind;
 use lineagex_catalog::{Catalog, Column, TableSchema};
 use lineagex_sqlparse::ast::{Query, SpannedStatement, Statement};
 use lineagex_sqlparse::{
-    parse_sql_spanned_with, parse_statements_recovering_with, DialectKind, Span,
+    parse_sql_spanned_with, parse_statements_recovering_with, DialectKind, RecoveredScript, Span,
 };
 use std::collections::HashMap;
 
@@ -65,9 +65,10 @@ impl QueryEntry {
 
 /// What preprocessing turned one statement into.
 ///
-/// [`QueryDict::from_sql`] folds a whole log through this classification;
-/// the incremental engine (`lineagex-engine`) applies it one statement at
-/// a time, so both paths share exactly one set of preprocessing rules.
+/// [`preprocess_script`] classifies every statement of a script through
+/// [`preprocess_statement`], for the Query Dictionary and for the
+/// incremental engine (`lineagex-engine`) alike, so both paths share
+/// exactly one set of preprocessing rules.
 #[derive(Debug, Clone)]
 pub enum PreprocessedStatement {
     /// A lineage-bearing Query-Dictionary entry (boxed: an entry is two
@@ -214,6 +215,64 @@ pub fn preprocess_statement(
     }
 }
 
+/// One item of a script, as [`preprocess_script`] hands it over.
+#[derive(Debug)]
+pub enum ScriptItem {
+    /// A classified statement (a skipped one's diagnostic excerpted).
+    Statement(PreprocessedStatement),
+    /// An unparsable region's excerpted [`DiagnosticCode::ParseError`].
+    ParseError(Diagnostic),
+}
+
+/// What a caller of [`preprocess_script`] does with each item: the
+/// one-shot dictionary's rules or a session's.
+pub trait ScriptRules {
+    /// Whether `id` names an entry, so a repeat write target takes the
+    /// next free id (`t#2`, ...).
+    fn is_taken(&self, id: &str) -> bool;
+
+    /// Apply one item of `source`, which excerpts the diagnostics the
+    /// rules add.
+    fn apply(&mut self, item: ScriptItem, source: &str) -> Result<(), LineageError>;
+}
+
+/// Walk a parsed script in source order, merging its statements and
+/// parse errors (each list is sorted already): each parse error becomes
+/// an excerpted `parse-error` diagnostic, each statement goes through
+/// [`preprocess_statement`], and `rules` applies each item, the first
+/// error ending the walk. A named source (`source_name`) names bare
+/// `SELECT`s and prefixes its parse errors.
+pub fn preprocess_script(
+    script: RecoveredScript,
+    source: &str,
+    source_name: Option<&str>,
+    anon_counter: &mut usize,
+    rules: &mut impl ScriptRules,
+) -> Result<(), LineageError> {
+    use PreprocessedStatement::Skipped;
+    let parse_error = |error: lineagex_sqlparse::ParseError| {
+        let message = match source_name {
+            Some(name) => format!("in {name}: {}", error.message),
+            None => error.message,
+        };
+        let diagnostic = Diagnostic::new(DiagnosticCode::ParseError, message);
+        ScriptItem::ParseError(diagnostic.with_span(error.span).with_excerpt_from(source))
+    };
+    let mut errors = script.errors.into_iter().peekable();
+    for statement in script.statements {
+        while let Some(error) = errors.next_if(|e| e.span.start < statement.span.start) {
+            rules.apply(parse_error(error), source)?;
+        }
+        let taken = &mut |id: &str| rules.is_taken(id);
+        let item = match preprocess_statement(statement, source_name, anon_counter, taken) {
+            Skipped(d) => Skipped(d.with_excerpt_from(source)),
+            item => item,
+        };
+        rules.apply(ScriptItem::Statement(item), source)?;
+    }
+    errors.try_for_each(|error| rules.apply(parse_error(error), source))
+}
+
 /// First free identifier for a write target: `base`, then `base#2`, ...
 fn unique_target_id(base: &str, taken: &mut dyn FnMut(&str) -> bool) -> String {
     if !taken(base) {
@@ -276,28 +335,9 @@ impl QueryDict {
         dialect: DialectKind,
     ) -> Result<Self, LineageError> {
         let _timer = crate::infer::batch_metrics().dict_us.time();
-        if lenient {
-            let script = parse_statements_recovering_with(sql, dialect);
-            let mut dict =
-                Self::from_statements(script.statements.into_iter().map(|s| (None, s)), true)?;
-            // Parse errors come first: they were detected during parsing,
-            // before any classification happened.
-            let mut diagnostics: Vec<Diagnostic> = script
-                .errors
-                .iter()
-                .map(|e| {
-                    Diagnostic::new(DiagnosticCode::ParseError, e.message.clone())
-                        .with_span(e.span)
-                        .with_excerpt_from(sql)
-                })
-                .collect();
-            diagnostics.append(&mut dict.diagnostics);
-            dict.diagnostics = diagnostics;
-            Ok(dict)
-        } else {
-            let statements = parse_sql_spanned_with(sql, dialect)?;
-            Self::from_statements(statements.into_iter().map(|s| (None, s)), false)
-        }
+        let mut dict = QueryDict::default();
+        dict.add_script(sql, None, lenient, dialect)?;
+        Ok(dict)
     }
 
     /// Build the dictionary from named sources (dbt-style: one query per
@@ -327,85 +367,32 @@ impl QueryDict {
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
-        let mut pairs = Vec::new();
-        let mut parse_diagnostics = Vec::new();
-        for (name, sql) in sources {
-            if lenient {
-                let script = parse_statements_recovering_with(sql, dialect);
-                parse_diagnostics.extend(script.errors.iter().map(|e| {
-                    Diagnostic::new(DiagnosticCode::ParseError, format!("in {name}: {}", e.message))
-                        .with_span(e.span)
-                        .with_excerpt_from(sql)
-                }));
-                for stmt in script.statements {
-                    pairs.push((Some(name.to_string()), stmt));
-                }
-            } else {
-                for stmt in parse_sql_spanned_with(sql, dialect)? {
-                    pairs.push((Some(name.to_string()), stmt));
-                }
-            }
-        }
-        let mut dict = Self::from_statements(pairs, lenient)?;
-        parse_diagnostics.append(&mut dict.diagnostics);
-        dict.diagnostics = parse_diagnostics;
-        Ok(dict)
-    }
-
-    fn from_statements<I>(statements: I, lenient: bool) -> Result<Self, LineageError>
-    where
-        I: IntoIterator<Item = (Option<String>, SpannedStatement)>,
-    {
         let mut dict = QueryDict::default();
-        let mut anon_counter = 0usize;
-        for (source_name, stmt) in statements {
-            let preprocessed = {
-                let slots = &dict.slots;
-                preprocess_statement(stmt, source_name.as_deref(), &mut anon_counter, &mut |id| {
-                    slots.contains_key(id)
-                })
-            };
-            match preprocessed {
-                PreprocessedStatement::Entry(entry) => dict.push(*entry, lenient)?,
-                PreprocessedStatement::Schema(schema) => {
-                    dict.ddl_catalog.add_or_replace(schema);
-                }
-                PreprocessedStatement::Drop(names, span) => dict.diagnostics.push(
-                    Diagnostic::new(
-                        DiagnosticCode::SkippedStatement,
-                        format!("skipped DROP {}", names.join(", ")),
-                    )
-                    .with_span(span),
-                ),
-                PreprocessedStatement::Skipped(diagnostic) => dict.diagnostics.push(diagnostic),
-            }
+        for (name, sql) in sources {
+            dict.add_script(sql, Some(name), lenient, dialect)?;
         }
-        dict.anonymous = anon_counter;
         Ok(dict)
     }
 
-    fn push(&mut self, entry: QueryEntry, lenient: bool) -> Result<(), LineageError> {
-        let Some(&existing) = self.slots.get(&entry.id) else {
-            self.slots.insert(entry.id.clone(), self.entries.len());
-            self.entries.push(entry);
-            return Ok(());
+    /// Parse one script (strictly: the first error aborts) and walk it
+    /// under the one-shot rules.
+    fn add_script(
+        &mut self,
+        sql: &str,
+        source_name: Option<&str>,
+        lenient: bool,
+        dialect: DialectKind,
+    ) -> Result<(), LineageError> {
+        let script = if lenient {
+            parse_statements_recovering_with(sql, dialect)
+        } else {
+            let statements = parse_sql_spanned_with(sql, dialect)?;
+            RecoveredScript { statements, errors: Vec::new() }
         };
-        if !lenient {
-            return Err(LineageError::DuplicateQueryId(entry.id));
-        }
-        // Last definition wins, in place: the entry keeps its slot in log
-        // order (the auto-inference stack makes processing order
-        // independent anyway), mirroring the session engine's
-        // redefinition semantics.
-        self.diagnostics.push(
-            Diagnostic::new(
-                DiagnosticCode::DuplicateQueryId,
-                format!("duplicate query identifier \"{}\": last definition wins", entry.id),
-            )
-            .for_statement(&entry.id)
-            .with_span(entry.span),
-        );
-        self.entries[existing] = entry;
+        let mut anonymous = self.anonymous;
+        let mut rules = OneShot { dict: self, lenient };
+        preprocess_script(script, sql, source_name, &mut anonymous, &mut rules)?;
+        self.anonymous = anonymous;
         Ok(())
     }
 
@@ -450,6 +437,68 @@ impl QueryDict {
     /// Whether the dictionary is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// The one-shot rules: plain DDL feeds `ddl_catalog`, `DROP` is skipped,
+/// and a duplicate id fails strictly or, leniently, replaces the entry in
+/// its slot (log order; the auto-inference stack makes processing order
+/// independent anyway), mirroring a session's redefinition.
+struct OneShot<'a> {
+    dict: &'a mut QueryDict,
+    lenient: bool,
+}
+
+impl ScriptRules for OneShot<'_> {
+    fn is_taken(&self, id: &str) -> bool {
+        self.dict.slots.contains_key(id)
+    }
+
+    fn apply(&mut self, item: ScriptItem, source: &str) -> Result<(), LineageError> {
+        let dict = &mut *self.dict;
+        match item {
+            ScriptItem::ParseError(diagnostic)
+            | ScriptItem::Statement(PreprocessedStatement::Skipped(diagnostic)) => {
+                dict.diagnostics.push(diagnostic)
+            }
+            ScriptItem::Statement(PreprocessedStatement::Entry(entry)) => {
+                let Some(&slot) = dict.slots.get(&entry.id) else {
+                    dict.slots.insert(entry.id.clone(), dict.entries.len());
+                    dict.entries.push(*entry);
+                    return Ok(());
+                };
+                if !self.lenient {
+                    return Err(LineageError::DuplicateQueryId(entry.id));
+                }
+                dict.diagnostics.push(
+                    Diagnostic::new(
+                        DiagnosticCode::DuplicateQueryId,
+                        format!(
+                            "duplicate query identifier \"{}\": last definition wins",
+                            entry.id
+                        ),
+                    )
+                    .for_statement(&entry.id)
+                    .with_span(entry.span)
+                    .with_excerpt_from(source),
+                );
+                dict.entries[slot] = *entry;
+            }
+            ScriptItem::Statement(PreprocessedStatement::Schema(schema)) => {
+                dict.ddl_catalog.add_or_replace(schema);
+            }
+            ScriptItem::Statement(PreprocessedStatement::Drop(names, span)) => {
+                dict.diagnostics.push(
+                    Diagnostic::new(
+                        DiagnosticCode::SkippedStatement,
+                        format!("skipped DROP {}", names.join(", ")),
+                    )
+                    .with_span(span)
+                    .with_excerpt_from(source),
+                )
+            }
+        }
+        Ok(())
     }
 }
 

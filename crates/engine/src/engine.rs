@@ -1,18 +1,19 @@
 //! The long-lived session [`Engine`].
 
 use crate::stats::{EngineStats, IngestAction, PublishSplit, StmtId};
-use lineagex_catalog::Catalog;
+use lineagex_catalog::{Catalog, TableSchema};
 use lineagex_core::schedule::{components, run_tasks, ComponentRun, Extracted};
 use lineagex_core::{
-    assemble_graph, assemble_nodes, preprocess_statement, referenced_relations, Diagnostic,
-    DiagnosticCode, ExtractOptions, GraphIndex, GraphIndexCache, GraphSnapshot, ImpactReport,
+    assemble_graph, assemble_nodes, preprocess_script, preprocess_statement, referenced_relations,
+    Diagnostic, DiagnosticCode, ExtractOptions, GraphIndex, GraphSnapshot, ImpactReport,
     LineageError, LineageGraph, LineageResult, LineageView, PreprocessedStatement, QueryDict,
-    QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2, SnapshotEntry, SourceColumn,
-    TraceLog,
+    QueryEntry, QueryKind, QueryLineage, QuerySpec, ReportV2, ScriptItem, ScriptRules,
+    SnapshotEntry, SourceColumn, TraceLog,
 };
 use lineagex_obs::{Counter, Gauge, Histogram};
-use lineagex_sqlparse::ast::{SpannedStatement, Statement};
-use lineagex_sqlparse::parse_statements_recovering_with;
+use lineagex_sqlparse::ast::Statement;
+use lineagex_sqlparse::{parse_statements_recovering_with, DialectKind};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use std::time::Instant;
 /// first one) and shared by name across every engine in the process.
 #[derive(Debug, Clone)]
 struct EngineMetrics {
-    /// [`Engine::ingest`] / [`Engine::ingest_dict`] wall time, µs.
+    /// [`Engine::ingest`] wall time, µs.
     ingest_us: Histogram,
     /// Non-empty [`Engine::refresh`] wall time, µs.
     refresh_us: Histogram,
@@ -206,9 +207,8 @@ pub struct EngineSnapshot {
 /// not interleave as the log does. Two deliberate semantic
 /// differences from the one-shot pipeline: re-defining an existing view
 /// *replaces* it (the batch dictionary rejects duplicate ids), and `DROP`
-/// *retracts* (the batch pipeline records it as skipped).
-/// [`Engine::ingest_dict`] instead takes a one-shot log's dictionary
-/// whole, one-shot rules included.
+/// *retracts* (the batch pipeline records it as skipped). A one-shot
+/// log's batch run persists as a session with [`BatchSnapshot`].
 ///
 /// ```
 /// use lineagex_engine::Engine;
@@ -341,11 +341,17 @@ impl Engine {
     /// instead of clobbering it.
     pub fn merge_catalog(&mut self, catalog: Catalog) {
         for schema in catalog.relations() {
-            self.dirty_relations.insert(normalize(&schema.name));
-            self.dirty_nodes.insert(schema.name.clone());
-            if let Some(old) = self.catalog.add_or_replace(schema.clone()) {
-                self.dirty_nodes.insert(old.name);
-            }
+            self.replace_relation(schema.clone());
+        }
+    }
+
+    /// Add or replace one catalog relation, dirtying its dependents and
+    /// its node (and the replaced spelling's, when only the case differs).
+    fn replace_relation(&mut self, schema: TableSchema) {
+        self.dirty_relations.insert(normalize(&schema.name));
+        self.dirty_nodes.insert(schema.name.clone());
+        if let Some(old) = self.catalog.add_or_replace(schema) {
+            self.dirty_nodes.insert(old.name);
         }
     }
 
@@ -357,197 +363,27 @@ impl Engine {
     /// the next [`Engine::refresh`] (or lineage query), so a burst of
     /// ingests pays for its re-extractions once.
     ///
-    /// Returns one receipt per statement saying what the engine did.
-    /// In lenient mode ([`ExtractOptions::lenient`]) unparsable regions
-    /// of the script do not fail the call: each becomes a receipt with
+    /// Returns one receipt per statement saying what the engine did, in
+    /// source order, with spans into `sql` as given. In lenient mode
+    /// ([`ExtractOptions::lenient`]) unparsable regions of the script do
+    /// not fail the call: each becomes a receipt with
     /// [`IngestAction::Failed`] carrying a span-tagged parse diagnostic,
     /// and every healthy statement is still ingested.
     pub fn ingest(&mut self, sql: &str) -> Result<Vec<StmtId>, LineageError> {
         let _timer = self.metrics.ingest_us.time();
-        let sql = sql.trim();
         let script = parse_statements_recovering_with(sql, self.options.extract.dialect);
         if !self.options.extract.lenient {
             if let Some(error) = script.errors.first() {
                 return Err(LineageError::Parse(error.to_string()));
             }
         }
-        Ok(self.apply_script(script, sql))
-    }
-
-    /// Ingest a whole one-shot log in one bulk write: the Query
-    /// Dictionary [`QueryDict::from_sql_dialect`] built from it, so the
-    /// log keeps the one-shot rules (`DROP` skipped, strict duplicates
-    /// rejected, lenient last definition wins, noise skipped) exactly as
-    /// [`lineagex_core::LineageX::run`] applies them.
-    ///
-    /// Each entry is linked like an [`Engine::ingest`]ed definition and
-    /// counts as one ingested statement; the log's DDL is merged with
-    /// [`Engine::merge_catalog`]; the dictionary's diagnostics become
-    /// session diagnostics (parse errors also count as parse failures);
-    /// and the session's anonymous ids continue after the log's, so the
-    /// next bare `SELECT` ingested is `query_{n + 1}`. No receipts are
-    /// issued. Extraction waits for the next [`Engine::refresh`].
-    pub fn ingest_dict(&mut self, mut dict: QueryDict) {
-        let _timer = self.metrics.ingest_us.time();
-        self.merge_catalog(std::mem::take(&mut dict.ddl_catalog));
-        let diagnostics = std::mem::take(&mut dict.diagnostics);
-        self.stats.parse_failures +=
-            diagnostics.iter().filter(|d| d.code == DiagnosticCode::ParseError).count() as u64;
-        Arc::make_mut(&mut self.session_diagnostics).extend(diagnostics);
-        self.anon_counter = self.anon_counter.max(dict.anonymous_count());
-        for entry in dict.into_entries() {
-            self.seq += 1;
-            self.stats.statements += 1;
-            self.define(Box::new(entry));
-        }
+        let mut anonymous = self.anon_counter;
+        let mut session = SessionRules { engine: self, receipts: Vec::new() };
+        preprocess_script(script, sql, None, &mut anonymous, &mut session)?;
+        let receipts = session.receipts;
+        self.anon_counter = anonymous;
         self.settle_diagnostic_count();
-    }
-
-    /// Apply a recovered script: route statements through preprocessing
-    /// and turn unparsable regions into [`IngestAction::Failed`]
-    /// receipts, all interleaved back into source order so receipts read
-    /// like the script.
-    fn apply_script(
-        &mut self,
-        script: lineagex_sqlparse::RecoveredScript,
-        source: &str,
-    ) -> Vec<StmtId> {
-        enum Item {
-            Stmt(Box<SpannedStatement>),
-            Failed(lineagex_sqlparse::ParseError),
-        }
-        let mut items: Vec<(usize, Item)> = script
-            .statements
-            .into_iter()
-            .map(|s| (s.span.start, Item::Stmt(Box::new(s))))
-            .chain(script.errors.into_iter().map(|e| (e.span.start, Item::Failed(e))))
-            .collect();
-        items.sort_by_key(|(start, _)| *start);
-        let mut receipts = Vec::with_capacity(items.len());
-        for (_, item) in items {
-            self.seq += 1;
-            self.stats.statements += 1;
-            match item {
-                Item::Stmt(stmt) => {
-                    let (target, action, diagnostics) = self.apply_statement(*stmt, source);
-                    receipts.push(StmtId { seq: self.seq, target, action, diagnostics });
-                }
-                Item::Failed(error) => {
-                    self.stats.parse_failures += 1;
-                    let diagnostic =
-                        Diagnostic::new(DiagnosticCode::ParseError, error.message.clone())
-                            .with_span(error.span)
-                            .with_excerpt_from(source);
-                    Arc::make_mut(&mut self.session_diagnostics).push(diagnostic.clone());
-                    receipts.push(StmtId {
-                        seq: self.seq,
-                        target: "<unparsable>".into(),
-                        action: IngestAction::Failed,
-                        diagnostics: vec![diagnostic],
-                    });
-                }
-            }
-        }
-        self.settle_diagnostic_count();
-        receipts
-    }
-
-    /// Route one parsed statement through the shared preprocessing rules
-    /// and apply its session effect. Returns the receipt's target, the
-    /// action taken, and any diagnostics the statement produced.
-    fn apply_statement(
-        &mut self,
-        stmt: SpannedStatement,
-        source: &str,
-    ) -> (String, IngestAction, Vec<Diagnostic>) {
-        // Catalog effects first (plain DDL adds/replaces, DROP removes),
-        // via the catalog's own incremental API; every reported change
-        // seeds relation-level dirt and dirties its node.
-        let catalog_changes = self.catalog.apply_statement(&stmt.statement);
-        for change in &catalog_changes {
-            self.dirty_relations.insert(normalize(change.relation()));
-            self.dirty_nodes.insert(change.relation().to_string());
-        }
-        let preprocessed = {
-            let entries = &self.entries;
-            preprocess_statement(stmt, None, &mut self.anon_counter, &mut |id| {
-                entries.contains_key(id)
-            })
-        };
-        match preprocessed {
-            PreprocessedStatement::Entry(entry) => {
-                let (id, span) = (entry.id.clone(), entry.span);
-                let action = self.define(entry);
-                let diagnostics = if action == IngestAction::Redefined {
-                    // Redefinition is first-class in a session; the
-                    // notice still surfaces so receipts match the batch
-                    // pipeline's lenient diagnostics.
-                    vec![Diagnostic::new(
-                        DiagnosticCode::DuplicateQueryId,
-                        format!("duplicate query identifier \"{id}\": last definition wins"),
-                    )
-                    .for_statement(&id)
-                    .with_span(span)
-                    .with_excerpt_from(source)]
-                } else {
-                    Vec::new()
-                };
-                (id, action, diagnostics)
-            }
-            // The catalog side already happened above; this arm only
-            // acknowledges the statement.
-            PreprocessedStatement::Schema(schema) => {
-                (schema.name, IngestAction::Schema, Vec::new())
-            }
-            PreprocessedStatement::Drop(names, span) => {
-                let mut touched = catalog_changes.len() as u64;
-                let mut dropped = BTreeSet::new();
-                for name in &names {
-                    if let Some(old) = self.entries.remove(name) {
-                        touched += 1;
-                        self.unlink_entry(name, &old);
-                        // The retraction below mutates the settled graph
-                        // directly (no refresh will run unless something
-                        // is dirty): a new revision.
-                        self.graph_revision += 1;
-                        self.dirty_nodes.insert(name.clone());
-                        self.traces.remove(name);
-                        if let Some(delta) = self.inferred_by_query.remove(name) {
-                            self.dirty_nodes.extend(delta.into_keys());
-                        }
-                        self.dirty_entries.remove(name);
-                        self.dirty_relations.insert(normalize(name));
-                        dropped.insert(name.clone());
-                    }
-                }
-                if !dropped.is_empty() {
-                    self.retract_lineage(&dropped);
-                }
-                self.stats.drops += touched;
-                let target = names.join(", ");
-                if touched == 0 {
-                    let diagnostic = Diagnostic::new(
-                        DiagnosticCode::SkippedStatement,
-                        format!("DROP {target} matched nothing"),
-                    )
-                    .with_span(span)
-                    .with_excerpt_from(source);
-                    Arc::make_mut(&mut self.session_diagnostics).push(diagnostic.clone());
-                    (target, IngestAction::Skipped, vec![diagnostic])
-                } else {
-                    (target, IngestAction::Dropped, Vec::new())
-                }
-            }
-            PreprocessedStatement::Skipped(diagnostic) => {
-                if diagnostic.code == DiagnosticCode::DialectFallback {
-                    self.metrics.dialect_fallbacks.inc();
-                }
-                let diagnostic = diagnostic.with_excerpt_from(source);
-                let target = diagnostic.message.clone();
-                Arc::make_mut(&mut self.session_diagnostics).push(diagnostic.clone());
-                (target, IngestAction::Skipped, vec![diagnostic])
-            }
-        }
+        Ok(receipts)
     }
 
     /// Link one dictionary entry into the session: a new id is
@@ -571,14 +407,7 @@ impl Engine {
                 (IngestAction::Defined, self.next_pos - 1)
             }
         };
-        let mut deps = referenced_relations(entry.query());
-        if matches!(entry.kind, QueryKind::Insert | QueryKind::Update) {
-            // A write's output names come from the target table's catalog
-            // schema (`apply_output_names`), so the target is a real
-            // dependency: its redefinition must re-extract this entry.
-            deps.insert(id.split('#').next().unwrap_or(&id).to_string());
-        }
-        let deps_norm: BTreeSet<String> = deps.iter().map(|d| normalize(d)).collect();
+        let (deps, deps_norm) = dependencies(&entry);
         let state = EntryState { slot: EntrySlot::Parsed(entry), pos, deps, deps_norm };
         self.link_entry(id.clone(), state);
         self.dirty_relations.insert(normalize(&id));
@@ -588,7 +417,8 @@ impl Engine {
 
     /// Settle all pending invalidations: close the dirty set over the
     /// reverse-dependency index (downstream cones of every changed
-    /// relation), partition it into connected components with the batch
+    /// relation, and the other scanners of each unknown external a dirty
+    /// entry scans or inferred), partition it into connected components with the batch
     /// run's rule ([`components`]: members link to the members they scan
     /// and to the members that scan the same unknown external), and
     /// (re-)extract each component on the deferral stack
@@ -617,13 +447,11 @@ impl Engine {
         self.graph_revision += 1;
         self.unshare_graph();
 
-        // 1. Close the dirty set: an entry is dirty when marked directly
-        //    or when any (transitive) upstream relation changed.
-        let dirty = self.close_over_dependents(self.dirty_entries.clone(), {
-            let mut changed = self.dirty_relations.clone();
-            changed.extend(self.dirty_entries.iter().map(|id| normalize(id)));
-            changed
-        });
+        // 1. Close the dirty set: an entry is dirty when marked directly,
+        //    when any (transitive) upstream relation changed, or when it
+        //    shares an unknown external with a dirty entry.
+        let dirty =
+            self.close_over_dependents(self.dirty_entries.clone(), self.dirty_relations.clone());
         self.metrics.dirty_cone_size.record(dirty.len() as u64);
 
         // 2. Hydrate snapshot-loaded entries on first dirt: cold slots
@@ -982,7 +810,7 @@ impl Engine {
             inferred: self.inferred_by_query.clone(),
             entries,
             revision: self.graph_revision,
-            counters: self.counters_out(),
+            counters: counters(&self.stats, self.anon_counter, self.seq),
             dialect: self.options.extract.dialect.name().to_string(),
         };
         lineagex_core::write_snapshot_file(path, &snapshot)?;
@@ -1100,24 +928,6 @@ impl Engine {
         }
     }
 
-    /// The session counters as stable-named pairs for the snapshot codec.
-    fn counters_out(&self) -> Vec<(String, u64)> {
-        vec![
-            ("stats.statements".into(), self.stats.statements),
-            ("stats.defined".into(), self.stats.defined),
-            ("stats.redefinitions".into(), self.stats.redefinitions),
-            ("stats.unchanged".into(), self.stats.unchanged),
-            ("stats.drops".into(), self.stats.drops),
-            ("stats.parse_failures".into(), self.stats.parse_failures),
-            ("stats.diagnostics".into(), self.stats.diagnostics),
-            ("stats.extractions".into(), self.stats.extractions),
-            ("stats.last_refresh_extractions".into(), self.stats.last_refresh_extractions),
-            ("stats.refreshes".into(), self.stats.refreshes),
-            ("engine.anon_counter".into(), self.anon_counter as u64),
-            ("engine.seq".into(), self.seq),
-        ]
-    }
-
     /// Restore one snapshot counter by name. Unknown names are ignored, so
     /// old engines load snapshots from newer writers of the same format
     /// version, and snapshots carrying counters this engine retired still
@@ -1158,31 +968,11 @@ impl Engine {
         Ok(ImpactReport::from_answer(SourceColumn::new(table, column), answer))
     }
 
-    /// Package the session state as a one-shot-style [`LineageResult`]
-    /// (with an empty deferral log: the stack runs per component, and
-    /// component order is not log order).
-    pub fn result(&mut self) -> Result<LineageResult, LineageError> {
-        self.refresh()?;
-        Ok(LineageResult {
-            graph: (*self.graph).clone(),
-            traces: self.traces.clone(),
-            deferrals: Vec::new(),
-            inferred: self.merged_inferred(),
-            diagnostics: (*self.session_diagnostics).clone(),
-            index: GraphIndexCache::new(),
-        })
-    }
-
     /// Mark every entry dirty, forcing the next refresh to re-extract the
     /// whole dictionary (benchmarking aid, and escape hatch after
     /// out-of-band catalog edits).
     pub fn invalidate_all(&mut self) {
         self.dirty_entries.extend(self.entries.keys().cloned());
-    }
-
-    /// Entries directly scanning `relation` (one dirty-propagation hop).
-    pub fn dependents_of(&self, relation: &str) -> BTreeSet<String> {
-        self.rdeps.get(&normalize(relation)).cloned().unwrap_or_default()
     }
 
     /// `relation` plus everything transitively downstream of it — the set
@@ -1195,31 +985,44 @@ impl Engine {
         self.close_over_dependents(seed, BTreeSet::from([normalize(relation)]))
     }
 
-    /// Closure over the dependency DAG: grow `entries` with every entry
-    /// depending (transitively) on a relation in `changed`, treating each
-    /// newly-added entry's own relation as changed too. A worklist walk
-    /// over the reverse-dependency index, so cost is proportional to the
-    /// resulting cone — not to the size of the dictionary.
+    /// Closure over the dependency DAG: `seed` plus every entry depending
+    /// (transitively) on a relation in `changed` or on a relation an
+    /// added entry invalidates ([`Engine::invalidated_by`]). A worklist
+    /// walk over the reverse-dependency index, so cost is proportional to
+    /// the resulting cone — not to the size of the dictionary.
     fn close_over_dependents(
         &self,
-        mut entries: BTreeSet<String>,
-        changed: BTreeSet<String>,
+        seed: BTreeSet<String>,
+        mut changed: BTreeSet<String>,
     ) -> BTreeSet<String> {
-        let mut seen: BTreeSet<String> = changed;
-        let mut queue: Vec<String> = seen.iter().cloned().collect();
-        while let Some(relation) = queue.pop() {
-            if let Some(dependents) = self.rdeps.get(&relation) {
-                for id in dependents {
-                    if entries.insert(id.clone()) {
-                        let norm = normalize(id);
-                        if seen.insert(norm.clone()) {
-                            queue.push(norm);
-                        }
-                    }
-                }
+        let mut queue: Vec<String> = changed.iter().cloned().collect();
+        let (mut entries, mut added) = (BTreeSet::new(), Vec::from_iter(seed));
+        while !added.is_empty() || !queue.is_empty() {
+            for id in added.drain(..) {
+                queue.extend(self.invalidated_by(&id).filter(|r| changed.insert(r.clone())));
+                entries.insert(id);
+            }
+            if let Some(relation) = queue.pop() {
+                let dependents = self.rdeps.get(&relation).into_iter().flatten();
+                added.extend(dependents.filter(|id| !entries.contains(*id)).cloned());
             }
         }
         entries
+    }
+
+    /// The relations, normalised, whose scanners must re-extract with
+    /// `id`: its own, and each unknown external it scans or inferred.
+    /// An external's scanners infer its schema together, the first in
+    /// ingest order reporting it (the rule of [`components`]).
+    fn invalidated_by<'a>(&'a self, id: &'a str) -> impl Iterator<Item = String> + 'a {
+        let auto_inference = self.options.extract.auto_inference;
+        let unknown = move |dep: &&String| {
+            !(auto_inference && self.entries.contains_key(*dep)) && self.catalog.get(dep).is_none()
+        };
+        let scanned = self.entries.get(id).into_iter().flat_map(|state| &state.deps);
+        let inferred = self.inferred_by_query.get(id).into_iter().flat_map(|delta| delta.keys());
+        let externals = scanned.filter(unknown).chain(inferred).map(String::as_str);
+        std::iter::once(id).chain(externals).map(normalize)
     }
 
     /// Register (or re-register) a dictionary entry, keeping the id
@@ -1372,6 +1175,219 @@ impl LineageView for Engine {
         self.refresh()?;
         self.settle_index();
         Ok(ReportV2::from_graph(&self.graph, &self.session_diagnostics).with_index(&self.index))
+    }
+}
+
+/// The dictionary half of a session snapshot written from a one-shot
+/// batch run: the entries of a log's [`QueryDict`] (id, rendered SQL and
+/// dependency sets) and the catalog the run extracts against, captured
+/// before [`lineagex_core::InferenceEngine::run`] consumes the
+/// dictionary. [`BatchSnapshot::save`] adds the run's result.
+#[derive(Debug, Clone)]
+pub struct BatchSnapshot {
+    catalog: Catalog,
+    entries: Vec<SnapshotEntry>,
+    anonymous: usize,
+    dialect: DialectKind,
+}
+
+impl BatchSnapshot {
+    /// Capture `dict`, parsed under `dialect`, which extracts against
+    /// `catalog` with the log's own DDL merged in.
+    pub fn capture(dict: &QueryDict, catalog: &Catalog, dialect: DialectKind) -> Self {
+        let entries = dict.entries().iter().map(|entry| {
+            let (deps, deps_norm) = dependencies(entry);
+            SnapshotEntry {
+                id: entry.id.clone(),
+                sql: entry.statement.to_string(),
+                deps: deps.into_iter().collect(),
+                deps_norm: deps_norm.into_iter().collect(),
+            }
+        });
+        BatchSnapshot {
+            catalog: lineagex_core::infer::merge_log_ddl(dict, Cow::Borrowed(catalog)).into_owned(),
+            entries: entries.collect(),
+            anonymous: dict.anonymous_count(),
+            dialect,
+        }
+    }
+
+    /// Write `result`, the batch run of the captured dictionary, to
+    /// `path` as the snapshot of a session that ingested the dictionary
+    /// whole and refreshed once: the graph and its [`GraphIndex::build`],
+    /// the run diagnostics, each query's inferred-schema delta, and one
+    /// statement, definition and extraction per entry.
+    pub fn save(self, result: &LineageResult, path: &Path) -> Result<(), LineageError> {
+        let entries = self.entries.len() as u64;
+        // A session with nothing to settle never refreshes.
+        let refreshes = u64::from(entries > 0 || !self.catalog.is_empty());
+        let diagnostics = result.graph.queries.values().map(|query| query.diagnostics.len());
+        let parse_errors =
+            result.diagnostics.iter().filter(|d| d.code == DiagnosticCode::ParseError);
+        let stats = EngineStats {
+            statements: entries,
+            defined: entries,
+            parse_failures: parse_errors.count() as u64,
+            diagnostics: (result.diagnostics.len() + diagnostics.sum::<usize>()) as u64,
+            extractions: entries,
+            last_refresh_extractions: entries,
+            refreshes,
+            ..EngineStats::default()
+        };
+        let snapshot = GraphSnapshot {
+            catalog: self.catalog,
+            graph: result.graph.clone(),
+            index: GraphIndex::build(&result.graph),
+            diagnostics: result.diagnostics.clone(),
+            inferred: result.inferred_by_query.clone(),
+            entries: self.entries,
+            revision: refreshes,
+            counters: counters(&stats, self.anonymous, entries),
+            dialect: self.dialect.name().to_string(),
+        };
+        lineagex_core::write_snapshot_file(path, &snapshot)?;
+        Ok(())
+    }
+}
+
+/// An entry's dependency sets: the relations its defining query scans,
+/// as written (they match dictionary ids case-sensitively, like the
+/// extractor), and the same normalised for matching catalog relations.
+fn dependencies(entry: &QueryEntry) -> (BTreeSet<String>, BTreeSet<String>) {
+    let mut deps = referenced_relations(entry.query());
+    if matches!(entry.kind, QueryKind::Insert | QueryKind::Update) {
+        // A write's output names come from the target table's catalog
+        // schema (`apply_output_names`), so the target is a real
+        // dependency: its redefinition must re-extract this entry.
+        deps.insert(entry.id.split('#').next().unwrap_or(&entry.id).to_string());
+    }
+    let deps_norm = deps.iter().map(|d| normalize(d)).collect();
+    (deps, deps_norm)
+}
+
+/// The session counters as stable-named pairs for the snapshot codec.
+fn counters(stats: &EngineStats, anon_counter: usize, seq: u64) -> Vec<(String, u64)> {
+    vec![
+        ("stats.statements".into(), stats.statements),
+        ("stats.defined".into(), stats.defined),
+        ("stats.redefinitions".into(), stats.redefinitions),
+        ("stats.unchanged".into(), stats.unchanged),
+        ("stats.drops".into(), stats.drops),
+        ("stats.parse_failures".into(), stats.parse_failures),
+        ("stats.diagnostics".into(), stats.diagnostics),
+        ("stats.extractions".into(), stats.extractions),
+        ("stats.last_refresh_extractions".into(), stats.last_refresh_extractions),
+        ("stats.refreshes".into(), stats.refreshes),
+        ("engine.anon_counter".into(), anon_counter as u64),
+        ("engine.seq".into(), seq),
+    ]
+}
+
+/// The session's rules for [`preprocess_script`]: every item is one
+/// ingested statement with a receipt; plain DDL replaces its catalog
+/// relation, a redefinition replaces its entry, and a `DROP` retracts.
+struct SessionRules<'a> {
+    engine: &'a mut Engine,
+    receipts: Vec<StmtId>,
+}
+
+impl ScriptRules for SessionRules<'_> {
+    fn is_taken(&self, id: &str) -> bool {
+        self.engine.entries.contains_key(id)
+    }
+
+    fn apply(&mut self, item: ScriptItem, source: &str) -> Result<(), LineageError> {
+        let engine = &mut *self.engine;
+        engine.seq += 1;
+        engine.stats.statements += 1;
+        let (target, action, diagnostics) = match item {
+            ScriptItem::Statement(PreprocessedStatement::Entry(entry)) => {
+                let (id, span) = (entry.id.clone(), entry.span);
+                let action = engine.define(entry);
+                let diagnostics = if action == IngestAction::Redefined {
+                    // Redefinition is first-class in a session; the
+                    // notice still surfaces so receipts match the batch
+                    // pipeline's lenient diagnostics.
+                    vec![Diagnostic::new(
+                        DiagnosticCode::DuplicateQueryId,
+                        format!("duplicate query identifier \"{id}\": last definition wins"),
+                    )
+                    .for_statement(&id)
+                    .with_span(span)
+                    .with_excerpt_from(source)]
+                } else {
+                    Vec::new()
+                };
+                (id, action, diagnostics)
+            }
+            ScriptItem::Statement(PreprocessedStatement::Schema(schema)) => {
+                let name = schema.name.clone();
+                engine.replace_relation(schema);
+                (name, IngestAction::Schema, Vec::new())
+            }
+            ScriptItem::Statement(PreprocessedStatement::Drop(names, span)) => {
+                let mut touched = 0u64;
+                let mut dropped = BTreeSet::new();
+                for name in &names {
+                    if let Some(schema) = engine.catalog.remove(name) {
+                        touched += 1;
+                        engine.dirty_relations.insert(normalize(&schema.name));
+                        engine.dirty_nodes.insert(schema.name);
+                    }
+                    if let Some(old) = engine.entries.remove(name) {
+                        touched += 1;
+                        engine.unlink_entry(name, &old);
+                        // The retraction below mutates the settled graph
+                        // directly (no refresh will run unless something
+                        // is dirty): a new revision.
+                        engine.graph_revision += 1;
+                        engine.dirty_nodes.insert(name.clone());
+                        engine.traces.remove(name);
+                        if let Some(delta) = engine.inferred_by_query.remove(name) {
+                            // The other scanners of what it inferred take
+                            // the schema over, or give it up.
+                            engine.dirty_relations.extend(delta.keys().map(|r| normalize(r)));
+                            engine.dirty_nodes.extend(delta.into_keys());
+                        }
+                        engine.dirty_entries.remove(name);
+                        engine.dirty_relations.insert(normalize(name));
+                        dropped.insert(name.clone());
+                    }
+                }
+                if !dropped.is_empty() {
+                    engine.retract_lineage(&dropped);
+                }
+                engine.stats.drops += touched;
+                let target = names.join(", ");
+                if touched == 0 {
+                    let diagnostic = Diagnostic::new(
+                        DiagnosticCode::SkippedStatement,
+                        format!("DROP {target} matched nothing"),
+                    )
+                    .with_span(span)
+                    .with_excerpt_from(source);
+                    Arc::make_mut(&mut engine.session_diagnostics).push(diagnostic.clone());
+                    (target, IngestAction::Skipped, vec![diagnostic])
+                } else {
+                    (target, IngestAction::Dropped, Vec::new())
+                }
+            }
+            ScriptItem::Statement(PreprocessedStatement::Skipped(diagnostic)) => {
+                if diagnostic.code == DiagnosticCode::DialectFallback {
+                    engine.metrics.dialect_fallbacks.inc();
+                }
+                let target = diagnostic.message.clone();
+                Arc::make_mut(&mut engine.session_diagnostics).push(diagnostic.clone());
+                (target, IngestAction::Skipped, vec![diagnostic])
+            }
+            ScriptItem::ParseError(diagnostic) => {
+                engine.stats.parse_failures += 1;
+                Arc::make_mut(&mut engine.session_diagnostics).push(diagnostic.clone());
+                ("<unparsable>".into(), IngestAction::Failed, vec![diagnostic])
+            }
+        };
+        self.receipts.push(StmtId { seq: engine.seq, target, action, diagnostics });
+        Ok(())
     }
 }
 

@@ -9,11 +9,14 @@
 //! questions continuously. This crate adds exactly that:
 //!
 //! * [`Engine::ingest`] — streaming preprocessing: statements parse
-//!   under the session's pinned dialect, update the catalog
-//!   incrementally, and maintain a **view dependency DAG** (edges from
+//!   under the session's pinned dialect and walk the Query Dictionary's
+//!   own loop ([`lineagex_core::preprocess_script`]) under session
+//!   rules, update the catalog from each classified statement, and
+//!   maintain a **view dependency DAG** (edges from
 //!   [`lineagex_core::referenced_relations`]) with dirty tracking, so
 //!   redefining or dropping one view invalidates only its downstream
-//!   cone, and an unchanged re-ingest is a no-op;
+//!   cone (and the other scanners of an unknown external it scans), and
+//!   an unchanged re-ingest is a no-op;
 //! * [`Engine::refresh`] — the **parallel extraction scheduler**: the
 //!   core scheduler's partition ([`lineagex_core::schedule::components`],
 //!   the rule the batch run uses) splits the dirty cone into components
@@ -24,9 +27,11 @@
 //!   `std::thread::scope` work-queue pool (`jobs` option);
 //! * [`Engine::graph`] / [`Engine::lineage_of`] / [`Engine::impact_of`] —
 //!   lineage queries between ingests, over a lazily-settled graph;
-//! * [`Engine::ingest_dict`] — a one-shot log's Query Dictionary in one
-//!   bulk write, keeping the batch pipeline's one-shot rules (what
-//!   `lineagex extract --save-snapshot` runs, to persist the session).
+//! * [`Engine::save_snapshot`] / [`Engine::load_snapshot`] — the session
+//!   as a `.lxsn` file, and [`BatchSnapshot`], which writes a one-shot
+//!   batch run as the session that ingested its log (what `lineagex
+//!   extract --save-snapshot` runs), so one crate owns the session's
+//!   counter and revision rules.
 //!
 //! Two invariants tie the engine back to the paper's semantics, asserted
 //! by the workspace property tests over generator workloads:
@@ -43,7 +48,7 @@
 mod engine;
 mod stats;
 
-pub use engine::{Engine, EngineOptions, EngineSnapshot};
+pub use engine::{BatchSnapshot, Engine, EngineOptions, EngineSnapshot};
 pub use stats::{EngineStats, IngestAction, PublishSplit, StmtId};
 
 #[cfg(test)]
@@ -112,10 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_ingest_keeps_one_shot_rules_and_continues_the_session() {
-        use lineagex_core::{lineagex_lenient, ExtractOptions, QueryDict};
+    fn a_batch_snapshot_keeps_one_shot_rules_and_continues_the_session() {
+        use lineagex_catalog::Catalog;
+        use lineagex_core::{ExtractOptions, InferenceEngine, QueryDict};
         // Noise, a parse error, a redefinition and a DROP: the dictionary
-        // applies the one-shot rules before the engine sees anything.
+        // applies the one-shot rules, and the batch run extracts it.
         let log = "BEGIN;\n\
                    CREATE TABLE web (cid int, page text, reg boolean);\n\
                    CREATE VIEW v AS SELECT page AS p FROM web WHERE reg;\n\
@@ -124,38 +130,37 @@ mod tests {
                    SELECT p FROM v;\n\
                    DROP VIEW v;\n\
                    SELECT p FROM v;";
-        let one_shot = lineagex_lenient(log).unwrap();
-        let mut engine = Engine::with_options(EngineOptions {
-            jobs: 1,
-            extract: ExtractOptions::new().with_lenient(),
-        });
-        engine.ingest_dict(QueryDict::from_sql_with(log, true).unwrap());
-        // Each entry counts as one statement and one definition; the
-        // dictionary's parse error is a parse failure, and its four run
-        // diagnostics are the session's. Nothing is extracted yet.
-        let pending = EngineStats {
+        let options = ExtractOptions::new().with_lenient();
+        let dict = QueryDict::from_sql_with(log, true).unwrap();
+        let catalog = Catalog::new();
+        let snapshot = BatchSnapshot::capture(&dict, &catalog, options.dialect);
+        let one_shot = InferenceEngine::over(dict, &catalog, options).run().unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("lineagex_engine_batch_snapshot_{}.lxsn", std::process::id()));
+        snapshot.save(&one_shot, &path).unwrap();
+        let mut engine =
+            Engine::load_snapshot(&path, EngineOptions { jobs: 1, extract: options }).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        // Each entry counts as one statement, one definition and one
+        // extraction of one refresh; the parse error is a parse failure,
+        // and the four run diagnostics are the session's.
+        let settled = EngineStats {
             statements: 3,
             defined: 3,
             parse_failures: 1,
             diagnostics: 4,
+            extractions: 3,
+            last_refresh_extractions: 3,
+            refreshes: 1,
             ..EngineStats::default()
         };
-        assert_eq!(engine.stats(), &pending);
+        assert_eq!(engine.stats(), &settled);
+        assert_eq!(engine.revision(), 1);
         assert_eq!(engine.diagnostics(), one_shot.diagnostics.as_slice());
         assert!(engine.catalog().contains("web"));
-        assert_eq!(engine.refresh().unwrap(), 3);
-        assert_eq!(
-            engine.stats(),
-            &EngineStats {
-                extractions: 3,
-                last_refresh_extractions: 3,
-                refreshes: 1,
-                ..pending.clone()
-            }
-        );
+        assert!(!engine.has_pending_work());
         let graph = engine.graph().unwrap();
-        assert_eq!(graph.queries, one_shot.graph.queries);
-        assert_eq!(graph.nodes, one_shot.graph.nodes);
+        assert_eq!(graph, &one_shot.graph);
         // The session numbers on after the log: statements and bare
         // SELECTs alike.
         let receipts = engine.ingest("SELECT 1 AS one").unwrap();
@@ -500,17 +505,6 @@ mod tests {
             batch.column_lineage("webinfo", "wpage").unwrap()
         );
         assert_eq!(engine.graph_stats().unwrap(), batch.graph_stats().unwrap());
-    }
-
-    #[test]
-    fn result_packages_session_state() {
-        let mut engine = Engine::new();
-        engine.ingest(PIPELINE).unwrap();
-        engine.ingest("DELETE FROM web").unwrap();
-        let result = engine.result().unwrap();
-        assert_eq!(result.graph.queries.len(), 2);
-        assert!(result.deferrals.is_empty());
-        assert_eq!(result.diagnostics.len(), 1);
     }
 
     #[test]

@@ -120,32 +120,33 @@ fn a_strict_lex_error_after_a_parse_error_wins() {
 }
 
 #[test]
-fn a_statement_that_steps_past_its_semicolon_reads_the_next_one() {
-    // Each of these consumes the `;` before it fails, so its error points
-    // at the next statement's first token, and recovery skips that
-    // statement too.
+fn a_statement_failing_at_its_semicolon_keeps_the_next_one() {
+    // Each of these fails at its own `;`, so its error points there and
+    // recovery resumes with the next statement.
     for broken in
         ["SELECT EXTRACT(", "CREATE TABLE t (a numeric(", "SELECT sum(a) OVER (ROWS BETWEEN"]
     {
         let sql = format!("{broken};\nSELECT 2;\nSELECT 3");
         let error = Parser::parse_sql_spanned_with(&sql, DialectKind::Ansi).unwrap_err();
-        assert_eq!(error.span.location.line, 2, "{broken}: {error}");
+        assert_eq!(error.span.start, broken.len(), "{broken}: {error}");
+        assert!(error.message.ends_with("found ;"), "{broken}: {error}");
         let script = Parser::parse_statements_recovering(&sql);
-        assert_eq!(script.statements.len(), 1, "{broken}");
-        assert_eq!(script.statements[0].span.location.line, 3, "{broken}");
+        let lines: Vec<u32> = script.statements.iter().map(|s| s.span.location.line).collect();
+        assert_eq!(lines, [2, 3], "{broken}");
         assert_agree(&sql, DialectKind::Ansi);
     }
 }
 
 #[test]
-fn the_token_buffer_holds_two_statements_at_most() {
+fn the_token_buffer_holds_one_statement_at_most() {
     let statement = "CREATE VIEW v AS SELECT a, b, c FROM t WHERE a = 1";
     let sql = vec![statement; 200].join(";\n");
     let mut script = Statements::new(&sql, DialectKind::Ansi, false);
+    // The statement's tokens and its `Eof`, which stands for its `;`.
     let per_statement = Lexer::tokenize(statement).unwrap().len();
     let mut parsed = 0;
     while script.next_statement().unwrap() {
-        assert!(script.parser.tokens.len() <= 2 * per_statement + 1);
+        assert!(script.parser.tokens.len() <= per_statement);
         script.parser.parse_spanned_statement().unwrap();
         parsed += 1;
     }
@@ -153,8 +154,8 @@ fn the_token_buffer_holds_two_statements_at_most() {
 }
 
 /// Statements that parse, statements that fail to parse (three of them
-/// step onto the token after their `;`), statements that fail to lex
-/// mid-log, and empty statements.
+/// at their `;`), statements that fail to lex mid-log, and empty
+/// statements.
 const FRAGMENTS: &[&str] = &[
     "CREATE TABLE web (cid int, page text, reg boolean)",
     "CREATE VIEW v AS SELECT page AS p FROM web WHERE reg",
@@ -217,6 +218,71 @@ proptest! {
         }
         for dialect in DialectKind::ALL {
             assert_agree(&sql, dialect);
+        }
+    }
+}
+
+/// Where each of `fragments`, joined by `separators`, starts and where
+/// its separator's `;` is, in the joined script.
+fn fragment_bounds(fragments: &[&str], separators: &[&str]) -> (String, Vec<(usize, usize)>) {
+    let mut sql = String::new();
+    let mut bounds = Vec::new();
+    for (fragment, separator) in fragments.iter().zip(separators) {
+        let start = sql.len();
+        sql.push_str(fragment);
+        bounds.push((start, sql.len()));
+        sql.push_str(separator);
+    }
+    (sql, bounds)
+}
+
+/// Whether `fragment` lexes cleanly under `dialect` and a `;` after it
+/// is a token of its own (a dialect's line comment would swallow it).
+fn ends_at_its_semicolon(fragment: &str, dialect: DialectKind) -> bool {
+    let tokens = Lexer::tokenize_with(&format!("{fragment};"), dialect);
+    tokens.is_ok_and(|t| t.len() >= 2 && t[t.len() - 2].token == Token::Semicolon)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No statement's parse error points past its own `;`: on logs of
+    /// fragments that lex cleanly up to their `;`, each fragment that fails alone fails
+    /// once, between its first byte and its `;`, and every fragment that
+    /// parses alone is recovered, whatever its neighbours.
+    #[test]
+    fn no_parse_error_points_past_its_own_semicolon(
+        picks in proptest::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 0..16),
+    ) {
+        for dialect in DialectKind::ALL {
+            let (fragments, separators): (Vec<&str>, Vec<&str>) = picks
+                .iter()
+                .map(|&(f, s)| (FRAGMENTS[f], SEPARATORS[s]))
+                .filter(|(f, _)| ends_at_its_semicolon(f, dialect))
+                .unzip();
+            let (sql, bounds) = fragment_bounds(&fragments, &separators);
+            let script = Parser::parse_statements_recovering_with(&sql, dialect);
+            let (mut failing, mut parsing) = (Vec::new(), Vec::new());
+            for (fragment, bound) in fragments.iter().zip(&bounds) {
+                match Parser::parse_sql_spanned_with(fragment, dialect) {
+                    Ok(statements) if statements.is_empty() => {}
+                    Ok(_) => parsing.push(*bound),
+                    Err(_) => failing.push(*bound),
+                }
+            }
+            prop_assert_eq!(script.errors.len(), failing.len(), "{:?}: {}", dialect, sql);
+            for (error, (start, semicolon)) in script.errors.iter().zip(&failing) {
+                prop_assert!(
+                    (*start..=*semicolon).contains(&error.span.start),
+                    "{:?}: {} at {} outside {}..={} of {}", dialect, error, error.span.start,
+                    start, semicolon, sql
+                );
+            }
+            let starts: Vec<usize> = script.statements.iter().map(|s| s.span.start).collect();
+            let fragment_of = |at: usize| bounds.iter().rposition(|(start, _)| *start <= at);
+            let recovered: Vec<(usize, usize)> =
+                starts.iter().filter_map(|&at| fragment_of(at)).map(|i| bounds[i]).collect();
+            prop_assert_eq!(recovered, parsing, "{:?}: {}", dialect, sql);
         }
     }
 }

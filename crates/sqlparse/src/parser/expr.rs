@@ -449,8 +449,10 @@ impl Parser {
                 Ok(FrameBound::Following(None))
             };
         }
-        match self.next_token() {
+        match self.peek_token() {
             Token::Number(n) => {
+                let n = n.clone();
+                self.advance();
                 let v = n
                     .parse::<u64>()
                     .map_err(|_| self.error_here(format!("invalid frame offset {n}")))?;
@@ -508,11 +510,12 @@ impl Parser {
     fn parse_extract(&mut self) -> Result<Expr, ParseError> {
         self.expect_keyword(Keyword::EXTRACT)?;
         self.expect_token(&Token::LParen)?;
-        let field = match self.next_token() {
+        let field = match self.peek_token() {
             Token::Word(w) => w.value.to_lowercase(),
             Token::SingleQuotedString(s) => s.to_lowercase(),
             other => return Err(self.error_here(format!("expected extract field, found {other}"))),
         };
+        self.advance();
         self.expect_keyword(Keyword::FROM)?;
         let expr = self.parse_expr()?;
         self.expect_token(&Token::RParen)?;

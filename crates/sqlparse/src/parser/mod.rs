@@ -57,11 +57,9 @@ pub struct Parser {
 /// the whole script is ever built.
 ///
 /// Before a statement is parsed the buffer holds its tokens through its
-/// `;` and the whole statement after that, so the parser sees what it
-/// would see in the token stream of the whole script: a malformed
-/// statement may step onto the token after its `;` (its error points
-/// there), and recovery then skips to the next `;`, but neither reaches
-/// further.
+/// `;`, which is all the parser reads: no parse site steps past a `;`,
+/// so a malformed statement fails at or before its own `;` and recovery
+/// resumes right after it.
 struct Statements<'a> {
     lexer: Lexer<'a>,
     parser: Parser,
@@ -94,17 +92,14 @@ impl<'a> Statements<'a> {
         }
     }
 
-    /// Drop the tokens before the cursor, then lex statements until the
-    /// buffer holds two statement ends (`;` or `Eof`) or reaches `Eof`.
+    /// Drop the tokens before the cursor, then lex the next statement
+    /// unless the buffer still holds a statement end (`;` or `Eof`).
     fn refill(&mut self) -> Result<(), ParseError> {
         let tokens = &mut self.parser.tokens;
         tokens.drain(..self.parser.index);
         self.parser.index = 0;
-        let mut ends =
-            tokens.iter().filter(|t| matches!(t.token, Token::Semicolon | Token::Eof)).count();
-        while ends < 2 && !self.lexed_all {
+        if tokens.is_empty() && !self.lexed_all {
             self.lexed_all = self.lexer.lex_statement(tokens, self.lex_errors.as_mut())?;
-            ends += 1;
         }
         Ok(())
     }
@@ -717,8 +712,10 @@ impl Parser {
         if self.peek_token() == &Token::LParen {
             self.advance();
             loop {
-                match self.next_token() {
+                match self.peek_token() {
                     Token::Number(n) => {
+                        let n = n.clone();
+                        self.advance();
                         let v = n
                             .parse::<u64>()
                             .map_err(|_| self.error_here(format!("invalid type parameter {n}")))?;

@@ -14,19 +14,25 @@
 //!    serves) answer byte-identically to the string-keyed test
 //!    reference (`QuerySpec::run_on_unindexed`), for every direction,
 //!    granularity, and filter shape, strict and lenient, on the batch
-//!    backend and on engines fed by `Engine::ingest` and by
-//!    `Engine::ingest_dict`, at `jobs ∈ {1, 4}`; the reply `serve`
-//!    writes from the traversal's cone (`ConeReport`) has the bytes of
+//!    backend and on engines fed by `Engine::ingest` and loaded from
+//!    the `.lxsn` a batch run wrote (`BatchSnapshot`), at
+//!    `jobs ∈ {1, 4}`; the reply `serve` writes from the traversal's
+//!    cone (`ConeReport`) has the bytes of
 //!    `QueryReport::from_answer(..).with_context(..)` on each; and the
-//!    `ReportV2` wire bytes stay identical everywhere;
+//!    `ReportV2` wire bytes stay identical everywhere, lenient logs and
+//!    their run diagnostics included;
 //! 5. **maintained ≡ fresh** — the traversal index each `publish`
 //!    derives from the previous revision's equals, array for array, a
 //!    fresh `GraphIndex::build` of the published graph, whatever write
-//!    history led there, so `.lxsn` bytes never depend on it.
+//!    history led there, so `.lxsn` bytes never depend on it;
+//! 6. **writes ≡ replay** — after any sequence of session writes
+//!    (redefinitions, drops, views sharing unknown externals), the
+//!    settled queries and nodes equal a lenient batch run of the log the
+//!    writes leave behind.
 
-use lineagex::core::{ConeReport, ExtractOptions, NodeKind, QueryDict};
+use lineagex::core::{ConeReport, ExtractOptions, InferenceEngine, NodeKind, QueryDict};
 use lineagex::datasets::{generator, GeneratorConfig};
-use lineagex::engine::{Engine, EngineOptions};
+use lineagex::engine::{BatchSnapshot, Engine, EngineOptions};
 use lineagex::prelude::*;
 use lineagex::sqlparse::ast::{Expr, Literal, Statement};
 use proptest::prelude::*;
@@ -61,6 +67,27 @@ fn session_write(op: u8, view: usize, source: usize, n: u32) -> String {
         6 => format!("CREATE TABLE base (a int, b int, c int, d{n} int)"),
         _ => format!("CREATE VIEW v{view} AS SELECT a, b, c FROM {from} JOIN base USING (a)"),
     }
+}
+
+/// A session loaded from the `.lxsn` that `lineagex extract
+/// --save-snapshot` writes for `sql`: the batch run's, with the
+/// dictionary captured before the run. `tag` names the file.
+fn batch_snapshot_session(sql: &str, options: EngineOptions, tag: &str) -> Result<Engine, String> {
+    let extract = options.extract;
+    let dict = QueryDict::from_sql_dialect(sql, extract.lenient, extract.dialect)
+        .map_err(|e| e.to_string())?;
+    let catalog = Catalog::new();
+    let snapshot = BatchSnapshot::capture(&dict, &catalog, extract.dialect);
+    let result = InferenceEngine::over(dict, &catalog, extract)
+        .jobs(options.jobs)
+        .run()
+        .map_err(|e| e.to_string())?;
+    let path = std::env::temp_dir()
+        .join(format!("lineagex_equivalence_{}_{tag}.lxsn", std::process::id()));
+    snapshot.save(&result, &path).map_err(|e| e.to_string())?;
+    let loaded = Engine::load_snapshot(&path, options).map_err(|e| e.to_string());
+    std::fs::remove_file(&path).map_err(|e| e.to_string())?;
+    loaded
 }
 
 /// The statement re-rendered with a different LIMIT: changed content,
@@ -150,9 +177,11 @@ proptest! {
         });
         let mut sql = workload.full_sql();
         if lenient {
-            // A view with an unresolvable column (a partial record), one
+            // Blank lines first, which every backend must count; then a
+            // view with an unresolvable column (a partial record), one
             // reading it, a noise statement and a parse error (run
             // diagnostics).
+            sql.insert_str(0, "\n  \n");
             sql.push_str(
                 "\nCREATE TABLE ext_base (a int, b int);\
                  \nCREATE VIEW partial_v AS SELECT a, ghost FROM ext_base WHERE b > 0;\
@@ -200,21 +229,19 @@ proptest! {
             QuerySpec::new().from_table("partial_v").upstream(),
         ];
 
-        // The session backends, fed statement by statement and as one
-        // Query Dictionary, settle once; their cached indexes answer
-        // every spec below.
+        // The session backends, fed the log as one script and loaded
+        // from the snapshot its batch run wrote, settle once; their
+        // cached indexes answer every spec below.
         let mut engines: Vec<(String, Engine)> = Vec::new();
         for jobs in [1usize, 4] {
             let extract = ExtractOptions { lenient, ..ExtractOptions::default() };
             let options = EngineOptions { jobs, extract };
             let mut streamed = Engine::with_options(options.clone());
             streamed.ingest(&sql).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            let dict = QueryDict::from_sql_with(&sql, lenient)
-                .map_err(|e| TestCaseError::fail(e.to_string()))?;
-            let mut bulk = Engine::with_options(options);
-            bulk.ingest_dict(dict);
             engines.push((format!("ingest, jobs={jobs}"), streamed));
-            engines.push((format!("ingest_dict, jobs={jobs}"), bulk));
+            let loaded = batch_snapshot_session(&sql, options, &format!("{seed}_{jobs}"))
+                .map_err(TestCaseError::fail)?;
+            engines.push((format!("batch snapshot, jobs={jobs}"), loaded));
         }
 
         for (i, spec) in specs.iter().enumerate() {
@@ -266,17 +293,12 @@ proptest! {
         }
 
         // The wire document is untouched by the index and byte-identical
-        // across every backend. Strict logs only: a session lists a
-        // lenient log's run diagnostics in another order than the batch
-        // run, and without the noise statement's excerpt.
-        if !lenient {
-            let batch_report =
-                batch.report_v2().map_err(|e| TestCaseError::fail(e.to_string()))?;
-            for (backend, engine) in &mut engines {
-                let report =
-                    engine.report_v2().map_err(|e| TestCaseError::fail(e.to_string()))?;
-                prop_assert_eq!(report.to_json(), batch_report.to_json(), "{}", backend);
-            }
+        // across every backend, run diagnostics included: both walk a
+        // script with one loop.
+        let batch_report = batch.report_v2().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        for (backend, engine) in &mut engines {
+            let report = engine.report_v2().map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(report.to_json(), batch_report.to_json(), "{}", backend);
         }
     }
 
@@ -354,6 +376,69 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Per-query lineage with diagnostic spans cleared: a statement written
+/// on its own is located within its own text, not the replayed log.
+fn unspanned(graph: &LineageGraph) -> Vec<QueryLineage> {
+    let mut queries: Vec<QueryLineage> = graph.queries.values().map(|q| (**q).clone()).collect();
+    for diagnostic in queries.iter_mut().flat_map(|q| q.diagnostics.iter_mut()) {
+        diagnostic.span = None;
+        diagnostic.excerpt = None;
+    }
+    queries
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random session writes — views over the base table, over each
+    /// other and over the unknown externals `ext0`/`ext1`, redefined,
+    /// dropped and re-created, with the base table replaced — settled
+    /// after some of them, leave the queries and nodes of a lenient batch
+    /// run of the edited log: the last base-table DDL, then each live
+    /// view's last definition where its first definition stood (a
+    /// redefinition keeps its slot, a drop frees it). Every scanner of an
+    /// external sees the schema, and the diagnostics, that its place in
+    /// that log gives it.
+    #[test]
+    fn session_writes_settle_to_the_batch_replay_of_the_edited_log(
+        writes in proptest::collection::vec(
+            (0u8..8, 0usize..6, 0usize..8, 0u32..4, proptest::prelude::any::<bool>()),
+            1..24,
+        ),
+        jobs in proptest::prop_oneof![Just(1usize), Just(4)],
+    ) {
+        let extract = ExtractOptions::new().with_lenient();
+        let mut engine = Engine::with_options(EngineOptions { jobs, extract });
+        let mut base = "CREATE TABLE base (a int, b int, c int)".to_string();
+        engine.ingest(&base).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let mut views: Vec<(String, String)> = Vec::new();
+        for &(op, view, source, n, settle) in &writes {
+            let write = session_write(op, view, source, n);
+            engine.ingest(&write).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            if settle {
+                engine.refresh().map_err(|e| TestCaseError::fail(e.to_string()))?;
+            }
+            let id = format!("v{view}");
+            if write.starts_with("CREATE TABLE") {
+                base = write;
+            } else if write.starts_with("DROP") {
+                views.retain(|(live, _)| *live != id);
+            } else if let Some(slot) = views.iter_mut().find(|(live, _)| *live == id) {
+                slot.1 = write;
+            } else {
+                views.push((id, write));
+            }
+        }
+        let log: Vec<&str> =
+            std::iter::once(base.as_str()).chain(views.iter().map(|(_, sql)| sql.as_str())).collect();
+        let log = log.join(";\n");
+        let batch = LineageX::new().lenient().run(&log).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let graph = engine.graph().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(unspanned(graph), unspanned(&batch.graph), "log:\n{}", log);
+        prop_assert_eq!(&graph.nodes, &batch.graph.nodes, "log:\n{}", log);
     }
 }
 
